@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+import scipy.linalg
 
 from .channels import (
     DEFAULT_SV_CUTOFF,
@@ -110,11 +111,12 @@ class ObservableFamily:
             A = A.copy()
             A.setflags(write=False)
             frozen.append(A)
-        for i, A in enumerate(frozen):
-            for j, B in enumerate(frozen):
-                target = 1.0 if i == j else 0.0
-                if abs(hs_inner(A, B) - target) > 1e-10:
-                    raise ValueError(f"basis elements {i},{j} are not orthonormal within 1e-10")
+        if frozen:
+            V = np.stack(frozen).reshape(len(frozen), -1)
+            bad = np.argwhere(np.abs(V.conj() @ V.T - np.eye(len(frozen))) > 1e-10)
+            if bad.size:
+                i, j = bad[0]
+                raise ValueError(f"basis elements {i},{j} are not orthonormal within 1e-10")
         object.__setattr__(self, "basis", tuple(frozen))
 
     @classmethod
@@ -224,16 +226,8 @@ def joint_kernel(mats: Sequence[np.ndarray], dim2: int, rel_tol: float = DEFAULT
 
 
 # ---------------------------------------------------------------------------
-# Hermitian section and span utilities
+# Hermitian null spaces and span utilities
 # ---------------------------------------------------------------------------
-
-def _swap_permutation(d: int) -> np.ndarray:
-    P = np.zeros((d * d, d * d))
-    for i in range(d):
-        for j in range(d):
-            P[i * d + j, j * d + i] = 1.0
-    return P
-
 
 def _fix_matrix_sign(A: np.ndarray) -> np.ndarray:
     """Flip the overall sign so the largest-magnitude entry leads positive.
@@ -252,92 +246,89 @@ def _fix_matrix_sign(A: np.ndarray) -> np.ndarray:
     return -A if lead < 0 else A
 
 
-def gram_schmidt(mats: Sequence[np.ndarray], drop_tol: float = 1e-10) -> list[np.ndarray]:
-    """Orthonormalize matrices under the Hilbert-Schmidt inner product.
+def _hermitian_kernel(mats: Sequence[np.ndarray], d: int, rel_tol: float) -> ObservableFamily:
+    """Orthonormal Hermitian basis of ``{A : M vec(A) == 0 for every M in mats}``.
 
-    Modified Gram-Schmidt with one re-orthogonalization pass; deterministic
-    given the input order.  Matrices whose residual norm falls below
-    ``drop_tol`` (relative to the largest input norm) are dropped.
+    Each ``d^2 x d^2`` constraint is written in the orthonormal Hermitian
+    basis ``E_ii``, ``(E_jk + E_kj)/sqrt2``, ``i(E_kj - E_jk)/sqrt2`` (j < k)
+    by combining its columns, and divided by its Frobenius norm; blocks of
+    norm at most 1e-12 constrain nothing.  The real and imaginary parts of
+    all blocks are stacked and the right-singular vectors with singular value
+    at most ``max(rel_tol * sigma_max, 1e-14)`` are the real coordinates of
+    the family.  They come out orthonormal, sign-fixed and in ascending
+    singular-value order; with no effective constraint the basis above is
+    returned as is.
     """
-    scale = max((np.linalg.norm(A) for A in mats), default=1.0)
-    out: list[np.ndarray] = []
-    for A in mats:
-        A = np.asarray(A, dtype=complex)
-        for _ in range(2):
-            for B in out:
-                A = A - hs_inner(B, A) * B
-        norm = np.sqrt(hs_inner(A, A).real)
-        if norm > drop_tol * max(scale, 1.0):
-            out.append(A / norm)
-    return out
+    d2 = d * d
+    diag = np.arange(d) * (d + 1)
+    rows, cols = np.triu_indices(d, 1)
+    upper, lower = rows * d + cols, cols * d + rows
+    blocks = []
+    for M in mats:
+        M = np.asarray(M, dtype=complex)
+        if M.shape != (d2, d2):
+            raise ValueError(f"expected {d2}x{d2} blocks, got {M.shape}")
+        scale = np.linalg.norm(M)
+        if scale <= 1e-12:
+            continue
+        MH = np.hstack([
+            M[:, diag],
+            (M[:, upper] + M[:, lower]) * np.sqrt(0.5),
+            (M[:, lower] - M[:, upper]) * (1j * np.sqrt(0.5)),
+        ]) / scale
+        blocks += [MH.real, MH.imag]
+    if blocks:
+        _, s, vt = np.linalg.svd(np.vstack(blocks), full_matrices=False)
+        coeffs = vt[s <= max(rel_tol * s[0], _KERNEL_ABS_FLOOR)][::-1]
+    else:
+        coeffs = np.eye(d2)
+
+    n_off = rows.size
+    sym = coeffs[:, d : d + n_off] * np.sqrt(0.5)
+    anti = coeffs[:, d + n_off :] * np.sqrt(0.5)
+    vecs = np.zeros((len(coeffs), d2), dtype=complex)
+    vecs[:, diag] = coeffs[:, :d]
+    vecs[:, upper] = sym - 1j * anti
+    vecs[:, lower] = sym + 1j * anti
+    return ObservableFamily.from_basis(d, [_fix_matrix_sign(v.reshape(d, d)) for v in vecs])
+
+
+def _complement_projector(vecs: Sequence[np.ndarray], dim2: int) -> np.ndarray:
+    """``I - Q Q^dag`` for an orthonormal basis ``Q`` of the span of ``vecs``.
+
+    ``Q`` comes from a column-pivoted QR; columns whose diagonal entry of
+    ``R`` is at most 1e-10 of the largest are linearly dependent and dropped.
+    """
+    V = np.column_stack([np.asarray(v, dtype=complex).reshape(-1) for v in vecs])
+    if V.shape[0] != dim2:
+        raise ValueError(f"vector of length {V.shape[0]} does not match dimension {dim2}")
+    Q, R, _ = scipy.linalg.qr(V, mode="economic", pivoting=True)
+    r_diag = np.abs(np.diag(R))
+    Q = Q[:, r_diag > 1e-10 * r_diag[0]]
+    return np.eye(dim2) - Q @ Q.conj().T
 
 
 def hermitian_section(kernel_basis: Sequence[np.ndarray], d: int) -> ObservableFamily:
     """Hermitian observables whose vectorization lies in a given complex span.
 
-    The span is treated as a real vector space of dimension ``2 * len(basis)``
-    (generators ``v_k`` and ``i v_k``); intersecting with the fixed-point
-    space of ``A -> A^dag`` amounts to solving ``P v = conj(v)`` where ``P``
-    swaps the two vectorization indices.  The real null space of that
-    constraint, mapped back to matrices and orthonormalized, is the family.
+    The Hermitian null space of the projector onto the span's orthogonal
+    complement, at relative cutoff 1e-10.
     """
-    vecs = [np.asarray(v, dtype=complex).reshape(-1) for v in kernel_basis]
-    for v in vecs:
-        if v.size != d * d:
-            raise ValueError(f"kernel vector of length {v.size} does not match dim {d}")
-    if not vecs:
+    if len(kernel_basis) == 0:
         return ObservableFamily.from_basis(d, [])
-
-    generators = vecs + [1j * v for v in vecs]
-    P = _swap_permutation(d)
-    columns = []
-    for g in generators:
-        w = P @ g - np.conj(g)
-        columns.append(np.concatenate([w.real, w.imag]))
-    constraint = np.column_stack(columns)
-
-    _, s, vh = np.linalg.svd(constraint, full_matrices=True)
-    svals = np.zeros(vh.shape[0])
-    svals[: s.size] = s
-    cutoff = 1e-10 * max(svals.max(), 1.0)
-    coeffs = [vh[i].real for i in range(vh.shape[0]) if svals[i] <= cutoff]
-
-    mats = []
-    for c in coeffs:
-        v = sum(ck * gk for ck, gk in zip(c, generators))
-        A = devectorize(v, d)
-        A = 0.5 * (A + A.conj().T)
-        mats.append(A)
-    basis = [_fix_matrix_sign(A) for A in gram_schmidt(mats)]
-    return ObservableFamily.from_basis(d, basis)
+    return _hermitian_kernel([_complement_projector(kernel_basis, d * d)], d, 1e-10)
 
 
 def intersect_spans(B1: Sequence[np.ndarray], B2: Sequence[np.ndarray], tol: float = 1e-10) -> list[np.ndarray]:
     """Orthonormal basis of the intersection of two vector spans.
 
-    Spans of dimensions m and n in ambient dimension D intersect in
-    dimension ``m + n - rank([B1 B2])``; members come from the null space of
-    the stacked system ``[B1, -B2] c = 0`` mapped through ``B1``.
+    The joint kernel of the projectors onto the two orthogonal complements,
+    with ``tol`` as its relative cutoff.
     """
     if not B1 or not B2:
         return []
-    M1 = np.column_stack([np.asarray(v, dtype=complex).reshape(-1) for v in B1])
-    M2 = np.column_stack([np.asarray(v, dtype=complex).reshape(-1) for v in B2])
-    stacked = np.hstack([M1, -M2])
-    _, s, vh = np.linalg.svd(stacked, full_matrices=True)
-    svals = np.zeros(vh.shape[0])
-    svals[: s.size] = s
-    null_cols = [vh[i].conj() for i in range(vh.shape[0]) if svals[i] <= tol * max(svals.max(), 1.0)]
-    members = [M1 @ c[: M1.shape[1]] for c in null_cols]
-    ortho = []
-    for v in members:
-        for _ in range(2):
-            for u in ortho:
-                v = v - np.vdot(u, v) * u
-        norm = np.linalg.norm(v)
-        if norm > 1e-10:
-            ortho.append(_fix_vector_phase(v / norm))
-    return ortho
+    dim2 = np.asarray(B1[0]).size
+    return joint_kernel([_complement_projector(B1, dim2), _complement_projector(B2, dim2)], dim2, tol)
 
 
 def membership_residual(fam: ObservableFamily, A: np.ndarray) -> float:
@@ -480,7 +471,7 @@ def correctable_family(
 ) -> ObservableFamily:
     """Full family of observables with exactly recoverable expectation values.
 
-    Extracts the Hermitian section of the deviation operator's kernel.  With
+    Extracts the Hermitian null space of the deviation operator.  With
     ``self_check`` on (the default), the result is verified by Monte-Carlo
     over 100 seeded states before being returned.
 
@@ -489,7 +480,7 @@ def correctable_family(
     FamilyVerificationError
         If a self-checked basis element deviates by more than 1e-9.
     """
-    fam = hermitian_section(kernel(deviation_operator(gp), rel_tol), gp.dim)
+    fam = _hermitian_kernel([deviation_operator(gp)], gp.dim, rel_tol)
     if self_check and fam.n_params > 0:
         worst = verify_family(gp, fam, _SELF_CHECK_STATES, _SELF_CHECK_SEED)
         if worst > _SELF_CHECK_DELTA:
@@ -509,16 +500,15 @@ def common_correctable_family(
     """Family correctable for every listed (true channel, guess) pair at once.
 
     Used when the true channel carries unknown parameters: probe it at
-    several parameter values (all sharing the guess), intersect the kernels
-    by stacking the deviation operators, and take the Hermitian section.
+    several parameter values (all sharing the guess) and take the Hermitian
+    null space of the stacked deviation operators.
     """
     if not gps:
         raise ValueError("need at least one pair")
     d = gps[0].dim
     if any(gp.dim != d for gp in gps):
         raise ValueError("all pairs must share one dimension")
-    vecs = joint_kernel([deviation_operator(gp) for gp in gps], d * d, rel_tol)
-    fam = hermitian_section(vecs, d)
+    fam = _hermitian_kernel([deviation_operator(gp) for gp in gps], d, rel_tol)
     if self_check and fam.n_params > 0:
         for k, gp in enumerate(gps):
             worst = verify_family(gp, fam, check_states, _SELF_CHECK_SEED + k)

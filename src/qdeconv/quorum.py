@@ -48,10 +48,17 @@ class QuorumBasis:
             Q = Q.copy()
             Q.setflags(write=False)
             frozen.append(Q)
-        for i in range(len(frozen)):
-            for j in range(i + 1, len(frozen)):
-                if abs(hs_inner(frozen[i], frozen[j])) > 1e-10:
-                    raise ValueError(f"elements {i},{j} are not orthogonal")
+        V = np.stack(frozen).reshape(d * d, -1)
+        gram = V.conj() @ V.T
+        off = np.argwhere(np.triu(np.abs(gram), 1) > 1e-10)
+        if off.size:
+            i, j = off[0]
+            raise ValueError(f"elements {i},{j} are not orthogonal")
+        # decompose divides by norms[m], so it must be <Q_m, Q_m>
+        wrong = np.flatnonzero(np.abs(gram.diagonal().real - norms) > 1e-10 * norms)
+        if wrong.size:
+            m = wrong[0]
+            raise ValueError(f"norms[{m}] = {norms[m]:g} but <Q_{m}, Q_{m}> = {gram[m, m].real:g}")
         object.__setattr__(self, "elements", tuple(frozen))
         norms = norms.copy()
         norms.setflags(write=False)

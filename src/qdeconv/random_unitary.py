@@ -24,18 +24,16 @@ from .deconvolution import (
     ObservableFamily,
     _fix_matrix_sign,
     _fix_vector_phase,
+    _hermitian_kernel,
     _ordered_null_basis,
-    hermitian_section,
-    intersect_spans,
-    joint_kernel,
-    kernel,
 )
 from .errors import FamilyVerificationError, NonUnitaryError
 
 #: Eigenvalues closer than this are treated as degenerate when grouping.
 DEFAULT_GROUPING_TOL = 1e-8
 
-#: Default distance-from-1 threshold for invariant (unit-eigenvalue) subspaces.
+#: Default distance-from-1 threshold for invariant (unit-eigenvalue) subspaces,
+#: and default relative singular-value cutoff of the family constructors.
 DEFAULT_INVARIANT_TOL = 1e-8
 
 
@@ -135,24 +133,17 @@ def invariant_subspace(G: np.ndarray, tol: float = DEFAULT_INVARIANT_TOL) -> lis
 def ru_correctable_family(es: UnitaryErrorSet, tol: float = DEFAULT_INVARIANT_TOL) -> ObservableFamily:
     """Observables correctable for every probability assignment over the set.
 
-    Intersects the invariant subspaces of all comparison matrices (ascending
-    index, guess skipped) and takes the Hermitian section.  Each member is
-    then checked to transform identically under every error unitary; a
+    Takes the Hermitian null space of ``G_i - I`` stacked over every
+    comparison matrix but the guess's, with ``tol`` as the relative
+    singular-value cutoff; a one-unitary set is unconstrained.  Each member
+    is then checked to transform identically under every error unitary; a
     violation raises :class:`FamilyVerificationError`.
     """
     d = es.dim
-    span: list[np.ndarray] | None = None
-    for i in range(len(es.unitaries)):
-        if i == es.guess_index:
-            continue
-        sub = invariant_subspace(gamma_i(es, i), tol)
-        span = sub if span is None else intersect_spans(span, sub)
-        if not span:
-            break
-    if span is None:
-        # singleton error set: no constraint beyond the guess itself
-        span = kernel(np.zeros((d * d, d * d)))
-    fam = hermitian_section(span, d)
+    constraints = [
+        gamma_i(es, i) - np.eye(d * d) for i in range(len(es.unitaries)) if i != es.guess_index
+    ]
+    fam = _hermitian_kernel(constraints, d, tol)
 
     Ug = es.guess
     for k, A in enumerate(fam.basis):
@@ -258,8 +249,9 @@ def commutant_family(Us: Sequence[np.ndarray], tol: float = DEFAULT_INVARIANT_TO
     """Hermitian basis of the joint commutant ``{A : U_k A == A U_k for all k}``.
 
     The commutator with ``U`` acts on vectorized operators as
-    ``kron(U, I) - kron(I, U.T)``; the family is the Hermitian section of
-    the stacked null space of those superoperators.
+    ``kron(U, I) - kron(I, U.T)``; the family is the Hermitian null space of
+    those superoperators stacked, with ``tol`` as the relative singular-value
+    cutoff.
     """
     mats = []
     d = None
@@ -276,4 +268,4 @@ def commutant_family(Us: Sequence[np.ndarray], tol: float = DEFAULT_INVARIANT_TO
         mats.append(np.kron(U, np.eye(d)) - np.kron(np.eye(d), U.T))
     if d is None:
         raise ValueError("need at least one operator")
-    return hermitian_section(joint_kernel(mats, d * d, tol), d)
+    return _hermitian_kernel(mats, d, tol)

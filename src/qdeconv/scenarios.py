@@ -34,7 +34,6 @@ from .deconvolution import (
     common_correctable_family,
     correctable_family,
     evaluate,
-    gram_schmidt,
     membership_residual,
     modified_observable,
     span_residual,
@@ -489,8 +488,10 @@ def _scenario_ru_two_qubit(overrides: Optional[Mapping[str, Any]], kernel_tol: f
         abs(ev - target)
         for ev, target in zip(sorted(grouping.eigenvalues, key=lambda z: z.real), (-1.0, 1.0))
     )
-    pattern_mats = [np.eye(2, dtype=complex), np.array([[2, 1], [1, 0]], dtype=complex)]
-    pattern = ObservableFamily.from_basis(2, gram_schmidt(pattern_mats))
+    # orthonormal basis of span{I, [[2, 1], [1, 0]]}
+    pattern = ObservableFamily.from_basis(
+        2, [np.eye(2, dtype=complex) / np.sqrt(2), np.array([[1, 1], [1, -1]], dtype=complex) / 2]
+    )
     span_res = max(span_residual(fam, pattern), span_residual(pattern, fam)) if fam.n_params == 2 else 1.0
 
     a, b = 0.7, -0.3

@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose
 
 import qdeconv as q
 from qdeconv.channels import random_hermitian
+from qdeconv.serialization import emit_family
 from qdeconv.scenarios import (
     bitflip_correlated,
     bitflip_with_memory,
@@ -462,3 +463,35 @@ def test_intersect_spans_dimensions(rng):
         r = v - V @ (V.conj().T @ v)
         assert np.linalg.norm(r) < 1e-12
     assert q.intersect_spans(a, []) == []
+
+
+def test_observable_family_names_first_non_orthonormal_pair():
+    X = SIGMA[1] / np.sqrt(2)
+    with pytest.raises(ValueError, match="elements 1,2 "):
+        q.ObservableFamily.from_basis(2, [np.eye(2) / np.sqrt(2), X, (X + SIGMA[3] / np.sqrt(2)) / np.sqrt(2)])
+
+
+# ---------------------------------------------------------------------------
+# Hermitian kernel primitive
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_family_size_matches_complex_kernel(d):
+    # F maps Hermitian matrices to Hermitian matrices, so its complex kernel
+    # and its Hermitian null space have the same dimension
+    rng = np.random.default_rng(100 + d)
+    for _ in range(4):
+        Us = [q.haar_random_unitary(d, rng) for _ in range(2)]
+        pairs = (
+            guess_pair(q.random_cptp_channel(d, 2, rng), q.random_cptp_channel(d, 2, rng)),
+            guess_pair(q.random_unitary_channel(rng.dirichlet(np.ones(2)), Us), q.unitary_channel(Us[1])),
+        )
+        for gp in pairs:
+            fam = q.correctable_family(gp, self_check=False)
+            assert fam.n_params == len(q.kernel(q.deviation_operator(gp)))
+
+
+def test_family_json_is_reproducible(qutrit_pair, bitflip_pair):
+    for gp in (qutrit_pair, bitflip_pair):
+        first = emit_family(q.correctable_family(gp))
+        assert emit_family(q.correctable_family(gp)) == first

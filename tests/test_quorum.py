@@ -279,3 +279,13 @@ def test_quorum_basis_validation():
             elements=(np.eye(2), np.eye(2), SIGMA[1], SIGMA[2]),
             norms=np.ones(4),
         )
+
+
+def test_quorum_basis_rejects_norms_that_are_not_squared_norms(rng):
+    with pytest.raises(ValueError, match=r"norms\[0\]"):
+        q.QuorumBasis(dim=2, elements=q.quorum_basis(2).elements, norms=2 * np.ones(4))
+    # unnormalized Paulis are a valid quorum once norms hold <Q, Q> = 2
+    paulis = q.QuorumBasis(dim=2, elements=tuple(SIGMA), norms=2 * np.ones(4))
+    A = random_hermitian(2, rng)
+    coeffs = q.decompose(A, paulis)
+    assert np.linalg.norm(sum(c * P for c, P in zip(coeffs, SIGMA)) - A) < 1e-12

@@ -186,11 +186,9 @@ def test_two_unitary_qubit_pair():
     grouping, fam = q.two_unitary_family(U1, U2)
     assert sorted(np.real(grouping.eigenvalues)) == pytest.approx([-1.0, 1.0], abs=1e-12)
     assert fam.n_params == 2
+    # orthonormal basis of span{I, [[2, 1], [1, 0]]}
     expected = q.ObservableFamily.from_basis(
-        2,
-        q.deconvolution.gram_schmidt(
-            [np.eye(2, dtype=complex), np.array([[2, 1], [1, 0]], dtype=complex)]
-        ),
+        2, [np.eye(2) / np.sqrt(2), np.array([[1, 1], [1, -1]]) / 2]
     )
     assert q.span_residual(fam, expected) < 1e-9
     assert q.span_residual(expected, fam) < 1e-9
@@ -293,3 +291,39 @@ def test_commutant_members_commute(rng):
     fam = q.commutant_family([U])
     for A in fam.basis:
         assert np.linalg.norm(U @ A - A @ U) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# Hermitian kernel primitive
+# ---------------------------------------------------------------------------
+
+def _commuting_unitaries(d, n, rng):
+    # shared eigenbasis with repeated phases, so the families are nontrivial
+    B = q.haar_random_unitary(d, rng)
+    return [B @ np.diag(np.exp(1j * rng.choice([0.0, 2.1], size=d))) @ B.conj().T for _ in range(n)]
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_family_sizes_match_complex_joint_kernel(d):
+    rng = np.random.default_rng(200 + d)
+    eye = np.eye(d)
+    for Us in (
+        _commuting_unitaries(d, 3, rng),
+        _commuting_unitaries(d, 2, rng) + [q.haar_random_unitary(d, rng)],
+        [q.haar_random_unitary(d, rng) for _ in range(3)],
+    ):
+        es = q.UnitaryErrorSet.from_unitaries(Us, guess_index=1)
+        comparisons = [q.gamma_i(es, i) - np.eye(d * d) for i in (0, 2)]
+        assert q.ru_correctable_family(es).n_params == len(q.joint_kernel(comparisons, d * d))
+        commutators = [np.kron(U, eye) - np.kron(eye, U.T) for U in Us]
+        assert q.commutant_family(Us).n_params == len(q.joint_kernel(commutators, d * d))
+
+
+@pytest.mark.parametrize("scale", [1e-9, 1e-6, 1e6, 1e9])
+def test_hermitian_kernel_ignores_block_scale(qutrit_set, scale):
+    # the two comparison matrices have different 5-dimensional kernels
+    blocks = [q.gamma_i(qutrit_set, i) - np.eye(9) for i in (1, 2)]
+    ref = q.deconvolution._hermitian_kernel(blocks, 3, q.DEFAULT_KERNEL_RTOL)
+    scaled = q.deconvolution._hermitian_kernel([blocks[0], scale * blocks[1]], 3, q.DEFAULT_KERNEL_RTOL)
+    assert ref.n_params == scaled.n_params == 3
+    assert q.spans_coincide(ref, scaled, 1e-10)
