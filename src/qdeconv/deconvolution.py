@@ -6,9 +6,9 @@ Given the true noise ``phi`` and an invertible guess ``phi_g``, the operator
 
 annihilates exactly those vectorized observables whose expectation value is
 recovered, for every input state, by measuring the modified observable
-``adjoint(inverse(phi_g))(A)`` on the noisy state.  This module extracts an
-orthonormal Hermitian basis of that space, evaluates recovery quality per
-(state, observable) pair, and ranks candidate guesses.
+``adjoint(inverse(phi_g))(A)`` on the noisy state.  This module extracts and
+certifies an orthonormal Hermitian basis of that space, evaluates recovery
+quality per (state, observable) pair, and ranks candidate guesses.
 """
 
 from __future__ import annotations
@@ -39,14 +39,8 @@ DEFAULT_KERNEL_RTOL = 1e-8
 #: Relative residual below which an observable counts as a span member.
 MEMBERSHIP_RTOL = 1e-8
 
-#: Seed for the Monte-Carlo self-check run by family constructors.
-_SELF_CHECK_SEED = 20260811
-
-#: Number of states drawn during the self-check.
-_SELF_CHECK_STATES = 100
-
-#: Largest admissible deviation for a self-checked family member.
-_SELF_CHECK_DELTA = 1e-9
+#: Largest admissible recovery bound for a family returned by a constructor.
+_RECOVERY_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -464,59 +458,61 @@ def verify_family(gp: GuessPair, fam: ObservableFamily, n_states: int, seed: int
     return worst
 
 
-def correctable_family(
-    gp: GuessPair,
-    rel_tol: float = DEFAULT_KERNEL_RTOL,
-    self_check: bool = True,
-) -> ObservableFamily:
-    """Full family of observables with exactly recoverable expectation values.
+def _recovery_bound(F: np.ndarray, fam: ObservableFamily) -> float:
+    """Largest recovery error of a unit-norm family member over all states.
 
-    Extracts the Hermitian null space of the deviation operator.  With
-    ``self_check`` on (the default), the result is verified by Monte-Carlo
-    over 100 seeded states before being returned.
-
-    Raises
-    ------
-    FamilyVerificationError
-        If a self-checked basis element deviates by more than 1e-9.
+    For a state ``rho`` and a member ``A = Q c`` with ``Q`` the vectorized
+    basis and ``||c|| = 1``, the deviation of the deconvolved value is
+    ``|vec(rho)^dag F Q c| <= ||F Q||_2``, since ``||vec(rho)||_2 <= 1``.
     """
-    fam = _hermitian_kernel([deviation_operator(gp)], gp.dim, rel_tol)
-    if self_check and fam.n_params > 0:
-        worst = verify_family(gp, fam, _SELF_CHECK_STATES, _SELF_CHECK_SEED)
-        if worst > _SELF_CHECK_DELTA:
+    if fam.n_params == 0:
+        return 0.0
+    Q = np.column_stack([vectorize(A) for A in fam.basis])
+    return float(np.linalg.norm(F @ Q, 2))
+
+
+def _certified_family(Fs: Sequence[np.ndarray], d: int, rel_tol: float) -> ObservableFamily:
+    """Hermitian null space of the deviation operators ``Fs``, certified per pair."""
+    fam = _hermitian_kernel(Fs, d, rel_tol)
+    for k, F in enumerate(Fs):
+        bound = _recovery_bound(F, fam)
+        if bound > _RECOVERY_TOL:
             raise FamilyVerificationError(
-                f"family self-check failed: max deviation {worst:.3e} > {_SELF_CHECK_DELTA:g}; "
+                f"recovery certificate failed on pair {k}: bound {bound:.3e} > {_RECOVERY_TOL:g}; "
                 "consider a tighter kernel tolerance"
             )
     return fam
 
 
-def common_correctable_family(
-    gps: Sequence[GuessPair],
-    rel_tol: float = DEFAULT_KERNEL_RTOL,
-    self_check: bool = True,
-    check_states: int = 50,
-) -> ObservableFamily:
+def correctable_family(gp: GuessPair, rel_tol: float = DEFAULT_KERNEL_RTOL) -> ObservableFamily:
+    """Full family of observables with exactly recoverable expectation values.
+
+    Extracts the Hermitian null space of the deviation operator ``F`` and
+    certifies it: with ``Q`` the family's vectorized basis, ``||F Q||_2``
+    bounds the recovery error of every unit-norm member on every state.
+
+    Raises
+    ------
+    FamilyVerificationError
+        If the certificate exceeds 1e-9.
+    """
+    return _certified_family([deviation_operator(gp)], gp.dim, rel_tol)
+
+
+def common_correctable_family(gps: Sequence[GuessPair], rel_tol: float = DEFAULT_KERNEL_RTOL) -> ObservableFamily:
     """Family correctable for every listed (true channel, guess) pair at once.
 
     Used when the true channel carries unknown parameters: probe it at
     several parameter values (all sharing the guess) and take the Hermitian
-    null space of the stacked deviation operators.
+    null space of the stacked deviation operators.  Certified on each pair as
+    in :func:`correctable_family`; a failure names the pair.
     """
     if not gps:
         raise ValueError("need at least one pair")
     d = gps[0].dim
     if any(gp.dim != d for gp in gps):
         raise ValueError("all pairs must share one dimension")
-    fam = _hermitian_kernel([deviation_operator(gp) for gp in gps], d, rel_tol)
-    if self_check and fam.n_params > 0:
-        for k, gp in enumerate(gps):
-            worst = verify_family(gp, fam, check_states, _SELF_CHECK_SEED + k)
-            if worst > _SELF_CHECK_DELTA:
-                raise FamilyVerificationError(
-                    f"family self-check failed on pair {k}: max deviation {worst:.3e}"
-                )
-    return fam
+    return _certified_family([deviation_operator(gp) for gp in gps], d, rel_tol)
 
 
 def guess_sweep(

@@ -18,7 +18,7 @@ class InvalidProbabilityError(QdeconvError):
 
 
 class FamilyVerificationError(QdeconvError):
-    """A constructed observable family failed its Monte-Carlo self-check."""
+    """A constructed observable family failed its recovery certificate or invariance check."""
 
 
 class SpecParseError(QdeconvError):

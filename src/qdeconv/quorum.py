@@ -219,15 +219,16 @@ def deconvolved_estimate(
     Simulates the noisy state, estimates every quorum expectation with an
     equal shot budget and an independent RNG stream derived from
     ``(seed, element index)``, and recombines with the weights
-    ``chi @ decompose(A)``.  Errors propagate as the root sum of squares of
-    the weighted per-element errors.  ``shots_per_element == 0`` is the
-    exact mode: quorum expectations are taken as exact traces, reproducing
-    the deconvolved value of :func:`qdeconv.deconvolution.evaluate`.
+    ``decompose(modified_observable(gp, A))`` (by linearity, ``chi @
+    decompose(A)``).  Errors propagate as the root sum of squares of the
+    weighted per-element errors.  ``shots_per_element == 0`` is the exact
+    mode: quorum expectations are taken as exact traces, reproducing the
+    deconvolved value of :func:`qdeconv.deconvolution.evaluate`.
     """
     if shots_per_element < 0:
         raise ValueError("shots_per_element must be nonnegative (0 selects exact mode)")
-    coeffs = decompose(A, qb)
-    weights = chi_matrix(gp, qb) @ coeffs
+    decompose(A, qb)  # rejects a non-Hermitian A before it is modified
+    weights = decompose(modified_observable(gp, A), qb)
     noisy = apply_channel(gp.phi, rho)
 
     if shots_per_element == 0:

@@ -697,9 +697,9 @@ def _scenario_partial_recovery(overrides: Optional[Mapping[str, Any]], kernel_to
             "delta_nd": report.delta_nd,
             "closed_form_exp": closed_exp,
             "closed_form_nd": closed_nd,
-            "grid_p": list(np.round(grid_p, 12)),
-            "grid_mu": list(np.round(grid_mu, 12)),
-            "grid_x": list(np.round(grid_x, 12)),
+            "grid_p": [round(float(v), 12) for v in grid_p],
+            "grid_mu": [round(float(v), 12) for v in grid_mu],
+            "grid_x": [round(float(v), 12) for v in grid_x],
             **params,
         },
     )
@@ -720,7 +720,7 @@ def _scenario_equivalence_covariance(overrides: Optional[Mapping[str, Any]], ker
         p = float(rng.uniform(0.1, 0.9))
         phi = transfer_from_kraus(random_unitary_channel([1 - p, p], [V1, V2]))
         phi_g = transfer_from_kraus(unitary_channel(V2))
-        fam = correctable_family(GuessPair.from_transfers(phi, phi_g), kernel_tol, self_check=False)
+        fam = correctable_family(GuessPair.from_transfers(phi, phi_g), kernel_tol)
 
         U = haar_random_unitary(d, rng)
         V = haar_random_unitary(d, rng)
@@ -729,7 +729,7 @@ def _scenario_equivalence_covariance(overrides: Optional[Mapping[str, Any]], ker
         eq_phi = compose(gamma_v, compose(phi, gamma_u))
         eq_guess = compose(gamma_v, compose(phi_g, gamma_u))
         eq_gp = GuessPair.from_transfers(eq_phi, eq_guess)
-        eq_fam = correctable_family(eq_gp, kernel_tol, self_check=False)
+        eq_fam = correctable_family(eq_gp, kernel_tol)
 
         if first_dim is None:
             first_dim = fam.n_params

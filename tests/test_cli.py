@@ -180,6 +180,13 @@ def test_examples_run_failing_scenario_names_check(runner):
     assert "status: FAIL" in result.output
 
 
+def test_examples_run_table_prints_plain_floats(runner):
+    result = runner.invoke(main, ["examples", "run", "partial-recovery"])
+    assert result.exit_code == 0, result.output
+    assert "grid_p = [0.05," in result.output
+    assert "np.float64" not in result.output
+
+
 def test_examples_run_with_override(runner):
     result = runner.invoke(
         main, ["--format", "json", "examples", "run", "qutrit-extreme", "--set", "states=5"]

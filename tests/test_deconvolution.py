@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose
 
 import qdeconv as q
 from qdeconv.channels import random_hermitian
+from qdeconv.deconvolution import _recovery_bound
 from qdeconv.serialization import emit_family
 from qdeconv.scenarios import (
     bitflip_correlated,
@@ -21,6 +22,13 @@ def guess_pair(true_ch, guess_ch):
     return q.GuessPair.from_transfers(
         q.transfer_from_kraus(true_ch), q.transfer_from_kraus(guess_ch)
     )
+
+
+def perturbed_qutrit_family(fam):
+    """``fam`` with its first member nudged along an uncorrectable direction."""
+    bad = fam.basis[0] + 0.01 * (matrix_unit(3, 0, 1) + matrix_unit(3, 1, 0))
+    bad = bad / np.sqrt(q.hs_inner(bad, bad).real)
+    return q.ObservableFamily.from_basis(3, [bad] + list(fam.basis[1:]))
 
 
 @pytest.fixture
@@ -354,7 +362,7 @@ def test_correctable_family_pauli_channel_identity_only(rng):
 
 
 def test_verify_family_reference_families(qutrit_pair):
-    fam = q.correctable_family(qutrit_pair, self_check=False)
+    fam = q.correctable_family(qutrit_pair)
     assert q.verify_family(qutrit_pair, fam, 100, seed=5) <= 1e-9
 
     U1, U2 = qubit_pair_unitaries()
@@ -364,17 +372,47 @@ def test_verify_family_reference_families(qutrit_pair):
 
 
 def test_verify_family_detects_perturbed_element(qutrit_pair):
-    fam = q.correctable_family(qutrit_pair, self_check=False)
-    # nudge one member out of the family along an uncorrectable direction
-    bad = fam.basis[0] + 0.01 * (matrix_unit(3, 0, 1) + matrix_unit(3, 1, 0))
-    bad = bad / np.sqrt(q.hs_inner(bad, bad).real)
-    perturbed = q.ObservableFamily.from_basis(3, [bad] + list(fam.basis[1:]))
+    perturbed = perturbed_qutrit_family(q.correctable_family(qutrit_pair))
     assert q.verify_family(qutrit_pair, perturbed, 100, seed=5) > 1e-4
 
 
 def test_verify_family_rejects_empty(qutrit_pair):
     with pytest.raises(ValueError):
         q.verify_family(qutrit_pair, q.ObservableFamily.from_basis(3, []), 10, seed=0)
+
+
+# ---------------------------------------------------------------------------
+# recovery certificate
+# ---------------------------------------------------------------------------
+
+def test_loose_kernel_tolerance_fails_the_certificate():
+    rng = np.random.default_rng(0)
+    true_ch, guess_ch = q.random_cptp_channel(2, 2, rng), q.random_cptp_channel(2, 2, rng)
+    gp = guess_pair(true_ch, guess_ch)
+    with pytest.raises(q.FamilyVerificationError, match="pair 0: bound"):
+        q.correctable_family(gp, rel_tol=0.5)
+    # the exact pair constrains nothing, so only the second pair can fail
+    exact = guess_pair(guess_ch, guess_ch)
+    with pytest.raises(q.FamilyVerificationError, match="pair 1: bound"):
+        q.common_correctable_family([exact, gp], rel_tol=0.5)
+
+
+def test_recovery_bound_on_reference_families(qutrit_pair, bitflip_pair):
+    for gp in (qutrit_pair, bitflip_pair):
+        fam = q.correctable_family(gp)
+        assert _recovery_bound(q.deviation_operator(gp), fam) <= 1e-9
+
+    U1, U2 = qubit_pair_unitaries()
+    gp = guess_pair(q.random_unitary_channel([0.55, 0.45], [U1, U2]), q.unitary_channel(U2))
+    _, fam4 = q.two_unitary_family(U1, U2)
+    assert _recovery_bound(q.deviation_operator(gp), fam4) <= 1e-9
+    assert _recovery_bound(q.deviation_operator(gp), q.ObservableFamily.from_basis(2, [])) == 0.0
+
+
+def test_recovery_bound_dominates_sampled_deviation(qutrit_pair):
+    perturbed = perturbed_qutrit_family(q.correctable_family(qutrit_pair))
+    sampled = q.verify_family(qutrit_pair, perturbed, 100, seed=5)
+    assert _recovery_bound(q.deviation_operator(qutrit_pair), perturbed) >= sampled > 1e-4
 
 
 def test_common_correctable_family_probes(qutrit_pair):
@@ -429,7 +467,7 @@ def test_family_recovery_invariant(d, rng):
     U2 = q.haar_random_unitary(d, rng)
     p = float(rng.uniform(0.2, 0.8))
     gp = guess_pair(q.random_unitary_channel([1 - p, p], [U1, U2]), q.unitary_channel(U2))
-    fam = q.correctable_family(gp, self_check=False)
+    fam = q.correctable_family(gp)
     assert fam.n_params >= d
     assert q.verify_family(gp, fam, 100, seed=77) <= 1e-9
 
@@ -447,7 +485,7 @@ def test_covariance_of_family_under_equivalence(rng):
     U1, U2 = qubit_pair_unitaries()
     phi = q.transfer_from_kraus(q.random_unitary_channel([0.7, 0.3], [U1, U2]))
     phi_g = q.transfer_from_kraus(q.unitary_channel(U2))
-    fam = q.correctable_family(q.GuessPair.from_transfers(phi, phi_g), self_check=False)
+    fam = q.correctable_family(q.GuessPair.from_transfers(phi, phi_g))
 
     U = q.haar_random_unitary(2, rng)
     V = q.haar_random_unitary(2, rng)
@@ -456,7 +494,7 @@ def test_covariance_of_family_under_equivalence(rng):
     eq_pair = q.GuessPair.from_transfers(
         q.compose(gv, q.compose(phi, gu)), q.compose(gv, q.compose(phi_g, gu))
     )
-    eq_fam = q.correctable_family(eq_pair, self_check=False)
+    eq_fam = q.correctable_family(eq_pair)
     assert eq_fam.n_params == fam.n_params
     for A in fam.basis:
         assert q.membership_residual(eq_fam, U.conj().T @ A @ U) <= 1e-9
@@ -508,7 +546,7 @@ def test_family_size_matches_complex_kernel(d):
             guess_pair(q.random_unitary_channel(rng.dirichlet(np.ones(2)), Us), q.unitary_channel(Us[1])),
         )
         for gp in pairs:
-            fam = q.correctable_family(gp, self_check=False)
+            fam = q.correctable_family(gp)
             assert fam.n_params == len(q.kernel(q.deviation_operator(gp)))
 
 

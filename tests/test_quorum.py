@@ -211,7 +211,7 @@ def test_identity_estimate_is_one_even_with_shots(rng):
 def test_family_member_estimate_converges(rng):
     ch = qutrit_extreme_channel(np.pi / 2)
     gp = guess_pair(ch, qutrit_extreme_channel(0.0))
-    fam = q.correctable_family(gp, self_check=False)
+    fam = q.correctable_family(gp)
     A = fam.member([0.4, -0.2, 0.6, 0.3, 0.1])
     rho = q.random_density_matrix(3, rng)
     ideal = q.expectation(A, rho)
@@ -232,6 +232,16 @@ def test_chi_path_identity(rng):
         w * np.trace(Q @ noisy).real for w, Q in zip(weights, qb.elements)
     )
     assert abs(direct - q.evaluate(gp, A, rho).deconvolved) < 1e-10
+    exact = q.deconvolved_estimate(gp, A, rho, qb, shots_per_element=0, seed=0)
+    assert abs(exact.mean - direct) < 1e-12
+
+
+def test_estimate_rejects_non_hermitian_observable(rng):
+    gp = guess_pair(q.random_cptp_channel(2, 2, rng), q.random_cptp_channel(2, 2, rng))
+    rho = q.random_density_matrix(2, rng)
+    A = np.array([[0, 1], [0, 0]], dtype=complex)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        q.deconvolved_estimate(gp, A, rho, q.quorum_basis(2), shots_per_element=0, seed=0)
 
 
 def test_estimate_deterministic_given_seed(rng):

@@ -156,7 +156,7 @@ def test_family_roundtrip(rng):
         q.transfer_from_kraus(qutrit_extreme_channel(np.pi / 2)),
         q.transfer_from_kraus(qutrit_extreme_channel(0.0)),
     )
-    fam = q.correctable_family(gp, self_check=False)
+    fam = q.correctable_family(gp)
     again = parse_family(emit_family(fam))
     assert again.n_params == fam.n_params
     for A, B in zip(fam.basis, again.basis):
@@ -198,7 +198,7 @@ def test_documents_validate_against_schemas(rng):
     gp = q.GuessPair.from_transfers(
         q.transfer_from_kraus(ch), q.transfer_from_kraus(qutrit_extreme_channel(0.0))
     )
-    fam = q.correctable_family(gp, self_check=False)
+    fam = q.correctable_family(gp)
     jsonschema.validate(family_to_document(fam), load_schema("observable_family"))
 
     rho = q.random_density_matrix(3, rng)
