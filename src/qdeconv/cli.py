@@ -46,11 +46,11 @@ def _load_transfer(path: str):
     return transfer_from_kraus(spec.to_kraus_channel())
 
 
-def _guess_pair(true_path: str, guess_path: str, sv_cutoff: float) -> GuessPair:
+def _guess_pair(true_path: str, guess_path: str) -> GuessPair:
     phi = _load_transfer(true_path)
     phi_g = _load_transfer(guess_path)
     try:
-        return GuessPair.from_transfers(phi, phi_g, sv_cutoff)
+        return GuessPair.from_transfers(phi, phi_g)
     except QdeconvError as exc:
         raise click.UsageError(str(exc))
 
@@ -74,7 +74,7 @@ def main(ctx: click.Context, tol: float, kernel_tol: float, seed: int, fmt: str)
 @click.pass_context
 def deconvolve(ctx: click.Context, true_spec: str, guess_spec: str, output: Optional[str]) -> None:
     """Extract the correctable observable family for TRUE_SPEC under GUESS_SPEC."""
-    gp = _guess_pair(true_spec, guess_spec, sv_cutoff=ctx.obj["kernel_tol"])
+    gp = _guess_pair(true_spec, guess_spec)
     try:
         fam = correctable_family(gp, ctx.obj["kernel_tol"])
     except QdeconvError as exc:
@@ -99,8 +99,11 @@ def verify(ctx: click.Context, family: str, true_spec: str, guess_spec: str, sta
         fam = parse_family(_read_source(family))
     except SpecParseError as exc:
         raise click.UsageError(f"{family}: {exc}")
-    gp = _guess_pair(true_spec, guess_spec, sv_cutoff=ctx.obj["kernel_tol"])
-    max_delta = verify_family(gp, fam, states, ctx.obj["seed"])
+    gp = _guess_pair(true_spec, guess_spec)
+    try:
+        max_delta = verify_family(gp, fam, states, ctx.obj["seed"])
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
     passed = max_delta <= ctx.obj["tol"]
     doc = {
         "max_delta_nd": max_delta,
@@ -127,7 +130,7 @@ def verify(ctx: click.Context, family: str, true_spec: str, guess_spec: str, sta
 @click.argument("true_spec")
 @click.argument("guess_spec")
 @click.option("--shots", type=int, default=10000, show_default=True, help="Shots per quorum element; 0 uses exact traces.")
-@click.option("--quorum-dim", type=int, default=None, help="Tensor-factor dimension for the quorum (must divide the system dimension as a power; defaults to the full dimension).")
+@click.option("--quorum-dim", type=click.IntRange(min=2), default=None, help="Tensor-factor dimension for the quorum, at least 2 (the system dimension must be a power of it; defaults to the full dimension).")
 @click.pass_context
 def estimate(ctx: click.Context, observable: str, state: str, true_spec: str, guess_spec: str, shots: int, quorum_dim: Optional[int]) -> None:
     """Estimate the deconvolved expectation of OBSERVABLE on STATE from shots."""
@@ -136,7 +139,7 @@ def estimate(ctx: click.Context, observable: str, state: str, true_spec: str, gu
         rho = parse_hermitian_matrix(_read_source(state), "state")
     except SpecParseError as exc:
         raise click.UsageError(str(exc))
-    gp = _guess_pair(true_spec, guess_spec, sv_cutoff=ctx.obj["kernel_tol"])
+    gp = _guess_pair(true_spec, guess_spec)
     d = gp.dim
 
     if quorum_dim is None or quorum_dim == d:

@@ -22,12 +22,12 @@ import scipy.linalg
 from .channels import DEFAULT_TOL, is_unitary
 from .deconvolution import (
     ObservableFamily,
+    _certified_family,
     _fix_matrix_sign,
     _fix_vector_phase,
-    _hermitian_kernel,
     _ordered_null_basis,
 )
-from .errors import FamilyVerificationError, NonUnitaryError
+from .errors import NonUnitaryError
 
 #: Eigenvalues closer than this are treated as degenerate when grouping.
 DEFAULT_GROUPING_TOL = 1e-8
@@ -134,28 +134,15 @@ def ru_correctable_family(es: UnitaryErrorSet, tol: float = DEFAULT_INVARIANT_TO
     """Observables correctable for every probability assignment over the set.
 
     Takes the Hermitian null space of ``G_i - I`` stacked over every
-    comparison matrix but the guess's, with ``tol`` as the relative
-    singular-value cutoff; a one-unitary set is unconstrained.  Each member
-    is then checked to transform identically under every error unitary; a
-    violation raises :class:`FamilyVerificationError`.
+    comparison matrix (the guess's is zero and constrains nothing), with
+    ``tol`` as the relative singular-value cutoff.  ``||(G_i - I) vec(A)||``
+    is ``||U_i A U_i^dag - U_g A U_g^dag||_F``; above 1e-9 for a unit-norm
+    member, :class:`FamilyVerificationError` names unitary i as pair i.
     """
     d = es.dim
-    constraints = [
-        gamma_i(es, i) - np.eye(d * d) for i in range(len(es.unitaries)) if i != es.guess_index
-    ]
-    fam = _hermitian_kernel(constraints, d, tol)
-
-    Ug = es.guess
-    for k, A in enumerate(fam.basis):
-        ref = Ug @ A @ Ug.conj().T
-        for i, U in enumerate(es.unitaries):
-            residual = np.linalg.norm(U @ A @ U.conj().T - ref)
-            if residual > 1e-9:
-                raise FamilyVerificationError(
-                    f"family member {k} transforms differently under unitary {i} "
-                    f"(residual {residual:.3e})"
-                )
-    return fam
+    return _certified_family(
+        [gamma_i(es, i) - np.eye(d * d) for i in range(len(es.unitaries))], d, tol
+    )
 
 
 def _group_indices(evals: np.ndarray, grouping_tol: float) -> list[list[int]]:
@@ -251,7 +238,7 @@ def commutant_family(Us: Sequence[np.ndarray], tol: float = DEFAULT_INVARIANT_TO
     The commutator with ``U`` acts on vectorized operators as
     ``kron(U, I) - kron(I, U.T)``; the family is the Hermitian null space of
     those superoperators stacked, with ``tol`` as the relative singular-value
-    cutoff.
+    cutoff, certified as in :func:`ru_correctable_family` (pair k is operator k).
     """
     mats = []
     d = None
@@ -268,4 +255,4 @@ def commutant_family(Us: Sequence[np.ndarray], tol: float = DEFAULT_INVARIANT_TO
         mats.append(np.kron(U, np.eye(d)) - np.kron(np.eye(d), U.T))
     if d is None:
         raise ValueError("need at least one operator")
-    return _hermitian_kernel(mats, d, tol)
+    return _certified_family(mats, d, tol)

@@ -268,7 +268,27 @@ def _vector_span_residual(vecs_a: Sequence[np.ndarray], vecs_b: Sequence[np.ndar
 def _family_recovery_max(
     gps: Sequence[GuessPair], fam: ObservableFamily, n_states: int, seed: int
 ) -> float:
+    if not gps:
+        raise ValueError("recovery check needs at least one sampled channel")
     return max(verify_family(gp, fam, n_states, seed + 101 * k) for k, gp in enumerate(gps))
+
+
+def _mutual_span_residual(fam_a: ObservableFamily, fam_b: ObservableFamily) -> float:
+    """Larger of the two span residuals, or 1.0 when the family sizes differ."""
+    if fam_a.n_params != fam_b.n_params:
+        return 1.0
+    return max(span_residual(fam_a, fam_b), span_residual(fam_b, fam_a))
+
+
+def _mixture_pairs(
+    mixtures: Sequence[Sequence[float]], Us: Sequence[np.ndarray], guess: np.ndarray
+) -> list[GuessPair]:
+    """One pair per probability vector: the unitaries mixed with it, against unitary ``guess``."""
+    guess_transfer = transfer_from_kraus(unitary_channel(guess))
+    return [
+        GuessPair.from_transfers(transfer_from_kraus(random_unitary_channel(probs, Us)), guess_transfer)
+        for probs in mixtures
+    ]
 
 
 def _matrix_unit(d: int, i: int, j: int) -> np.ndarray:
@@ -320,7 +340,7 @@ def _scenario_qutrit_extreme(overrides: Optional[Mapping[str, Any]], kernel_tol:
             (-1j * _matrix_unit(3, 1, 2) + 1j * _matrix_unit(3, 2, 1)) / np.sqrt(2),
         ],
     )
-    span_res = max(span_residual(fam, pattern), span_residual(pattern, fam)) if fam.n_params == 5 else 1.0
+    span_res = _mutual_span_residual(fam, pattern)
 
     rng = np.random.default_rng(params["seed"])
     check_phases = [float(rng.uniform(0.05, 2 * np.pi - 0.05)) for _ in range(params["check_phases"])]
@@ -371,7 +391,7 @@ def _scenario_bitflip_memory(overrides: Optional[Mapping[str, Any]], kernel_tol:
     fam = common_correctable_family(gps, kernel_tol)
 
     pattern = _bitflip_pattern_family()
-    span_res = max(span_residual(fam, pattern), span_residual(pattern, fam)) if fam.n_params == 12 else 1.0
+    span_res = _mutual_span_residual(fam, pattern)
 
     # the guess inverse rescales the x-anticommuting sector by 1/(1-2p) and
     # its adjoint (applied forward) by (1-2p); the commuting sector is fixed
@@ -449,16 +469,12 @@ def _scenario_ru_three_unitaries(overrides: Optional[Mapping[str, Any]], kernel_
             _matrix_unit(3, 1, 1),
         ],
     )
-    span_res = max(span_residual(fam, pattern), span_residual(pattern, fam)) if fam.n_params == 3 else 1.0
+    span_res = _mutual_span_residual(fam, pattern)
 
     rng = np.random.default_rng(params["seed"])
-    guess_transfer = transfer_from_kraus(unitary_channel(U1))
-    max_delta = 0.0
-    for _ in range(params["prob_draws"]):
-        probs = rng.dirichlet(np.ones(3))
-        channel = transfer_from_kraus(random_unitary_channel(probs, [U1, U2, U3]))
-        gp = GuessPair.from_transfers(channel, guess_transfer)
-        max_delta = max(max_delta, verify_family(gp, fam, params["states"], params["seed"]))
+    mixtures = [rng.dirichlet(np.ones(3)) for _ in range(params["prob_draws"])]
+    check_gps = _mixture_pairs(mixtures, [U1, U2, U3], U1)
+    max_delta = _family_recovery_max(check_gps, fam, params["states"], params["seed"])
 
     checks = (
         ScenarioCheck.from_residual("first invariant subspace is 5-dimensional", abs(len(s2) - 5), 0.0),
@@ -492,7 +508,7 @@ def _scenario_ru_two_qubit(overrides: Optional[Mapping[str, Any]], kernel_tol: f
     pattern = ObservableFamily.from_basis(
         2, [np.eye(2, dtype=complex) / np.sqrt(2), np.array([[1, 1], [1, -1]], dtype=complex) / 2]
     )
-    span_res = max(span_residual(fam, pattern), span_residual(pattern, fam)) if fam.n_params == 2 else 1.0
+    span_res = _mutual_span_residual(fam, pattern)
 
     a, b = 0.7, -0.3
     A = np.array([[a + 2 * b, b], [b, a]], dtype=complex)
@@ -505,15 +521,12 @@ def _scenario_ru_two_qubit(overrides: Optional[Mapping[str, Any]], kernel_tol: f
 
     es = UnitaryErrorSet.from_unitaries([U1, U2], guess_index=1)
     fam_ru = ru_correctable_family(es, kernel_tol)
-    agree_res = max(span_residual(fam, fam_ru), span_residual(fam_ru, fam)) if fam.n_params == fam_ru.n_params else 1.0
+    agree_res = _mutual_span_residual(fam, fam_ru)
 
     rng = np.random.default_rng(params["seed"])
-    max_delta = 0.0
-    for _ in range(params["prob_draws"]):
-        p = float(rng.uniform(0.05, 0.95))
-        channel = transfer_from_kraus(random_unitary_channel([1 - p, p], [U1, U2]))
-        gp_k = GuessPair.from_transfers(channel, guess_transfer)
-        max_delta = max(max_delta, verify_family(gp_k, fam, params["states"], params["seed"]))
+    mixtures = [[1 - p, p] for p in rng.uniform(0.05, 0.95, params["prob_draws"])]
+    check_gps = _mixture_pairs(mixtures, [U1, U2], U2)
+    max_delta = _family_recovery_max(check_gps, fam, params["states"], params["seed"])
 
     checks = (
         ScenarioCheck.from_residual("comparison spectrum is {1, -1}", eig_res, 1e-10),
@@ -546,16 +559,12 @@ def _scenario_ru_degenerate(overrides: Optional[Mapping[str, Any]], kernel_tol: 
 
     es = UnitaryErrorSet.from_unitaries([U1, U2], guess_index=1)
     fam_ru = ru_correctable_family(es, kernel_tol)
-    agree_res = max(span_residual(fam, fam_ru), span_residual(fam_ru, fam)) if fam.n_params == fam_ru.n_params else 1.0
+    agree_res = _mutual_span_residual(fam, fam_ru)
 
     rng = np.random.default_rng(params["seed"])
-    guess_transfer = transfer_from_kraus(unitary_channel(U2))
-    max_delta = 0.0
-    for _ in range(params["prob_draws"]):
-        p = float(rng.uniform(0.05, 0.95))
-        channel = transfer_from_kraus(random_unitary_channel([1 - p, p], [U1, U2]))
-        gp_k = GuessPair.from_transfers(channel, guess_transfer)
-        max_delta = max(max_delta, verify_family(gp_k, fam, params["states"], params["seed"]))
+    mixtures = [[1 - p, p] for p in rng.uniform(0.05, 0.95, params["prob_draws"])]
+    check_gps = _mixture_pairs(mixtures, [U1, U2], U2)
+    max_delta = _family_recovery_max(check_gps, fam, params["states"], params["seed"])
 
     checks = (
         ScenarioCheck.from_residual("comparison matrix matches reference", w_res, 1e-12),
@@ -591,13 +600,9 @@ def _scenario_pauli_irrep(overrides: Optional[Mapping[str, Any]], kernel_tol: fl
     )
 
     rng = np.random.default_rng(params["seed"])
-    guess_transfer = transfer_from_kraus(unitary_channel(PAULIS[0]))
-    max_delta = 0.0
-    for _ in range(params["prob_draws"]):
-        probs = rng.dirichlet(np.ones(4))
-        channel = transfer_from_kraus(random_unitary_channel(probs, paulis))
-        gp = GuessPair.from_transfers(channel, guess_transfer)
-        max_delta = max(max_delta, verify_family(gp, fam, params["states"], params["seed"]))
+    mixtures = [rng.dirichlet(np.ones(4)) for _ in range(params["prob_draws"])]
+    check_gps = _mixture_pairs(mixtures, paulis, PAULIS[0])
+    max_delta = _family_recovery_max(check_gps, fam, params["states"], params["seed"])
 
     checks = (
         ScenarioCheck.from_residual("invariant-subspace family dimension is 1", abs(fam.n_params - 1), 0.0),
@@ -660,7 +665,7 @@ def _scenario_partial_recovery(overrides: Optional[Mapping[str, Any]], kernel_to
                 if not r.delta_nd < r.delta_exp:
                     grid_failures += 1
 
-    max_delta = verify_family(gp, fam, params["states"], params["seed"])
+    max_delta = _family_recovery_max([gp], fam, params["states"], params["seed"])
 
     checks = (
         ScenarioCheck.from_residual("family dimension is 12", abs(fam.n_params - 12), 0.0),

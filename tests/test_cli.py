@@ -149,11 +149,36 @@ def test_estimate_rejects_bad_quorum_dim(runner, spec_files, tmp_path):
     state_path = tmp_path / "state.json"
     obs_path.write_text(emit_hermitian_matrix(np.eye(3)))
     state_path.write_text(emit_hermitian_matrix(np.eye(3) / 3))
+    # 2 is no tensor root of 3; below 2 no tensor root exists at all
+    for quorum_dim in ("2", "1", "0"):
+        result = runner.invoke(
+            main,
+            ["estimate", str(obs_path), str(state_path), true_path, guess_path, "--quorum-dim", quorum_dim],
+        )
+        assert result.exit_code == 2, quorum_dim
+
+
+def test_kernel_tol_is_only_the_kernel_threshold(runner, spec_files, tmp_path):
+    # the guess has s_min/s_max = 0.5; a kernel threshold above that must not
+    # reject it as singular
+    true_path, guess_path = spec_files
+    fam_path = tmp_path / "fam.json"
+    runner.invoke(main, ["deconvolve", true_path, guess_path, "-o", str(fam_path)])
+    assert parse_family(fam_path.read_text()).n_params == 5
     result = runner.invoke(
-        main,
-        ["estimate", str(obs_path), str(state_path), true_path, guess_path, "--quorum-dim", "2"],
+        main, ["--kernel-tol", "0.6", "verify", str(fam_path), true_path, guess_path, "--states", "10"]
     )
+    assert result.exit_code == 0, result.output
+    assert runner.invoke(main, ["--kernel-tol", "0.6", "deconvolve", true_path, guess_path]).exit_code == 0
+
+
+def test_verify_dimension_mismatch_is_a_usage_error(runner, spec_files, tmp_path):
+    true_path, guess_path = spec_files
+    fam_path = tmp_path / "qubit.json"
+    fam_path.write_text(emit_family(q.ObservableFamily.from_basis(2, [np.eye(2) / np.sqrt(2)])))
+    result = runner.invoke(main, ["verify", str(fam_path), true_path, guess_path, "--states", "5"])
     assert result.exit_code == 2
+    assert "family dimension 2 does not match channel dimension 3" in result.output
 
 
 def test_examples_list(runner):

@@ -361,24 +361,78 @@ def test_correctable_family_pauli_channel_identity_only(rng):
     ) < 1e-10
 
 
+def evaluate_oracle(gp, fam, n_states, seed):
+    """Per-candidate ``evaluate`` over the draws ``verify_family`` makes.
+
+    Per state: one density matrix, then two normalized coefficient vectors;
+    every basis element and both members are evaluated separately.
+    """
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(n_states):
+        rho = q.random_density_matrix(gp.dim, rng)
+        candidates = list(fam.basis)
+        for _ in range(2):
+            coeff = rng.normal(size=fam.n_params)
+            candidates.append(fam.member(coeff / np.linalg.norm(coeff)))
+        for A in candidates:
+            worst = max(worst, q.evaluate(gp, A, rho).delta_nd)
+    return worst
+
+
 def test_verify_family_reference_families(qutrit_pair):
     fam = q.correctable_family(qutrit_pair)
-    assert q.verify_family(qutrit_pair, fam, 100, seed=5) <= 1e-9
+    sampled = q.verify_family(qutrit_pair, fam, 100, seed=5)
+    assert sampled <= 1e-9
+    assert sampled == pytest.approx(evaluate_oracle(qutrit_pair, fam, 100, 5), rel=1e-12, abs=1e-12)
 
     U1, U2 = qubit_pair_unitaries()
     gp = guess_pair(q.random_unitary_channel([0.55, 0.45], [U1, U2]), q.unitary_channel(U2))
     _, fam4 = q.two_unitary_family(U1, U2)
-    assert q.verify_family(gp, fam4, 100, seed=5) <= 1e-9
+    sampled = q.verify_family(gp, fam4, 100, seed=5)
+    assert sampled <= 1e-9
+    assert sampled == pytest.approx(evaluate_oracle(gp, fam4, 100, 5), rel=1e-12, abs=1e-12)
 
 
 def test_verify_family_detects_perturbed_element(qutrit_pair):
     perturbed = perturbed_qutrit_family(q.correctable_family(qutrit_pair))
-    assert q.verify_family(qutrit_pair, perturbed, 100, seed=5) > 1e-4
+    sampled = q.verify_family(qutrit_pair, perturbed, 100, seed=5)
+    assert sampled > 1e-4
+    assert sampled == pytest.approx(evaluate_oracle(qutrit_pair, perturbed, 100, 5), rel=1e-12)
+
+
+def test_verify_family_one_pass_per_state(qutrit_pair, monkeypatch):
+    import qdeconv.deconvolution as dc
+
+    calls = {"modified_observable": 0, "apply_channel": 0}
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    def forbidden(*args, **kwargs):
+        pytest.fail("verify_family evaluated a candidate on its own")
+
+    for name in calls:
+        monkeypatch.setattr(dc, name, counted(name, getattr(dc, name)))
+    monkeypatch.setattr(dc, "evaluate", forbidden)
+    monkeypatch.setattr(dc, "expectation", forbidden)
+    fam = q.correctable_family(qutrit_pair)
+    q.verify_family(qutrit_pair, fam, 7, seed=1)
+    assert calls == {"modified_observable": fam.n_params, "apply_channel": 7}
 
 
 def test_verify_family_rejects_empty(qutrit_pair):
     with pytest.raises(ValueError):
         q.verify_family(qutrit_pair, q.ObservableFamily.from_basis(3, []), 10, seed=0)
+
+
+def test_verify_family_rejects_dimension_mismatch(qutrit_pair):
+    fam = q.ObservableFamily.from_basis(2, [np.eye(2) / np.sqrt(2)])
+    with pytest.raises(ValueError, match="family dimension 2 does not match channel dimension 3"):
+        q.verify_family(qutrit_pair, fam, 10, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -395,6 +449,14 @@ def test_loose_kernel_tolerance_fails_the_certificate():
     exact = guess_pair(guess_ch, guess_ch)
     with pytest.raises(q.FamilyVerificationError, match="pair 1: bound"):
         q.common_correctable_family([exact, gp], rel_tol=0.5)
+    # a mixed-unitary family names the unitary whose comparison fails; the
+    # guess's own comparison is the identity and never fails
+    rng = np.random.default_rng(0)
+    haar = [q.haar_random_unitary(3, rng) for _ in range(2)]
+    for guess_index, named in ((0, 1), (1, 0)):
+        es = q.UnitaryErrorSet.from_unitaries(haar, guess_index=guess_index)
+        with pytest.raises(q.FamilyVerificationError, match=f"pair {named}: bound"):
+            q.ru_correctable_family(es, tol=0.5)
 
 
 def test_recovery_bound_on_reference_families(qutrit_pair, bitflip_pair):

@@ -63,6 +63,9 @@ def test_overrides_are_applied_and_validated():
         run_scenario("qutrit-extreme", {"bogus": 1})
     with pytest.raises(ValueError):
         run_scenario("qutrit-extreme", {"states": 2.5})
+    # a recovery check over no sampled channel would pass vacuously
+    with pytest.raises(ValueError, match="at least one sampled channel"):
+        run_scenario("pauli-irrep", {"prob_draws": 0})
     with pytest.raises(q.UnknownScenarioError):
         run_scenario("not-a-scenario")
 
@@ -87,3 +90,25 @@ def test_report_json_roundtrip():
     doc = result.to_document()
     again = result_from_document(doc)
     assert again.to_document() == doc
+
+
+def test_scenario_documents_match_golden_file():
+    """Every field of the eight documents is pinned; sampled recovery maxima
+    (``max_delta_nd`` and the "recovery exact" residuals) are rounding noise
+    and may move within 1e-12."""
+    import json
+    from pathlib import Path
+
+    golden = json.loads((Path(__file__).parent / "data" / "scenario_documents.json").read_text())
+    assert sorted(golden) == sorted(scenario_names())
+    for name in scenario_names():
+        doc, want = run_scenario(name).to_document(), golden[name]
+        assert doc["max_delta_nd"] == pytest.approx(want["max_delta_nd"], rel=0, abs=1e-12), name
+        assert len(doc["checks"]) == len(want["checks"]), name
+        for got, pinned in zip(doc["checks"], want["checks"]):
+            if got["label"].startswith("recovery exact"):
+                assert got["residual"] == pytest.approx(pinned["residual"], rel=0, abs=1e-12), name
+                got = {**got, "residual": pinned["residual"]}
+            assert got == pinned, name
+        rest = {k: v for k, v in doc.items() if k not in ("max_delta_nd", "checks")}
+        assert rest == {k: v for k, v in want.items() if k not in ("max_delta_nd", "checks")}, name
