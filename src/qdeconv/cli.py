@@ -100,10 +100,11 @@ def verify(ctx: click.Context, family: str, true_spec: str, guess_spec: str, sta
     except SpecParseError as exc:
         raise click.UsageError(f"{family}: {exc}")
     gp = _guess_pair(true_spec, guess_spec)
-    try:
-        max_delta = verify_family(gp, fam, states, ctx.obj["seed"])
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    if fam.dim != gp.dim:
+        raise click.UsageError(f"family dimension {fam.dim} does not match channel dimension {gp.dim}")
+    if fam.n_params == 0:
+        raise click.UsageError("cannot verify an empty family")
+    max_delta = verify_family(gp, fam, states, ctx.obj["seed"])
     passed = max_delta <= ctx.obj["tol"]
     doc = {
         "max_delta_nd": max_delta,

@@ -441,7 +441,9 @@ def verify_family(gp: GuessPair, fam: ObservableFamily, n_states: int, seed: int
     Draws ``n_states`` random density matrices and, per state, checks every
     basis element plus two random unit-norm real combinations in one pass: a
     combination's deviation is that combination of the basis deviations.
-    Returns the maximum observed deviation of the deconvolved value.
+    Returns the maximum observed deviation of the deconvolved value; raises
+    ``ValueError`` when a deviation has an imaginary part above
+    :func:`expectation`'s threshold (a channel that breaks Hermiticity).
     """
     if fam.n_params == 0:
         raise ValueError("cannot verify an empty family")
@@ -450,15 +452,19 @@ def verify_family(gp: GuessPair, fam: ObservableFamily, n_states: int, seed: int
     # Tr(A X) = vec(A) . vec(X^T), so one product per state gives every basis value
     basis = np.stack(fam.basis).reshape(fam.n_params, -1)
     modified = np.stack([modified_observable(gp, A) for A in fam.basis]).reshape(fam.n_params, -1)
+    modified_norm = np.linalg.norm(modified, axis=1).max()
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n_states):
         rho = random_density_matrix(gp.dim, rng)
         noisy = apply_channel(gp.phi, rho)
-        deviation = (basis @ rho.T.reshape(-1) - modified @ noisy.T.reshape(-1)).real
+        deviation = basis @ rho.T.reshape(-1) - modified @ noisy.T.reshape(-1)
+        residual = np.abs(deviation.imag).max()
+        if residual > 1e-10 * max(1.0, modified_norm * np.linalg.norm(noisy)):
+            raise ValueError(f"expectation value has imaginary residual {residual:.3e}")
         coeffs = rng.normal(size=(2, fam.n_params))
         coeffs /= np.linalg.norm(coeffs, axis=1, keepdims=True)
-        worst = max(worst, np.abs(deviation).max(), np.abs(coeffs @ deviation).max())
+        worst = max(worst, np.abs(deviation.real).max(), np.abs(coeffs @ deviation.real).max())
     return float(worst)
 
 

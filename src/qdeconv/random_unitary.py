@@ -134,15 +134,17 @@ def ru_correctable_family(es: UnitaryErrorSet, tol: float = DEFAULT_INVARIANT_TO
     """Observables correctable for every probability assignment over the set.
 
     Takes the Hermitian null space of ``G_i - I`` stacked over every
-    comparison matrix (the guess's is zero and constrains nothing), with
-    ``tol`` as the relative singular-value cutoff.  ``||(G_i - I) vec(A)||``
-    is ``||U_i A U_i^dag - U_g A U_g^dag||_F``; above 1e-9 for a unit-norm
-    member, :class:`FamilyVerificationError` names unitary i as pair i.
+    comparison matrix, with ``tol`` as the relative singular-value cutoff.
+    The guess's block is a literal zero, which the primitive drops; computed,
+    its rounding residual could be normalized into a full-weight constraint.
+    ``||(G_i - I) vec(A)||`` is ``||U_i A U_i^dag - U_g A U_g^dag||_F``;
+    above 1e-9 for a unit-norm member, :class:`FamilyVerificationError`
+    names unitary i as pair i.
     """
-    d = es.dim
-    return _certified_family(
-        [gamma_i(es, i) - np.eye(d * d) for i in range(len(es.unitaries))], d, tol
-    )
+    d2 = es.dim**2
+    blocks = [gamma_i(es, i) - np.eye(d2) for i in range(len(es.unitaries))]
+    blocks[es.guess_index] = np.zeros((d2, d2))
+    return _certified_family(blocks, es.dim, tol)
 
 
 def _group_indices(evals: np.ndarray, grouping_tol: float) -> list[list[int]]:

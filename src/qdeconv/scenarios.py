@@ -473,8 +473,7 @@ def _scenario_ru_three_unitaries(overrides: Optional[Mapping[str, Any]], kernel_
 
     rng = np.random.default_rng(params["seed"])
     mixtures = [rng.dirichlet(np.ones(3)) for _ in range(params["prob_draws"])]
-    check_gps = _mixture_pairs(mixtures, [U1, U2, U3], U1)
-    max_delta = _family_recovery_max(check_gps, fam, params["states"], params["seed"])
+    max_delta = _family_recovery_max(_mixture_pairs(mixtures, [U1, U2, U3], U1), fam, params["states"], params["seed"])
 
     checks = (
         ScenarioCheck.from_residual("first invariant subspace is 5-dimensional", abs(len(s2) - 5), 0.0),
@@ -513,10 +512,7 @@ def _scenario_ru_two_qubit(overrides: Optional[Mapping[str, Any]], kernel_tol: f
     a, b = 0.7, -0.3
     A = np.array([[a + 2 * b, b], [b, a]], dtype=complex)
     expected_mod = np.array([[a, b], [b, a + 2 * b]], dtype=complex)
-    guess_transfer = transfer_from_kraus(unitary_channel(U2))
-    gp = GuessPair.from_transfers(
-        transfer_from_kraus(random_unitary_channel([0.6, 0.4], [U1, U2])), guess_transfer
-    )
+    (gp,) = _mixture_pairs([[0.6, 0.4]], [U1, U2], U2)
     mod_res = np.linalg.norm(modified_observable(gp, A) - expected_mod)
 
     es = UnitaryErrorSet.from_unitaries([U1, U2], guess_index=1)
@@ -525,8 +521,7 @@ def _scenario_ru_two_qubit(overrides: Optional[Mapping[str, Any]], kernel_tol: f
 
     rng = np.random.default_rng(params["seed"])
     mixtures = [[1 - p, p] for p in rng.uniform(0.05, 0.95, params["prob_draws"])]
-    check_gps = _mixture_pairs(mixtures, [U1, U2], U2)
-    max_delta = _family_recovery_max(check_gps, fam, params["states"], params["seed"])
+    max_delta = _family_recovery_max(_mixture_pairs(mixtures, [U1, U2], U2), fam, params["states"], params["seed"])
 
     checks = (
         ScenarioCheck.from_residual("comparison spectrum is {1, -1}", eig_res, 1e-10),
@@ -563,8 +558,7 @@ def _scenario_ru_degenerate(overrides: Optional[Mapping[str, Any]], kernel_tol: 
 
     rng = np.random.default_rng(params["seed"])
     mixtures = [[1 - p, p] for p in rng.uniform(0.05, 0.95, params["prob_draws"])]
-    check_gps = _mixture_pairs(mixtures, [U1, U2], U2)
-    max_delta = _family_recovery_max(check_gps, fam, params["states"], params["seed"])
+    max_delta = _family_recovery_max(_mixture_pairs(mixtures, [U1, U2], U2), fam, params["states"], params["seed"])
 
     checks = (
         ScenarioCheck.from_residual("comparison matrix matches reference", w_res, 1e-12),
@@ -601,8 +595,7 @@ def _scenario_pauli_irrep(overrides: Optional[Mapping[str, Any]], kernel_tol: fl
 
     rng = np.random.default_rng(params["seed"])
     mixtures = [rng.dirichlet(np.ones(4)) for _ in range(params["prob_draws"])]
-    check_gps = _mixture_pairs(mixtures, paulis, PAULIS[0])
-    max_delta = _family_recovery_max(check_gps, fam, params["states"], params["seed"])
+    max_delta = _family_recovery_max(_mixture_pairs(mixtures, paulis, PAULIS[0]), fam, params["states"], params["seed"])
 
     checks = (
         ScenarioCheck.from_residual("invariant-subspace family dimension is 1", abs(fam.n_params - 1), 0.0),
@@ -657,13 +650,8 @@ def _scenario_partial_recovery(overrides: Optional[Mapping[str, Any]], kernel_to
     for pg in grid_p:
         guess_g = transfer_from_kraus(bitflip_correlated(pg))
         for mg in grid_mu:
-            gp_g = GuessPair.from_transfers(
-                transfer_from_kraus(bitflip_with_memory(pg, mg)), guess_g
-            )
-            for xg in grid_x:
-                r = evaluate(gp_g, B, recovery_probe_state(xg))
-                if not r.delta_nd < r.delta_exp:
-                    grid_failures += 1
+            gp_g = GuessPair.from_transfers(transfer_from_kraus(bitflip_with_memory(pg, mg)), guess_g)
+            grid_failures += sum(not evaluate(gp_g, B, recovery_probe_state(xg)).improved for xg in grid_x)
 
     max_delta = _family_recovery_max([gp], fam, params["states"], params["seed"])
 

@@ -181,6 +181,15 @@ def test_verify_dimension_mismatch_is_a_usage_error(runner, spec_files, tmp_path
     assert "family dimension 2 does not match channel dimension 3" in result.output
 
 
+def test_verify_empty_family_is_a_usage_error(runner, spec_files, tmp_path):
+    true_path, guess_path = spec_files
+    fam_path = tmp_path / "empty.json"
+    fam_path.write_text(emit_family(q.ObservableFamily.from_basis(3, [])))
+    result = runner.invoke(main, ["verify", str(fam_path), true_path, guess_path, "--states", "5"])
+    assert result.exit_code == 2
+    assert "cannot verify an empty family" in result.output
+
+
 def test_examples_list(runner):
     result = runner.invoke(main, ["examples", "list"])
     assert result.exit_code == 0

@@ -435,6 +435,17 @@ def test_verify_family_rejects_dimension_mismatch(qutrit_pair):
         q.verify_family(qutrit_pair, fam, 10, seed=0)
 
 
+def test_verify_family_rejects_channel_that_breaks_hermiticity():
+    # Phi(rho) = exp(0.3i) rho: the deconvolved value picks up an imaginary part
+    phi = q.TransferMatrix(2, np.exp(0.3j) * np.eye(4))
+    gp = q.GuessPair.from_transfers(phi, q.TransferMatrix(2, np.eye(4)))
+    fam = q.ObservableFamily.from_basis(2, [np.eye(2) / np.sqrt(2)])
+    with pytest.raises(ValueError, match="imaginary residual"):
+        evaluate_oracle(gp, fam, 3, 0)
+    with pytest.raises(ValueError, match="imaginary residual"):
+        q.verify_family(gp, fam, 3, seed=0)
+
+
 # ---------------------------------------------------------------------------
 # recovery certificate
 # ---------------------------------------------------------------------------

@@ -140,6 +140,15 @@ def test_ru_family_pauli_error_set():
     ) < 1e-10
 
 
+def test_ru_family_ignores_rounding_in_the_guess():
+    # (1 + 1e-11) X passes the unitarity check; its own comparison block
+    # (c^4 - 1) I must not become a constraint
+    X, Y = SIGMA[1], SIGMA[2]
+    exact = q.ru_correctable_family(q.UnitaryErrorSet.from_unitaries([X, Y]))
+    scaled = q.ru_correctable_family(q.UnitaryErrorSet.from_unitaries([(1 + 1e-11) * X, Y]))
+    assert exact.n_params == scaled.n_params == 2
+
+
 def test_ru_family_singleton_is_unconstrained(rng):
     U = q.haar_random_unitary(3, rng)
     es = q.UnitaryErrorSet.from_unitaries([U])
