@@ -330,6 +330,16 @@ def adjoint_transfer(T: TransferMatrix) -> TransferMatrix:
     return TransferMatrix(dim=T.dim, gamma=T.gamma.conj().T)
 
 
+def _require_invertible(s: np.ndarray, tol: float) -> None:
+    """Raise :class:`SingularChannelError` unless the descending singular values
+    ``s`` keep their smallest above ``tol`` times their largest."""
+    if s[0] == 0.0 or s[-1] <= tol * s[0]:
+        raise SingularChannelError(
+            f"transfer matrix is singular: smallest/largest singular value "
+            f"{s[-1]:.3e}/{s[0]:.3e} is below cutoff {tol:g}"
+        )
+
+
 def inverse_transfer(T: TransferMatrix, tol: float = DEFAULT_SV_CUTOFF) -> TransferMatrix:
     """Transfer matrix of the inverse map.
 
@@ -347,11 +357,7 @@ def inverse_transfer(T: TransferMatrix, tol: float = DEFAULT_SV_CUTOFF) -> Trans
         If the transfer matrix is singular at the given cutoff.
     """
     u, s, vh = np.linalg.svd(T.gamma)
-    if s[0] == 0.0 or s[-1] <= tol * s[0]:
-        raise SingularChannelError(
-            f"transfer matrix is singular: smallest/largest singular value "
-            f"{s[-1]:.3e}/{s[0]:.3e} is below cutoff {tol:g}"
-        )
+    _require_invertible(s, tol)
     inv = (vh.conj().T * (1.0 / s)) @ u.conj().T
     return TransferMatrix(dim=T.dim, gamma=inv)
 

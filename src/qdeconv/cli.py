@@ -91,7 +91,7 @@ def deconvolve(ctx: click.Context, true_spec: str, guess_spec: str, output: Opti
 @click.argument("family")
 @click.argument("true_spec")
 @click.argument("guess_spec")
-@click.option("--states", type=int, default=100, show_default=True, help="Number of random states to draw.")
+@click.option("--states", type=click.IntRange(min=1), default=100, show_default=True, help="Number of random states to draw.")
 @click.pass_context
 def verify(ctx: click.Context, family: str, true_spec: str, guess_spec: str, states: int) -> None:
     """Monte-Carlo check that FAMILY is exactly recovered for TRUE/GUESS."""

@@ -6,7 +6,10 @@ Given the true noise ``phi`` and an invertible guess ``phi_g``, the operator
 
 annihilates exactly those vectorized observables whose expectation value is
 recovered, for every input state, by measuring the modified observable
-``adjoint(inverse(phi_g))(A)`` on the noisy state.  This module extracts and
+``adjoint(inverse(phi_g))(A)`` on the noisy state.  Since
+``F gamma_phi_g^dag = (gamma_phi_g - gamma_phi)^dag``, that space is
+``gamma_phi_g^dag`` applied to the kernel of ``D = (gamma_phi_g - gamma_phi)^dag``,
+so it is extracted without inverting the guess.  This module extracts and
 certifies an orthonormal Hermitian basis of that space, evaluates recovery
 quality per (state, observable) pair, and ranks candidate guesses.
 """
@@ -14,6 +17,7 @@ quality per (state, observable) pair, and ranks candidate guesses.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -22,11 +26,10 @@ import scipy.linalg
 from .channels import (
     DEFAULT_SV_CUTOFF,
     TransferMatrix,
+    _require_invertible,
     apply_channel,
-    compose,
     devectorize,
     hs_inner,
-    inverse_transfer,
     is_hermitian,
     random_density_matrix,
     vectorize,
@@ -44,28 +47,102 @@ _RECOVERY_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
+# Real Hermitian coordinates
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def _hermitian_basis(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Sparse form of the orthonormal Hermitian basis ``B`` of d x d operators.
+
+    The basis is ``E_ii``, ``(E_jk + E_kj)/sqrt2``, ``i(E_kj - E_jk)/sqrt2``
+    (j < k), in that order.  Column k of ``B`` is
+    ``w1[k] e_{i1[k]} + w2[k] e_{i2[k]}``; ``i1`` and ``i2`` are permutations
+    of the vectorized indices.
+    """
+    diag = np.arange(d) * (d + 1)
+    rows, cols = np.triu_indices(d, 1)
+    upper, lower = rows * d + cols, cols * d + rows
+    n, r = rows.size, np.sqrt(0.5)
+    i1 = np.concatenate([diag, upper, lower])
+    i2 = np.concatenate([diag, lower, upper])
+    w1 = np.concatenate([np.full(d, 0.5), np.full(n, r), np.full(n, 1j * r)])
+    w2 = np.concatenate([np.full(d, 0.5), np.full(n, r), np.full(n, -1j * r)])
+    for a in (i1, i2, w1, w2):
+        a.setflags(write=False)
+    return i1, i2, w1, w2
+
+
+def _coordinates(M: np.ndarray, d: int) -> np.ndarray:
+    """``B^dag M B``: a superoperator in Hermitian coordinates on both sides.
+
+    Real (to rounding) when ``M`` maps Hermitian operators to Hermitian ones.
+    """
+    i1, i2, w1, w2 = _hermitian_basis(d)
+    X = w1.conj()[:, None] * M[i1] + w2.conj()[:, None] * M[i2]
+    return X[:, i1] * w1 + X[:, i2] * w2
+
+
+def _from_coordinates(coeffs: np.ndarray, d: int) -> ObservableFamily:
+    """Family whose basis elements have the real Hermitian coordinates ``coeffs`` (rows), sign-fixed."""
+    i1, i2, w1, w2 = _hermitian_basis(d)
+    vecs = np.zeros((len(coeffs), d * d), dtype=complex)
+    vecs[:, i1] = coeffs * w1
+    vecs[:, i2] += coeffs * w2
+    return ObservableFamily.from_basis(d, [_fix_matrix_sign(v.reshape(d, d)) for v in vecs])
+
+
+# ---------------------------------------------------------------------------
 # Value types
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class GuessPair:
-    """True channel, guessed channel, and the cached inverse of the guess."""
+    """True channel and guessed channel; the guess's inverse is built on first use.
+
+    Build pairs with :meth:`from_transfers`, which checks that the guess is
+    invertible and preserves Hermiticity; the constructor checks dimensions only.
+    """
 
     phi: TransferMatrix
     phi_g: TransferMatrix
-    phi_g_inv: TransferMatrix
 
     def __post_init__(self) -> None:
-        if not (self.phi.dim == self.phi_g.dim == self.phi_g_inv.dim):
+        if self.phi.dim != self.phi_g.dim:
             raise ValueError("all transfer matrices must share one dimension")
-        d2 = self.phi.dim**2
-        residual = np.linalg.norm(compose(self.phi_g, self.phi_g_inv).gamma - np.eye(d2))
-        if residual > 1e-10 * max(1.0, np.linalg.norm(self.phi_g.gamma)):
-            raise ValueError(f"phi_g_inv is not the inverse of phi_g (residual {residual:.3e})")
 
     @property
     def dim(self) -> int:
         return self.phi.dim
+
+    @cached_property
+    def _guess_coordinates(self) -> np.ndarray:
+        """The guess in real Hermitian coordinates, ``B^dag gamma_g B``.
+
+        Raises ``ValueError`` when its imaginary part exceeds
+        ``1e-10 * max(1, norm)``: the guess does not preserve Hermiticity.
+        """
+        G = _coordinates(self.phi_g.gamma, self.dim)
+        leak = np.linalg.norm(G.imag)
+        if leak > 1e-10 * max(1.0, np.linalg.norm(G)):
+            raise ValueError(
+                f"guess does not preserve Hermiticity (imaginary part {leak:.3e} in Hermitian coordinates)"
+            )
+        G = G.real.copy()
+        G.setflags(write=False)
+        return G
+
+    @cached_property
+    def phi_g_inv(self) -> TransferMatrix:
+        """Inverse of the guess, by LU factorization on first use.
+
+        Raises ``ValueError`` when ``||gamma_g gamma_g^-1 - I||`` exceeds
+        ``1e-10 * max(1, ||gamma_g||)``.
+        """
+        inv = np.linalg.inv(self.phi_g.gamma)
+        residual = np.linalg.norm(self.phi_g.gamma @ inv - np.eye(self.dim**2))
+        if residual > 1e-10 * max(1.0, np.linalg.norm(self.phi_g.gamma)):
+            raise ValueError(f"phi_g_inv is not the inverse of phi_g (residual {residual:.3e})")
+        return TransferMatrix(dim=self.dim, gamma=inv)
 
     @classmethod
     def from_transfers(
@@ -74,14 +151,18 @@ class GuessPair:
         phi_g: TransferMatrix,
         sv_cutoff: float = DEFAULT_SV_CUTOFF,
     ) -> "GuessPair":
-        """Build a pair from transfer matrices, inverting the guess eagerly.
+        """Build a pair from transfer matrices, checking the guess's singular values.
 
         Raises
         ------
         SingularChannelError
             If the guess is not invertible at the given relative cutoff.
+        ValueError
+            If the guess does not preserve Hermiticity.
         """
-        return cls(phi=phi, phi_g=phi_g, phi_g_inv=inverse_transfer(phi_g, sv_cutoff))
+        pair = cls(phi=phi, phi_g=phi_g)
+        _require_invertible(np.linalg.svd(pair._guess_coordinates, compute_uv=False), sv_cutoff)
+        return pair
 
 
 @dataclass(frozen=True)
@@ -240,51 +321,50 @@ def _fix_matrix_sign(A: np.ndarray) -> np.ndarray:
     return -A if lead < 0 else A
 
 
-def _hermitian_kernel(mats: Sequence[np.ndarray], d: int, rel_tol: float) -> ObservableFamily:
-    """Orthonormal Hermitian basis of ``{A : M vec(A) == 0 for every M in mats}``.
+def _null_coordinates(blocks: Sequence[np.ndarray], d2: int, rel_tol: float) -> np.ndarray:
+    """Real Hermitian coordinates (columns) of the common null space of ``blocks``.
 
-    Each ``d^2 x d^2`` constraint is written in the orthonormal Hermitian
-    basis ``E_ii``, ``(E_jk + E_kj)/sqrt2``, ``i(E_kj - E_jk)/sqrt2`` (j < k)
-    by combining its columns, and divided by its Frobenius norm; blocks of
-    norm at most 1e-12 constrain nothing.  The real and imaginary parts of
-    all blocks are stacked and the right-singular vectors with singular value
-    at most ``max(rel_tol * sigma_max, 1e-14)`` are the real coordinates of
-    the family.  They come out orthonormal, sign-fixed and in ascending
-    singular-value order; with no effective constraint the basis above is
-    returned as is.
+    Each block is a constraint already in Hermitian coordinates and is
+    divided by its Frobenius norm; blocks of norm at most 1e-12 constrain
+    nothing, and so does a scaled real or imaginary half of norm at most
+    1e-12 (the imaginary half of a map that preserves Hermiticity is
+    rounding).  The remaining halves are stacked and the right-singular
+    vectors with singular value at most ``max(rel_tol * sigma_max, 1e-14)``
+    are returned, orthonormal and in ascending singular-value order; with no
+    effective constraint every coordinate direction is returned.
     """
+    halves = []
+    for M in blocks:
+        scale = np.linalg.norm(M)
+        if scale <= 1e-12:
+            continue
+        halves += [h for h in (M.real / scale, M.imag / scale) if np.linalg.norm(h) > 1e-12]
+    if not halves:
+        return np.eye(d2)
+    _, s, vt = np.linalg.svd(np.vstack(halves), full_matrices=False)
+    return vt[s <= max(rel_tol * s[0], _KERNEL_ABS_FLOOR)][::-1].T
+
+
+def _constraint_coordinates(mats: Sequence[np.ndarray], d: int) -> list[np.ndarray]:
+    """``d^2 x d^2`` constraints in Hermitian coordinates on both sides."""
     d2 = d * d
-    diag = np.arange(d) * (d + 1)
-    rows, cols = np.triu_indices(d, 1)
-    upper, lower = rows * d + cols, cols * d + rows
-    blocks = []
+    out = []
     for M in mats:
         M = np.asarray(M, dtype=complex)
         if M.shape != (d2, d2):
             raise ValueError(f"expected {d2}x{d2} blocks, got {M.shape}")
-        scale = np.linalg.norm(M)
-        if scale <= 1e-12:
-            continue
-        MH = np.hstack([
-            M[:, diag],
-            (M[:, upper] + M[:, lower]) * np.sqrt(0.5),
-            (M[:, lower] - M[:, upper]) * (1j * np.sqrt(0.5)),
-        ]) / scale
-        blocks += [MH.real, MH.imag]
-    if blocks:
-        _, s, vt = np.linalg.svd(np.vstack(blocks), full_matrices=False)
-        coeffs = vt[s <= max(rel_tol * s[0], _KERNEL_ABS_FLOOR)][::-1]
-    else:
-        coeffs = np.eye(d2)
+        out.append(_coordinates(M, d))
+    return out
 
-    n_off = rows.size
-    sym = coeffs[:, d : d + n_off] * np.sqrt(0.5)
-    anti = coeffs[:, d + n_off :] * np.sqrt(0.5)
-    vecs = np.zeros((len(coeffs), d2), dtype=complex)
-    vecs[:, diag] = coeffs[:, :d]
-    vecs[:, upper] = sym - 1j * anti
-    vecs[:, lower] = sym + 1j * anti
-    return ObservableFamily.from_basis(d, [_fix_matrix_sign(v.reshape(d, d)) for v in vecs])
+
+def _hermitian_kernel(mats: Sequence[np.ndarray], d: int, rel_tol: float) -> ObservableFamily:
+    """Orthonormal Hermitian basis of ``{A : M vec(A) == 0 for every M in mats}``.
+
+    Each ``d^2 x d^2`` constraint is written in the orthonormal Hermitian
+    basis ``B`` on both sides, ``B^dag M B``, and the null space is taken by
+    :func:`_null_coordinates`: sign-fixed, in ascending singular-value order.
+    """
+    return _from_coordinates(_null_coordinates(_constraint_coordinates(mats, d), d * d, rel_tol).T, d)
 
 
 def _complement_projector(vecs: Sequence[np.ndarray], dim2: int) -> np.ndarray:
@@ -435,36 +515,54 @@ def evaluate(gp: GuessPair, A: np.ndarray, rho: np.ndarray) -> DeconvReport:
 # Family extraction
 # ---------------------------------------------------------------------------
 
+def _recovery_deviations(gp: GuessPair, observables: Sequence[np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
+    """Per-state recovery deviations ``Tr(A rho) - Tr(modified(A) Phi(rho))`` of several observables.
+
+    The modified observables are built once; the returned function applies
+    the channel once per state and gives the real deviations, raising
+    ``ValueError`` when one has an imaginary part above
+    :func:`expectation`'s threshold (a channel that breaks Hermiticity).
+    """
+    # Tr(A X) = vec(A) . vec(X^T), so one product per state gives every value
+    plain = np.stack([np.asarray(A, dtype=complex) for A in observables]).reshape(len(observables), -1)
+    modified = np.stack([modified_observable(gp, A) for A in observables]).reshape(len(observables), -1)
+    modified_norm = np.linalg.norm(modified, axis=1).max()
+
+    def deviations(rho: np.ndarray) -> np.ndarray:
+        noisy = apply_channel(gp.phi, rho)
+        deviation = plain @ rho.T.reshape(-1) - modified @ noisy.T.reshape(-1)
+        residual = np.abs(deviation.imag).max()
+        if residual > 1e-10 * max(1.0, modified_norm * np.linalg.norm(noisy)):
+            raise ValueError(f"expectation value has imaginary residual {residual:.3e}")
+        return deviation.real
+
+    return deviations
+
+
 def verify_family(gp: GuessPair, fam: ObservableFamily, n_states: int, seed: int) -> float:
     """Monte-Carlo check of perfect recovery over seeded random states.
 
-    Draws ``n_states`` random density matrices and, per state, checks every
-    basis element plus two random unit-norm real combinations in one pass: a
-    combination's deviation is that combination of the basis deviations.
-    Returns the maximum observed deviation of the deconvolved value; raises
-    ``ValueError`` when a deviation has an imaginary part above
+    Draws ``n_states`` (at least 1) random density matrices and, per state,
+    checks every basis element plus two random unit-norm real combinations in
+    one pass: a combination's deviation is that combination of the basis
+    deviations.  Returns the maximum observed deviation of the deconvolved
+    value; raises ``ValueError`` when a deviation has an imaginary part above
     :func:`expectation`'s threshold (a channel that breaks Hermiticity).
     """
+    if n_states < 1:
+        raise ValueError(f"need at least one state to verify, got {n_states}")
     if fam.n_params == 0:
         raise ValueError("cannot verify an empty family")
     if fam.dim != gp.dim:
         raise ValueError(f"family dimension {fam.dim} does not match channel dimension {gp.dim}")
-    # Tr(A X) = vec(A) . vec(X^T), so one product per state gives every basis value
-    basis = np.stack(fam.basis).reshape(fam.n_params, -1)
-    modified = np.stack([modified_observable(gp, A) for A in fam.basis]).reshape(fam.n_params, -1)
-    modified_norm = np.linalg.norm(modified, axis=1).max()
+    deviations = _recovery_deviations(gp, fam.basis)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n_states):
-        rho = random_density_matrix(gp.dim, rng)
-        noisy = apply_channel(gp.phi, rho)
-        deviation = basis @ rho.T.reshape(-1) - modified @ noisy.T.reshape(-1)
-        residual = np.abs(deviation.imag).max()
-        if residual > 1e-10 * max(1.0, modified_norm * np.linalg.norm(noisy)):
-            raise ValueError(f"expectation value has imaginary residual {residual:.3e}")
+        deviation = deviations(random_density_matrix(gp.dim, rng))
         coeffs = rng.normal(size=(2, fam.n_params))
         coeffs /= np.linalg.norm(coeffs, axis=1, keepdims=True)
-        worst = max(worst, np.abs(deviation.real).max(), np.abs(coeffs @ deviation.real).max())
+        worst = max(worst, np.abs(deviation).max(), np.abs(coeffs @ deviation).max())
     return float(worst)
 
 
@@ -481,32 +579,54 @@ def _recovery_bound(F: np.ndarray, fam: ObservableFamily) -> float:
     return float(np.linalg.norm(F @ Q, 2))
 
 
-def _certified_family(Fs: Sequence[np.ndarray], d: int, rel_tol: float) -> ObservableFamily:
-    """Hermitian null space of the constraints ``Fs``, certified per constraint (named pair k)."""
-    fam = _hermitian_kernel(Fs, d, rel_tol)
-    for k, F in enumerate(Fs):
-        bound = _recovery_bound(F, fam)
-        if bound > _RECOVERY_TOL:
+def _certified_family(
+    blocks: Sequence[np.ndarray], d: int, rel_tol: float, guess: np.ndarray | None = None
+) -> ObservableFamily:
+    """Hermitian null space of constraints in Hermitian coordinates, certified per block (named pair k).
+
+    Without ``guess`` the family is the null space ``W`` of the blocks and
+    block k's certificate is ``||M_k W||_2``.  With the guess's real
+    coordinates ``G``, the blocks are the ``D_k`` and the family is the QR
+    orthonormalization ``Q R = G^T W`` (``G^T`` is ``gamma_g^dag``); since
+    ``F_k G^T = D_k``, the certificate ``||D_k W R^-1||_2`` equals
+    ``||F_k Q||_2`` and bounds the recovery error of every unit-norm member on
+    every state.
+    """
+    W = _null_coordinates(blocks, d * d, rel_tol)
+    if not W.shape[1]:
+        return ObservableFamily.from_basis(d, [])
+    Q, X = W, W
+    if guess is not None:
+        Q, R = np.linalg.qr(guess.T @ W)
+        X = scipy.linalg.solve_triangular(R, W.T, trans="T").T  # W R^-1
+    for k, M in enumerate(blocks):
+        bound = float(np.linalg.norm(M @ X, 2))
+        # written so that a NaN bound fails too
+        if not bound <= _RECOVERY_TOL:
             raise FamilyVerificationError(
                 f"recovery certificate failed on pair {k}: bound {bound:.3e} > {_RECOVERY_TOL:g}; "
                 "consider a tighter kernel tolerance"
             )
-    return fam
+    return _from_coordinates(Q.T, d)
 
 
 def correctable_family(gp: GuessPair, rel_tol: float = DEFAULT_KERNEL_RTOL) -> ObservableFamily:
     """Full family of observables with exactly recoverable expectation values.
 
-    Extracts the Hermitian null space of the deviation operator ``F`` and
-    certifies it: with ``Q`` the family's vectorized basis, ``||F Q||_2``
-    bounds the recovery error of every unit-norm member on every state.
+    Takes the Hermitian null space ``W`` of ``D = (gamma_g - gamma_phi)^dag``
+    and maps it by ``gamma_g^dag`` onto the null space of the deviation
+    operator ``F``, without inverting the guess: the family's basis is the QR
+    orthonormalization ``Q R`` of ``gamma_g^dag W``, and ``W R^-1`` holds the
+    members' modified observables.  The family is certified: with ``Q`` its
+    vectorized basis, ``||F Q||_2`` bounds the recovery error of every
+    unit-norm member on every state.
 
     Raises
     ------
     FamilyVerificationError
         If the certificate exceeds 1e-9.
     """
-    return _certified_family([deviation_operator(gp)], gp.dim, rel_tol)
+    return _guess_family([gp], rel_tol)
 
 
 def common_correctable_family(gps: Sequence[GuessPair], rel_tol: float = DEFAULT_KERNEL_RTOL) -> ObservableFamily:
@@ -514,15 +634,27 @@ def common_correctable_family(gps: Sequence[GuessPair], rel_tol: float = DEFAULT
 
     Used when the true channel carries unknown parameters: probe it at
     several parameter values (all sharing the guess) and take the Hermitian
-    null space of the stacked deviation operators.  Certified on each pair as
-    in :func:`correctable_family`; a failure names the pair.
+    null space of the stacked ``D_k``.  Certified on each pair as in
+    :func:`correctable_family`; a failure names the pair.
     """
     if not gps:
         raise ValueError("need at least one pair")
     d = gps[0].dim
     if any(gp.dim != d for gp in gps):
         raise ValueError("all pairs must share one dimension")
-    return _certified_family([deviation_operator(gp) for gp in gps], d, rel_tol)
+    guess = gps[0].phi_g
+    for k, gp in enumerate(gps):
+        if gp.phi_g is not guess and not np.array_equal(gp.phi_g.gamma, guess.gamma):
+            raise ValueError(f"pair {k} has a different guess from pair 0; all pairs must share one guess")
+    return _guess_family(gps, rel_tol)
+
+
+def _guess_family(gps: Sequence[GuessPair], rel_tol: float) -> ObservableFamily:
+    """Certified family of pairs sharing one guess, from the stacked ``D_k``."""
+    d = gps[0].dim
+    G = gps[0]._guess_coordinates
+    blocks = [(G - _coordinates(gp.phi.gamma, d)).conj().T for gp in gps]
+    return _certified_family(blocks, d, rel_tol, G)
 
 
 def guess_sweep(

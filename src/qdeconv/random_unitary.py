@@ -23,6 +23,7 @@ from .channels import DEFAULT_TOL, is_unitary
 from .deconvolution import (
     ObservableFamily,
     _certified_family,
+    _constraint_coordinates,
     _fix_matrix_sign,
     _fix_vector_phase,
     _ordered_null_basis,
@@ -144,7 +145,7 @@ def ru_correctable_family(es: UnitaryErrorSet, tol: float = DEFAULT_INVARIANT_TO
     d2 = es.dim**2
     blocks = [gamma_i(es, i) - np.eye(d2) for i in range(len(es.unitaries))]
     blocks[es.guess_index] = np.zeros((d2, d2))
-    return _certified_family(blocks, es.dim, tol)
+    return _certified_family(_constraint_coordinates(blocks, es.dim), es.dim, tol)
 
 
 def _group_indices(evals: np.ndarray, grouping_tol: float) -> list[list[int]]:
@@ -257,4 +258,4 @@ def commutant_family(Us: Sequence[np.ndarray], tol: float = DEFAULT_INVARIANT_TO
         mats.append(np.kron(U, np.eye(d)) - np.kron(np.eye(d), U.T))
     if d is None:
         raise ValueError("need at least one operator")
-    return _certified_family(mats, d, tol)
+    return _certified_family(_constraint_coordinates(mats, d), d, tol)

@@ -31,6 +31,7 @@ from .deconvolution import (
     DEFAULT_KERNEL_RTOL,
     GuessPair,
     ObservableFamily,
+    _recovery_deviations,
     common_correctable_family,
     correctable_family,
     evaluate,
@@ -700,6 +701,8 @@ def _scenario_partial_recovery(overrides: Optional[Mapping[str, Any]], kernel_to
 
 def _scenario_equivalence_covariance(overrides: Optional[Mapping[str, Any]], kernel_tol: float) -> ScenarioResult:
     params = _merge_params({"tuples": 20, "states": 5, "seed": 37}, overrides)
+    if params["states"] < 1:
+        raise ValueError(f"states must be at least 1, got {params['states']}")
     rng = np.random.default_rng(params["seed"])
 
     dim_mismatches = 0
@@ -731,10 +734,9 @@ def _scenario_equivalence_covariance(overrides: Optional[Mapping[str, Any]], ker
         mapped = [U.conj().T @ A @ U for A in fam.basis]
         for A in mapped:
             max_membership = max(max_membership, membership_residual(eq_fam, A))
-        for s in range(params["states"]):
-            rho = random_density_matrix(d, rng)
-            for A in mapped:
-                max_delta = max(max_delta, evaluate(eq_gp, A, rho).delta_nd)
+        deviations = _recovery_deviations(eq_gp, mapped)
+        for _ in range(params["states"]):
+            max_delta = max(max_delta, float(np.abs(deviations(random_density_matrix(d, rng))).max()))
 
     checks = (
         ScenarioCheck.from_residual(

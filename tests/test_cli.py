@@ -190,6 +190,24 @@ def test_verify_empty_family_is_a_usage_error(runner, spec_files, tmp_path):
     assert "cannot verify an empty family" in result.output
 
 
+@pytest.mark.parametrize("states", ["0", "-1"])
+def test_verify_needs_at_least_one_state(runner, spec_files, tmp_path, states):
+    # a sample of no states would pass any family, here one that fails at 20
+    true_path, guess_path = spec_files
+    bad = np.zeros((3, 3), dtype=complex)
+    bad[0, 1] = bad[1, 0] = 1 / np.sqrt(2)
+    fam_path = tmp_path / "bad.json"
+    fam_path.write_text(emit_family(q.ObservableFamily.from_basis(3, [bad])))
+    result = runner.invoke(main, ["verify", str(fam_path), true_path, guess_path, "--states", states])
+    assert result.exit_code == 2
+    assert "PASS" not in result.output
+
+
+@pytest.mark.parametrize("name", ["equivalence-covariance", "qutrit-extreme"])
+def test_examples_run_needs_at_least_one_state(runner, name):
+    assert runner.invoke(main, ["examples", "run", name, "--set", "states=0"]).exit_code == 2
+
+
 def test_examples_list(runner):
     result = runner.invoke(main, ["examples", "list"])
     assert result.exit_code == 0

@@ -68,10 +68,25 @@ def test_deviation_two_unitary_form(rng):
     assert np.linalg.norm(q.deviation_operator(gp) - expected) < 1e-12
 
 
-def test_guess_pair_validates_cached_inverse():
+def test_guess_pair_validates_lazy_inverse(monkeypatch):
     T = q.transfer_from_kraus(q.unitary_channel(np.eye(2)))
-    with pytest.raises(ValueError):
-        q.GuessPair(phi=T, phi_g=T, phi_g_inv=q.TransferMatrix(dim=2, gamma=2 * np.eye(4)))
+    gp = q.GuessPair.from_transfers(T, T)
+    monkeypatch.setattr(np.linalg, "inv", lambda a: 2 * np.eye(len(a)))
+    with pytest.raises(ValueError, match="phi_g_inv is not the inverse of phi_g"):
+        q.modified_observable(gp, np.eye(2))
+
+
+def test_correctable_family_builds_no_inverse(bitflip_pair):
+    q.correctable_family(bitflip_pair)
+    assert "phi_g_inv" not in vars(bitflip_pair)
+    q.modified_observable(bitflip_pair, np.eye(4))
+    assert "phi_g_inv" in vars(bitflip_pair)
+
+
+def test_guess_pair_rejects_guess_that_breaks_hermiticity():
+    T = q.TransferMatrix(2, np.eye(4))
+    with pytest.raises(ValueError, match="does not preserve Hermiticity"):
+        q.GuessPair.from_transfers(T, q.TransferMatrix(2, np.exp(0.3j) * np.eye(4)))
 
 
 def test_guess_pair_rejects_singular_guess():
@@ -424,6 +439,13 @@ def test_verify_family_one_pass_per_state(qutrit_pair, monkeypatch):
     assert calls == {"modified_observable": fam.n_params, "apply_channel": 7}
 
 
+@pytest.mark.parametrize("n_states", [0, -3])
+def test_verify_family_rejects_no_states(qutrit_pair, n_states):
+    fam = q.correctable_family(qutrit_pair)
+    with pytest.raises(ValueError, match="at least one state"):
+        q.verify_family(qutrit_pair, fam, n_states, seed=0)
+
+
 def test_verify_family_rejects_empty(qutrit_pair):
     with pytest.raises(ValueError):
         q.verify_family(qutrit_pair, q.ObservableFamily.from_basis(3, []), 10, seed=0)
@@ -499,6 +521,14 @@ def test_common_correctable_family_probes(qutrit_pair):
     # holds at a phase outside the probe set
     extra = q.GuessPair.from_transfers(q.transfer_from_kraus(qutrit_extreme_channel(0.123)), guess)
     assert q.verify_family(extra, fam, 50, seed=3) <= 1e-9
+
+
+def test_common_correctable_family_rejects_mixed_guesses(qutrit_pair):
+    other = q.GuessPair.from_transfers(
+        qutrit_pair.phi, q.transfer_from_kraus(qutrit_extreme_channel(0.5))
+    )
+    with pytest.raises(ValueError, match="pair 2 has a different guess from pair 0"):
+        q.common_correctable_family([qutrit_pair, qutrit_pair, other, other])
 
 
 def test_guess_sweep_rankings():
@@ -627,3 +657,29 @@ def test_family_json_is_reproducible(qutrit_pair, bitflip_pair):
     for gp in (qutrit_pair, bitflip_pair):
         first = emit_family(q.correctable_family(gp))
         assert emit_family(q.correctable_family(gp)) == first
+
+
+def _oracle_family(gps):
+    """The family from the deviation operators, which invert the guess."""
+    d = gps[0].dim
+    Fs = [q.deviation_operator(gp) for gp in gps]
+    vecs = q.kernel(Fs[0]) if len(Fs) == 1 else q.joint_kernel(Fs, d * d)
+    return q.hermitian_section(vecs, d)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_family_span_matches_deviation_operator_oracle(d):
+    rng = np.random.default_rng(200 + d)
+    for _ in range(3):
+        Us = [q.haar_random_unitary(d, rng) for _ in range(2)]
+        guess = q.unitary_channel(Us[1])
+        cases = (
+            [guess_pair(q.random_cptp_channel(d, 2, rng), q.random_cptp_channel(d, 3, rng))],
+            [guess_pair(q.random_unitary_channel(rng.dirichlet(np.ones(2)), Us), guess)],
+            [guess_pair(q.random_unitary_channel(rng.dirichlet(np.ones(2)), Us), guess) for _ in range(3)],
+        )
+        for gps in cases:
+            fam, oracle = q.common_correctable_family(gps), _oracle_family(gps)
+            assert fam.n_params == oracle.n_params >= 1
+            assert q.span_residual(fam, oracle) <= 1e-12
+            assert q.span_residual(oracle, fam) <= 1e-12

@@ -70,6 +70,19 @@ def test_overrides_are_applied_and_validated():
         run_scenario("not-a-scenario")
 
 
+def test_equivalence_covariance_needs_states_and_skips_evaluate(monkeypatch):
+    with pytest.raises(ValueError, match="states must be at least 1"):
+        run_scenario("equivalence-covariance", {"states": 0})
+
+    import qdeconv.scenarios as sc
+
+    def forbidden(*args, **kwargs):
+        pytest.fail("equivalence-covariance evaluated a member on its own")
+
+    monkeypatch.setattr(sc, "evaluate", forbidden)
+    assert run_scenario("equivalence-covariance", {"tuples": 4}).passed
+
+
 def test_emit_report_formats():
     result = run_scenario("pauli-irrep")
     table = emit_report(result, "table")
@@ -93,11 +106,21 @@ def test_report_json_roundtrip():
 
 
 def test_scenario_documents_match_golden_file():
-    """Every field of the eight documents is pinned; sampled recovery maxima
-    (``max_delta_nd`` and the "recovery exact" residuals) are rounding noise
-    and may move within 1e-12."""
+    """Every field of the eight documents is pinned.  Floats computed from a
+    family basis or a guess inverse (``max_delta_nd``, every check residual
+    and every float in the metadata) move with the basis chosen for the same
+    span and with rounding, so they may move within 1e-12; labels, verdicts,
+    tolerances, dimensions and integer and string metadata must match exactly."""
     import json
     from pathlib import Path
+
+    def close(got, pinned):
+        if isinstance(pinned, float):
+            assert isinstance(got, float) and got == pytest.approx(pinned, rel=0, abs=1e-12)
+            return pinned
+        if isinstance(pinned, list) and isinstance(got, list) and len(got) == len(pinned):
+            return [close(g, p) for g, p in zip(got, pinned)]
+        return got
 
     golden = json.loads((Path(__file__).parent / "data" / "scenario_documents.json").read_text())
     assert sorted(golden) == sorted(scenario_names())
@@ -106,9 +129,9 @@ def test_scenario_documents_match_golden_file():
         assert doc["max_delta_nd"] == pytest.approx(want["max_delta_nd"], rel=0, abs=1e-12), name
         assert len(doc["checks"]) == len(want["checks"]), name
         for got, pinned in zip(doc["checks"], want["checks"]):
-            if got["label"].startswith("recovery exact"):
-                assert got["residual"] == pytest.approx(pinned["residual"], rel=0, abs=1e-12), name
-                got = {**got, "residual": pinned["residual"]}
-            assert got == pinned, name
-        rest = {k: v for k, v in doc.items() if k not in ("max_delta_nd", "checks")}
-        assert rest == {k: v for k, v in want.items() if k not in ("max_delta_nd", "checks")}, name
+            assert got["residual"] == pytest.approx(pinned["residual"], rel=0, abs=1e-12), name
+            assert {**got, "residual": pinned["residual"]} == pinned, name
+        metadata = {k: close(v, want["metadata"].get(k)) for k, v in doc["metadata"].items()}
+        assert metadata == want["metadata"], name
+        rest = {k: v for k, v in doc.items() if k not in ("max_delta_nd", "checks", "metadata")}
+        assert rest == {k: v for k, v in want.items() if k not in ("max_delta_nd", "checks", "metadata")}, name
