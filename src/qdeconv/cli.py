@@ -17,7 +17,6 @@ from .channels import transfer_from_kraus
 from .deconvolution import GuessPair, correctable_family, evaluate, guess_sweep, verify_family
 from .errors import QdeconvError, SpecParseError, UnknownScenarioError
 from .quorum import deconvolved_estimate, quorum_basis, tensor_product_quorum
-from .scenarios import emit_report, run_scenario, scenario_names
 from .serialization import (
     emit_family,
     parse_channel_spec,
@@ -55,9 +54,16 @@ def _guess_pair(true_path: str, guess_path: str) -> GuessPair:
         raise click.UsageError(str(exc))
 
 
+def _kernel_threshold(ctx: click.Context, param: click.Parameter, value: float) -> float:
+    # written so that NaN fails too; click.FloatRange(min=0) lets it through
+    if not value >= 0:
+        raise click.BadParameter(f"must be a non-negative number, got {value}")
+    return value
+
+
 @click.group()
 @click.option("--tol", type=float, default=1e-9, show_default=True, help="Tolerance for verification checks.")
-@click.option("--kernel-tol", type=float, default=1e-8, show_default=True, help="Relative singular-value threshold for kernel extraction.")
+@click.option("--kernel-tol", type=float, default=1e-8, show_default=True, callback=_kernel_threshold, help="Relative singular-value threshold for kernel extraction (non-negative).")
 @click.option("--seed", type=int, default=DEFAULT_SEED, show_default=True, envvar="QDECONV_SEED", help="Random seed (flag beats the QDECONV_SEED environment variable).")
 @click.option("--format", "fmt", type=click.Choice(["json", "table"]), default="table", show_default=True, help="Report format.")
 @click.pass_context
@@ -207,6 +213,8 @@ def examples() -> None:
 @click.pass_context
 def examples_list(ctx: click.Context) -> None:
     """List registered scenario names."""
+    from .scenarios import scenario_names  # only the examples commands need the scenarios module
+
     names = scenario_names()
     if ctx.obj["fmt"] == "json":
         click.echo(json.dumps(names, indent=2))
@@ -233,6 +241,8 @@ def _parse_override(kv: str) -> tuple[str, object]:
 @click.pass_context
 def examples_run(ctx: click.Context, name: str, assignments: tuple[str, ...]) -> None:
     """Run scenario NAME and report its checks."""
+    from .scenarios import emit_report, run_scenario
+
     overrides = dict(_parse_override(kv) for kv in assignments)
     if "seed" not in overrides and ctx.obj["seed"] != DEFAULT_SEED:
         overrides["seed"] = ctx.obj["seed"]

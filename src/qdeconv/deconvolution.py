@@ -21,7 +21,6 @@ from functools import cached_property, lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .channels import (
     DEFAULT_SV_CUTOFF,
@@ -331,8 +330,12 @@ def _null_coordinates(blocks: Sequence[np.ndarray], d2: int, rel_tol: float) -> 
     rounding).  The remaining halves are stacked and the right-singular
     vectors with singular value at most ``max(rel_tol * sigma_max, 1e-14)``
     are returned, orthonormal and in ascending singular-value order; with no
-    effective constraint every coordinate direction is returned.
+    effective constraint every coordinate direction is returned.  A NaN or
+    negative ``rel_tol`` raises ``ValueError``.
     """
+    # written so that NaN fails too; it would silently empty every null space
+    if not rel_tol >= 0:
+        raise ValueError(f"kernel threshold must be a non-negative number, got {rel_tol}")
     halves = []
     for M in blocks:
         scale = np.linalg.norm(M)
@@ -376,6 +379,8 @@ def _complement_projector(vecs: Sequence[np.ndarray], dim2: int) -> np.ndarray:
     V = np.column_stack([np.asarray(v, dtype=complex).reshape(-1) for v in vecs])
     if V.shape[0] != dim2:
         raise ValueError(f"vector of length {V.shape[0]} does not match dimension {dim2}")
+    import scipy.linalg  # numpy has no pivoted QR; kept off the import path
+
     Q, R, _ = scipy.linalg.qr(V, mode="economic", pivoting=True)
     r_diag = np.abs(np.diag(R))
     Q = Q[:, r_diag > 1e-10 * r_diag[0]]
@@ -598,7 +603,7 @@ def _certified_family(
     Q, X = W, W
     if guess is not None:
         Q, R = np.linalg.qr(guess.T @ W)
-        X = scipy.linalg.solve_triangular(R, W.T, trans="T").T  # W R^-1
+        X = np.linalg.solve(R.T, W.T).T  # W R^-1
     for k, M in enumerate(blocks):
         bound = float(np.linalg.norm(M @ X, 2))
         # written so that a NaN bound fails too

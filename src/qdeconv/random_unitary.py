@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .channels import DEFAULT_TOL, is_unitary
 from .deconvolution import (
@@ -181,6 +180,8 @@ def eig_grouping(W: np.ndarray, grouping_tol: float = DEFAULT_GROUPING_TOL) -> E
     W = np.asarray(W, dtype=complex)
     if not is_unitary(W, 1e-8):
         raise NonUnitaryError("eigendecomposition input fails the unitarity check")
+    import scipy.linalg  # numpy has no Schur form; kept off the import path
+
     T, Q = scipy.linalg.schur(W, output="complex")
     evals = np.diag(T).copy()
     off = np.linalg.norm(T - np.diag(evals))

@@ -186,7 +186,8 @@ class ScenarioResult:
 
     @property
     def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
+        """Every check passed and the family has the expected dimension."""
+        return self.family_dim == self.expected_family_dim and all(c.passed for c in self.checks)
 
     def to_document(self) -> dict:
         return {
@@ -701,8 +702,9 @@ def _scenario_partial_recovery(overrides: Optional[Mapping[str, Any]], kernel_to
 
 def _scenario_equivalence_covariance(overrides: Optional[Mapping[str, Any]], kernel_tol: float) -> ScenarioResult:
     params = _merge_params({"tuples": 20, "states": 5, "seed": 37}, overrides)
-    if params["states"] < 1:
-        raise ValueError(f"states must be at least 1, got {params['states']}")
+    for key in ("tuples", "states"):
+        if params[key] < 1:
+            raise ValueError(f"{key} must be at least 1, got {params[key]}")
     rng = np.random.default_rng(params["seed"])
 
     dim_mismatches = 0
@@ -751,7 +753,7 @@ def _scenario_equivalence_covariance(overrides: Optional[Mapping[str, Any]], ker
     )
     return ScenarioResult(
         scenario="equivalence-covariance",
-        family_dim=first_dim if first_dim is not None else -1,
+        family_dim=first_dim,
         expected_family_dim=2,
         max_delta_nd=max_delta,
         checks=checks,

@@ -35,11 +35,20 @@ def load_schema(name: str) -> dict:
     return json.loads(text)
 
 
+@lru_cache(maxsize=None)
+def _validator(schema_name: str) -> jsonschema.protocols.Validator:
+    """Validator of a shipped schema, checked against its metaschema once per process."""
+    schema = load_schema(schema_name)
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
+
+
 def _validate(document: Any, schema_name: str) -> None:
-    try:
-        jsonschema.validate(document, load_schema(schema_name))
-    except jsonschema.ValidationError as exc:
-        raise SpecParseError(f"{schema_name} document violates schema: {exc.message}") from exc
+    # the error jsonschema.validate would raise, without its per-call schema check
+    error = jsonschema.exceptions.best_match(_validator(schema_name).iter_errors(document))
+    if error is not None:
+        raise SpecParseError(f"{schema_name} document violates schema: {error.message}") from error
 
 
 # ---------------------------------------------------------------------------

@@ -172,6 +172,17 @@ def test_kernel_tol_is_only_the_kernel_threshold(runner, spec_files, tmp_path):
     assert runner.invoke(main, ["--kernel-tol", "0.6", "deconvolve", true_path, guess_path]).exit_code == 0
 
 
+@pytest.mark.parametrize("value", ["nan", "-1"])
+def test_kernel_tol_must_be_non_negative(runner, spec_files, value):
+    # NaN used to print n_params 0 and rank every sweep candidate at 0
+    true_path, guess_path = spec_files
+    for args in (["deconvolve", true_path, guess_path], ["sweep", true_path, guess_path]):
+        result = runner.invoke(main, ["--kernel-tol", value, *args])
+        assert result.exit_code == 2
+        assert "--kernel-tol" in result.output
+        assert "n_params" not in result.output
+
+
 def test_verify_dimension_mismatch_is_a_usage_error(runner, spec_files, tmp_path):
     true_path, guess_path = spec_files
     fam_path = tmp_path / "qubit.json"
@@ -206,6 +217,14 @@ def test_verify_needs_at_least_one_state(runner, spec_files, tmp_path, states):
 @pytest.mark.parametrize("name", ["equivalence-covariance", "qutrit-extreme"])
 def test_examples_run_needs_at_least_one_state(runner, name):
     assert runner.invoke(main, ["examples", "run", name, "--set", "states=0"]).exit_code == 2
+
+
+def test_examples_run_needs_at_least_one_tuple(runner):
+    # with no tuple every check passed vacuously and the family dimension read -1
+    result = runner.invoke(main, ["examples", "run", "equivalence-covariance", "--set", "tuples=0"])
+    assert result.exit_code == 2
+    assert "tuples must be at least 1" in result.output
+    assert "PASS" not in result.output
 
 
 def test_examples_list(runner):

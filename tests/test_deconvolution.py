@@ -492,6 +492,19 @@ def test_loose_kernel_tolerance_fails_the_certificate():
             q.ru_correctable_family(es, tol=0.5)
 
 
+@pytest.mark.parametrize("rel_tol", [float("nan"), -1.0])
+def test_kernel_threshold_must_be_non_negative(qutrit_pair, rel_tol):
+    # NaN used to empty every family silently, and a negative threshold to
+    # mean "absolute floor only"
+    with pytest.raises(ValueError, match="kernel threshold must be a non-negative number"):
+        q.correctable_family(qutrit_pair, rel_tol)
+    with pytest.raises(ValueError, match="kernel threshold"):
+        q.guess_sweep(qutrit_pair.phi, [qutrit_pair.phi_g], rel_tol)
+    with pytest.raises(ValueError, match="kernel threshold"):
+        q.commutant_family([np.eye(2)], rel_tol)
+    assert q.correctable_family(qutrit_pair, 0.0).n_params == 5
+
+
 def test_recovery_bound_on_reference_families(qutrit_pair, bitflip_pair):
     for gp in (qutrit_pair, bitflip_pair):
         fam = q.correctable_family(gp)

@@ -83,6 +83,19 @@ def test_equivalence_covariance_needs_states_and_skips_evaluate(monkeypatch):
     assert run_scenario("equivalence-covariance", {"tuples": 4}).passed
 
 
+def test_result_with_wrong_family_dimension_fails():
+    with pytest.raises(ValueError, match="tuples must be at least 1"):
+        run_scenario("equivalence-covariance", {"tuples": 0})
+    from dataclasses import replace
+
+    result = run_scenario("pauli-irrep")
+    wrong = replace(result, family_dim=result.expected_family_dim + 1)
+    assert all(c.passed for c in wrong.checks)
+    assert not wrong.passed
+    assert wrong.to_document()["passed"] is False
+    assert "status: FAIL" in emit_report(wrong)
+
+
 def test_emit_report_formats():
     result = run_scenario("pauli-irrep")
     table = emit_report(result, "table")

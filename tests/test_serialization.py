@@ -207,3 +207,54 @@ def test_documents_validate_against_schemas(rng):
 
     result = run_scenario("ru-two-qubit")
     jsonschema.validate(result.to_document(), load_schema("scenario_result"))
+
+
+_IDENTITY_2 = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
+_INVALID_DOCUMENTS = [
+    ("channel_spec", {"schema_version": 1, "dim": 2, "name": "x"}),
+    ("channel_spec", {"schema_version": 2, "kind": "kraus", "dim": 2, "name": "x", "kraus": [_IDENTITY_2]}),
+    ("channel_spec", {"schema_version": 1, "kind": "kraus", "dim": 0, "name": "x", "kraus": [_IDENTITY_2]}),
+    ("channel_spec", {"schema_version": 1, "kind": "unitary", "dim": 2, "name": "x"}),
+    ("channel_spec", {"schema_version": 1, "kind": "kraus", "dim": 2, "name": "x", "kraus": [[[[1, 0, 0]]]]}),
+    ("channel_spec", {"schema_version": 1, "kind": "convex_combination", "dim": 2, "name": "x",
+                      "weights": [1.0], "parts": [{"kind": "unitary"}]}),
+    ("observable_family", {"schema_version": 1, "dim": 2, "n_params": -1, "basis": []}),
+    ("observable_family", {"schema_version": 1, "dim": 2, "basis": []}),
+    ("observable_family", {"schema_version": 1, "dim": 2, "n_params": 1, "basis": [[[["1", 0]]]]}),
+    ("observable_family", [1, 2]),
+]
+
+
+@pytest.mark.parametrize("schema_name, doc", _INVALID_DOCUMENTS)
+def test_schema_violation_message_matches_jsonschema_validate(schema_name, doc):
+    with pytest.raises(jsonschema.ValidationError) as oracle:
+        jsonschema.validate(doc, load_schema(schema_name))
+    parse = parse_channel_spec if schema_name == "channel_spec" else parse_family
+    with pytest.raises(q.SpecParseError) as got:
+        parse(json.dumps(doc))
+    assert str(got.value) == f"{schema_name} document violates schema: {oracle.value.message}"
+    assert isinstance(got.value.__cause__, jsonschema.ValidationError)
+
+
+def test_each_schema_is_checked_once_per_process(monkeypatch):
+    from qdeconv import serialization
+
+    cls = jsonschema.validators.validator_for(load_schema("channel_spec"))
+    assert jsonschema.validators.validator_for(load_schema("observable_family")) is cls
+    original = cls.check_schema
+    checked = []
+
+    def counting(_cls, schema, **kwargs):
+        checked.append(schema["$id"])
+        return original(schema, **kwargs)
+
+    monkeypatch.setattr(cls, "check_schema", classmethod(counting))
+    serialization._validator.cache_clear()
+    spec = emit_channel_spec(unitary_spec("identity", np.eye(2)))
+    family = emit_family(q.ObservableFamily.from_basis(2, [np.eye(2) / np.sqrt(2)]))
+    for _ in range(3):
+        parse_channel_spec(spec)
+        parse_family(family)
+        with pytest.raises(q.SpecParseError):
+            parse_channel_spec(json.dumps({"schema_version": 1}))
+    assert sorted(checked) == ["qdeconv/channel_spec", "qdeconv/observable_family"]
