@@ -6,16 +6,20 @@ noisy state from projective shots, and recombine classically.  This module
 provides the generalized Gell-Mann quorum (with tensor-product variants for
 multi-qubit dimensions), the change-of-basis matrix induced by the guess
 inverse, Born-rule sampling, and the end-to-end estimator.
+
+A quorum is held as one read-only ``(d*d, d, d)`` array, so decomposition,
+eigenbases, Born probabilities and exact traces are one batched product
+each.  Shots are not drawn one by one: each element's outcomes are counted
+from the uniform draws ``Generator.choice`` would make with the same seed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import product
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import apply_channel, hs_inner, is_hermitian
+from .channels import MAX_DIM, apply_channel, is_hermitian
 from .deconvolution import GuessPair, modified_observable
 
 #: Born probabilities may dip below zero by at most this much before the
@@ -25,11 +29,15 @@ PROBABILITY_FLOOR = -1e-8
 
 @dataclass(frozen=True)
 class QuorumBasis:
-    """Orthogonal Hermitian operators spanning the full observable space."""
+    """Orthogonal Hermitian operators spanning the full observable space.
+
+    ``elements`` are read-only views of one stacked ``(d*d, d, d)`` array.
+    """
 
     dim: int
     elements: tuple[np.ndarray, ...]
     norms: np.ndarray
+    _stacked: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         d = self.dim
@@ -38,17 +46,15 @@ class QuorumBasis:
         norms = np.asarray(self.norms, dtype=float)
         if norms.shape != (d * d,) or norms.min() <= 0:
             raise ValueError("norms must be positive, one per element")
-        frozen = []
         for k, Q in enumerate(self.elements):
-            Q = np.asarray(Q, dtype=complex)
-            if Q.shape != (d, d):
-                raise ValueError(f"element {k} has shape {Q.shape}")
-            if not is_hermitian(Q, 1e-10):
-                raise ValueError(f"element {k} is not Hermitian")
-            Q = Q.copy()
-            Q.setflags(write=False)
-            frozen.append(Q)
-        V = np.stack(frozen).reshape(d * d, -1)
+            if np.shape(Q) != (d, d):
+                raise ValueError(f"element {k} has shape {np.shape(Q)}")
+        stacked = np.array(self.elements, dtype=complex)
+        skew = np.linalg.norm(stacked - stacked.conj().transpose(0, 2, 1), axis=(1, 2))
+        bad = np.flatnonzero(~(skew <= 1e-10))
+        if bad.size:
+            raise ValueError(f"element {bad[0]} is not Hermitian")
+        V = stacked.reshape(d * d, -1)
         gram = V.conj() @ V.T
         off = np.argwhere(np.triu(np.abs(gram), 1) > 1e-10)
         if off.size:
@@ -59,7 +65,9 @@ class QuorumBasis:
         if wrong.size:
             m = wrong[0]
             raise ValueError(f"norms[{m}] = {norms[m]:g} but <Q_{m}, Q_{m}> = {gram[m, m].real:g}")
-        object.__setattr__(self, "elements", tuple(frozen))
+        stacked.setflags(write=False)
+        object.__setattr__(self, "_stacked", stacked)
+        object.__setattr__(self, "elements", tuple(stacked))
         norms = norms.copy()
         norms.setflags(write=False)
         object.__setattr__(self, "norms", norms)
@@ -110,21 +118,22 @@ def tensor_product_quorum(base: QuorumBasis, n_factors: int) -> QuorumBasis:
 
     Element order is lexicographic in the factor indices, so the all-identity
     product comes first.  Products of orthogonal Hermitians stay orthogonal
-    Hermitian, and the norms multiply.
+    Hermitian, and the norms multiply.  The product dimension may not exceed
+    ``MAX_DIM``, the largest a channel supports.
     """
     if n_factors < 1:
         raise ValueError("need at least one factor")
-    elements = []
-    norms = []
-    for combo in product(range(len(base.elements)), repeat=n_factors):
-        M = base.elements[combo[0]]
-        c = base.norms[combo[0]]
-        for idx in combo[1:]:
-            M = np.kron(M, base.elements[idx])
-            c *= base.norms[idx]
-        elements.append(M)
-        norms.append(c)
-    return QuorumBasis(dim=base.dim**n_factors, elements=tuple(elements), norms=np.array(norms))
+    dim = base.dim**n_factors
+    if dim > MAX_DIM:  # checked before allocating dim**2 elements of dim x dim
+        raise ValueError(f"product dimension {dim} exceeds supported maximum {MAX_DIM}")
+    B = base._stacked
+    elements, norms = B, base.norms
+    for _ in range(n_factors - 1):
+        # entry (a, j, i, k, l, m) is P_a[i, l] * B_j[k, m], i.e. kron(P_a, B_j)[i*d+k, l*d+m]
+        D = elements.shape[1] * base.dim
+        elements = (elements[:, None, :, None, :, None] * B[None, :, None, :, None, :]).reshape(-1, D, D)
+        norms = (norms[:, None] * base.norms[None, :]).ravel()
+    return QuorumBasis(dim=dim, elements=tuple(elements), norms=norms)
 
 
 def pauli_product_quorum(n_qubits: int) -> QuorumBasis:
@@ -140,7 +149,7 @@ def decompose(A: np.ndarray, qb: QuorumBasis) -> np.ndarray:
     A = np.asarray(A, dtype=complex)
     if A.shape != (qb.dim, qb.dim):
         raise ValueError(f"observable shape {A.shape} does not match quorum dim {qb.dim}")
-    raw = np.array([hs_inner(Q, A) / c for Q, c in zip(qb.elements, qb.norms)])
+    raw = (qb._stacked.reshape(len(qb.norms), -1).conj() @ A.ravel()) / qb.norms
     scale = max(1.0, float(np.abs(raw).max()))
     if np.abs(raw.imag).max() > 1e-10 * scale:
         raise ValueError(
@@ -163,22 +172,59 @@ def chi_matrix(gp: GuessPair, qb: QuorumBasis) -> np.ndarray:
 
 
 def _born_probabilities(rho: np.ndarray, eigvecs: np.ndarray) -> np.ndarray:
-    probs = np.einsum("ji,jk,ki->i", eigvecs.conj(), rho, eigvecs).real
+    """Row n holds the outcome probabilities of the eigenbasis ``eigvecs[n]``."""
+    probs = (eigvecs.conj() * (rho @ eigvecs)).sum(axis=1).real
     if probs.min() < PROBABILITY_FLOOR:
         raise ValueError(f"negative Born probability {probs.min():.3e}; state is not PSD")
     probs = np.clip(probs, 0.0, None)
-    total = probs.sum()
-    if total <= 0:
+    total = probs.sum(axis=1, keepdims=True)
+    if not np.all(total > 0):
         raise ValueError("Born probabilities sum to zero; state is invalid")
     return probs / total
+
+
+def _outcome_counts(probs: np.ndarray, shots: int, seed: int) -> np.ndarray:
+    """How often each outcome occurs in ``Generator.choice``'s draws for ``seed``.
+
+    ``choice(len(probs), shots, p=probs)`` draws ``u = random(shots)`` and
+    returns, per shot, the number of ``cdf`` entries at most u, so outcome i
+    takes the u with ``cdf[i-1] <= u < cdf[i]``.  Counting those in the sorted
+    draws gives the bincount of its indices without a per-shot search.
+    """
+    u = np.random.default_rng(seed).random(shots)
+    u.sort()
+    cdf = np.cumsum(probs)
+    cdf /= cdf[-1]
+    return np.diff(np.searchsorted(u, cdf, side="left"), prepend=0)
+
+
+def _shot_estimates(
+    rho: np.ndarray, observables: np.ndarray, shots: int, seeds: list[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sample means and standard errors of stacked Hermitian observables.
+
+    Observable n is measured ``shots`` times in its eigenbasis with the
+    outcome counts ``Generator.choice`` would draw from ``default_rng(seeds[n])``;
+    no per-shot array is built.
+    """
+    eigvals, eigvecs = np.linalg.eigh(observables)
+    probs = _born_probabilities(rho, eigvecs)
+    counts = np.array([_outcome_counts(p, shots, s) for p, s in zip(probs, seeds)])
+    means = (counts * eigvals).sum(axis=1) / shots
+    # one shot: its outcome is the mean, so the sum is exactly zero
+    var = (counts * (eigvals - means[:, None]) ** 2).sum(axis=1) / max(shots - 1, 1)
+    return means, np.sqrt(var) / np.sqrt(shots)
 
 
 def sample_expectation(rho: np.ndarray, Q: np.ndarray, shots: int, seed: int) -> ShotEstimate:
     """Estimate ``Tr(Q rho)`` from projective shots in Q's eigenbasis.
 
-    Deterministic given ``seed``.  The standard error is the sample standard
-    deviation over ``sqrt(shots)`` (zero for a single shot or a
-    deterministic outcome).
+    Deterministic given ``seed``.  Outcomes are counted from the same
+    uniform draws as ``Generator.choice`` with that seed, so seeded estimates
+    equal those of earlier releases, which drew every shot with ``choice``,
+    to rounding.  The standard error is the sample standard deviation
+    (ddof 1) over ``sqrt(shots)`` (zero for a single shot or a deterministic
+    outcome).
     """
     rho = np.asarray(rho, dtype=complex)
     Q = np.asarray(Q, dtype=complex)
@@ -188,13 +234,8 @@ def sample_expectation(rho: np.ndarray, Q: np.ndarray, shots: int, seed: int) ->
         raise ValueError("observable must be Hermitian")
     if shots < 1:
         raise ValueError("shots must be at least 1")
-    eigvals, eigvecs = np.linalg.eigh(Q)
-    probs = _born_probabilities(rho, eigvecs)
-    rng = np.random.default_rng(seed)
-    samples = rng.choice(eigvals, size=shots, p=probs)
-    mean = float(samples.mean())
-    std = float(samples.std(ddof=1)) if shots > 1 else 0.0
-    return ShotEstimate(mean=mean, shots=shots, std_error=std / np.sqrt(shots), seed=seed)
+    means, errs = _shot_estimates(rho, Q[None], shots, [seed])
+    return ShotEstimate(mean=float(means[0]), shots=shots, std_error=float(errs[0]), seed=seed)
 
 
 def _element_seeds(seed: int, count: int) -> list[int]:
@@ -220,10 +261,15 @@ def deconvolved_estimate(
     equal shot budget and an independent RNG stream derived from
     ``(seed, element index)``, and recombines with the weights
     ``decompose(modified_observable(gp, A))`` (by linearity, ``chi @
-    decompose(A)``).  Errors propagate as the root sum of squares of the
-    weighted per-element errors.  ``shots_per_element == 0`` is the exact
-    mode: quorum expectations are taken as exact traces, reproducing the
-    deconvolved value of :func:`qdeconv.deconvolution.evaluate`.
+    decompose(A)``).  All elements are diagonalized in one batch, and each
+    element's outcomes are counted from the uniform draws
+    ``Generator.choice`` would make on its stream, so seeded estimates equal
+    earlier releases' to rounding.  Errors propagate as the root sum of
+    squares of the weighted per-element errors.  ``shots_per_element == 0``
+    is the exact mode: quorum expectations are taken as exact traces,
+    reproducing the deconvolved value of
+    :func:`qdeconv.deconvolution.evaluate`.  Quorums, like channels, stop at
+    dimension ``MAX_DIM`` (64).
     """
     if shots_per_element < 0:
         raise ValueError("shots_per_element must be nonnegative (0 selects exact mode)")
@@ -232,16 +278,12 @@ def deconvolved_estimate(
     noisy = apply_channel(gp.phi, rho)
 
     if shots_per_element == 0:
-        exact = np.array([np.trace(Q @ noisy).real for Q in qb.elements])
+        # Tr(Q noisy) is the plain dot product of vec(Q) with vec(noisy^T)
+        exact = (qb._stacked.reshape(len(qb.norms), -1) @ noisy.T.ravel()).real
         return ShotEstimate(mean=float(weights @ exact), shots=0, std_error=0.0, seed=seed)
 
-    seeds = _element_seeds(seed, len(qb.elements))
-    means = np.empty(len(qb.elements))
-    errs = np.empty(len(qb.elements))
-    for n, (Q, s) in enumerate(zip(qb.elements, seeds)):
-        est = sample_expectation(noisy, Q, shots_per_element, s)
-        means[n] = est.mean
-        errs[n] = est.std_error
+    seeds = _element_seeds(seed, len(qb.norms))
+    means, errs = _shot_estimates(noisy, qb._stacked, shots_per_element, seeds)
     mean = float(weights @ means)
     std_error = float(np.sqrt(np.sum((weights * errs) ** 2)))
     return ShotEstimate(mean=mean, shots=shots_per_element, std_error=std_error, seed=seed)

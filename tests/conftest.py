@@ -27,6 +27,21 @@ def apply_kraus(kraus, rho: np.ndarray) -> np.ndarray:
     return out
 
 
+def choice_estimate(rho: np.ndarray, Q: np.ndarray, shots: int, seed: int) -> tuple[float, float]:
+    """Per-shot Born sampler: one ``Generator.choice`` outcome per shot.
+
+    Returns the sample mean and its standard error (``std(ddof=1)`` over
+    ``sqrt(shots)``, zero for one shot).
+    """
+    eigvals, eigvecs = np.linalg.eigh(Q)
+    probs = np.einsum("ji,jk,ki->i", eigvecs.conj(), rho, eigvecs).real
+    probs = np.clip(probs, 0.0, None)
+    probs /= probs.sum()
+    samples = np.random.default_rng(seed).choice(eigvals, size=shots, p=probs)
+    std = samples.std(ddof=1) if shots > 1 else 0.0
+    return float(samples.mean()), float(std / np.sqrt(shots))
+
+
 def matrix_unit(d: int, i: int, j: int) -> np.ndarray:
     E = np.zeros((d, d), dtype=complex)
     E[i, j] = 1.0

@@ -1,9 +1,15 @@
+from itertools import product
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import qdeconv as q
-from qdeconv.channels import random_hermitian
+from qdeconv.channels import MAX_DIM, random_hermitian
+from qdeconv.quorum import _element_seeds, _outcome_counts
 from qdeconv.scenarios import (
     bitflip_correlated,
     bitflip_with_memory,
@@ -12,7 +18,7 @@ from qdeconv.scenarios import (
     recovery_probe_observable,
 )
 
-from conftest import SIGMA, kron
+from conftest import SIGMA, apply_kraus, choice_estimate, kron
 
 
 def guess_pair(true_ch, guess_ch):
@@ -56,6 +62,78 @@ def test_pauli_product_quorum_two_qubits():
     assert np.linalg.norm(qb.elements[0] - np.eye(4) / 2) < 1e-14
     gram = np.array([[q.hs_inner(a, b) for b in qb.elements] for a in qb.elements])
     assert np.linalg.norm(gram - np.eye(16)) < 1e-12
+
+
+def _kron_quorum(base, n_factors):
+    """Nested ``np.kron`` products in lexicographic order, norms multiplied left to right."""
+    elements, norms = [], []
+    for combo in product(range(len(base.elements)), repeat=n_factors):
+        elements.append(kron(*(base.elements[k] for k in combo)))
+        c = base.norms[combo[0]]
+        for k in combo[1:]:
+            c = c * base.norms[k]
+        norms.append(c)
+    return np.array(elements), np.array(norms)
+
+
+def _scaled_gell_mann(d):
+    scale = 1 + 0.37 * np.arange(d * d)
+    elements = tuple(s * Q for s, Q in zip(scale, q.quorum_basis(d).elements))
+    return q.QuorumBasis(dim=d, elements=elements, norms=scale**2)
+
+
+@pytest.mark.parametrize("n_factors", [1, 2, 3])
+@pytest.mark.parametrize(
+    "base",
+    [q.quorum_basis(2), q.quorum_basis(3), _scaled_gell_mann(3)],
+    ids=["gell-mann-2", "gell-mann-3", "scaled-gell-mann-3"],
+)
+def test_tensor_product_quorum_equals_nested_kron(base, n_factors):
+    qb = q.tensor_product_quorum(base, n_factors)
+    elements, norms = _kron_quorum(base, n_factors)
+    assert np.array_equal(np.array(qb.elements), elements)
+    assert np.array_equal(qb.norms, norms)
+
+
+@pytest.mark.parametrize("base_dim, n_factors", [(2, 7), (8, 3), (65, 1), (4, 40)])
+def test_tensor_product_quorum_rejects_dimension_above_max(base_dim, n_factors):
+    # a stand-in base without elements: the check must fire before anything is built
+    dim = base_dim**n_factors
+    with pytest.raises(ValueError, match=rf"product dimension {dim} exceeds supported maximum {MAX_DIM}"):
+        q.tensor_product_quorum(SimpleNamespace(dim=base_dim), n_factors)
+
+
+def test_tensor_product_quorum_admits_max_dim():
+    # the check passes at the limit, so the stand-in's missing elements are reached
+    with pytest.raises(AttributeError):
+        q.tensor_product_quorum(SimpleNamespace(dim=2), 6)
+
+
+def test_quorum_elements_are_read_only_and_owned():
+    source = [np.array(Q) for Q in q.quorum_basis(2).elements]
+    qb = q.QuorumBasis(dim=2, elements=tuple(source), norms=np.ones(4))
+    source[1][0, 1] = 5.0
+    assert qb.elements[1][0, 1] == 1 / np.sqrt(2)
+    for Q in qb.elements + q.pauli_product_quorum(2).elements:
+        assert not Q.flags.writeable
+    with pytest.raises(ValueError):
+        qb.elements[1][0, 1] = 5.0
+    with pytest.raises(ValueError):
+        qb.elements[1].setflags(write=True)
+
+
+def test_quorum_basis_names_the_first_bad_element():
+    good = list(q.quorum_basis(2).elements)
+    upper = np.array([[0, 1], [0, 0]], dtype=complex)
+    cases = [
+        (good[:2] + [np.eye(3), np.eye(3)], np.ones(4), r"element 2 has shape \(3, 3\)"),
+        (good[:1] + [upper, good[2], upper], np.ones(4), "element 1 is not Hermitian"),
+        ([good[0], good[1], good[1], good[1]], np.ones(4), "elements 1,2 are not orthogonal"),
+        (good, np.array([1.0, 1.0, 2.0, 2.0]), r"norms\[2\] = 2 but <Q_2, Q_2> = 1"),
+    ]
+    for elements, norms, message in cases:
+        with pytest.raises(ValueError, match=message):
+            q.QuorumBasis(dim=2, elements=tuple(elements), norms=norms)
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +260,74 @@ def test_sample_clips_tiny_negative_probabilities():
     rho = np.diag([1.0 + 5e-9, -5e-9]).astype(complex)
     est = q.sample_expectation(rho, SIGMA[3], shots=50, seed=1)
     assert est.mean == 1.0
+
+
+def _oracle_cases():
+    rng = np.random.default_rng(31)
+    cases = {}
+    for d in (2, 3, 4, 16):
+        cases[f"mixed-d{d}"] = (q.random_density_matrix(d, rng), random_hermitian(d, rng))
+    U = q.haar_random_unitary(4, rng)
+    # the state lives on two of the four eigenvectors: two outcomes never occur
+    cases["zero-probabilities-d4"] = (
+        U @ np.diag([0.3, 0.0, 0.7, 0.0]) @ U.conj().T,
+        U @ np.diag([-1.0, 0.5, 2.0, 3.0]) @ U.conj().T,
+    )
+    V = q.haar_random_unitary(3, rng)
+    cases["degenerate-d3"] = (q.random_density_matrix(3, rng), V @ np.diag([1.0, 1.0, -1.0]) @ V.conj().T)
+    # a Pauli product: eigenvalues +-1/4, each eight-fold degenerate
+    cases["pauli-product-d16"] = (q.random_density_matrix(16, rng), q.pauli_product_quorum(4).elements[27])
+    return cases
+
+
+ORACLE_CASES = _oracle_cases()
+
+
+@pytest.mark.parametrize("shots", [1, 2, 37, 10**4])
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_counted_estimate_equals_per_shot_sampler(case, shots):
+    rho, Q = ORACLE_CASES[case]
+    for seed in (0, 7, 2**40 + 3):
+        est = q.sample_expectation(rho, Q, shots, seed)
+        mean, std_error = choice_estimate(rho, Q, shots, seed)
+        assert abs(est.mean - mean) <= 1e-12
+        assert abs(est.std_error - std_error) <= 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    weights=st.lists(
+        st.sampled_from([0.0, 0.25, 1.0, 3.0]) | st.floats(0.0, 1.0, allow_subnormal=False),
+        min_size=1,
+        max_size=12,
+    ).filter(lambda w: sum(w) > 0),
+    shots=st.integers(1, 500),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_outcome_counts_equal_bincount_of_choice(weights, shots, seed):
+    p = np.array(weights) / sum(weights)
+    indices = np.random.default_rng(seed).choice(len(p), size=shots, p=p)
+    assert np.array_equal(_outcome_counts(p, shots, seed), np.bincount(indices, minlength=len(p)))
+
+
+@pytest.mark.parametrize(
+    "qb", [q.quorum_basis(3), q.pauli_product_quorum(2)], ids=["gell-mann-3", "pauli-product-2"]
+)
+def test_deconvolved_estimate_equals_per_shot_recombination(qb, rng):
+    d = qb.dim
+    true_ch = q.random_cptp_channel(d, 3, rng)
+    gp = guess_pair(true_ch, q.random_cptp_channel(d, 2, rng))
+    A = random_hermitian(d, rng)
+    rho = q.random_density_matrix(d, rng)
+    noisy = apply_kraus(true_ch.kraus, rho)
+    weights = q.decompose(q.modified_observable(gp, A), qb)
+    scale = np.abs(weights).sum()
+    for shots in (1, 37, 10**4):
+        est = q.deconvolved_estimate(gp, A, rho, qb, shots, seed=11)
+        seeds = _element_seeds(11, len(qb.elements))
+        means, errs = np.array([choice_estimate(noisy, Q, shots, s) for Q, s in zip(qb.elements, seeds)]).T
+        assert abs(est.mean - weights @ means) <= 1e-12 * scale
+        assert abs(est.std_error - np.sqrt(np.sum((weights * errs) ** 2))) <= 1e-12 * scale
 
 
 # ---------------------------------------------------------------------------
