@@ -149,7 +149,8 @@ def decompose(A: np.ndarray, qb: QuorumBasis) -> np.ndarray:
     A = np.asarray(A, dtype=complex)
     if A.shape != (qb.dim, qb.dim):
         raise ValueError(f"observable shape {A.shape} does not match quorum dim {qb.dim}")
-    raw = (qb._stacked.reshape(len(qb.norms), -1).conj() @ A.ravel()) / qb.norms
+    # conj(vec(Q)^T conj(vec(A))) = <Q, A> without copying the stacked quorum
+    raw = np.conj(qb._stacked.reshape(len(qb.norms), -1) @ A.conj().ravel()) / qb.norms
     scale = max(1.0, float(np.abs(raw).max()))
     if np.abs(raw.imag).max() > 1e-10 * scale:
         raise ValueError(
@@ -173,7 +174,7 @@ def chi_matrix(gp: GuessPair, qb: QuorumBasis) -> np.ndarray:
 
 def _born_probabilities(rho: np.ndarray, eigvecs: np.ndarray) -> np.ndarray:
     """Row n holds the outcome probabilities of the eigenbasis ``eigvecs[n]``."""
-    probs = (eigvecs.conj() * (rho @ eigvecs)).sum(axis=1).real
+    probs = np.einsum("nji,nji->ni", eigvecs.conj(), rho @ eigvecs).real
     if probs.min() < PROBABILITY_FLOOR:
         raise ValueError(f"negative Born probability {probs.min():.3e}; state is not PSD")
     probs = np.clip(probs, 0.0, None)

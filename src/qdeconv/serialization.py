@@ -12,16 +12,14 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
-from typing import TYPE_CHECKING, Any, Optional, Sequence
+from typing import Any, Optional, Sequence
 
+import jsonschema
 import numpy as np
 
 from .channels import DEFAULT_TOL, KrausChannel, is_cptp, validate_probabilities
 from .deconvolution import DeconvReport, ObservableFamily
 from .errors import CptpViolationError, InvalidProbabilityError, SpecParseError
-
-if TYPE_CHECKING:
-    import jsonschema
 
 SCHEMA_VERSION = 1
 
@@ -40,8 +38,6 @@ def load_schema(name: str) -> dict:
 @lru_cache(maxsize=None)
 def _validator(schema_name: str) -> jsonschema.protocols.Validator:
     """Validator of a shipped schema, checked against its metaschema once per process."""
-    import jsonschema  # about 65 ms of imports that only document parsing needs
-
     schema = load_schema(schema_name)
     cls = jsonschema.validators.validator_for(schema)
     cls.check_schema(schema)
@@ -49,10 +45,8 @@ def _validator(schema_name: str) -> jsonschema.protocols.Validator:
 
 
 def _validate(document: Any, schema_name: str) -> None:
-    from jsonschema.exceptions import best_match
-
     # the error jsonschema.validate would raise, without its per-call schema check
-    error = best_match(_validator(schema_name).iter_errors(document))
+    error = jsonschema.exceptions.best_match(_validator(schema_name).iter_errors(document))
     if error is not None:
         raise SpecParseError(f"{schema_name} document violates schema: {error.message}") from error
 

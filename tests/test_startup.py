@@ -86,30 +86,6 @@ def test_subcommand_paths_import_neither_scipy_nor_scenarios():
     assert loaded.splitlines() == ["[]", "[]"]
 
 
-def test_jsonschema_loads_on_first_spec_parse():
-    out = _python(
-        """
-        import sys
-        import qdeconv, qdeconv.cli
-        print("jsonschema" in sys.modules)
-
-        from qdeconv.cli import main
-        try:
-            main(["--format", "json", "examples", "list"])
-        except SystemExit as stop:
-            assert stop.code == 0, stop.code
-        print("jsonschema" in sys.modules)
-
-        import numpy as np
-        from qdeconv.serialization import emit_channel_spec, kraus_spec, parse_channel_spec
-        parse_channel_spec(emit_channel_spec(kraus_spec("identity", [np.eye(2)])))
-        print("jsonschema" in sys.modules)
-        """
-    )
-    assert out.splitlines()[0] == "False"
-    assert out.splitlines()[-2:] == ["False", "True"]
-
-
 def test_schur_loads_scipy_on_first_use():
     U1, U2 = np.eye(2, dtype=complex), SIGMA[3]
     _, expected = q.two_unitary_family(U1, U2)
