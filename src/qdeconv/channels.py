@@ -257,14 +257,16 @@ def validate_probabilities(ps: Sequence[float], tol: float = DEFAULT_TOL) -> np.
     Raises
     ------
     InvalidProbabilityError
-        If any entry is negative (beyond ``tol``) or the sum deviates from 1.
+        If any entry is negative (beyond ``tol``) or NaN, or the sum deviates
+        from 1.
     """
     p = np.asarray(ps, dtype=float)
     if p.ndim != 1 or p.size == 0:
         raise InvalidProbabilityError("probability vector must be a nonempty 1-d sequence")
-    if p.min() < -tol:
-        raise InvalidProbabilityError(f"negative probability {p.min()}")
-    if abs(p.sum() - 1.0) > max(tol, 1e-12 * p.size):
+    # written so that NaN fails too
+    if not p.min() >= -tol:
+        raise InvalidProbabilityError(f"probability {p.min()} is negative or not a number")
+    if not abs(p.sum() - 1.0) <= max(tol, 1e-12 * p.size):
         raise InvalidProbabilityError(f"probabilities sum to {p.sum()}, expected 1")
     return np.clip(p, 0.0, None)
 

@@ -15,7 +15,7 @@ import click
 
 from .channels import transfer_from_kraus
 from .deconvolution import GuessPair, correctable_family, evaluate, guess_sweep, verify_family
-from .errors import QdeconvError, SpecParseError, UnknownScenarioError
+from .errors import QdeconvError, SpecParseError
 from .quorum import deconvolved_estimate, quorum_basis, tensor_product_quorum
 from .serialization import (
     emit_family,
@@ -54,7 +54,7 @@ def _guess_pair(true_path: str, guess_path: str) -> GuessPair:
         raise click.UsageError(str(exc))
 
 
-def _kernel_threshold(ctx: click.Context, param: click.Parameter, value: float) -> float:
+def _non_negative(ctx: click.Context, param: click.Parameter, value: float) -> float:
     # written so that NaN fails too; click.FloatRange(min=0) lets it through
     if not value >= 0:
         raise click.BadParameter(f"must be a non-negative number, got {value}")
@@ -62,8 +62,8 @@ def _kernel_threshold(ctx: click.Context, param: click.Parameter, value: float) 
 
 
 @click.group()
-@click.option("--tol", type=float, default=1e-9, show_default=True, help="Tolerance for verification checks.")
-@click.option("--kernel-tol", type=float, default=1e-8, show_default=True, callback=_kernel_threshold, help="Relative singular-value threshold for kernel extraction (non-negative).")
+@click.option("--tol", type=float, default=1e-9, show_default=True, callback=_non_negative, help="Tolerance for verification checks (non-negative).")
+@click.option("--kernel-tol", type=float, default=1e-8, show_default=True, callback=_non_negative, help="Relative singular-value threshold for kernel extraction (non-negative).")
 @click.option("--seed", type=int, default=DEFAULT_SEED, show_default=True, envvar="QDECONV_SEED", help="Random seed (flag beats the QDECONV_SEED environment variable).")
 @click.option("--format", "fmt", type=click.Choice(["json", "table"]), default="table", show_default=True, help="Report format.")
 @click.pass_context
@@ -248,9 +248,7 @@ def examples_run(ctx: click.Context, name: str, assignments: tuple[str, ...]) ->
         overrides["seed"] = ctx.obj["seed"]
     try:
         result = run_scenario(name, overrides, kernel_tol=ctx.obj["kernel_tol"])
-    except UnknownScenarioError as exc:
-        raise click.UsageError(str(exc))
-    except ValueError as exc:
+    except (QdeconvError, ValueError) as exc:
         raise click.UsageError(str(exc))
     click.echo(emit_report(result, ctx.obj["fmt"]))
     if not result.passed:

@@ -373,17 +373,15 @@ def _hermitian_kernel(mats: Sequence[np.ndarray], d: int, rel_tol: float) -> Obs
 def _complement_projector(vecs: Sequence[np.ndarray], dim2: int) -> np.ndarray:
     """``I - Q Q^dag`` for an orthonormal basis ``Q`` of the span of ``vecs``.
 
-    ``Q`` comes from a column-pivoted QR; columns whose diagonal entry of
-    ``R`` is at most 1e-10 of the largest are linearly dependent and dropped.
+    ``Q`` holds the left-singular vectors of the stacked ``vecs``; those with
+    singular value at most 1e-10 of the largest belong to linearly dependent
+    columns and are dropped.
     """
     V = np.column_stack([np.asarray(v, dtype=complex).reshape(-1) for v in vecs])
     if V.shape[0] != dim2:
         raise ValueError(f"vector of length {V.shape[0]} does not match dimension {dim2}")
-    import scipy.linalg  # numpy has no pivoted QR; kept off the import path
-
-    Q, R, _ = scipy.linalg.qr(V, mode="economic", pivoting=True)
-    r_diag = np.abs(np.diag(R))
-    Q = Q[:, r_diag > 1e-10 * r_diag[0]]
+    Q, s, _ = np.linalg.svd(V, full_matrices=False)
+    Q = Q[:, s > 1e-10 * s[0]]
     return np.eye(dim2) - Q @ Q.conj().T
 
 

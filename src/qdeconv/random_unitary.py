@@ -169,10 +169,14 @@ def _group_indices(evals: np.ndarray, grouping_tol: float) -> list[list[int]]:
 
 
 def eig_grouping(W: np.ndarray, grouping_tol: float = DEFAULT_GROUPING_TOL) -> EigGrouping:
-    """Schur-based eigendecomposition of a unitary with degeneracy grouping.
+    """Eigendecomposition of a unitary through a Hermitian one, with degeneracy grouping.
 
-    The complex Schur form of a unitary matrix is diagonal, so the Schur
-    vectors give an orthonormal eigenbasis even inside degenerate clusters.
+    ``W`` is turned by a global phase so that the widest gap of its spectrum
+    is centred on -1; then its Cayley transform ``i (I - W)(I + W)^-1`` is
+    Hermitian with eigenvalues ``tan(theta / 2)``, strictly increasing in the
+    eigenphase, and ``eigh`` of it gives an orthonormal eigenbasis of ``W``
+    even inside degenerate clusters.  The eigenvalues are the diagonal of
+    ``V^dag W V``, whose off-diagonal part must vanish to 1e-10 relative.
     Eigenvector phases are fixed by making the largest-magnitude entry real
     positive.  Indices are ordered by ascending eigenvalue phase angle, ties
     by original position; groups are listed by their first member.
@@ -180,15 +184,24 @@ def eig_grouping(W: np.ndarray, grouping_tol: float = DEFAULT_GROUPING_TOL) -> E
     W = np.asarray(W, dtype=complex)
     if not is_unitary(W, 1e-8):
         raise NonUnitaryError("eigendecomposition input fails the unitarity check")
-    import scipy.linalg  # numpy has no Schur form; kept off the import path
 
-    T, Q = scipy.linalg.schur(W, output="complex")
+    d = W.shape[0]
+    phases = np.sort(np.angle(np.linalg.eigvals(W)))
+    gaps = np.diff(phases, append=phases[0] + 2 * np.pi)
+    k = int(np.argmax(gaps))
+    turned = np.exp(1j * (np.pi - phases[k] - gaps[k] / 2)) * W
+    cayley = 1j * np.linalg.solve(np.eye(d) + turned, np.eye(d) - turned)
+    _, Q = np.linalg.eigh(0.5 * (cayley + cayley.conj().T))
+    T = Q.conj().T @ W @ Q
     evals = np.diag(T).copy()
     off = np.linalg.norm(T - np.diag(evals))
     if off > 1e-10 * max(1.0, np.linalg.norm(T)):
-        raise ValueError(f"Schur form of a unitary should be diagonal (off-diagonal {off:.3e})")
+        raise ValueError(f"eigenbasis of a unitary should diagonalize it (off-diagonal {off:.3e})")
 
-    order = sorted(range(evals.size), key=lambda k: (round(float(np.angle(evals[k])), 12), k))
+    # angles in (-pi, pi]: -1 sorts last whichever sign rounding gives its imaginary part
+    angles = [round(float(np.angle(x)), 12) for x in evals]
+    angles = [-a if a == round(-np.pi, 12) else a for a in angles]
+    order = sorted(range(evals.size), key=lambda k: (angles[k], k))
     evals = evals[order]
     vecs = [_fix_vector_phase(Q[:, k].copy()) for k in order]
     groups = sorted(_group_indices(evals, grouping_tol), key=lambda g: g[0])

@@ -25,6 +25,7 @@ from .channels import (
     random_unitary_channel,
     transfer_from_kraus,
     unitary_channel,
+    validate_probabilities,
     vectorize,
 )
 from .deconvolution import (
@@ -76,7 +77,7 @@ def _kron(*mats: np.ndarray) -> np.ndarray:
 
 def bitflip_uncorrelated(p: float) -> KrausChannel:
     """Independent bit flips on two qubits with per-qubit probability ``p``."""
-    weights = (1 - p, p)
+    weights = validate_probabilities([1 - p, p])
     ops = []
     for i, wi in enumerate(weights):
         for j, wj in enumerate(weights):
@@ -86,7 +87,8 @@ def bitflip_uncorrelated(p: float) -> KrausChannel:
 
 def bitflip_correlated(p: float) -> KrausChannel:
     """Completely correlated two-qubit bit flip: both qubits flip or neither."""
-    ops = (np.sqrt(1 - p) * _kron(PAULIS[0], PAULIS[0]), np.sqrt(p) * _kron(PAULIS[1], PAULIS[1]))
+    keep, flip = validate_probabilities([1 - p, p])
+    ops = (np.sqrt(keep) * _kron(PAULIS[0], PAULIS[0]), np.sqrt(flip) * _kron(PAULIS[1], PAULIS[1]))
     return KrausChannel(dim=4, kraus=ops)
 
 
@@ -95,9 +97,10 @@ def bitflip_with_memory(p: float, mu: float) -> KrausChannel:
 
     ``mu`` is the memory weight on the correlated part.
     """
+    free, memory = validate_probabilities([1 - mu, mu])
     uc = bitflip_uncorrelated(p)
     cc = bitflip_correlated(p)
-    ops = tuple(np.sqrt(1 - mu) * A for A in uc.kraus) + tuple(np.sqrt(mu) * A for A in cc.kraus)
+    ops = tuple(np.sqrt(free) * A for A in uc.kraus) + tuple(np.sqrt(memory) * A for A in cc.kraus)
     return KrausChannel(dim=4, kraus=ops)
 
 
@@ -146,7 +149,10 @@ def recovery_probe_observable() -> np.ndarray:
 
 
 def recovery_probe_state(x: float) -> np.ndarray:
-    """One-parameter two-qubit state family, valid for ``0 < x <= 1``."""
+    """One-parameter two-qubit state family, positive semidefinite exactly for ``-1 <= x <= 1``."""
+    # written so that NaN fails too
+    if not abs(x) <= 1:
+        raise ValueError(f"probe state parameter x must lie in [-1, 1], got {x}")
     s = PAULIS
     return 0.25 * (_kron(s[0], s[0]) + x * (_kron(s[2], s[0]) + _kron(s[0], s[3])) + _kron(s[2], s[3]))
 

@@ -403,6 +403,9 @@ def test_validate_probabilities():
         q.validate_probabilities([0.5, 0.6])
     with pytest.raises(q.InvalidProbabilityError):
         q.validate_probabilities([-0.1, 1.1])
+    for bad in ([np.nan, 1.0], [1.0, np.nan], [np.inf, 1.0], [-np.inf, 1.0]):
+        with pytest.raises(q.InvalidProbabilityError):
+            q.validate_probabilities(bad)
 
 
 def test_samplers(rng):

@@ -173,14 +173,21 @@ def test_kernel_tol_is_only_the_kernel_threshold(runner, spec_files, tmp_path):
 
 
 @pytest.mark.parametrize("value", ["nan", "-1"])
-def test_kernel_tol_must_be_non_negative(runner, spec_files, value):
-    # NaN used to print n_params 0 and rank every sweep candidate at 0
+def test_kernel_tol_must_be_non_negative(runner, spec_files, tmp_path, value):
+    # a NaN kernel threshold used to print n_params 0 and rank every sweep
+    # candidate at 0; a NaN or negative --tol failed every family
     true_path, guess_path = spec_files
-    for args in (["deconvolve", true_path, guess_path], ["sweep", true_path, guess_path]):
-        result = runner.invoke(main, ["--kernel-tol", value, *args])
+    fam_path = tmp_path / "fam.json"
+    runner.invoke(main, ["deconvolve", true_path, guess_path, "-o", str(fam_path)])
+    for option, args in (
+        ("--kernel-tol", ["deconvolve", true_path, guess_path]),
+        ("--kernel-tol", ["sweep", true_path, guess_path]),
+        ("--tol", ["verify", str(fam_path), true_path, guess_path, "--states", "5"]),
+    ):
+        result = runner.invoke(main, [option, value, *args])
         assert result.exit_code == 2
-        assert "--kernel-tol" in result.output
-        assert "n_params" not in result.output
+        assert option in result.output
+        assert "n_params" not in result.output and "FAIL" not in result.output
 
 
 def test_verify_dimension_mismatch_is_a_usage_error(runner, spec_files, tmp_path):
@@ -265,6 +272,26 @@ def test_examples_run_with_override(runner):
     assert result.exit_code == 0, result.output
     doc = json.loads(result.output)
     assert doc["metadata"]["states"] == 5
+
+
+@pytest.mark.parametrize(
+    "name, override, reason",
+    [
+        ("partial-recovery", "p=1.5", "probability -0.5 is negative"),
+        ("partial-recovery", "mu=2", "probability -1.0 is negative"),
+        ("partial-recovery", "x=-3", "x must lie in [-1, 1]"),
+        ("bitflip-memory", "p=nan", "probability nan is negative or not a number"),
+    ],
+    ids=["p=1.5", "mu=2", "x=-3", "p=nan"],
+)
+def test_examples_run_out_of_range_override_is_a_usage_error(runner, name, override, reason):
+    # p=1.5 used to end in "SVD did not converge", mu=2 in NaN residuals and
+    # x=-3 ran on a state that is not positive semidefinite
+    result = runner.invoke(main, ["examples", "run", name, "--set", override])
+    assert result.exit_code == 2, result.output
+    assert reason in result.output
+    assert isinstance(result.exception, SystemExit) and "Traceback" not in result.output
+    assert "status:" not in result.output
 
 
 def test_examples_run_usage_errors(runner):

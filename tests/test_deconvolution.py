@@ -179,13 +179,15 @@ def test_hermitian_section_bitflip_pauli_products(bitflip_pair):
 
 
 def test_hermitian_section_of_antihermitian_ray():
-    # the complex span of vec(i*sigma_z) contains the Hermitian ray sigma_z
-    fam = q.hermitian_section([q.vectorize(1j * SIGMA[3])], 2)
-    assert fam.n_params == 1
-    assert min(
-        np.linalg.norm(fam.basis[0] - SIGMA[3] / np.sqrt(2)),
-        np.linalg.norm(fam.basis[0] + SIGMA[3] / np.sqrt(2)),
-    ) < 1e-12
+    # the complex span of vec(i*sigma_z) contains the Hermitian ray sigma_z;
+    # a repeated spanning vector adds nothing
+    for copies in (1, 2):
+        fam = q.hermitian_section([q.vectorize(1j * SIGMA[3])] * copies, 2)
+        assert fam.n_params == 1
+        assert min(
+            np.linalg.norm(fam.basis[0] - SIGMA[3] / np.sqrt(2)),
+            np.linalg.norm(fam.basis[0] + SIGMA[3] / np.sqrt(2)),
+        ) < 1e-12
 
 
 def test_hermitian_section_empty_input():
@@ -638,6 +640,8 @@ def test_intersect_spans_dimensions(rng):
         r = v - V @ (V.conj().T @ v)
         assert np.linalg.norm(r) < 1e-12
     assert q.intersect_spans(a, []) == []
+    # a repeated spanning vector adds nothing
+    assert len(q.intersect_spans(a + [e[1]], b)) == 2
 
 
 def test_observable_family_names_first_non_orthonormal_pair():

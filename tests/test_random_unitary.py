@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import qdeconv as q
+from qdeconv.random_unitary import DEFAULT_GROUPING_TOL, _group_indices
 from qdeconv.scenarios import (
     qubit_pair_unitaries,
     qutrit_pair_unitaries,
@@ -254,6 +255,74 @@ def test_eig_grouping_phase_convention(rng):
     # eigenpairs reproduce the matrix action
     for lam, v in zip(grouping.eigenvalues, grouping.eigenvectors):
         assert np.linalg.norm(W @ v - lam * v) < 1e-10
+
+
+def test_eig_grouping_sorts_minus_one_last(rng):
+    # angles lie in (-pi, pi]; rounding used to put -1 first or last at random
+    for _ in range(20):
+        Q = q.haar_random_unitary(3, rng)
+        grouping = q.eig_grouping(Q @ np.diag([-1.0, 1.0, 1j]) @ Q.conj().T)
+        assert abs(grouping.eigenvalues[-1] + 1) < 1e-12
+
+
+def _eigenphases(kind: str, d: int, rng: np.random.Generator) -> np.ndarray:
+    if kind == "degenerate":
+        return rng.choice(rng.uniform(-np.pi, np.pi, max(1, d // 2)), d)
+    if kind == "conjugate-pair":
+        t = rng.uniform(0.1, np.pi - 0.1, (d + 1) // 2)
+        return np.concatenate([t, -t])[:d]
+    if kind == "near-degenerate":
+        return rng.uniform(-np.pi, np.pi) + 1e-5 * np.arange(d)
+    return rng.uniform(-np.pi, np.pi, d)
+
+
+def _group_projectors(groups, vecs) -> list[np.ndarray]:
+    out = []
+    for g in groups:
+        V = np.column_stack([vecs[i] for i in g])
+        out.append(V @ V.conj().T)
+    return out
+
+
+SPECTRUM_KINDS = ("generic", "degenerate", "conjugate-pair", "near-degenerate")
+
+
+@pytest.mark.parametrize("kind", SPECTRUM_KINDS)
+def test_eig_grouping_matches_schur_oracle(kind):
+    # the complex Schur form of a unitary is diagonal: its vectors are an
+    # independent eigenbasis, sorted and grouped here as eig_grouping does
+    import scipy.linalg  # the oracle only; qdeconv itself runs on numpy alone
+
+    rng = np.random.default_rng(SPECTRUM_KINDS.index(kind))
+    for d in range(2, 7):
+        for _ in range(16):
+            Q = q.haar_random_unitary(d, rng)
+            W = Q @ np.diag(np.exp(1j * _eigenphases(kind, d, rng))) @ Q.conj().T
+            T, Z = scipy.linalg.schur(W, output="complex")
+            order = sorted(range(d), key=lambda k: (round(float(np.angle(T[k, k])), 12), k))
+            evals = np.diag(T)[order]
+            groups = sorted(_group_indices(evals, DEFAULT_GROUPING_TOL), key=lambda g: g[0])
+
+            grouping = q.eig_grouping(W)
+            assert grouping.groups == tuple(tuple(g) for g in groups)
+            assert np.max(np.abs(np.array(grouping.eigenvalues) - evals)) <= 1e-12
+            expected = _group_projectors(groups, [Z[:, k] for k in order])
+            got = _group_projectors(grouping.groups, grouping.eigenvectors)
+            assert max(np.linalg.norm(a - b) for a, b in zip(got, expected)) <= 1e-9
+
+
+@pytest.mark.parametrize("centre", [np.pi / 2, -np.pi / 2, 0.0, np.pi], ids=["+i", "-i", "+1", "-1"])
+def test_eig_grouping_resolves_close_eigenvalues_anywhere_on_the_circle(rng, centre):
+    # near +-i the real part of the eigenvalues separates them and the
+    # imaginary part does not, near +-1 the other way round; 1e-7 apart they
+    # are distinct at the 1e-8 grouping tolerance
+    phases = centre + 1e-7 * np.array([0.0, 1.0, 3.0])
+    Q = q.haar_random_unitary(3, rng)
+    grouping = q.eig_grouping(Q @ np.diag(np.exp(1j * phases)) @ Q.conj().T)
+    assert grouping.groups == ((0,), (1,), (2,))
+    for lam, v in zip(grouping.eigenvalues, grouping.eigenvectors):
+        k = int(np.argmin(np.abs(np.exp(1j * phases) - lam)))
+        assert np.linalg.norm(np.outer(v, v.conj()) - np.outer(Q[:, k], Q[:, k].conj())) <= 1e-7
 
 
 def test_mixing_with_comparison_unitary_leaves_family_invariant(rng):

@@ -45,9 +45,11 @@ def _qdeconv(*args: str) -> subprocess.CompletedProcess:
 
 
 def test_subcommand_paths_import_neither_scipy_nor_scenarios():
-    loaded = _python(
+    U1, U2 = np.eye(2, dtype=complex), SIGMA[3]
+    _, expected = q.two_unitary_family(U1, U2)
+    out = _python(
         """
-        import sys
+        import json, sys
 
         def report_loaded():
             print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy" or m == "qdeconv.scenarios"))
@@ -57,9 +59,9 @@ def test_subcommand_paths_import_neither_scipy_nor_scenarios():
 
         import numpy as np
         from qdeconv import (
-            GuessPair, correctable_family, deconvolved_estimate, guess_sweep,
-            quorum_basis, random_cptp_channel, random_density_matrix,
-            tensor_product_quorum, transfer_from_kraus, verify_family,
+            GuessPair, correctable_family, deconvolved_estimate, guess_sweep, hermitian_section,
+            intersect_spans, quorum_basis, random_cptp_channel, random_density_matrix,
+            tensor_product_quorum, transfer_from_kraus, two_unitary_family, vectorize, verify_family,
         )
         from qdeconv.channels import random_hermitian
         from qdeconv.serialization import (
@@ -80,30 +82,16 @@ def test_subcommand_paths_import_neither_scipy_nor_scenarios():
         qb = tensor_product_quorum(quorum_basis(2), 2)
         deconvolved_estimate(gp, random_hermitian(4, rng), random_density_matrix(4, rng), qb, 100, 1)
         guess_sweep(phi, [phi_g, phi])
-        report_loaded()
-        """
-    )
-    assert loaded.splitlines() == ["[]", "[]"]
-
-
-def test_schur_loads_scipy_on_first_use():
-    U1, U2 = np.eye(2, dtype=complex), SIGMA[3]
-    _, expected = q.two_unitary_family(U1, U2)
-    out = _python(
-        """
-        import json, sys
-        import numpy as np
-        from qdeconv import two_unitary_family
-        from qdeconv.serialization import emit_family
-
-        assert "scipy" not in sys.modules
+        span = [vectorize(np.eye(2)), vectorize(np.diag([1.0, -1.0]))]
+        assert hermitian_section(span, 2).n_params == 2
+        assert len(intersect_spans(span, span[:1])) == 1
         _, fam = two_unitary_family(np.eye(2), np.diag([1.0, -1.0]))
-        print("scipy.linalg" in sys.modules)
+        report_loaded()
         print(json.dumps(json.loads(emit_family(fam))))
         """
     )
-    loaded, family = out.splitlines()
-    assert loaded == "True"
+    at_start, after_workload, family = out.splitlines()
+    assert (at_start, after_workload) == ("[]", "[]")
     assert json.loads(family) == json.loads(emit_family(expected))
 
 
