@@ -420,18 +420,11 @@ def random_unitary_channel(
     if len(Us) != p.size:
         raise ValueError(f"{p.size} probabilities but {len(Us)} unitaries")
     ops = []
-    d = None
     for U in Us:
-        dk = _require_square(U, "unitary")
-        if d is None:
-            d = dk
-        elif dk != d:
+        d = _require_square(U, "unitary")
+        if ops and d != ops[0].shape[0]:
             raise ValueError("all unitaries must share one dimension")
-        U = np.asarray(U, dtype=complex)
-        residual = np.linalg.norm(U.conj().T @ U - np.eye(dk))
-        if residual > tol:
-            raise NonUnitaryError(f"matrix is not unitary: residual {residual:.3e} > {tol:g}")
-        ops.append(U)
+        ops.append(unitary_channel(U, tol).kraus[0])
     kraus = tuple(np.sqrt(pk) * U for pk, U in zip(p, ops))
     return KrausChannel(dim=d, kraus=kraus)
 

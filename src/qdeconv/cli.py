@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 when every check passes, 1 when a check fails, 2 for usage or
-parse errors.  All subcommands accept ``-`` for stdin and print JSON or a
-table to stdout, so they compose in pipelines.
+parse errors.  Beyond the input checks made here, an error raised inside the
+library is a fault of the program, not a usage error, and ends in a traceback.  All subcommands accept ``-`` for
+stdin and print JSON or a table to stdout, so they compose in pipelines.
 """
 
 from __future__ import annotations
@@ -12,8 +13,9 @@ import sys
 from typing import Optional
 
 import click
+from click.core import ParameterSource
 
-from .channels import transfer_from_kraus
+from .channels import DEFAULT_TOL, is_density_matrix, transfer_from_kraus
 from .deconvolution import GuessPair, correctable_family, evaluate, guess_sweep, verify_family
 from .errors import QdeconvError, SpecParseError
 from .quorum import deconvolved_estimate, quorum_basis, tensor_product_quorum
@@ -37,12 +39,16 @@ def _read_source(path: str) -> bytes:
         raise click.UsageError(f"cannot read {path}: {exc}")
 
 
-def _load_transfer(path: str):
+def _parse(path: str, parser, *args):
+    """``parser(contents of path, *args)``; a malformed file is a usage error naming it."""
     try:
-        spec = parse_channel_spec(_read_source(path))
+        return parser(_read_source(path), *args)
     except SpecParseError as exc:
         raise click.UsageError(f"{path}: {exc}")
-    return transfer_from_kraus(spec.to_kraus_channel())
+
+
+def _load_transfer(path: str):
+    return transfer_from_kraus(_parse(path, parse_channel_spec).to_kraus_channel())
 
 
 def _guess_pair(true_path: str, guess_path: str) -> GuessPair:
@@ -101,10 +107,7 @@ def deconvolve(ctx: click.Context, true_spec: str, guess_spec: str, output: Opti
 @click.pass_context
 def verify(ctx: click.Context, family: str, true_spec: str, guess_spec: str, states: int) -> None:
     """Monte-Carlo check that FAMILY is exactly recovered for TRUE/GUESS."""
-    try:
-        fam = parse_family(_read_source(family))
-    except SpecParseError as exc:
-        raise click.UsageError(f"{family}: {exc}")
+    fam = _parse(family, parse_family)
     gp = _guess_pair(true_spec, guess_spec)
     if fam.dim != gp.dim:
         raise click.UsageError(f"family dimension {fam.dim} does not match channel dimension {gp.dim}")
@@ -136,18 +139,20 @@ def verify(ctx: click.Context, family: str, true_spec: str, guess_spec: str, sta
 @click.argument("state")
 @click.argument("true_spec")
 @click.argument("guess_spec")
-@click.option("--shots", type=int, default=10000, show_default=True, help="Shots per quorum element; 0 uses exact traces.")
+@click.option("--shots", type=click.IntRange(min=0), default=10000, show_default=True, help="Shots per quorum element; 0 uses exact traces.")
 @click.option("--quorum-dim", type=click.IntRange(min=2), default=None, help="Tensor-factor dimension for the quorum, at least 2 (the system dimension must be a power of it; defaults to the full dimension).")
 @click.pass_context
 def estimate(ctx: click.Context, observable: str, state: str, true_spec: str, guess_spec: str, shots: int, quorum_dim: Optional[int]) -> None:
     """Estimate the deconvolved expectation of OBSERVABLE on STATE from shots."""
-    try:
-        A = parse_hermitian_matrix(_read_source(observable), "observable")
-        rho = parse_hermitian_matrix(_read_source(state), "state")
-    except SpecParseError as exc:
-        raise click.UsageError(str(exc))
+    A = _parse(observable, parse_hermitian_matrix, "observable")
+    rho = _parse(state, parse_hermitian_matrix, "state")
     gp = _guess_pair(true_spec, guess_spec)
     d = gp.dim
+    for path, name, M in ((observable, "observable", A), (state, "state", rho)):
+        if M.shape[0] != d:
+            raise click.UsageError(f"{path}: {name} dimension {M.shape[0]} does not match channel dimension {d}")
+    if not is_density_matrix(rho):
+        raise click.UsageError(f"{state}: state is not a density matrix (PSD, unit trace) within {DEFAULT_TOL:g}")
 
     if quorum_dim is None or quorum_dim == d:
         qb = quorum_basis(d)
@@ -161,11 +166,8 @@ def estimate(ctx: click.Context, observable: str, state: str, true_spec: str, gu
             raise click.UsageError(f"--quorum-dim {quorum_dim} is not a tensor root of dimension {d}")
         qb = tensor_product_quorum(quorum_basis(quorum_dim), factors)
 
-    try:
-        est = deconvolved_estimate(gp, A, rho, qb, shots, ctx.obj["seed"])
-        exact = evaluate(gp, A, rho)
-    except (QdeconvError, ValueError) as exc:
-        raise click.UsageError(str(exc))
+    est = deconvolved_estimate(gp, A, rho, qb, shots, ctx.obj["seed"])
+    exact = evaluate(gp, A, rho)
     doc = {
         "mean": est.mean,
         "std_error": est.std_error,
@@ -244,7 +246,8 @@ def examples_run(ctx: click.Context, name: str, assignments: tuple[str, ...]) ->
     from .scenarios import emit_report, run_scenario
 
     overrides = dict(_parse_override(kv) for kv in assignments)
-    if "seed" not in overrides and ctx.obj["seed"] != DEFAULT_SEED:
+    # an explicit --seed or QDECONV_SEED reaches the scenario, even when it equals DEFAULT_SEED
+    if "seed" not in overrides and ctx.find_root().get_parameter_source("seed") is not ParameterSource.DEFAULT:
         overrides["seed"] = ctx.obj["seed"]
     try:
         result = run_scenario(name, overrides, kernel_tol=ctx.obj["kernel_tol"])

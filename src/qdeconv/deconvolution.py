@@ -569,19 +569,6 @@ def verify_family(gp: GuessPair, fam: ObservableFamily, n_states: int, seed: int
     return float(worst)
 
 
-def _recovery_bound(F: np.ndarray, fam: ObservableFamily) -> float:
-    """Largest recovery error of a unit-norm family member over all states.
-
-    For a state ``rho`` and a member ``A = Q c`` with ``Q`` the vectorized
-    basis and ``||c|| = 1``, the deviation of the deconvolved value is
-    ``|vec(rho)^dag F Q c| <= ||F Q||_2``, since ``||vec(rho)||_2 <= 1``.
-    """
-    if fam.n_params == 0:
-        return 0.0
-    Q = np.column_stack([vectorize(A) for A in fam.basis])
-    return float(np.linalg.norm(F @ Q, 2))
-
-
 def _certified_family(
     blocks: Sequence[np.ndarray], d: int, rel_tol: float, guess: np.ndarray | None = None
 ) -> ObservableFamily:

@@ -18,6 +18,7 @@ from .channels import (
     PAULIS,
     KrausChannel,
     adjoint_transfer,
+    apply_channel,
     compose,
     devectorize,
     haar_random_unitary,
@@ -36,6 +37,7 @@ from .deconvolution import (
     common_correctable_family,
     correctable_family,
     evaluate,
+    expectation,
     membership_residual,
     modified_observable,
     span_residual,
@@ -651,15 +653,23 @@ def _scenario_partial_recovery(overrides: Optional[Mapping[str, Any]], kernel_to
     closed_exp = 4 * p * ((1 - p) * (1 - mu) + x)
     closed_nd = 4 * p * (1 - p) * (1 - mu)
 
+    # Each grid deviation Tr(rho B) - Tr(X Phi(rho)) is Tr(rho (B - Phi^dag(X))), with X = B
+    # (noisy) or the modified probe (deconvolved): two observables per pair serve all five states.
     grid_failures = 0
     grid_p = np.linspace(0.05, 0.45, 5)
     grid_mu = np.linspace(0.1, 0.9, 5)
     grid_x = np.linspace(0.2, 1.0, 5)
+    grid_states = [recovery_probe_state(xg) for xg in grid_x]
     for pg in grid_p:
         guess_g = transfer_from_kraus(bitflip_correlated(pg))
         for mg in grid_mu:
             gp_g = GuessPair.from_transfers(transfer_from_kraus(bitflip_with_memory(pg, mg)), guess_g)
-            grid_failures += sum(not evaluate(gp_g, B, recovery_probe_state(xg)).improved for xg in grid_x)
+            adjoint = adjoint_transfer(gp_g.phi)
+            dev_exp = B - apply_channel(adjoint, B)
+            dev_nd = B - apply_channel(adjoint, modified_observable(gp_g, B))
+            grid_failures += sum(
+                not abs(expectation(dev_nd, r)) < abs(expectation(dev_exp, r)) for r in grid_states
+            )
 
     max_delta = _family_recovery_max([gp], fam, params["states"], params["seed"])
 

@@ -44,6 +44,14 @@ def _validator(schema_name: str) -> jsonschema.protocols.Validator:
     return cls(schema)
 
 
+def _load_json(text: str | bytes) -> Any:
+    """Decode UTF-8 bytes and parse JSON; either failure is a :class:`SpecParseError`."""
+    try:
+        return json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise SpecParseError(f"malformed JSON: {exc}") from exc
+
+
 def _validate(document: Any, schema_name: str) -> None:
     # the error jsonschema.validate would raise, without its per-call schema check
     error = jsonschema.exceptions.best_match(_validator(schema_name).iter_errors(document))
@@ -186,12 +194,7 @@ def parse_channel_spec(text: str | bytes) -> ChannelSpec:
         When the payload resolves to a non-CPTP channel; the message names
         the trace-preservation residual and the Choi eigenvalue floor.
     """
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SpecParseError(f"malformed JSON: {exc}") from exc
+    doc = _load_json(text)
     _validate(doc, "channel_spec")
     return _spec_from_document(doc)
 
@@ -249,12 +252,7 @@ def emit_family(fam: ObservableFamily) -> str:
 
 
 def parse_family(text: str | bytes) -> ObservableFamily:
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SpecParseError(f"malformed JSON: {exc}") from exc
+    doc = _load_json(text)
     _validate(doc, "observable_family")
     basis = [matrix_from_json(m, f"basis element {k}") for k, m in enumerate(doc["basis"])]
     if doc["n_params"] != len(basis):
@@ -279,19 +277,20 @@ def report_to_document(report: DeconvReport) -> dict:
 
 
 def parse_hermitian_matrix(text: str | bytes, name: str = "matrix") -> np.ndarray:
-    """Parse a ``{"dim": d, "matrix": ...}`` document into a complex array."""
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SpecParseError(f"malformed JSON: {exc}") from exc
+    """Parse a ``{"dim": d, "matrix": ...}`` document into a finite complex array,
+    Hermitian within ``DEFAULT_TOL`` (Frobenius); anything else is a :class:`SpecParseError`."""
+    doc = _load_json(text)
     if not isinstance(doc, dict) or "matrix" not in doc:
         raise SpecParseError(f"{name} document needs a 'matrix' field")
     M = matrix_from_json(doc["matrix"], name)
     dim = doc.get("dim", M.shape[0])
     if M.shape != (dim, dim):
         raise SpecParseError(f"{name} shape {M.shape} does not match declared dim {dim}")
+    if not np.isfinite(M).all():
+        raise SpecParseError(f"{name} has non-finite entries")
+    residual = np.linalg.norm(M - M.conj().T)
+    if residual > DEFAULT_TOL:
+        raise SpecParseError(f"{name} is not Hermitian: residual {residual:.3e} > {DEFAULT_TOL:g}")
     return M
 
 

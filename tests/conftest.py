@@ -27,6 +27,19 @@ def apply_kraus(kraus, rho: np.ndarray) -> np.ndarray:
     return out
 
 
+def recovery_bound(F: np.ndarray, fam) -> float:
+    """Largest recovery error of a unit-norm family member over all states.
+
+    For a state ``rho`` and a member ``A = Q c`` with ``Q`` the row-major
+    vectorized basis and ``||c|| = 1``, the deviation of the deconvolved value
+    is ``|vec(rho)^dag F Q c| <= ||F Q||_2``, since ``||vec(rho)||_2 <= 1``.
+    """
+    if fam.n_params == 0:
+        return 0.0
+    Q = np.column_stack([np.asarray(A).reshape(-1) for A in fam.basis])
+    return float(np.linalg.norm(F @ Q, 2))
+
+
 def choice_estimate(rho: np.ndarray, Q: np.ndarray, shots: int, seed: int) -> tuple[float, float]:
     """Per-shot Born sampler: one ``Generator.choice`` outcome per shot.
 

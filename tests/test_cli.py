@@ -338,6 +338,66 @@ def test_seed_env_var_and_flag_priority(runner, spec_files, tmp_path):
     flag_wins = runner.invoke(main, ["--seed", "1", *args], env={"QDECONV_SEED": "4242"})
     assert json.loads(flag_wins.output)["seed"] == 1
 
+    # examples run takes a given seed even when it equals the default, 1234;
+    # with none given it keeps the scenario's own seed (11 for qutrit-extreme)
+    def scenario_seed(*global_args, env=None):
+        result = runner.invoke(
+            main, [*global_args, "--format", "json", "examples", "run", "qutrit-extreme"], env=env
+        )
+        assert result.exit_code == 0, result.output
+        return json.loads(result.output)["metadata"]["seed"]
+
+    assert scenario_seed("--seed", "1234", env={"QDECONV_SEED": None}) == 1234
+    assert scenario_seed(env={"QDECONV_SEED": "1234"}) == 1234
+    assert scenario_seed(env={"QDECONV_SEED": None}) == 11
+
+
+BAD_BYTES = {"non-UTF-8": b'{"dim": 3, \xff\xfe}', "not-JSON": b"{not json"}
+BAD_MATRICES = {
+    "NaN observable": np.diag([np.nan, 1.0, 1.0]),
+    "non-Hermitian observable": np.triu(np.ones((3, 3))),
+    "wrong-dimension observable": SIGMA[3],
+    "trace-2 state": 2 * np.eye(3) / 3,
+    "non-PSD state": np.diag([1.5, -0.5, 0.0]),
+    "non-Hermitian state": np.eye(3) / 3 + np.triu(np.ones((3, 3)), 1) / 10,
+}
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        *(f"{kind} {role}" for kind in BAD_BYTES for role in ("spec", "family", "observable", "state")),
+        *BAD_MATRICES,
+        "negative shots",
+    ],
+)
+def test_bad_input_is_a_usage_error_naming_the_file(runner, spec_files, tmp_path, case):
+    true_path, guess_path = spec_files
+    files = {"spec": true_path, "family": str(tmp_path / "fam.json")}
+    runner.invoke(main, ["deconvolve", true_path, guess_path, "-o", files["family"]])
+    for role, M in (("observable", np.diag([1.0, -0.5, 0.25])), ("state", np.eye(3) / 3)):
+        files[role] = str(tmp_path / f"{role}.json")
+        (tmp_path / f"{role}.json").write_text(emit_hermitian_matrix(M))
+
+    kind, role = case.split()
+    bad = tmp_path / "bad.json"
+    if case in BAD_MATRICES:
+        bad.write_text(emit_hermitian_matrix(BAD_MATRICES[case]))
+    elif kind in BAD_BYTES:
+        bad.write_bytes(BAD_BYTES[kind])
+    if bad.exists():
+        files[role] = str(bad)
+
+    if role == "family":
+        args = ["verify", files["family"], files["spec"], guess_path, "--states", "5"]
+    else:
+        shots = "-1" if case == "negative shots" else "0"
+        args = ["estimate", files["observable"], files["state"], files["spec"], guess_path, "--shots", shots]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit) and "Traceback" not in result.output
+    assert (str(bad) if bad.exists() else "--shots") in result.output
+
 
 def test_sweep_ranks_candidates(runner, spec_files, tmp_path):
     true_path, guess_path = spec_files

@@ -4,7 +4,6 @@ from numpy.testing import assert_allclose
 
 import qdeconv as q
 from qdeconv.channels import random_hermitian
-from qdeconv.deconvolution import _recovery_bound
 from qdeconv.serialization import emit_family
 from qdeconv.scenarios import (
     bitflip_correlated,
@@ -15,7 +14,7 @@ from qdeconv.scenarios import (
     recovery_probe_state,
 )
 
-from conftest import SIGMA, apply_kraus, kron, matrix_unit
+from conftest import SIGMA, apply_kraus, kron, matrix_unit, recovery_bound
 
 
 def guess_pair(true_ch, guess_ch):
@@ -510,19 +509,19 @@ def test_kernel_threshold_must_be_non_negative(qutrit_pair, rel_tol):
 def test_recovery_bound_on_reference_families(qutrit_pair, bitflip_pair):
     for gp in (qutrit_pair, bitflip_pair):
         fam = q.correctable_family(gp)
-        assert _recovery_bound(q.deviation_operator(gp), fam) <= 1e-9
+        assert recovery_bound(q.deviation_operator(gp), fam) <= 1e-9
 
     U1, U2 = qubit_pair_unitaries()
     gp = guess_pair(q.random_unitary_channel([0.55, 0.45], [U1, U2]), q.unitary_channel(U2))
     _, fam4 = q.two_unitary_family(U1, U2)
-    assert _recovery_bound(q.deviation_operator(gp), fam4) <= 1e-9
-    assert _recovery_bound(q.deviation_operator(gp), q.ObservableFamily.from_basis(2, [])) == 0.0
+    assert recovery_bound(q.deviation_operator(gp), fam4) <= 1e-9
+    assert recovery_bound(q.deviation_operator(gp), q.ObservableFamily.from_basis(2, [])) == 0.0
 
 
 def test_recovery_bound_dominates_sampled_deviation(qutrit_pair):
     perturbed = perturbed_qutrit_family(q.correctable_family(qutrit_pair))
     sampled = q.verify_family(qutrit_pair, perturbed, 100, seed=5)
-    assert _recovery_bound(q.deviation_operator(qutrit_pair), perturbed) >= sampled > 1e-4
+    assert recovery_bound(q.deviation_operator(qutrit_pair), perturbed) >= sampled > 1e-4
 
 
 def test_common_correctable_family_probes(qutrit_pair):

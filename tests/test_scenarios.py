@@ -83,6 +83,20 @@ def test_equivalence_covariance_needs_states_and_skips_evaluate(monkeypatch):
     assert run_scenario("equivalence-covariance", {"tuples": 4}).passed
 
 
+def test_partial_recovery_evaluates_only_the_reported_point(monkeypatch):
+    import qdeconv.scenarios as sc
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return q.evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(sc, "evaluate", counting)
+    assert run_scenario("partial-recovery").passed
+    assert len(calls) == 1
+
+
 def test_result_with_wrong_family_dimension_fails():
     with pytest.raises(ValueError, match="tuples must be at least 1"):
         run_scenario("equivalence-covariance", {"tuples": 0})

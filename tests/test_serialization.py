@@ -179,6 +179,26 @@ def test_hermitian_matrix_document_roundtrip(rng):
         parse_hermitian_matrix(json.dumps({"dim": 2}))
 
 
+@pytest.mark.parametrize("parser", [parse_channel_spec, parse_family, parse_hermitian_matrix])
+def test_parsers_reject_non_utf8_bytes(parser):
+    with pytest.raises(q.SpecParseError, match="malformed JSON"):
+        parser(b'{"dim": 2, \xff\xfe}')
+
+
+@pytest.mark.parametrize(
+    "M, reason",
+    [
+        (np.array([[np.nan, 0], [0, 1]]), "non-finite"),
+        (np.array([[np.inf, 0], [0, 1]]), "non-finite"),
+        (np.array([[1, 0.5], [0, 1]]), "not Hermitian"),
+        (np.array([[1, 1j], [1j, 1]]), "not Hermitian"),
+    ],
+)
+def test_hermitian_matrix_document_rejects_non_hermitian_or_non_finite(M, reason):
+    with pytest.raises(q.SpecParseError, match=reason):
+        parse_hermitian_matrix(emit_hermitian_matrix(M), "observable")
+
+
 # ---------------------------------------------------------------------------
 # schema validation
 # ---------------------------------------------------------------------------
