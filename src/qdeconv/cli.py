@@ -17,7 +17,7 @@ from click.core import ParameterSource
 
 from .channels import DEFAULT_TOL, is_density_matrix, transfer_from_kraus
 from .deconvolution import GuessPair, correctable_family, evaluate, guess_sweep, verify_family
-from .errors import QdeconvError, SpecParseError
+from .errors import QdeconvError, SingularChannelError, SpecParseError, UnknownScenarioError
 from .quorum import deconvolved_estimate, quorum_basis, tensor_product_quorum
 from .serialization import (
     emit_family,
@@ -70,7 +70,7 @@ def _non_negative(ctx: click.Context, param: click.Parameter, value: float) -> f
 @click.group()
 @click.option("--tol", type=float, default=1e-9, show_default=True, callback=_non_negative, help="Tolerance for verification checks (non-negative).")
 @click.option("--kernel-tol", type=float, default=1e-8, show_default=True, callback=_non_negative, help="Relative singular-value threshold for kernel extraction (non-negative).")
-@click.option("--seed", type=int, default=DEFAULT_SEED, show_default=True, envvar="QDECONV_SEED", help="Random seed (flag beats the QDECONV_SEED environment variable).")
+@click.option("--seed", type=click.IntRange(min=0), default=DEFAULT_SEED, show_default=True, envvar="QDECONV_SEED", help="Random seed, non-negative (flag beats the QDECONV_SEED environment variable).")
 @click.option("--format", "fmt", type=click.Choice(["json", "table"]), default="table", show_default=True, help="Report format.")
 @click.pass_context
 def main(ctx: click.Context, tol: float, kernel_tol: float, seed: int, fmt: str) -> None:
@@ -243,15 +243,19 @@ def _parse_override(kv: str) -> tuple[str, object]:
 @click.pass_context
 def examples_run(ctx: click.Context, name: str, assignments: tuple[str, ...]) -> None:
     """Run scenario NAME and report its checks."""
-    from .scenarios import emit_report, run_scenario
+    from .scenarios import emit_report, run_scenario, scenario_parameters
 
     overrides = dict(_parse_override(kv) for kv in assignments)
     # an explicit --seed or QDECONV_SEED reaches the scenario, even when it equals DEFAULT_SEED
     if "seed" not in overrides and ctx.find_root().get_parameter_source("seed") is not ParameterSource.DEFAULT:
         overrides["seed"] = ctx.obj["seed"]
     try:
-        result = run_scenario(name, overrides, kernel_tol=ctx.obj["kernel_tol"])
-    except (QdeconvError, ValueError) as exc:
+        params = scenario_parameters(name, overrides)
+    except (UnknownScenarioError, ValueError) as exc:
+        raise click.UsageError(str(exc))
+    try:
+        result = run_scenario(name, params, kernel_tol=ctx.obj["kernel_tol"])
+    except SingularChannelError as exc:  # a bit-flip guess at p = 1/2 has no inverse
         raise click.UsageError(str(exc))
     click.echo(emit_report(result, ctx.obj["fmt"]))
     if not result.passed:

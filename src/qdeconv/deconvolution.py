@@ -226,10 +226,16 @@ class DeconvReport:
 # Numerical null spaces with a deterministic ordering
 # ---------------------------------------------------------------------------
 
+def _leading_index(v: np.ndarray) -> int:
+    """Index of the first entry of maximal magnitude, ties within 1e-9 relative
+    included, so rounding cannot choose among entries equal in exact arithmetic."""
+    mag = np.abs(v)
+    return int(np.argmax(mag >= (1 - 1e-9) * mag.max()))
+
+
 def _fix_vector_phase(v: np.ndarray) -> np.ndarray:
-    """Rotate ``v`` so its largest-magnitude entry is real positive."""
-    idx = int(np.argmax(np.abs(v)))
-    z = v[idx]
+    """Rotate ``v`` so its first largest-magnitude entry is real positive."""
+    z = v[_leading_index(v)]
     if abs(z) == 0.0:
         return v
     return v * (np.conj(z) / abs(z))
@@ -311,9 +317,7 @@ def _fix_matrix_sign(A: np.ndarray) -> np.ndarray:
     the real part positive (or the imaginary part, when the real part
     vanishes).
     """
-    flat = A.reshape(-1)
-    idx = int(np.argmax(np.abs(flat)))
-    z = flat[idx]
+    z = A.flat[_leading_index(A.reshape(-1))]
     if abs(z) == 0.0:
         return A
     lead = z.real if abs(z.real) > 1e-12 * abs(z) else z.imag

@@ -13,6 +13,7 @@ the identity (a commutant computation).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -212,6 +213,22 @@ def eig_grouping(W: np.ndarray, grouping_tol: float = DEFAULT_GROUPING_TOL) -> E
     )
 
 
+def _projector_basis(vecs: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """Orthonormal basis of ``span(vecs)`` that depends on the span alone.
+
+    Gram-Schmidt over the columns of the span's projector in index order keeps
+    each residual of squared norm at least ``1/(2d)``; while fewer than ``m``
+    are kept, the unspanned trace (at least 1) guarantees a later column passes.
+    """
+    V = np.column_stack(vecs)
+    kept: list[np.ndarray] = []
+    for col in (V @ V.conj().T).T:
+        r = col - sum((np.vdot(u, col) * u for u in kept), np.zeros_like(col))
+        if len(kept) < V.shape[1] and np.vdot(r, r).real >= 1 / (2 * len(col)):
+            kept.append(_fix_vector_phase(r / np.linalg.norm(r)))
+    return kept
+
+
 def two_unitary_family(
     U1: np.ndarray,
     U2: np.ndarray,
@@ -222,7 +239,8 @@ def two_unitary_family(
     Eigendecomposes ``W = U1^dag U2``; the family is the Hermitian span of
     ``|w_a><w_b|`` over eigenvector pairs in a common degeneracy group.
     With a non-degenerate spectrum that is the d real diagonal weights; each
-    group of multiplicity m contributes m^2 real parameters.
+    group of multiplicity m contributes m^2 real parameters, built on a basis
+    of its eigenspace that depends on the eigenspace alone, not on the solver.
     """
     U1 = np.asarray(U1, dtype=complex)
     U2 = np.asarray(U2, dtype=complex)
@@ -235,16 +253,14 @@ def two_unitary_family(
     grouping = eig_grouping(U1.conj().T @ U2, tol)
 
     basis: list[np.ndarray] = []
-    vecs = grouping.eigenvectors
     for group in grouping.groups:
-        for a in group:
-            basis.append(np.outer(vecs[a], vecs[a].conj()))
-        for ai in range(len(group)):
-            for bi in range(ai + 1, len(group)):
-                a, b = group[ai], group[bi]
-                cross = np.outer(vecs[a], vecs[b].conj())
-                basis.append((cross + cross.conj().T) / np.sqrt(2))
-                basis.append((-1j * cross + 1j * cross.conj().T) / np.sqrt(2))
+        vecs = [grouping.eigenvectors[a] for a in group]
+        vecs = _projector_basis(vecs) if len(vecs) > 1 else vecs
+        basis.extend(np.outer(v, v.conj()) for v in vecs)
+        for v, w in itertools.combinations(vecs, 2):
+            cross = np.outer(v, w.conj())
+            basis.append((cross + cross.conj().T) / np.sqrt(2))
+            basis.append((-1j * cross + 1j * cross.conj().T) / np.sqrt(2))
     basis = [_fix_matrix_sign(0.5 * (A + A.conj().T)) for A in basis]
     return grouping, ObservableFamily.from_basis(d, basis)
 

@@ -9,6 +9,7 @@ measured residual, so a failing scenario names exactly what broke.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Optional, Sequence
 
@@ -278,8 +279,6 @@ def _vector_span_residual(vecs_a: Sequence[np.ndarray], vecs_b: Sequence[np.ndar
 def _family_recovery_max(
     gps: Sequence[GuessPair], fam: ObservableFamily, n_states: int, seed: int
 ) -> float:
-    if not gps:
-        raise ValueError("recovery check needs at least one sampled channel")
     return max(verify_family(gp, fam, n_states, seed + 101 * k) for k, gp in enumerate(gps))
 
 
@@ -307,22 +306,29 @@ def _matrix_unit(d: int, i: int, j: int) -> np.ndarray:
     return E
 
 
-def _merge_params(defaults: dict, overrides: Optional[Mapping[str, Any]]) -> dict:
+#: Admissible closed range of each scenario parameter, whichever scenario takes it.
+_RANGES = dict.fromkeys(("states", "tuples", "prob_draws", "check_phases", "check_memories"), (1, math.inf))
+_RANGES.update(seed=(0, math.inf), p=(0, 1), mu=(0, 1), x=(-1, 1))
+
+
+def _merge_params(defaults: Mapping[str, Any], overrides: Optional[Mapping[str, Any]]) -> dict:
+    """``defaults`` replaced by ``overrides``, each checked against its ``_RANGES`` entry."""
     params = dict(defaults)
-    if not overrides:
-        return params
-    for key, value in overrides.items():
+    for key, value in (overrides or {}).items():
         if key not in defaults:
             raise ValueError(f"unknown override {key!r}; allowed: {sorted(defaults)}")
         want = type(defaults[key])
-        if want is float and isinstance(value, (int, float)) and not isinstance(value, bool):
-            params[key] = float(value)
-        elif want is int and isinstance(value, int) and not isinstance(value, bool):
-            params[key] = value
-        else:
+        if isinstance(value, bool) or not isinstance(value, (int, float) if want is float else int):
             raise ValueError(
                 f"override {key!r} expects {want.__name__}, got {type(value).__name__} ({value!r})"
             )
+        value = want(value)
+        lo, hi = _RANGES[key]
+        # written so that NaN fails too
+        if not lo <= value <= hi:
+            span = f"be at least {lo}" if hi == math.inf else f"lie in [{lo}, {hi}]"
+            raise ValueError(f"{key} must {span}, got {value}")
+        params[key] = value
     return params
 
 
@@ -330,8 +336,7 @@ def _merge_params(defaults: dict, overrides: Optional[Mapping[str, Any]]) -> dic
 # Scenario implementations
 # ---------------------------------------------------------------------------
 
-def _scenario_qutrit_extreme(overrides: Optional[Mapping[str, Any]], kernel_tol: float) -> ScenarioResult:
-    params = _merge_params({"states": 100, "seed": 11, "check_phases": 3}, overrides)
+def _scenario_qutrit_extreme(params: dict, kernel_tol: float) -> ScenarioResult:
     probes = [2 * np.pi * k / 6 for k in range(1, 6)]
     guess = transfer_from_kraus(qutrit_extreme_channel(0.0))
     gps = [
@@ -389,8 +394,7 @@ def _bitflip_pattern_family() -> ObservableFamily:
     return ObservableFamily.from_basis(4, prods)
 
 
-def _scenario_bitflip_memory(overrides: Optional[Mapping[str, Any]], kernel_tol: float) -> ScenarioResult:
-    params = _merge_params({"p": 0.25, "states": 100, "seed": 13, "check_memories": 3}, overrides)
+def _scenario_bitflip_memory(params: dict, kernel_tol: float) -> ScenarioResult:
     p = params["p"]
     mu_probes = [0.1, 0.3, 0.5, 0.7, 0.9]
     guess = transfer_from_kraus(bitflip_correlated(p))
@@ -452,8 +456,7 @@ def _scenario_bitflip_memory(overrides: Optional[Mapping[str, Any]], kernel_tol:
     )
 
 
-def _scenario_ru_three_unitaries(overrides: Optional[Mapping[str, Any]], kernel_tol: float) -> ScenarioResult:
-    params = _merge_params({"states": 20, "seed": 17, "prob_draws": 5}, overrides)
+def _scenario_ru_three_unitaries(params: dict, kernel_tol: float) -> ScenarioResult:
     U1, U2, U3 = three_unitary_error_set()
     es = UnitaryErrorSet.from_unitaries([U1, U2, U3], guess_index=0)
 
@@ -504,8 +507,7 @@ def _scenario_ru_three_unitaries(overrides: Optional[Mapping[str, Any]], kernel_
     )
 
 
-def _scenario_ru_two_qubit(overrides: Optional[Mapping[str, Any]], kernel_tol: float) -> ScenarioResult:
-    params = _merge_params({"states": 50, "seed": 19, "prob_draws": 5}, overrides)
+def _scenario_ru_two_qubit(params: dict, kernel_tol: float) -> ScenarioResult:
     U1, U2 = qubit_pair_unitaries()
     grouping, fam = two_unitary_family(U1, U2)
 
@@ -551,8 +553,7 @@ def _scenario_ru_two_qubit(overrides: Optional[Mapping[str, Any]], kernel_tol: f
     )
 
 
-def _scenario_ru_degenerate(overrides: Optional[Mapping[str, Any]], kernel_tol: float) -> ScenarioResult:
-    params = _merge_params({"states": 50, "seed": 23, "prob_draws": 5}, overrides)
+def _scenario_ru_degenerate(params: dict, kernel_tol: float) -> ScenarioResult:
     U1, U2 = qutrit_pair_unitaries()
     grouping, fam = two_unitary_family(U1, U2)
 
@@ -588,8 +589,7 @@ def _scenario_ru_degenerate(overrides: Optional[Mapping[str, Any]], kernel_tol: 
     )
 
 
-def _scenario_pauli_irrep(overrides: Optional[Mapping[str, Any]], kernel_tol: float) -> ScenarioResult:
-    params = _merge_params({"states": 50, "seed": 29, "prob_draws": 5}, overrides)
+def _scenario_pauli_irrep(params: dict, kernel_tol: float) -> ScenarioResult:
     paulis = list(PAULIS)
     es = UnitaryErrorSet.from_unitaries(paulis, guess_index=0)
     fam = ru_correctable_family(es, kernel_tol)
@@ -624,8 +624,7 @@ def _scenario_pauli_irrep(overrides: Optional[Mapping[str, Any]], kernel_tol: fl
     )
 
 
-def _scenario_partial_recovery(overrides: Optional[Mapping[str, Any]], kernel_tol: float) -> ScenarioResult:
-    params = _merge_params({"p": 0.3, "mu": 0.5, "x": 0.5, "states": 50, "seed": 31}, overrides)
+def _scenario_partial_recovery(params: dict, kernel_tol: float) -> ScenarioResult:
     p, mu, x = params["p"], params["mu"], params["x"]
 
     guess = transfer_from_kraus(bitflip_correlated(p))
@@ -716,11 +715,7 @@ def _scenario_partial_recovery(overrides: Optional[Mapping[str, Any]], kernel_to
     )
 
 
-def _scenario_equivalence_covariance(overrides: Optional[Mapping[str, Any]], kernel_tol: float) -> ScenarioResult:
-    params = _merge_params({"tuples": 20, "states": 5, "seed": 37}, overrides)
-    for key in ("tuples", "states"):
-        if params[key] < 1:
-            raise ValueError(f"{key} must be at least 1, got {params[key]}")
+def _scenario_equivalence_covariance(params: dict, kernel_tol: float) -> ScenarioResult:
     rng = np.random.default_rng(params["seed"])
 
     dim_mismatches = 0
@@ -777,21 +772,35 @@ def _scenario_equivalence_covariance(overrides: Optional[Mapping[str, Any]], ker
     )
 
 
-_SCENARIOS: dict[str, Callable[[Optional[Mapping[str, Any]], float], ScenarioResult]] = {
-    "qutrit-extreme": _scenario_qutrit_extreme,
-    "bitflip-memory": _scenario_bitflip_memory,
-    "ru-three-unitaries": _scenario_ru_three_unitaries,
-    "ru-two-qubit": _scenario_ru_two_qubit,
-    "ru-degenerate": _scenario_ru_degenerate,
-    "pauli-irrep": _scenario_pauli_irrep,
-    "partial-recovery": _scenario_partial_recovery,
-    "equivalence-covariance": _scenario_equivalence_covariance,
+#: Each scenario with its default parameters; ``_RANGES`` bounds every override.
+_SCENARIOS: dict[str, tuple[Callable[[dict, float], ScenarioResult], dict[str, Any]]] = {
+    "qutrit-extreme": (_scenario_qutrit_extreme, {"states": 100, "seed": 11, "check_phases": 3}),
+    "bitflip-memory": (_scenario_bitflip_memory, {"p": 0.25, "states": 100, "seed": 13, "check_memories": 3}),
+    "ru-three-unitaries": (_scenario_ru_three_unitaries, {"states": 20, "seed": 17, "prob_draws": 5}),
+    "ru-two-qubit": (_scenario_ru_two_qubit, {"states": 50, "seed": 19, "prob_draws": 5}),
+    "ru-degenerate": (_scenario_ru_degenerate, {"states": 50, "seed": 23, "prob_draws": 5}),
+    "pauli-irrep": (_scenario_pauli_irrep, {"states": 50, "seed": 29, "prob_draws": 5}),
+    "partial-recovery": (_scenario_partial_recovery, {"p": 0.3, "mu": 0.5, "x": 0.5, "states": 50, "seed": 31}),
+    "equivalence-covariance": (_scenario_equivalence_covariance, {"tuples": 20, "states": 5, "seed": 37}),
 }
 
 
 def scenario_names() -> list[str]:
     """Registered scenario names, in registration order."""
     return list(_SCENARIOS)
+
+
+def scenario_parameters(name: str, overrides: Optional[Mapping[str, Any]] = None) -> dict:
+    """The parameters scenario ``name`` runs with: its defaults, replaced by ``overrides``.
+
+    Raises :class:`UnknownScenarioError` for an unregistered name, ``ValueError``
+    for an unknown key, a wrong type, or a value outside its range (NaN included).
+    """
+    if name not in _SCENARIOS:
+        raise UnknownScenarioError(
+            f"unknown scenario {name!r}; available: {', '.join(_SCENARIOS)}"
+        )
+    return _merge_params(_SCENARIOS[name][1], overrides)
 
 
 def run_scenario(
@@ -801,12 +810,9 @@ def run_scenario(
 ) -> ScenarioResult:
     """Execute a registered scenario and return its result.
 
-    ``overrides`` may replace the scenario's numeric parameters (a wrong key
-    or type raises ``ValueError``); ``kernel_tol`` is the relative kernel
+    ``overrides`` may replace the scenario's numeric parameters, checked by
+    :func:`scenario_parameters`; ``kernel_tol`` is the relative kernel
     threshold used by every extraction inside the scenario.
     """
-    if name not in _SCENARIOS:
-        raise UnknownScenarioError(
-            f"unknown scenario {name!r}; available: {', '.join(_SCENARIOS)}"
-        )
-    return _SCENARIOS[name](overrides, kernel_tol)
+    params = scenario_parameters(name, overrides)
+    return _SCENARIOS[name][0](params, kernel_tol)

@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
-from typing import Any, Optional, Sequence
+from typing import Any, Sequence
 
 import jsonschema
 import numpy as np
@@ -91,87 +91,68 @@ def matrix_from_json(data: Any, name: str = "matrix") -> np.ndarray:
 
 @dataclass(frozen=True)
 class ChannelSpec:
-    """Declarative channel description, resolvable to a Kraus channel.
+    """A channel-spec document together with the Kraus channel it resolves to.
 
-    ``kind`` selects the payload: explicit ``kraus`` operators, a single
-    ``unitary``, ``unitaries`` with optional ``probabilities`` (uniform when
-    omitted), or ``weights`` plus ``parts`` for a convex combination of
-    sub-channels.
+    ``document["kind"]`` selects the payload: ``kraus`` operators, one ``unitary``,
+    ``unitaries`` with optional ``probabilities`` (uniform when omitted), or
+    ``weights`` over sub-channel ``parts``.
     """
 
-    kind: str
-    dim: int
-    name: str
-    kraus: Optional[tuple[np.ndarray, ...]] = None
-    unitary: Optional[np.ndarray] = None
-    unitaries: Optional[tuple[np.ndarray, ...]] = None
-    probabilities: Optional[tuple[float, ...]] = None
-    weights: Optional[tuple[float, ...]] = None
-    parts: Optional[tuple["ChannelSpec", ...]] = None
+    document: dict
+    channel: KrausChannel
+
+    @property
+    def kind(self) -> str:
+        return self.document["kind"]
+
+    @property
+    def dim(self) -> int:
+        return self.document["dim"]
+
+    @property
+    def name(self) -> str:
+        return self.document["name"]
 
     def to_kraus_channel(self) -> KrausChannel:
-        """Resolve this description into a concrete Kraus channel."""
-        if self.kind == "kraus":
-            return KrausChannel(dim=self.dim, kraus=tuple(self.kraus))
-        if self.kind == "unitary":
-            return KrausChannel(dim=self.dim, kraus=(np.asarray(self.unitary),))
-        if self.kind == "random_unitary":
-            n = len(self.unitaries)
-            probs = self.probabilities if self.probabilities is not None else tuple([1.0 / n] * n)
-            ops = tuple(np.sqrt(p) * np.asarray(U) for p, U in zip(probs, self.unitaries))
-            return KrausChannel(dim=self.dim, kraus=ops)
-        if self.kind == "convex_combination":
-            ops: list[np.ndarray] = []
-            for w, part in zip(self.weights, self.parts):
-                sub = part.to_kraus_channel()
-                ops.extend(np.sqrt(w) * A for A in sub.kraus)
-            return KrausChannel(dim=self.dim, kraus=tuple(ops))
-        raise SpecParseError(f"unknown channel kind {self.kind!r}")
+        """The Kraus channel the document resolves to."""
+        return self.channel
 
 
-def _spec_from_document(doc: dict) -> ChannelSpec:
-    kind = doc["kind"]
-    dim = doc["dim"]
-    name = doc.get("name", "")
-    kwargs: dict[str, Any] = {}
+def _resolve(doc: dict) -> KrausChannel:
+    """The CPTP Kraus channel a schema-valid channel-spec document describes: the one
+    place that reads each ``kind``.  The recursive call resolves and checks each part once."""
+    kind, dim, name = doc["kind"], doc["dim"], doc["name"]
     if kind == "kraus":
-        kwargs["kraus"] = tuple(matrix_from_json(m, "Kraus operator") for m in doc["kraus"])
+        ops = [matrix_from_json(m, "Kraus operator") for m in doc["kraus"]]
     elif kind == "unitary":
-        kwargs["unitary"] = matrix_from_json(doc["unitary"], "unitary")
-    elif kind == "random_unitary":
-        kwargs["unitaries"] = tuple(matrix_from_json(m, "unitary") for m in doc["unitaries"])
-        if "probabilities" in doc:
-            probs = tuple(float(p) for p in doc["probabilities"])
-            if len(probs) != len(kwargs["unitaries"]):
-                raise SpecParseError(
-                    f"{len(probs)} probabilities for {len(kwargs['unitaries'])} unitaries"
-                )
-            try:
-                validate_probabilities(probs)
-            except InvalidProbabilityError as exc:
-                raise SpecParseError(str(exc)) from exc
-            kwargs["probabilities"] = probs
-    elif kind == "convex_combination":
-        weights = tuple(float(w) for w in doc["weights"])
-        parts = tuple(_spec_from_document(p) for p in doc["parts"])
-        if len(weights) != len(parts):
-            raise SpecParseError(f"{len(weights)} weights for {len(parts)} parts")
+        ops = [matrix_from_json(doc["unitary"], "unitary")]
+    else:
+        if kind == "random_unitary":
+            groups = [(matrix_from_json(m, "unitary"),) for m in doc["unitaries"]]
+            n = len(groups)
+            weights = [float(p) for p in doc.get("probabilities", [1.0 / n] * n)]
+            counts, prefix, parts = f"{len(weights)} probabilities for {n} unitaries", "", ()
+        else:  # convex_combination, the last kind the schema admits
+            parts = doc["parts"]
+            groups = [_resolve(part).kraus for part in parts]
+            weights = [float(w) for w in doc["weights"]]
+            counts, prefix = f"{len(weights)} weights for {len(groups)} parts", "mixing weights invalid: "
+        if len(weights) != len(groups):
+            raise SpecParseError(counts)
         try:
             validate_probabilities(weights)
         except InvalidProbabilityError as exc:
-            raise SpecParseError(f"mixing weights invalid: {exc}") from exc
+            raise SpecParseError(f"{prefix}{exc}") from exc
         for part in parts:
-            if part.dim != dim:
+            if part["dim"] != dim:
                 raise SpecParseError(
-                    f"part {part.name!r} has dim {part.dim}, combination declares {dim}"
+                    f"part {part['name']!r} has dim {part['dim']}, combination declares {dim}"
                 )
-        kwargs["weights"] = weights
-        kwargs["parts"] = parts
-    spec = ChannelSpec(kind=kind, dim=dim, name=name, **kwargs)
+        ops = [np.sqrt(w) * A for w, group in zip(weights, groups) for A in group]
 
     # shape sanity before the CPTP check so errors stay precise
     try:
-        channel = spec.to_kraus_channel()
+        channel = KrausChannel(dim=dim, kraus=tuple(ops))
     except ValueError as exc:
         raise SpecParseError(str(exc)) from exc
     report = is_cptp(channel, DEFAULT_TOL)
@@ -180,7 +161,7 @@ def _spec_from_document(doc: dict) -> ChannelSpec:
             f"channel {name!r} is not CPTP: trace-preservation residual "
             f"{report.tp_residual:.3e}, Choi eigenvalue floor {report.choi_min_eigenvalue:.3e}"
         )
-    return spec
+    return channel
 
 
 def parse_channel_spec(text: str | bytes) -> ChannelSpec:
@@ -196,42 +177,27 @@ def parse_channel_spec(text: str | bytes) -> ChannelSpec:
     """
     doc = _load_json(text)
     _validate(doc, "channel_spec")
-    return _spec_from_document(doc)
-
-
-def channel_spec_to_document(spec: ChannelSpec) -> dict:
-    doc: dict[str, Any] = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": spec.kind,
-        "dim": spec.dim,
-        "name": spec.name,
-    }
-    if spec.kind == "kraus":
-        doc["kraus"] = [matrix_to_json(A) for A in spec.kraus]
-    elif spec.kind == "unitary":
-        doc["unitary"] = matrix_to_json(spec.unitary)
-    elif spec.kind == "random_unitary":
-        doc["unitaries"] = [matrix_to_json(U) for U in spec.unitaries]
-        if spec.probabilities is not None:
-            doc["probabilities"] = list(spec.probabilities)
-    elif spec.kind == "convex_combination":
-        doc["weights"] = list(spec.weights)
-        doc["parts"] = [channel_spec_to_document(p) for p in spec.parts]
-    return doc
+    return ChannelSpec(doc, _resolve(doc))
 
 
 def emit_channel_spec(spec: ChannelSpec) -> str:
-    return json.dumps(channel_spec_to_document(spec), indent=2)
+    return json.dumps(spec.document, indent=2)
 
 
 def kraus_spec(name: str, kraus: Sequence[np.ndarray]) -> ChannelSpec:
-    """Wrap explicit Kraus operators as a spec."""
-    ops = tuple(np.asarray(A, dtype=complex) for A in kraus)
-    return ChannelSpec(kind="kraus", dim=ops[0].shape[0], name=name, kraus=ops)
+    """Wrap explicit Kraus operators as a spec (no CPTP check)."""
+    ch = KrausChannel.from_operators(kraus)
+    payload = [matrix_to_json(A) for A in ch.kraus]
+    doc = {"schema_version": SCHEMA_VERSION, "kind": "kraus", "dim": ch.dim, "name": name, "kraus": payload}
+    return ChannelSpec(doc, ch)
 
 
 def unitary_spec(name: str, U: np.ndarray) -> ChannelSpec:
-    return ChannelSpec(kind="unitary", dim=np.asarray(U).shape[0], name=name, unitary=np.asarray(U, dtype=complex))
+    """Wrap one unitary conjugation as a spec (no CPTP check)."""
+    ch = KrausChannel.from_operators([U])
+    payload = matrix_to_json(ch.kraus[0])
+    doc = {"schema_version": SCHEMA_VERSION, "kind": "unitary", "dim": ch.dim, "name": name, "unitary": payload}
+    return ChannelSpec(doc, ch)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -47,7 +48,7 @@ def test_deconvolve_outputs_family(runner, spec_files):
 
 def test_deconvolve_reads_stdin(runner, spec_files):
     true_path, guess_path = spec_files
-    payload = open(true_path).read()
+    payload = Path(true_path).read_text()
     result = runner.invoke(main, ["deconvolve", "-", guess_path], input=payload)
     assert result.exit_code == 0, result.output
     assert parse_family(result.output).n_params == 5
@@ -277,12 +278,15 @@ def test_examples_run_with_override(runner):
 @pytest.mark.parametrize(
     "name, override, reason",
     [
-        ("partial-recovery", "p=1.5", "probability -0.5 is negative"),
-        ("partial-recovery", "mu=2", "probability -1.0 is negative"),
-        ("partial-recovery", "x=-3", "x must lie in [-1, 1]"),
-        ("bitflip-memory", "p=nan", "probability nan is negative or not a number"),
+        ("partial-recovery", "p=1.5", "p must lie in [0, 1], got 1.5"),
+        ("partial-recovery", "mu=2", "mu must lie in [0, 1], got 2.0"),
+        ("partial-recovery", "x=-3", "x must lie in [-1, 1], got -3.0"),
+        ("bitflip-memory", "p=nan", "p must lie in [0, 1], got nan"),
+        ("partial-recovery", "x=nan", "x must lie in [-1, 1], got nan"),
+        ("pauli-irrep", "prob_draws=0", "prob_draws must be at least 1, got 0"),
+        ("qutrit-extreme", "seed=-1", "seed must be at least 0, got -1"),
     ],
-    ids=["p=1.5", "mu=2", "x=-3", "p=nan"],
+    ids=["p=1.5", "mu=2", "x=-3", "p=nan", "x=nan", "prob_draws=0", "seed=-1"],
 )
 def test_examples_run_out_of_range_override_is_a_usage_error(runner, name, override, reason):
     # p=1.5 used to end in "SVD did not converge", mu=2 in NaN residuals and
@@ -292,6 +296,26 @@ def test_examples_run_out_of_range_override_is_a_usage_error(runner, name, overr
     assert reason in result.output
     assert isinstance(result.exception, SystemExit) and "Traceback" not in result.output
     assert "status:" not in result.output
+
+
+def test_examples_run_singular_guess_is_a_usage_error(runner):
+    # the correlated bit-flip guess at p = 1/2 has no inverse
+    result = runner.invoke(main, ["examples", "run", "bitflip-memory", "--set", "p=0.5"])
+    assert result.exit_code == 2, result.output
+    assert "singular" in result.output.lower()
+
+
+def test_examples_run_library_fault_is_not_a_usage_error(runner, monkeypatch):
+    import qdeconv.scenarios as sc
+
+    def broken(*args, **kwargs):
+        raise ValueError("fault inside the library")
+
+    monkeypatch.setattr(sc, "common_correctable_family", broken)
+    result = runner.invoke(main, ["examples", "run", "bitflip-memory"])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, ValueError)
+    assert "fault inside the library" in str(result.exception)
 
 
 def test_examples_run_usage_errors(runner):
@@ -350,6 +374,29 @@ def test_seed_env_var_and_flag_priority(runner, spec_files, tmp_path):
     assert scenario_seed("--seed", "1234", env={"QDECONV_SEED": None}) == 1234
     assert scenario_seed(env={"QDECONV_SEED": "1234"}) == 1234
     assert scenario_seed(env={"QDECONV_SEED": None}) == 11
+
+
+@pytest.mark.parametrize("subcommand", ["verify", "estimate"])
+@pytest.mark.parametrize("via", ["flag", "environment"])
+def test_negative_seed_is_a_usage_error(runner, spec_files, tmp_path, subcommand, via):
+    true_path, guess_path = spec_files
+    fam_path = tmp_path / "fam.json"
+    runner.invoke(main, ["deconvolve", true_path, guess_path, "-o", str(fam_path)])
+    obs_path = tmp_path / "obs.json"
+    state_path = tmp_path / "state.json"
+    obs_path.write_text(emit_hermitian_matrix(np.diag([1.0, -0.5, 0.25])))
+    state_path.write_text(emit_hermitian_matrix(np.eye(3) / 3))
+    if subcommand == "verify":
+        args = ["verify", str(fam_path), true_path, guess_path, "--states", "5"]
+    else:
+        args = ["estimate", str(obs_path), str(state_path), true_path, guess_path, "--shots", "10"]
+    if via == "flag":
+        result = runner.invoke(main, ["--seed", "-1", *args])
+    else:
+        result = runner.invoke(main, args, env={"QDECONV_SEED": "-1"})
+    assert result.exit_code == 2, result.output
+    assert "--seed" in result.output and "-1" in result.output
+    assert isinstance(result.exception, SystemExit) and "Traceback" not in result.output
 
 
 BAD_BYTES = {"non-UTF-8": b'{"dim": 3, \xff\xfe}', "not-JSON": b"{not json"}

@@ -214,6 +214,35 @@ def test_two_unitary_degenerate_qutrit_pair():
     assert fam.n_params == 5
 
 
+def _degenerate_group_basis(U1, U2):
+    grouping, fam = q.two_unitary_family(U1, U2)
+    start = 0
+    for group in grouping.groups:
+        if len(group) > 1:
+            return fam.basis[start:start + len(group) ** 2]
+        start += len(group) ** 2
+    raise AssertionError("no degenerate group")
+
+
+_U1, _U2, _U3 = three_unitary_error_set()
+
+
+@pytest.mark.parametrize(
+    "U1, U2",
+    [qutrit_pair_unitaries(), (_U1, _U2), (_U1, _U3), (_U2, _U3)],
+    ids=["qutrit-pair", "units-1-2", "units-1-3", "units-2-3"],
+)
+def test_two_unitary_degenerate_basis_ignores_global_phase(U1, U2):
+    # U2 and e^{i theta} U2 give the same channel; eigh returns a different
+    # basis of the degenerate eigenspace for each theta
+    reference = _degenerate_group_basis(U1, U2)
+    for theta in np.linspace(-3.0, 3.0, 25):
+        basis = _degenerate_group_basis(U1, np.exp(1j * theta) * U2)
+        assert len(basis) == len(reference)
+        for A, B in zip(basis, reference):
+            assert np.linalg.norm(A - B) < 1e-12
+
+
 def test_two_unitary_equal_inputs_fully_degenerate(rng):
     U = q.haar_random_unitary(3, rng)
     grouping, fam = q.two_unitary_family(U, U)

@@ -64,7 +64,7 @@ def test_overrides_are_applied_and_validated():
     with pytest.raises(ValueError):
         run_scenario("qutrit-extreme", {"states": 2.5})
     # a recovery check over no sampled channel would pass vacuously
-    with pytest.raises(ValueError, match="at least one sampled channel"):
+    with pytest.raises(ValueError, match="prob_draws must be at least 1, got 0"):
         run_scenario("pauli-irrep", {"prob_draws": 0})
     with pytest.raises(q.UnknownScenarioError):
         run_scenario("not-a-scenario")

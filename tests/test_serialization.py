@@ -14,8 +14,6 @@ from qdeconv.scenarios import (
     run_scenario,
 )
 from qdeconv.serialization import (
-    ChannelSpec,
-    channel_spec_to_document,
     emit_channel_spec,
     emit_family,
     emit_hermitian_matrix,
@@ -56,7 +54,7 @@ def test_parse_extreme_qutrit_spec():
 
 
 def test_parse_rejects_non_cptp_with_residual():
-    bad = ChannelSpec(kind="kraus", dim=2, name="bad", kraus=(0.9 * np.eye(2),))
+    bad = kraus_spec("bad", [0.9 * np.eye(2)])
     with pytest.raises(q.CptpViolationError) as err:
         parse_channel_spec(emit_channel_spec(bad))
     assert "residual" in str(err.value)
@@ -117,10 +115,8 @@ def test_convex_combination_realizes_memory_channel():
         "name": "bit flip with memory",
         "weights": [1 - mu, mu],
         "parts": [
-            channel_spec_to_document(
-                kraus_spec("uncorrelated", bitflip_uncorrelated(p).kraus)
-            ),
-            channel_spec_to_document(kraus_spec("correlated", bitflip_correlated(p).kraus)),
+            kraus_spec("uncorrelated", bitflip_uncorrelated(p).kraus).document,
+            kraus_spec("correlated", bitflip_correlated(p).kraus).document,
         ],
     }
     spec = parse_channel_spec(json.dumps(doc))
@@ -136,7 +132,7 @@ def test_convex_combination_rejects_dim_mismatch():
         "dim": 2,
         "name": "broken",
         "weights": [1.0],
-        "parts": [channel_spec_to_document(kraus_spec("cc", bitflip_correlated(0.2).kraus))],
+        "parts": [kraus_spec("cc", bitflip_correlated(0.2).kraus).document],
     }
     with pytest.raises(q.SpecParseError):
         parse_channel_spec(json.dumps(doc))
@@ -147,8 +143,97 @@ def test_channel_spec_roundtrip_semantic_identity():
     spec = kraus_spec("roundtrip", ch.kraus)
     again = parse_channel_spec(emit_channel_spec(spec))
     assert again.kind == spec.kind and again.dim == spec.dim and again.name == spec.name
-    for A, B in zip(spec.kraus, again.kraus):
+    for A, B in zip(spec.channel.kraus, again.channel.kraus):
         assert np.max(np.abs(A - B)) <= 1e-15
+
+
+def _nested_document() -> dict:
+    """A convex combination whose second part is itself a convex combination."""
+    U = np.array([[1, -1], [1, 1]], dtype=complex) / np.sqrt(2)
+    inner = {
+        "schema_version": 1,
+        "kind": "convex_combination",
+        "dim": 2,
+        "name": "inner",
+        "weights": [0.25, 0.75],
+        "parts": [unitary_spec("x flip", SIGMA[1]).document, unitary_spec("hadamard-like", U).document],
+    }
+    return {
+        "schema_version": 1,
+        "kind": "convex_combination",
+        "dim": 2,
+        "name": "outer",
+        "weights": [0.5, 0.5],
+        "parts": [unitary_spec("identity", np.eye(2)).document, inner],
+    }
+
+
+def _spec_documents() -> list[dict]:
+    uniform = {
+        "schema_version": 1,
+        "kind": "random_unitary",
+        "dim": 2,
+        "name": "uniform",
+        "unitaries": [matrix_to_json(np.eye(2)), matrix_to_json(SIGMA[3])],
+    }
+    return [
+        kraus_spec("extreme qutrit", qutrit_extreme_channel(0.4).kraus).document,
+        unitary_spec("z", SIGMA[3]).document,
+        uniform,
+        dict(uniform, name="weighted", probabilities=[0.7, 0.3]),
+        _nested_document(),
+    ]
+
+
+@pytest.mark.parametrize("doc", _spec_documents(), ids=lambda d: d["name"])
+def test_emit_reproduces_parsed_document(doc):
+    text = json.dumps(doc, indent=2)
+    spec = parse_channel_spec(text)
+    assert spec.document == doc
+    assert emit_channel_spec(spec) == text
+    assert (spec.kind, spec.dim, spec.name) == (doc["kind"], doc["dim"], doc["name"])
+
+
+def test_spec_holds_one_resolved_channel():
+    spec = parse_channel_spec(json.dumps(_nested_document()))
+    assert spec.to_kraus_channel() is spec.to_kraus_channel() is spec.channel
+    # identity/2 + (x flip/4 + U * 3/4)/2 as three weighted Kraus operators
+    assert [float(np.linalg.norm(A) ** 2 / 2) for A in spec.channel.kraus] == pytest.approx([0.5, 0.125, 0.375])
+
+
+def test_nested_spec_builds_one_channel_per_document(monkeypatch):
+    from qdeconv import serialization
+
+    text = json.dumps(_nested_document())
+    built = []
+
+    class Counting(serialization.KrausChannel):
+        def __post_init__(self):
+            built.append(self.dim)
+            super().__post_init__()
+
+    monkeypatch.setattr(serialization, "KrausChannel", Counting)
+    parse_channel_spec(text).to_kraus_channel()
+    assert len(built) == 5  # outer, identity, inner, and the inner's two parts
+
+
+def test_convex_combination_rejects_non_cptp_part_by_name():
+    deficient = kraus_spec("deficient", [0.9 * np.eye(2)]).document
+    excess = kraus_spec("excess", [np.sqrt(1.19) * np.eye(2)]).document
+    doc = {
+        "schema_version": 1,
+        "kind": "convex_combination",
+        "dim": 2,
+        "name": "balanced",
+        "weights": [0.5, 0.5],
+        "parts": [deficient, excess],
+    }
+    # the mixture itself is trace preserving: 0.5 * 0.81 + 0.5 * 1.19 = 1
+    with pytest.raises(q.CptpViolationError, match="channel 'deficient' is not CPTP"):
+        parse_channel_spec(json.dumps(doc))
+    doc["parts"] = [excess, deficient]
+    with pytest.raises(q.CptpViolationError, match="channel 'excess' is not CPTP"):
+        parse_channel_spec(json.dumps(doc))
 
 
 def test_family_roundtrip(rng):
@@ -211,9 +296,7 @@ def test_all_schemas_load():
 
 def test_documents_validate_against_schemas(rng):
     ch = qutrit_extreme_channel(1.0)
-    jsonschema.validate(
-        channel_spec_to_document(kraus_spec("x", ch.kraus)), load_schema("channel_spec")
-    )
+    jsonschema.validate(kraus_spec("x", ch.kraus).document, load_schema("channel_spec"))
 
     gp = q.GuessPair.from_transfers(
         q.transfer_from_kraus(ch), q.transfer_from_kraus(qutrit_extreme_channel(0.0))
