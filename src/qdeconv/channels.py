@@ -332,6 +332,13 @@ def adjoint_transfer(T: TransferMatrix) -> TransferMatrix:
     return TransferMatrix(dim=T.dim, gamma=T.gamma.conj().T)
 
 
+def _check_sv_cutoff(tol: float) -> None:
+    """Raise ``ValueError`` unless ``tol`` is a non-negative number."""
+    # written so that NaN fails too; it would accept every matrix
+    if not tol >= 0:
+        raise ValueError(f"singular-value cutoff must be a non-negative number, got {tol}")
+
+
 def _require_invertible(s: np.ndarray, tol: float) -> None:
     """Raise :class:`SingularChannelError` unless the descending singular values
     ``s`` keep their smallest above ``tol`` times their largest."""
@@ -357,7 +364,10 @@ def inverse_transfer(T: TransferMatrix, tol: float = DEFAULT_SV_CUTOFF) -> Trans
     ------
     SingularChannelError
         If the transfer matrix is singular at the given cutoff.
+    ValueError
+        If ``tol`` is NaN or negative.
     """
+    _check_sv_cutoff(tol)
     u, s, vh = np.linalg.svd(T.gamma)
     _require_invertible(s, tol)
     inv = (vh.conj().T * (1.0 / s)) @ u.conj().T

@@ -25,6 +25,7 @@ import numpy as np
 from .channels import (
     DEFAULT_SV_CUTOFF,
     TransferMatrix,
+    _check_sv_cutoff,
     _require_invertible,
     apply_channel,
     devectorize,
@@ -75,10 +76,20 @@ def _coordinates(M: np.ndarray, d: int) -> np.ndarray:
     """``B^dag M B``: a superoperator in Hermitian coordinates on both sides.
 
     Real (to rounding) when ``M`` maps Hermitian operators to Hermitian ones.
+    ``M`` is complex; the rows and then the columns are gathered, scaled and
+    added in place, in three ``d^2 x d^2`` buffers.
     """
     i1, i2, w1, w2 = _hermitian_basis(d)
-    X = w1.conj()[:, None] * M[i1] + w2.conj()[:, None] * M[i2]
-    return X[:, i1] * w1 + X[:, i2] * w2
+    X, buf = M[i1], M[i2]
+    X *= w1.conj()[:, None]
+    buf *= w2.conj()[:, None]
+    X += buf
+    out = np.take(X, i1, axis=1)
+    out *= w1
+    np.take(X, i2, axis=1, out=buf)
+    buf *= w2
+    out += buf
+    return out
 
 
 def _from_coordinates(coeffs: np.ndarray, d: int) -> ObservableFamily:
@@ -88,6 +99,54 @@ def _from_coordinates(coeffs: np.ndarray, d: int) -> ObservableFamily:
     vecs[:, i1] = coeffs * w1
     vecs[:, i2] += coeffs * w2
     return ObservableFamily.from_basis(d, [_fix_matrix_sign(v.reshape(d, d)) for v in vecs])
+
+
+# ---------------------------------------------------------------------------
+# Invertibility of the guess
+# ---------------------------------------------------------------------------
+
+#: Smallest bracket that may accept without an SVD.  Above it the LU inverse's
+#: relative rounding, about ``n * kappa * eps``, stays below 1e-4 for n <= 4096,
+#: so the factor 2 in :func:`_require_invertible_coordinates` absorbs it at any
+#: cutoff.  It lies below twice the default cutoff.
+_BRACKET_FLOOR = float(np.sqrt(np.finfo(float).eps))
+
+
+def _spectral_norm_bound(M: np.ndarray) -> float:
+    """Upper bound on ``||M||_2`` of a nonzero ``M``: the smaller of
+    ``sqrt(||M||_1 ||M||_inf)`` and the Frobenius norm (Higham, Accuracy and
+    Stability of Numerical Algorithms, sec. 6.2).
+
+    Both are evaluated so that squares and products of tiny entries cannot
+    underflow to a bound of 0; a product that overflows gives ``inf``.
+    """
+    A = np.abs(M)
+    top = A.max()
+    one_inf = np.sqrt(A.sum(axis=0).max()) * np.sqrt(A.sum(axis=1).max())
+    A /= top
+    return min(one_inf, top * np.linalg.norm(A))
+
+
+def _require_invertible_coordinates(G: np.ndarray, sv_cutoff: float) -> None:
+    """:func:`~qdeconv.channels._require_invertible` on the singular values of
+    the real square ``G``, without them when one LU inverse decides.
+
+    ``1 / (u(G) u(G^-1))``, with ``u`` from :func:`_spectral_norm_bound`, is a
+    lower bound on ``s_min / s_max``; when it exceeds twice the cutoff (and
+    ``_BRACKET_FLOOR``) ``G`` is accepted.  Otherwise, and when the inverse
+    fails or is not finite, the values-only SVD decides, so every rejection
+    and its message come from ``_require_invertible``.  The inverse is dropped.
+    """
+    try:
+        inv = np.linalg.inv(G)
+    except np.linalg.LinAlgError:
+        inv = None
+    if inv is not None and np.isfinite(inv).all():
+        with np.errstate(over="ignore"):
+            lower = 1.0 / (_spectral_norm_bound(G) * _spectral_norm_bound(inv))
+        if lower > max(2.0 * sv_cutoff, _BRACKET_FLOOR):
+            return
+    _require_invertible(np.linalg.svd(G, compute_uv=False), sv_cutoff)
 
 
 # ---------------------------------------------------------------------------
@@ -150,17 +209,23 @@ class GuessPair:
         phi_g: TransferMatrix,
         sv_cutoff: float = DEFAULT_SV_CUTOFF,
     ) -> "GuessPair":
-        """Build a pair from transfer matrices, checking the guess's singular values.
+        """Build a pair from transfer matrices, checking that the guess is invertible.
+
+        A norm bracket from one LU inverse of the guess decides, and its
+        values-only SVD only when the bracket cannot (see
+        :func:`_require_invertible_coordinates`).
 
         Raises
         ------
         SingularChannelError
             If the guess is not invertible at the given relative cutoff.
         ValueError
-            If the guess does not preserve Hermiticity.
+            If the guess does not preserve Hermiticity, or ``sv_cutoff`` is
+            NaN or negative.
         """
+        _check_sv_cutoff(sv_cutoff)
         pair = cls(phi=phi, phi_g=phi_g)
-        _require_invertible(np.linalg.svd(pair._guess_coordinates, compute_uv=False), sv_cutoff)
+        _require_invertible_coordinates(pair._guess_coordinates, sv_cutoff)
         return pair
 
 

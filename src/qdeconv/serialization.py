@@ -8,6 +8,7 @@ schemas shipped in ``qdeconv/schemas``.
 
 from __future__ import annotations
 
+import copy
 import json
 from dataclasses import dataclass
 from functools import lru_cache
@@ -17,7 +18,7 @@ from typing import Any, Sequence
 import jsonschema
 import numpy as np
 
-from .channels import DEFAULT_TOL, KrausChannel, is_cptp, validate_probabilities
+from .channels import DEFAULT_TOL, KrausChannel, is_cptp, is_unitary, validate_probabilities
 from .deconvolution import DeconvReport, ObservableFamily
 from .errors import CptpViolationError, InvalidProbabilityError, SpecParseError
 
@@ -89,29 +90,39 @@ def matrix_from_json(data: Any, name: str = "matrix") -> np.ndarray:
 # Channel specs
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ChannelSpec:
     """A channel-spec document together with the Kraus channel it resolves to.
 
     ``document["kind"]`` selects the payload: ``kraus`` operators, one ``unitary``,
     ``unitaries`` with optional ``probabilities`` (uniform when omitted), or
-    ``weights`` over sub-channel ``parts``.
+    ``weights`` over sub-channel ``parts``.  The spec keeps its own copy of the
+    document and hands out copies, so the document cannot drift from ``channel``.
     """
 
-    document: dict
+    _document: dict
     channel: KrausChannel
+
+    def __init__(self, document: dict, channel: KrausChannel) -> None:
+        object.__setattr__(self, "_document", copy.deepcopy(document))
+        object.__setattr__(self, "channel", channel)
+
+    @property
+    def document(self) -> dict:
+        """A copy of the document; changing it leaves the spec unchanged."""
+        return copy.deepcopy(self._document)
 
     @property
     def kind(self) -> str:
-        return self.document["kind"]
+        return self._document["kind"]
 
     @property
     def dim(self) -> int:
-        return self.document["dim"]
+        return self._document["dim"]
 
     @property
     def name(self) -> str:
-        return self.document["name"]
+        return self._document["name"]
 
     def to_kraus_channel(self) -> KrausChannel:
         """The Kraus channel the document resolves to."""
@@ -129,6 +140,10 @@ def _resolve(doc: dict) -> KrausChannel:
     else:
         if kind == "random_unitary":
             groups = [(matrix_from_json(m, "unitary"),) for m in doc["unitaries"]]
+            for k, (U,) in enumerate(groups):
+                # a wrong shape is left to the Kraus shape check below
+                if U.shape == (dim, dim) and not is_unitary(U, DEFAULT_TOL):
+                    raise SpecParseError(f"member {k} of {name!r} is not unitary within {DEFAULT_TOL:g}")
             n = len(groups)
             weights = [float(p) for p in doc.get("probabilities", [1.0 / n] * n)]
             counts, prefix, parts = f"{len(weights)} probabilities for {n} unitaries", "", ()
@@ -181,7 +196,7 @@ def parse_channel_spec(text: str | bytes) -> ChannelSpec:
 
 
 def emit_channel_spec(spec: ChannelSpec) -> str:
-    return json.dumps(spec.document, indent=2)
+    return json.dumps(spec._document, indent=2)
 
 
 def kraus_spec(name: str, kraus: Sequence[np.ndarray]) -> ChannelSpec:

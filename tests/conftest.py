@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from qdeconv import PAULIS
+from qdeconv.deconvolution import _hermitian_basis
 
 
 def kron(*mats: np.ndarray) -> np.ndarray:
@@ -53,6 +54,14 @@ def choice_estimate(rho: np.ndarray, Q: np.ndarray, shots: int, seed: int) -> tu
     samples = np.random.default_rng(seed).choice(eigvals, size=shots, p=probs)
     std = samples.std(ddof=1) if shots > 1 else 0.0
     return float(samples.mean()), float(std / np.sqrt(shots))
+
+
+def coordinates_oracle(M: np.ndarray, d: int) -> np.ndarray:
+    """``B^dag M B`` as two whole-array expressions: the form the in-place
+    ``deconvolution._coordinates`` must reproduce bit for bit."""
+    i1, i2, w1, w2 = _hermitian_basis(d)
+    X = w1.conj()[:, None] * M[i1] + w2.conj()[:, None] * M[i2]
+    return X[:, i1] * w1 + X[:, i2] * w2
 
 
 def matrix_unit(d: int, i: int, j: int) -> np.ndarray:

@@ -298,6 +298,22 @@ def test_examples_run_out_of_range_override_is_a_usage_error(runner, name, overr
     assert "status:" not in result.output
 
 
+def test_spec_with_non_unitary_member_is_a_usage_error(runner, spec_files, tmp_path):
+    true_path, _ = spec_files
+    bad = tmp_path / "projectors.json"
+    bad.write_text(json.dumps({
+        "schema_version": 1,
+        "kind": "random_unitary",
+        "dim": 2,
+        "name": "scaled projectors",
+        "unitaries": [[[[np.sqrt(2), 0], [0, 0]], [[0, 0], [0, 0]]], [[[0, 0], [0, 0]], [[0, 0], [np.sqrt(2), 0]]]],
+        "probabilities": [0.5, 0.5],
+    }))
+    result = runner.invoke(main, ["deconvolve", true_path, str(bad)])
+    assert result.exit_code == 2, result.output
+    assert f"{bad}: member 0 of 'scaled projectors' is not unitary" in result.output
+
+
 def test_examples_run_singular_guess_is_a_usage_error(runner):
     # the correlated bit-flip guess at p = 1/2 has no inverse
     result = runner.invoke(main, ["examples", "run", "bitflip-memory", "--set", "p=0.5"])

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import qdeconv as q
 from qdeconv.channels import random_hermitian
+from qdeconv.deconvolution import _coordinates, _spectral_norm_bound
 from qdeconv.serialization import emit_family
 from qdeconv.scenarios import (
     bitflip_correlated,
@@ -14,7 +17,7 @@ from qdeconv.scenarios import (
     recovery_probe_state,
 )
 
-from conftest import SIGMA, apply_kraus, kron, matrix_unit, recovery_bound
+from conftest import SIGMA, apply_kraus, coordinates_oracle, kron, matrix_unit, recovery_bound
 
 
 def guess_pair(true_ch, guess_ch):
@@ -92,6 +95,156 @@ def test_guess_pair_rejects_singular_guess():
     phi = q.transfer_from_kraus(bitflip_with_memory(0.5, 0.3))
     with pytest.raises(q.SingularChannelError):
         q.GuessPair.from_transfers(phi, q.transfer_from_kraus(bitflip_correlated(0.5)))
+
+
+# ---------------------------------------------------------------------------
+# invertibility of the guess: norm bracket first, values-only SVD when it cannot decide
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """Keyword arguments of every ``np.linalg.svd`` call made while the test runs."""
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        calls.append(kwargs)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return calls
+
+
+def _parity_guesses():
+    rng = np.random.default_rng(20261018)
+    for d in (2, 3, 4, 8):
+        for n_kraus in (1, 2, 3):
+            yield q.transfer_from_kraus(q.random_cptp_channel(d, n_kraus, rng))
+    # rho -> tr(rho) sigma plus a unitary at weight 1e-18..1e-14: the LU inverse
+    # is rounding there and its bracket can exceed the exact ratio
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        replacement = np.outer(q.random_density_matrix(2, rng).reshape(-1), np.eye(2).reshape(-1))
+        lam = 10.0 ** rng.uniform(-18, -14)
+        U = q.haar_random_unitary(2, rng)
+        yield q.TransferMatrix(2, (1 - lam) * replacement + lam * np.kron(U, U.conj()))
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-170, 1e-306])
+def test_guess_check_decides_as_the_singular_value_rule(svd_calls, scale):
+    # the ratio is scale-free; at 1e-170 squares of entries underflow, and at
+    # 1e-306 the inverse's norms overflow
+    paths = set()
+    for k, T in enumerate(_parity_guesses()):
+        T = q.TransferMatrix(T.dim, scale * T.gamma)
+        s = np.linalg.svd(q.GuessPair(T, T)._guess_coordinates, compute_uv=False)
+        for factor in (1e-3, 0.1, 0.5, 0.999, 1.001, 2, 10, 100):
+            cutoff = factor * s[-1] / s[0]
+            accepted = bool(s[-1] > cutoff * s[0])  # the rule of channels._require_invertible
+            svd_calls.clear()
+            try:
+                q.GuessPair.from_transfers(T, T, cutoff)
+            except q.SingularChannelError:
+                assert not accepted, (k, factor)
+            else:
+                assert accepted, (k, factor)
+            paths.add((accepted, len(svd_calls)))
+    # the bracket alone accepts; the SVD accepts and rejects
+    assert paths == {(True, 0), (True, 1), (False, 1)}
+
+
+def test_clearly_invertible_guess_takes_no_svd(svd_calls):
+    T = q.transfer_from_kraus(q.random_cptp_channel(3, 2, np.random.default_rng(7)))
+    q.GuessPair.from_transfers(T, T)
+    q.GuessPair.from_transfers(T, q.TransferMatrix(3, 1e-200 * T.gamma))
+    assert svd_calls == []
+
+
+def test_straddling_bracket_takes_one_values_only_svd(svd_calls):
+    T = q.transfer_from_kraus(q.random_cptp_channel(3, 2, np.random.default_rng(7)))
+    s = np.linalg.svd(q.GuessPair(T, T)._guess_coordinates, compute_uv=False)
+    cutoff = 0.999 * s[-1] / s[0]
+    svd_calls.clear()
+    q.GuessPair.from_transfers(T, T, cutoff)
+    assert svd_calls == [{"compute_uv": False}]
+
+
+def test_singular_guess_errors_are_unchanged():
+    phi = q.transfer_from_kraus(q.random_cptp_channel(2, 2, np.random.default_rng(1)))
+    singular = q.TransferMatrix(2, np.diag([1.0, 0.0, 0.0, 1.0]))
+    with pytest.raises(q.SingularChannelError) as err:
+        q.GuessPair.from_transfers(phi, singular)
+    assert str(err.value) == (
+        "transfer matrix is singular: smallest/largest singular value "
+        "0.000e+00/1.000e+00 is below cutoff 1e-08"
+    )
+    gamma = phi.gamma.copy()
+    gamma[1, 2] = np.nan
+    with pytest.raises(np.linalg.LinAlgError, match="^SVD did not converge$"):
+        q.GuessPair.from_transfers(phi, q.TransferMatrix(2, gamma))
+
+
+@pytest.mark.parametrize("cutoff", [float("nan"), -1.0])
+def test_singular_value_cutoff_must_be_non_negative(cutoff):
+    phi = q.transfer_from_kraus(q.unitary_channel(np.eye(2)))
+    singular = q.TransferMatrix(2, np.diag([1.0, 0.0, 0.0, 1.0]))
+    # the identity guess shows the check runs before the bracket could accept
+    for guess in (phi, singular):
+        with pytest.raises(ValueError, match="singular-value cutoff must be a non-negative number"):
+            q.GuessPair.from_transfers(phi, guess, cutoff)
+    with pytest.raises(ValueError, match="singular-value cutoff must be a non-negative number"):
+        q.inverse_transfer(singular, cutoff)
+
+
+def _largest_line_norm(M):
+    """Lower bound on ``||M||_2``: the largest column or row 2-norm."""
+    return max(np.linalg.norm(M, axis=0).max(), np.linalg.norm(M, axis=1).max())
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    n=st.integers(1, 16),
+    seed=st.integers(0, 2**31 - 1),
+    decades=st.one_of(st.none(), st.floats(0.0, 8.0)),
+)
+def test_norm_bracket_contains_the_singular_value_ratio(n, seed, decades):
+    rng = np.random.default_rng(seed)
+    if decades is None:
+        G = rng.normal(size=(n, n))
+    else:  # prescribed singular values from 1 down to 10**-decades
+        U, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        V, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        G = (U * np.logspace(0, -decades, n)) @ V.T
+    s = np.linalg.svd(G, compute_uv=False)
+    ratio = s[-1] / s[0]
+    inv = np.linalg.inv(G)
+    for M in (G, inv):
+        top = np.linalg.norm(M, 2)
+        assert _largest_line_norm(M) <= top * (1 + 1e-12)
+        assert top <= _spectral_norm_bound(M) * (1 + 1e-12)
+    lower = 1.0 / (_spectral_norm_bound(G) * _spectral_norm_bound(inv))
+    upper = 1.0 / (_largest_line_norm(G) * _largest_line_norm(inv))
+    assert lower <= ratio * (1 + 1e-6)
+    assert ratio <= upper * (1 + 1e-6)
+
+
+def test_guess_sweep_ranks_singular_candidates_last():
+    phi = q.transfer_from_kraus(q.unitary_channel(np.eye(2)))
+
+    def depolarizing(lam):
+        return q.TransferMatrix(2, lam * np.eye(4) + (1 - lam) / 2 * np.outer(np.eye(2).ravel(), np.eye(2).ravel()))
+
+    candidates = [depolarizing(1e-9), phi, depolarizing(1e-7), q.TransferMatrix(2, np.diag([1.0, 0.0, 0.0, 1.0]))]
+    assert q.guess_sweep(phi, candidates) == [(1, 4), (2, 1), (0, -1), (3, -1)]
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 16])
+def test_coordinates_match_the_whole_array_form(d):
+    rng = np.random.default_rng(d)
+    preserving = q.transfer_from_kraus(q.random_cptp_channel(d, 2, rng)).gamma
+    arbitrary = rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d))
+    for M in (preserving, arbitrary):
+        assert np.array_equal(_coordinates(M, d), coordinates_oracle(M, d))
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from qdeconv.scenarios import (
     run_scenario,
 )
 from qdeconv.serialization import (
+    ChannelSpec,
     emit_channel_spec,
     emit_family,
     emit_hermitian_matrix,
@@ -106,6 +107,37 @@ def test_random_unitary_spec_rejects_bad_probabilities():
         parse_channel_spec(json.dumps(doc))
 
 
+def _scaled_projector_document() -> dict:
+    """sqrt2|0><0| and sqrt2|1><1| at 0.5/0.5: not unitary, yet the mixture is dephasing."""
+    return {
+        "schema_version": 1,
+        "kind": "random_unitary",
+        "dim": 2,
+        "name": "scaled projectors",
+        "unitaries": [matrix_to_json(np.sqrt(2) * np.diag([1, 0])), matrix_to_json(np.sqrt(2) * np.diag([0, 1]))],
+        "probabilities": [0.5, 0.5],
+    }
+
+
+def test_random_unitary_spec_rejects_non_unitary_member():
+    doc = _scaled_projector_document()
+    with pytest.raises(q.SpecParseError, match="member 0 of 'scaled projectors' is not unitary within 1e-09"):
+        parse_channel_spec(json.dumps(doc))
+    doc["unitaries"][0] = matrix_to_json(np.eye(2))
+    with pytest.raises(q.SpecParseError, match="member 1 of 'scaled projectors' is not unitary"):
+        parse_channel_spec(json.dumps(doc))
+    nested = {
+        "schema_version": 1,
+        "kind": "convex_combination",
+        "dim": 2,
+        "name": "outer",
+        "weights": [0.5, 0.5],
+        "parts": [unitary_spec("identity", np.eye(2)).document, _scaled_projector_document()],
+    }
+    with pytest.raises(q.SpecParseError, match="member 0 of 'scaled projectors' is not unitary"):
+        parse_channel_spec(json.dumps(nested))
+
+
 def test_convex_combination_realizes_memory_channel():
     p, mu = 0.3, 0.6
     doc = {
@@ -192,6 +224,24 @@ def test_emit_reproduces_parsed_document(doc):
     assert spec.document == doc
     assert emit_channel_spec(spec) == text
     assert (spec.kind, spec.dim, spec.name) == (doc["kind"], doc["dim"], doc["name"])
+
+
+def test_spec_document_cannot_drift_from_channel():
+    spec = parse_channel_spec(json.dumps(_nested_document(), indent=2))
+    before = (emit_channel_spec(spec), spec.kind, spec.dim, spec.name)
+    doc = spec.document
+    doc["dim"] = 3
+    doc["kind"] = "kraus"
+    doc["name"] = "changed"
+    doc["parts"][1]["weights"][0] = 0.9
+    doc["parts"][0]["unitary"][0][0][0] = 7.0
+    assert (emit_channel_spec(spec), spec.kind, spec.dim, spec.name) == before
+    assert spec.document == _nested_document()
+    # the spec keeps its own copy of the document it was built from, too
+    source = unitary_spec("z", SIGMA[3]).document
+    built = ChannelSpec(source, unitary_spec("z", SIGMA[3]).channel)
+    source["dim"] = 3
+    assert built.dim == 2 and built.document["dim"] == 2
 
 
 def test_spec_holds_one_resolved_channel():
