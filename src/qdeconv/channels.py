@@ -152,7 +152,7 @@ def hs_inner(X: np.ndarray, Y: np.ndarray) -> complex:
 # Channel value types
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KrausChannel:
     """A channel given by a nonempty list of d x d Kraus operators.
 
@@ -204,7 +204,7 @@ class KrausChannel:
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransferMatrix:
     """The d^2 x d^2 matrix representation of a channel on vectorized operators."""
 
@@ -225,7 +225,7 @@ class TransferMatrix:
         return float(np.linalg.norm(vi.conj() @ self.gamma - vi.conj()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChoiMatrix:
     """The Choi state of a channel, normalized to unit trace for CPTP maps."""
 
@@ -443,9 +443,14 @@ def is_cptp(ch: KrausChannel, tol: float = DEFAULT_TOL) -> CptpReport:
     """Diagnose trace preservation and complete positivity of a Kraus channel.
 
     Never raises: returns the numeric residuals so callers can report them.
+    A channel whose Choi matrix is not finite (a NaN or infinite Kraus entry,
+    or one whose products overflow) is neither, with a NaN eigenvalue floor.
     """
     tp_residual = ch.trace_preservation_residual()
-    eigs = np.linalg.eigvalsh(choi_from_channel(ch).choi)
+    choi = choi_from_channel(ch).choi
+    if not np.isfinite(choi).all():  # eigvalsh would raise LinAlgError
+        return CptpReport(False, False, tp_residual, float("nan"))
+    eigs = np.linalg.eigvalsh(choi)
     return CptpReport(
         trace_preserving=tp_residual <= tol,
         completely_positive=bool(eigs.min() >= -tol),

@@ -153,7 +153,7 @@ def _require_invertible_coordinates(G: np.ndarray, sv_cutoff: float) -> None:
 # Value types
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GuessPair:
     """True channel and guessed channel; the guess's inverse is built on first use.
 
@@ -220,16 +220,20 @@ class GuessPair:
         SingularChannelError
             If the guess is not invertible at the given relative cutoff.
         ValueError
-            If the guess does not preserve Hermiticity, or ``sv_cutoff`` is
-            NaN or negative.
+            If the true channel or the guess has a NaN or infinite entry, the
+            guess does not preserve Hermiticity, or ``sv_cutoff`` is NaN or
+            negative.
         """
         _check_sv_cutoff(sv_cutoff)
+        for name, t in (("true channel", phi), ("guess", phi_g)):
+            if not np.isfinite(t.gamma).all():
+                raise ValueError(f"{name} transfer matrix has non-finite entries")
         pair = cls(phi=phi, phi_g=phi_g)
         _require_invertible_coordinates(pair._guess_coordinates, sv_cutoff)
         return pair
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ObservableFamily:
     """Orthonormal Hermitian basis of a correctable-observable space."""
 

@@ -27,7 +27,7 @@ from .deconvolution import GuessPair, modified_observable
 PROBABILITY_FLOOR = -1e-8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuorumBasis:
     """Orthogonal Hermitian operators spanning the full observable space.
 

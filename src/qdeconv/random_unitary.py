@@ -38,7 +38,7 @@ DEFAULT_GROUPING_TOL = 1e-8
 DEFAULT_INVARIANT_TOL = 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UnitaryErrorSet:
     """Known unitary errors with an index selecting the guess conjugation."""
 
@@ -75,7 +75,7 @@ class UnitaryErrorSet:
         return self.unitaries[self.guess_index]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EigGrouping:
     """Unit-modulus eigenvalues partitioned into degeneracy classes."""
 

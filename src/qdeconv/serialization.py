@@ -2,23 +2,26 @@
 
 Complex numbers serialize as two-element ``[re, im]`` arrays and matrices as
 row-major nested arrays, so fixtures stay diff-friendly and bit-exact.  All
-documents carry a ``schema_version`` field and validate against the JSON
-schemas shipped in ``qdeconv/schemas``.
+documents carry a ``schema_version`` field.  The JSON schemas shipped in
+``qdeconv/schemas`` document the formats; the parsers check the structure of
+what they read themselves, and each departure is a :class:`SpecParseError`
+that names its JSON path.
 """
 
 from __future__ import annotations
 
 import copy
 import json
+import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
-from typing import Any, Sequence
+from typing import Any, NoReturn, Sequence
 
-import jsonschema
 import numpy as np
 
-from .channels import DEFAULT_TOL, KrausChannel, is_cptp, is_unitary, validate_probabilities
+from .channels import DEFAULT_TOL, MAX_DIM, KrausChannel, is_cptp, is_unitary, validate_probabilities
 from .deconvolution import DeconvReport, ObservableFamily
 from .errors import CptpViolationError, InvalidProbabilityError, SpecParseError
 
@@ -36,28 +39,84 @@ def load_schema(name: str) -> dict:
     return json.loads(text)
 
 
-@lru_cache(maxsize=None)
-def _validator(schema_name: str) -> jsonschema.protocols.Validator:
-    """Validator of a shipped schema, checked against its metaschema once per process."""
-    schema = load_schema(schema_name)
-    cls = jsonschema.validators.validator_for(schema)
-    cls.check_schema(schema)
-    return cls(schema)
-
-
 def _load_json(text: str | bytes) -> Any:
     """Decode UTF-8 bytes and parse JSON; either failure is a :class:`SpecParseError`."""
     try:
         return json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    # decoding errors, integers past the digit limit and too deep nesting alike
+    except (ValueError, RecursionError) as exc:
         raise SpecParseError(f"malformed JSON: {exc}") from exc
 
 
-def _validate(document: Any, schema_name: str) -> None:
-    # the error jsonschema.validate would raise, without its per-call schema check
-    error = jsonschema.exceptions.best_match(_validator(schema_name).iter_errors(document))
-    if error is not None:
-        raise SpecParseError(f"{schema_name} document violates schema: {error.message}") from error
+# ---------------------------------------------------------------------------
+# Structural checks: each names the JSON path and the form it expected
+# ---------------------------------------------------------------------------
+
+def _fail(path: str, form: str, value: Any) -> NoReturn:
+    shown = json.dumps(value)
+    if len(shown) > 40:
+        shown = shown[:37] + "..."
+    if isinstance(value, float) and not math.isfinite(value):
+        shown = f"non-finite {shown}"
+    raise SpecParseError(f"{path} must be {form}, got {shown}")
+
+
+@contextmanager
+def _violations(prefix: str):
+    """Prefix the message of a :class:`SpecParseError` raised by a structural check."""
+    try:
+        yield
+    except SpecParseError as exc:
+        raise SpecParseError(f"{prefix}: {exc}") from None
+
+
+def _object(value: Any, path: str, required: Sequence[str]) -> dict:
+    if type(value) is not dict:
+        _fail(path, "an object", value)
+    for key in required:
+        if key not in value:
+            raise SpecParseError(f"{path} must have the field {key!r}")
+    return value
+
+
+def _array(value: Any, path: str, min_items: int = 1) -> list:
+    if type(value) is not list or len(value) < min_items:
+        _fail(path, "a non-empty array" if min_items else "an array", value)
+    return value
+
+
+def _integer(value: Any, path: str, low: int, high: int | None = None) -> int:
+    """``value`` if it is an int, not a bool, in range; an integer-valued float such as ``2.0`` is not."""
+    if type(value) is not int or value < low or (high is not None and value > high):
+        _fail(path, f"an integer >= {low}" if high is None else f"an integer in [{low}, {high}]", value)
+    return value
+
+
+def _number(value: Any, path: str) -> None:
+    """Check that ``value`` is an int or float, not a bool, that is finite as a float."""
+    try:
+        finite = type(value) in (int, float) and math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        finite = False
+    if not finite:
+        _fail(path, "a finite number", value)
+
+
+def _each(check):
+    """The check of a non-empty array whose every item passes ``check``."""
+    def check_items(value: Any, path: str) -> None:
+        for k, item in enumerate(_array(value, path)):
+            check(item, f"{path}[{k}]")
+    return check_items
+
+
+def _header(doc: Any, path: str, required: Sequence[str]) -> None:
+    """Check that ``doc`` is an object with the ``required`` fields, version 1 and a ``dim`` in [1, MAX_DIM]."""
+    _object(doc, path, required)
+    version = doc["schema_version"]
+    if type(version) is bool or version != SCHEMA_VERSION:
+        _fail(f"{path}.schema_version", str(SCHEMA_VERSION), version)
+    _integer(doc["dim"], f"{path}.dim", 1, MAX_DIM)
 
 
 # ---------------------------------------------------------------------------
@@ -74,23 +133,28 @@ def matrix_to_json(M: np.ndarray) -> list[list[list[float]]]:
 
 
 def matrix_from_json(data: Any, name: str = "matrix") -> np.ndarray:
-    try:
-        M = np.asarray(
-            [[complex(entry[0], entry[1]) for entry in row] for row in data],
-            dtype=complex,
-        )
-    except (TypeError, ValueError, IndexError) as exc:
-        raise SpecParseError(f"{name} is not a nested array of [re, im] pairs") from exc
-    if M.ndim != 2:
-        raise SpecParseError(f"{name} rows have inconsistent lengths")
-    return M
+    """The complex matrix of a non-empty array of equal-length, non-empty rows of
+    ``[re, im]`` pairs of finite numbers (not bools).  Anything else is a
+    :class:`SpecParseError` that names the entry as ``name`` and its indices."""
+    rows = _array(data, name)
+    width = len(_array(rows[0], f"{name}[0]"))
+    for i, row in enumerate(rows):
+        if type(row) is not list or len(row) != width:
+            _fail(f"{name}[{i}]", f"an array of {width} [re, im] pairs", row)
+        for j, z in enumerate(row):
+            if type(z) is not list or len(z) != 2:
+                _fail(f"{name}[{i}][{j}]", "an [re, im] pair", z)
+            for k, x in enumerate(z):
+                _number(x, f"{name}[{i}][{j}][{k}]")
+    # the pairs' floats laid out as complex numbers: bit-exact, as complex(re, im) is
+    return np.array(rows, dtype=float).view(complex)[..., 0]
 
 
 # ---------------------------------------------------------------------------
 # Channel specs
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class ChannelSpec:
     """A channel-spec document together with the Kraus channel it resolves to.
 
@@ -129,9 +193,44 @@ class ChannelSpec:
         return self.channel
 
 
+#: The payload fields each kind requires.
+_KIND_PAYLOAD = {
+    "kraus": ("kraus",),
+    "unitary": ("unitary",),
+    "random_unitary": ("unitaries",),
+    "convex_combination": ("weights", "parts"),
+}
+
+
+def _check_spec(doc: Any, path: str) -> None:
+    """Raise :class:`SpecParseError`, naming the JSON path, unless ``doc`` has the
+    form ``channel_spec.schema.json`` describes with an ``int`` dim and finite numbers."""
+    _header(doc, path, ("schema_version", "kind", "dim", "name"))
+    kind = doc["kind"]
+    if type(kind) is not str or kind not in _KIND_PAYLOAD:
+        _fail(f"{path}.kind", "one of " + ", ".join(_KIND_PAYLOAD), kind)
+    if type(doc["name"]) is not str:
+        _fail(f"{path}.name", "a string", doc["name"])
+    _object(doc, path, _KIND_PAYLOAD[kind])
+    for key, check in _PAYLOAD_FORM.items():
+        if key in doc:
+            check(doc[key], f"{path}.{key}")
+
+
+#: The form of each payload field, checked whenever the field is present, whatever the kind.
+_PAYLOAD_FORM = {
+    "kraus": _each(matrix_from_json),
+    "unitary": matrix_from_json,
+    "unitaries": _each(matrix_from_json),
+    "probabilities": _each(_number),
+    "weights": _each(_number),
+    "parts": _each(_check_spec),
+}
+
+
 def _resolve(doc: dict) -> KrausChannel:
-    """The CPTP Kraus channel a schema-valid channel-spec document describes: the one
-    place that reads each ``kind``.  The recursive call resolves and checks each part once."""
+    """The CPTP Kraus channel a structurally checked channel-spec document describes:
+    the one place that reads each ``kind``.  The recursive call resolves and checks each part once."""
     kind, dim, name = doc["kind"], doc["dim"], doc["name"]
     if kind == "kraus":
         ops = [matrix_from_json(m, "Kraus operator") for m in doc["kraus"]]
@@ -147,7 +246,7 @@ def _resolve(doc: dict) -> KrausChannel:
             n = len(groups)
             weights = [float(p) for p in doc.get("probabilities", [1.0 / n] * n)]
             counts, prefix, parts = f"{len(weights)} probabilities for {n} unitaries", "", ()
-        else:  # convex_combination, the last kind the schema admits
+        else:  # convex_combination, the last kind _check_spec admits
             parts = doc["parts"]
             groups = [_resolve(part).kraus for part in parts]
             weights = [float(w) for w in doc["weights"]]
@@ -185,13 +284,16 @@ def parse_channel_spec(text: str | bytes) -> ChannelSpec:
     Raises
     ------
     SpecParseError
-        For malformed JSON or schema violations.
+        For malformed JSON, a document whose structure departs from the
+        channel-spec schema (the message names the JSON path), and counts,
+        weights, shapes or members the channel cannot have.
     CptpViolationError
         When the payload resolves to a non-CPTP channel; the message names
         the trace-preservation residual and the Choi eigenvalue floor.
     """
     doc = _load_json(text)
-    _validate(doc, "channel_spec")
+    with _violations("channel_spec document violates schema"):
+        _check_spec(doc, "$")
     return ChannelSpec(doc, _resolve(doc))
 
 
@@ -234,8 +336,10 @@ def emit_family(fam: ObservableFamily) -> str:
 
 def parse_family(text: str | bytes) -> ObservableFamily:
     doc = _load_json(text)
-    _validate(doc, "observable_family")
-    basis = [matrix_from_json(m, f"basis element {k}") for k, m in enumerate(doc["basis"])]
+    with _violations("observable_family document violates schema"):
+        _header(doc, "$", ("schema_version", "dim", "n_params", "basis"))
+        _integer(doc["n_params"], "$.n_params", 0)
+        basis = [matrix_from_json(m, f"$.basis[{k}]") for k, m in enumerate(_array(doc["basis"], "$.basis", 0))]
     if doc["n_params"] != len(basis):
         raise SpecParseError(f"n_params {doc['n_params']} does not match basis size {len(basis)}")
     try:
@@ -258,17 +362,15 @@ def report_to_document(report: DeconvReport) -> dict:
 
 
 def parse_hermitian_matrix(text: str | bytes, name: str = "matrix") -> np.ndarray:
-    """Parse a ``{"dim": d, "matrix": ...}`` document into a finite complex array,
-    Hermitian within ``DEFAULT_TOL`` (Frobenius); anything else is a :class:`SpecParseError`."""
+    """Parse a ``{"dim": d, "matrix": ...}`` document (``dim`` optional) into a finite
+    complex array, Hermitian within ``DEFAULT_TOL`` (Frobenius); anything else is a
+    :class:`SpecParseError`."""
     doc = _load_json(text)
-    if not isinstance(doc, dict) or "matrix" not in doc:
-        raise SpecParseError(f"{name} document needs a 'matrix' field")
-    M = matrix_from_json(doc["matrix"], name)
-    dim = doc.get("dim", M.shape[0])
+    with _violations(f"{name} document is malformed"):
+        M = matrix_from_json(_object(doc, "$", ("matrix",))["matrix"], "$.matrix")
+        dim = _integer(doc["dim"], "$.dim", 1, MAX_DIM) if "dim" in doc else M.shape[0]
     if M.shape != (dim, dim):
         raise SpecParseError(f"{name} shape {M.shape} does not match declared dim {dim}")
-    if not np.isfinite(M).all():
-        raise SpecParseError(f"{name} has non-finite entries")
     residual = np.linalg.norm(M - M.conj().T)
     if residual > DEFAULT_TOL:
         raise SpecParseError(f"{name} is not Hermitian: residual {residual:.3e} > {DEFAULT_TOL:g}")

@@ -329,6 +329,16 @@ def test_is_cptp_flags_trace_violation():
     assert report.completely_positive
 
 
+def test_is_cptp_reports_a_nan_channel_without_eigvalsh(monkeypatch):
+    def eigvalsh(_):
+        raise AssertionError("eigvalsh called")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    report = q.is_cptp(q.KrausChannel.from_operators([np.array([[np.nan, 0], [0, 1]])]))
+    assert not report.trace_preserving and not report.completely_positive
+    assert np.isnan(report.choi_min_eigenvalue)
+
+
 def test_inverse_of_noisy_channel_is_not_cp():
     ch = q.KrausChannel.from_operators([np.sqrt(0.8) * SIGMA[0], np.sqrt(0.2) * SIGMA[1]])
     T_inv = q.inverse_transfer(q.transfer_from_kraus(ch))
@@ -431,3 +441,29 @@ def test_kraus_channel_callable_matches_oracle(rng):
     ch = q.random_cptp_channel(2, 2, rng)
     rho = q.random_density_matrix(2, rng)
     assert_allclose(ch(rho), apply_kraus(ch.kraus, rho), atol=1e-14)
+
+
+def _equal_but_distinct_values():
+    from qdeconv.serialization import unitary_spec
+
+    U1, U2 = np.eye(2), SIGMA[3]
+    builders = {
+        "KrausChannel": lambda: q.KrausChannel.from_operators([U2]),
+        "TransferMatrix": lambda: q.transfer_from_kraus(q.unitary_channel(U2)),
+        "ChoiMatrix": lambda: q.choi_from_channel(q.unitary_channel(U2)),
+        "ChannelSpec": lambda: unitary_spec("z", U2),
+        "GuessPair": lambda: q.GuessPair.from_transfers(*(q.transfer_from_kraus(q.unitary_channel(U)) for U in (U1, U2))),
+        "ObservableFamily": lambda: q.ObservableFamily.from_basis(2, [U1 / np.sqrt(2)]),
+        "QuorumBasis": lambda: q.quorum_basis(2),
+        "UnitaryErrorSet": lambda: q.UnitaryErrorSet.from_unitaries([U1, U2]),
+        "EigGrouping": lambda: q.eig_grouping(U2),
+    }
+    return [pytest.param(build, id=name) for name, build in builders.items()]
+
+
+@pytest.mark.parametrize("build", _equal_but_distinct_values())
+def test_array_holding_values_compare_and_hash_by_identity(build):
+    # generated field-wise equality raised "truth value of an array is ambiguous"
+    a, b = build(), build()
+    assert (a == b) is False and (a == a) is True and (a != b) is True
+    assert hash(a) == hash(a) and len({a, b}) == 2

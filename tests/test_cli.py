@@ -474,3 +474,38 @@ def test_sweep_ranks_candidates(runner, spec_files, tmp_path):
     rows = json.loads(result.output)
     assert [r["n_params"] for r in rows] == [9, 5, 1]
     assert rows[0]["candidate"] == true_path
+
+
+def _document(kind: str) -> tuple[str, dict]:
+    """A document of each form the schema pass let through to a traceback (exit 1)."""
+    if kind == "family":
+        doc = json.loads(emit_family(q.ObservableFamily.from_basis(2, [np.eye(2) / np.sqrt(2)])))
+        return "$.dim must be an integer in [1, 64], got 2.0", dict(doc, dim=2.0)
+    if kind == "matrix":
+        return "$.dim must be an integer in [1, 64], got true", {"dim": True, "matrix": [[[1, 0]]]}
+    doc = unitary_spec("z", SIGMA[3]).document
+    if kind == "spec dim":
+        return "$.dim must be an integer in [1, 64], got 2.0", dict(doc, dim=2.0)
+    doc["unitary"][1][1][0] = float("nan")
+    return "$.unitary[1][1][0] must be a finite number, got non-finite NaN", doc
+
+
+@pytest.mark.parametrize("kind", ["spec dim", "spec nan", "family", "matrix"])
+def test_documents_the_schema_admitted_but_the_program_could_not_read_exit_2(runner, tmp_path, kind):
+    # "dim": 2.0 in a spec ended in a TypeError, a NaN entry in a LinAlgError,
+    # and "dim": true passed as a 1 x 1 matrix
+    reason, doc = _document(kind)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    good = tmp_path / "z.json"
+    good.write_text(emit_channel_spec(unitary_spec("z", SIGMA[3])))
+    argv = {
+        "spec dim": ["deconvolve", str(bad), str(good)],
+        "spec nan": ["sweep", str(good), str(bad)],
+        "family": ["verify", str(bad), str(good), str(good)],
+        "matrix": ["estimate", str(bad), str(bad), str(good), str(good)],
+    }[kind]
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 2, result.output
+    assert f"{bad}: " in result.output and reason in result.output
+    assert isinstance(result.exception, SystemExit) and "Traceback" not in result.output

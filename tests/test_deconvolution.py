@@ -180,8 +180,10 @@ def test_singular_guess_errors_are_unchanged():
     )
     gamma = phi.gamma.copy()
     gamma[1, 2] = np.nan
-    with pytest.raises(np.linalg.LinAlgError, match="^SVD did not converge$"):
+    with pytest.raises(ValueError, match="^guess transfer matrix has non-finite entries$"):
         q.GuessPair.from_transfers(phi, q.TransferMatrix(2, gamma))
+    with pytest.raises(ValueError, match="^true channel transfer matrix has non-finite entries$"):
+        q.GuessPair.from_transfers(q.TransferMatrix(2, gamma), phi)
 
 
 @pytest.mark.parametrize("cutoff", [float("nan"), -1.0])

@@ -1,8 +1,11 @@
+import copy
 import json
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import qdeconv as q
@@ -315,9 +318,14 @@ def test_hermitian_matrix_document_roundtrip(rng):
 
 
 @pytest.mark.parametrize("parser", [parse_channel_spec, parse_family, parse_hermitian_matrix])
-def test_parsers_reject_non_utf8_bytes(parser):
+@pytest.mark.parametrize(
+    "text",
+    [b'{"dim": 2, \xff\xfe}', b"[" * 100_000, b'{"dim": ' + b"1" * 5000 + b"}"],
+    ids=["non-utf8", "deep nesting", "5000-digit integer"],
+)
+def test_parsers_reject_undecodable_text(parser, text):
     with pytest.raises(q.SpecParseError, match="malformed JSON"):
-        parser(b'{"dim": 2, \xff\xfe}')
+        parser(text)
 
 
 @pytest.mark.parametrize(
@@ -363,51 +371,195 @@ def test_documents_validate_against_schemas(rng):
 
 
 _IDENTITY_2 = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
+# (schema, document, how the message begins after "<schema> document violates schema: ")
 _INVALID_DOCUMENTS = [
-    ("channel_spec", {"schema_version": 1, "dim": 2, "name": "x"}),
-    ("channel_spec", {"schema_version": 2, "kind": "kraus", "dim": 2, "name": "x", "kraus": [_IDENTITY_2]}),
-    ("channel_spec", {"schema_version": 1, "kind": "kraus", "dim": 0, "name": "x", "kraus": [_IDENTITY_2]}),
-    ("channel_spec", {"schema_version": 1, "kind": "unitary", "dim": 2, "name": "x"}),
-    ("channel_spec", {"schema_version": 1, "kind": "kraus", "dim": 2, "name": "x", "kraus": [[[[1, 0, 0]]]]}),
+    ("channel_spec", {"schema_version": 1, "dim": 2, "name": "x"}, "$ must have the field 'kind'"),
+    ("channel_spec", {"schema_version": 2, "kind": "kraus", "dim": 2, "name": "x", "kraus": [_IDENTITY_2]},
+     "$.schema_version must be 1, got 2"),
+    ("channel_spec", {"schema_version": 1, "kind": "kraus", "dim": 0, "name": "x", "kraus": [_IDENTITY_2]},
+     "$.dim must be an integer in [1, 64], got 0"),
+    ("channel_spec", {"schema_version": 1, "kind": "unitary", "dim": 2, "name": "x"}, "$ must have the field 'unitary'"),
+    ("channel_spec", {"schema_version": 1, "kind": "kraus", "dim": 2, "name": "x", "kraus": [[[[1, 0, 0]]]]},
+     "$.kraus[0][0][0] must be an [re, im] pair, got [1, 0, 0]"),
     ("channel_spec", {"schema_version": 1, "kind": "convex_combination", "dim": 2, "name": "x",
-                      "weights": [1.0], "parts": [{"kind": "unitary"}]}),
-    ("observable_family", {"schema_version": 1, "dim": 2, "n_params": -1, "basis": []}),
-    ("observable_family", {"schema_version": 1, "dim": 2, "basis": []}),
-    ("observable_family", {"schema_version": 1, "dim": 2, "n_params": 1, "basis": [[[["1", 0]]]]}),
-    ("observable_family", [1, 2]),
+                      "weights": [1.0], "parts": [{"kind": "unitary"}]}, "$.parts[0] must have the field 'schema_version'"),
+    ("observable_family", {"schema_version": 1, "dim": 2, "n_params": -1, "basis": []},
+     "$.n_params must be an integer >= 0, got -1"),
+    ("observable_family", {"schema_version": 1, "dim": 2, "basis": []}, "$ must have the field 'n_params'"),
+    ("observable_family", {"schema_version": 1, "dim": 2, "n_params": 1, "basis": [[[["1", 0]]]]},
+     "$.basis[0][0][0][0] must be a finite number, got \"1\""),
+    ("observable_family", [1, 2], "$ must be an object, got [1, 2]"),
 ]
 
+_DELETE = object()
+_UNITARY = {"schema_version": 1, "kind": "unitary", "dim": 2, "name": "x", "unitary": _IDENTITY_2}
+_VALID_DOCUMENTS = {
+    "kraus": ("channel_spec", {"schema_version": 1, "kind": "kraus", "dim": 2, "name": "x", "kraus": [_IDENTITY_2]}),
+    "unitary": ("channel_spec", _UNITARY),
+    "random_unitary": ("channel_spec", {"schema_version": 1, "kind": "random_unitary", "dim": 2, "name": "x",
+                                        "unitaries": [_IDENTITY_2, _IDENTITY_2], "probabilities": [0.5, 0.5]}),
+    "convex_combination": ("channel_spec", {"schema_version": 1, "kind": "convex_combination", "dim": 2, "name": "x",
+                                            "weights": [0.5, 0.5], "parts": [_UNITARY, _UNITARY]}),
+    "family": ("observable_family", family_to_document(q.ObservableFamily.from_basis(2, [np.eye(2) / np.sqrt(2)]))),
+}
+# rebuilt without shared sub-objects, so that a mutation changes one place
+_VALID_DOCUMENTS = {base: (name, json.loads(json.dumps(doc))) for base, (name, doc) in _VALID_DOCUMENTS.items()}
 
-@pytest.mark.parametrize("schema_name, doc", _INVALID_DOCUMENTS)
-def test_schema_violation_message_matches_jsonschema_validate(schema_name, doc):
-    with pytest.raises(jsonschema.ValidationError) as oracle:
-        jsonschema.validate(doc, load_schema(schema_name))
-    parse = parse_channel_spec if schema_name == "channel_spec" else parse_family
-    with pytest.raises(q.SpecParseError) as got:
-        parse(json.dumps(doc))
-    assert str(got.value) == f"{schema_name} document violates schema: {oracle.value.message}"
-    assert isinstance(got.value.__cause__, jsonschema.ValidationError)
+
+def _replaced(doc, path: tuple, value):
+    """A copy of ``doc`` with the value at ``path`` replaced by a copy of ``value``, or deleted for ``_DELETE``."""
+    if not path:
+        return {} if value is _DELETE else copy.deepcopy(value)
+    doc = copy.deepcopy(doc)
+    *parents, last = path
+    node = doc
+    for key in parents:
+        node = node[key]
+    if value is _DELETE:
+        del node[last]
+    else:
+        node[last] = copy.deepcopy(value)
+    return doc
 
 
-def test_each_schema_is_checked_once_per_process(monkeypatch):
-    from qdeconv import serialization
+def _mutated(base: str, path: tuple, value) -> tuple[str, object]:
+    schema_name, doc = _VALID_DOCUMENTS[base]
+    return schema_name, _replaced(doc, path, value)
 
-    cls = jsonschema.validators.validator_for(load_schema("channel_spec"))
-    assert jsonschema.validators.validator_for(load_schema("observable_family")) is cls
-    original = cls.check_schema
-    checked = []
 
-    def counting(_cls, schema, **kwargs):
-        checked.append(schema["$id"])
-        return original(schema, **kwargs)
+# one mutation per keyword occurrence in channel_spec.schema.json and observable_family.schema.json
+_KEYWORD_MUTATIONS = {
+    "spec type": (_mutated("kraus", (), "kraus"), "$ must be an object"),
+    "spec required schema_version": (_mutated("kraus", ("schema_version",), _DELETE), "$ must have the field 'schema_version'"),
+    "spec required kind": (_mutated("kraus", ("kind",), _DELETE), "$ must have the field 'kind'"),
+    "spec required dim": (_mutated("kraus", ("dim",), _DELETE), "$ must have the field 'dim'"),
+    "spec required name": (_mutated("kraus", ("name",), _DELETE), "$ must have the field 'name'"),
+    "schema_version const": (_mutated("kraus", ("schema_version",), True), "$.schema_version must be 1, got true"),
+    "kind enum": (_mutated("kraus", ("kind",), "depolarizing"), "$.kind must be one of kraus, unitary"),
+    "dim type": (_mutated("kraus", ("dim",), "2"), "$.dim must be an integer in [1, 64]"),
+    "dim minimum": (_mutated("kraus", ("dim",), 0), "$.dim must be an integer in [1, 64]"),
+    "dim maximum": (_mutated("kraus", ("dim",), 65), "$.dim must be an integer in [1, 64], got 65"),
+    "name type": (_mutated("kraus", ("name",), 7), "$.name must be a string, got 7"),
+    "kraus $ref": (_mutated("kraus", ("kraus",), {}), "$.kraus must be a non-empty array, got {}"),
+    "unitary $ref": (_mutated("unitary", ("unitary",), "I"), "$.unitary must be a non-empty array"),
+    "unitaries $ref": (_mutated("random_unitary", ("unitaries",), [[]]), "$.unitaries[0] must be a non-empty array"),
+    "probabilities type": (_mutated("random_unitary", ("probabilities",), "uniform"), "$.probabilities must be"),
+    "probabilities minItems": (_mutated("random_unitary", ("probabilities",), []), "$.probabilities must be a non-empty"),
+    "probabilities items": (_mutated("random_unitary", ("probabilities", 1), "0.5"), "$.probabilities[1] must be a finite"),
+    "weights type": (_mutated("convex_combination", ("weights",), 1.0), "$.weights must be a non-empty array, got 1.0"),
+    "weights minItems": (_mutated("convex_combination", ("weights",), []), "$.weights must be a non-empty array"),
+    "weights items": (_mutated("convex_combination", ("weights", 0), None), "$.weights[0] must be a finite number, got null"),
+    "parts type": (_mutated("convex_combination", ("parts",), {}), "$.parts must be a non-empty array"),
+    "parts minItems": (_mutated("convex_combination", ("parts",), []), "$.parts must be a non-empty array"),
+    "parts $ref #": (_mutated("convex_combination", ("parts", 1, "dim"), 65), "$.parts[1].dim must be an integer"),
+    "kraus then required": (_mutated("kraus", ("kraus",), _DELETE), "$ must have the field 'kraus'"),
+    "unitary then required": (_mutated("unitary", ("unitary",), _DELETE), "$ must have the field 'unitary'"),
+    "random_unitary then required": (_mutated("random_unitary", ("unitaries",), _DELETE), "$ must have the field 'unitaries'"),
+    "convex_combination then required weights": (_mutated("convex_combination", ("weights",), _DELETE),
+                                                 "$ must have the field 'weights'"),
+    "convex_combination then required parts": (_mutated("convex_combination", ("parts",), _DELETE),
+                                               "$ must have the field 'parts'"),
+    "payload of another kind": (_mutated("unitary", ("weights",), ["x"]), "$.weights[0] must be a finite number"),
+    "complex type": (_mutated("kraus", ("kraus", 0, 0, 0), "1"), "$.kraus[0][0][0] must be an [re, im] pair"),
+    "complex prefixItems re": (_mutated("kraus", ("kraus", 0, 0, 0, 0), "1"), "$.kraus[0][0][0][0] must be a finite"),
+    "complex prefixItems im": (_mutated("kraus", ("kraus", 0, 1, 1, 1), False), "$.kraus[0][1][1][1] must be a finite"),
+    "complex minItems": (_mutated("kraus", ("kraus", 0, 0, 0), [1]), "$.kraus[0][0][0] must be an [re, im] pair"),
+    "complex maxItems": (_mutated("unitary", ("unitary", 1, 0), [0, 0, 0]), "$.unitary[1][0] must be an [re, im] pair"),
+    "matrix type": (_mutated("kraus", ("kraus", 0), 1), "$.kraus[0] must be a non-empty array, got 1"),
+    "matrix minItems": (_mutated("kraus", ("kraus", 0), []), "$.kraus[0] must be a non-empty array, got []"),
+    "row type": (_mutated("kraus", ("kraus", 0, 1), 5), "$.kraus[0][1] must be an array of 2 [re, im] pairs, got 5"),
+    "row minItems": (_mutated("kraus", ("kraus", 0, 0), []), "$.kraus[0][0] must be a non-empty array, got []"),
+    "row items $ref": (_mutated("kraus", ("kraus", 0, 0, 1), {}), "$.kraus[0][0][1] must be an [re, im] pair, got {}"),
+    "matrix_list type": (_mutated("random_unitary", ("unitaries",), 1), "$.unitaries must be a non-empty array, got 1"),
+    "matrix_list minItems": (_mutated("kraus", ("kraus",), []), "$.kraus must be a non-empty array, got []"),
+    "matrix_list items": (_mutated("random_unitary", ("unitaries", 1), [5]), "$.unitaries[1][0] must be a non-empty"),
+    "family type": (_mutated("family", (), "family"), "$ must be an object"),
+    "family required schema_version": (_mutated("family", ("schema_version",), _DELETE), "$ must have the field 'schema_version'"),
+    "family required dim": (_mutated("family", ("dim",), _DELETE), "$ must have the field 'dim'"),
+    "family required n_params": (_mutated("family", ("n_params",), _DELETE), "$ must have the field 'n_params'"),
+    "family required basis": (_mutated("family", ("basis",), _DELETE), "$ must have the field 'basis'"),
+    "family schema_version const": (_mutated("family", ("schema_version",), 0), "$.schema_version must be 1, got 0"),
+    "family dim type": (_mutated("family", ("dim",), None), "$.dim must be an integer in [1, 64], got null"),
+    "family dim minimum": (_mutated("family", ("dim",), 0), "$.dim must be an integer in [1, 64], got 0"),
+    "family dim maximum": (_mutated("family", ("dim",), 65), "$.dim must be an integer in [1, 64], got 65"),
+    "n_params type": (_mutated("family", ("n_params",), "1"), "$.n_params must be an integer >= 0"),
+    "n_params minimum": (_mutated("family", ("n_params",), -1), "$.n_params must be an integer >= 0, got -1"),
+    "basis type": (_mutated("family", ("basis",), {}), "$.basis must be an array, got {}"),
+    "basis matrix type": (_mutated("family", ("basis", 0), 3), "$.basis[0] must be a non-empty array, got 3"),
+    "basis matrix minItems": (_mutated("family", ("basis", 0), []), "$.basis[0] must be a non-empty array"),
+    "basis row type": (_mutated("family", ("basis", 0, 0), 1), "$.basis[0][0] must be a non-empty array, got 1"),
+    "basis row minItems": (_mutated("family", ("basis", 0, 1), []), "$.basis[0][1] must be an array of 2"),
+    "basis complex type": (_mutated("family", ("basis", 0, 0, 0), 1.0), "$.basis[0][0][0] must be an [re, im] pair"),
+    "basis complex prefixItems re": (_mutated("family", ("basis", 0, 0, 0, 0), True), "$.basis[0][0][0][0] must be a"),
+    "basis complex prefixItems im": (_mutated("family", ("basis", 0, 0, 0, 1), "0"), "$.basis[0][0][0][1] must be a"),
+    "basis complex minItems": (_mutated("family", ("basis", 0, 0, 0), [0]), "$.basis[0][0][0] must be an [re, im] pair"),
+    "basis complex maxItems": (_mutated("family", ("basis", 0, 1, 1), [0, 0, 0]), "$.basis[0][1][1] must be an [re, im]"),
+}
 
-    monkeypatch.setattr(cls, "check_schema", classmethod(counting))
-    serialization._validator.cache_clear()
-    spec = emit_channel_spec(unitary_spec("identity", np.eye(2)))
-    family = emit_family(q.ObservableFamily.from_basis(2, [np.eye(2) / np.sqrt(2)]))
-    for _ in range(3):
-        parse_channel_spec(spec)
-        parse_family(family)
-        with pytest.raises(q.SpecParseError):
-            parse_channel_spec(json.dumps({"schema_version": 1}))
-    assert sorted(checked) == ["qdeconv/channel_spec", "qdeconv/observable_family"]
+_PARITY_CORPUS = [pytest.param(*case, id=f"invalid-{k}") for k, case in enumerate(_INVALID_DOCUMENTS)] + [
+    pytest.param(schema_name, doc, where, id=label)
+    for label, ((schema_name, doc), where) in _KEYWORD_MUTATIONS.items()
+]
+
+_PARSERS = {"channel_spec": parse_channel_spec, "observable_family": parse_family}
+
+
+def _oracle_accepts(schema_name: str, doc) -> bool:
+    return jsonschema.Draft202012Validator(load_schema(schema_name)).is_valid(doc)
+
+
+@pytest.mark.parametrize("schema_name, doc, where", _PARITY_CORPUS)
+def test_parsers_reject_what_the_schema_rejects(schema_name, doc, where):
+    assert not _oracle_accepts(schema_name, doc)
+    with pytest.raises(q.SpecParseError) as err:
+        _PARSERS[schema_name](json.dumps(doc))
+    assert str(err.value).startswith(f"{schema_name} document violates schema: {where}")
+
+
+def _stricter_than_schema(value) -> bool:
+    """Whether ``value`` holds what the parsers reject though the schema admits it: a NaN or
+    infinite number, an integer-valued float ``dim`` or ``n_params``, or a matrix (an array of
+    arrays of [re, im] pairs) whose rows differ in length, which the parsers rejected before too."""
+    if isinstance(value, float):
+        return not np.isfinite(value)
+    if isinstance(value, dict):
+        return any(isinstance(value.get(key), float) for key in ("dim", "n_params")) or any(
+            _stricter_than_schema(v) for v in value.values())
+    if not isinstance(value, list):
+        return False
+    matrix = value and all(
+        isinstance(row, list) and row and all(
+            isinstance(z, list) and len(z) == 2 and not any(isinstance(x, list) for x in z) for z in row)
+        for row in value)
+    return bool(matrix and len({len(row) for row in value}) > 1) or any(_stricter_than_schema(v) for v in value)
+
+
+def _locations(value, path=()):
+    yield path
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, child in items:
+        yield from _locations(child, (*path, key))
+
+
+_REPLACEMENTS = [None, True, 0, 1, 2, -1, 65, 1.0, 2.0, 0.5, float("nan"), float("inf"), "x",
+                 "unitary", "random_unitary", "convex_combination", [], {}, [0.5], [1, 0], [[[1, 0]]]]
+
+
+@settings(deadline=None, max_examples=300)
+@given(data=st.data())
+def test_parsers_agree_with_the_schema_on_mutated_documents(data):
+    base = data.draw(st.sampled_from(sorted(_VALID_DOCUMENTS)))
+    schema_name, doc = _VALID_DOCUMENTS[base]
+    for _ in range(data.draw(st.integers(1, 2))):
+        path = data.draw(st.sampled_from(list(_locations(doc))))
+        doc = _replaced(doc, path, data.draw(st.sampled_from([_DELETE, *_REPLACEMENTS])))
+    try:
+        _PARSERS[schema_name](json.dumps(doc))
+        error = None
+    except q.SpecParseError as exc:
+        error = str(exc)
+    if not _oracle_accepts(schema_name, doc):
+        assert error is not None
+    elif not _stricter_than_schema(doc):
+        # a document of the schema's form fails, if at all, on what the channel or family means
+        assert error is None or "violates schema" not in error, error

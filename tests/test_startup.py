@@ -45,6 +45,7 @@ def _qdeconv(*args: str) -> subprocess.CompletedProcess:
 
 
 def test_subcommand_paths_import_neither_scipy_nor_scenarios():
+    # nor jsonschema and its referencing library: the schemas are a test oracle only
     U1, U2 = np.eye(2, dtype=complex), SIGMA[3]
     _, expected = q.two_unitary_family(U1, U2)
     out = _python(
@@ -52,7 +53,10 @@ def test_subcommand_paths_import_neither_scipy_nor_scenarios():
         import json, sys
 
         def report_loaded():
-            print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy" or m == "qdeconv.scenarios"))
+            print(sorted(
+                m for m in sys.modules
+                if m.split(".")[0] in ("scipy", "jsonschema", "referencing") or m == "qdeconv.scenarios"
+            ))
 
         import qdeconv, qdeconv.cli
         report_loaded()
