@@ -189,9 +189,11 @@ class KrausChannel:
         return cls(dim=ops[0].shape[0], kraus=tuple(ops))
 
     def trace_preservation_residual(self) -> float:
-        """Frobenius norm of ``sum_k A_k^dag A_k - I``."""
-        acc = sum(A.conj().T @ A for A in self.kraus)
-        return float(np.linalg.norm(acc - np.eye(self.dim)))
+        """Frobenius norm of ``sum_k A_k^dag A_k - I``: ``inf`` or NaN, without
+        a warning, when an entry is infinite or the products overflow."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            acc = sum(A.conj().T @ A for A in self.kraus)
+            return float(np.linalg.norm(acc - np.eye(self.dim)))
 
     def __call__(self, rho: np.ndarray) -> np.ndarray:
         """Apply the channel in Kraus form: ``sum_k A_k rho A_k^dag``."""
@@ -288,14 +290,17 @@ def choi_from_channel(ch: KrausChannel) -> ChoiMatrix:
     """Choi state ``(1/d) sum_k |vec(A_k)><vec(A_k)|`` of a Kraus channel.
 
     This equals applying the channel to one half of the maximally entangled
-    state: ``(1/d) sum_ij channel(|i><j|) (x) |i><j|``.
+    state: ``(1/d) sum_ij channel(|i><j|) (x) |i><j|``.  An infinite entry, or
+    products that overflow, give non-finite entries without a warning.
     """
     d = ch.dim
     C = np.zeros((d * d, d * d), dtype=complex)
-    for A in ch.kraus:
-        v = vectorize(A)
-        C += np.outer(v, v.conj())
-    return ChoiMatrix(dim=d, choi=C / d)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for A in ch.kraus:
+            v = vectorize(A)
+            C += np.outer(v, v.conj())
+        C /= d
+    return ChoiMatrix(dim=d, choi=C)
 
 
 def reshuffle(C: ChoiMatrix) -> TransferMatrix:

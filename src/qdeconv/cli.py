@@ -69,7 +69,7 @@ def _non_negative(ctx: click.Context, param: click.Parameter, value: float) -> f
 
 @click.group()
 @click.option("--tol", type=float, default=1e-9, show_default=True, callback=_non_negative, help="Tolerance for verification checks (non-negative).")
-@click.option("--kernel-tol", type=float, default=1e-8, show_default=True, callback=_non_negative, help="Relative singular-value threshold for kernel extraction (non-negative).")
+@click.option("--kernel-tol", type=float, default=1e-8, show_default=True, callback=_non_negative, help="Relative singular-value threshold for kernel extraction (non-negative): a direction is correctable when its singular value is at most this times the largest.")
 @click.option("--seed", type=click.IntRange(min=0), default=DEFAULT_SEED, show_default=True, envvar="QDECONV_SEED", help="Random seed, non-negative (flag beats the QDECONV_SEED environment variable).")
 @click.option("--format", "fmt", type=click.Choice(["json", "table"]), default="table", show_default=True, help="Report format.")
 @click.pass_context

@@ -393,6 +393,16 @@ def _fix_matrix_sign(A: np.ndarray) -> np.ndarray:
     return -A if lead < 0 else A
 
 
+#: Gram eigenvalues up to this fraction of the largest are kernel candidates
+#: at any cutoff.  The eigensolver resolves them only to about ``eps * w_max``;
+#: this keeps every singular value below ``1e-5 * sigma_max`` a candidate.
+_CANDIDATE_FLOOR = 1e-10
+
+#: Stage-2 singular values within this factor of the cutoff send the decision
+#: to the full SVD; candidate eigenvalues reach the square of this factor.
+_DECISION_MARGIN = 100.0
+
+
 def _null_coordinates(blocks: Sequence[np.ndarray], d2: int, rel_tol: float) -> np.ndarray:
     """Real Hermitian coordinates (columns) of the common null space of ``blocks``.
 
@@ -400,11 +410,25 @@ def _null_coordinates(blocks: Sequence[np.ndarray], d2: int, rel_tol: float) -> 
     divided by its Frobenius norm; blocks of norm at most 1e-12 constrain
     nothing, and so does a scaled real or imaginary half of norm at most
     1e-12 (the imaginary half of a map that preserves Hermiticity is
-    rounding).  The remaining halves are stacked and the right-singular
-    vectors with singular value at most ``max(rel_tol * sigma_max, 1e-14)``
-    are returned, orthonormal and in ascending singular-value order; with no
-    effective constraint every coordinate direction is returned.  A NaN or
-    negative ``rel_tol`` raises ``ValueError``.
+    rounding).  The null space is that of the remaining halves ``h`` stacked
+    into ``A``: the right-singular vectors of ``A`` with singular value at
+    most ``max(rel_tol * sigma_max, 1e-14)``, returned orthonormal, smallest
+    singular value (or Gram eigenvalue, when all candidates are kept) first;
+    with no effective constraint every coordinate direction is returned.  A
+    NaN or negative ``rel_tol`` raises ``ValueError``.
+
+    It is found without every singular vector of ``A``.  One ``eigh`` of the
+    Gram matrix ``A^T A = sum h^T h`` gives eigenpairs ``(w, v)``; those with
+    ``w <= max(1e-10 * w_max, (100 * cutoff)^2)`` are the candidates ``S``.
+    The Gram matrix squares the condition number, so ``S`` is first corrected
+    by one step ``S - V_n diag(1 / w_n) V_n^T A^T A S`` over the other
+    eigenpairs and re-orthonormalized, which restores the SVD's accuracy
+    (the step's product ``A S`` is formed directly, not through the Gram).
+    Then ``A S`` decides against the cutoff: all candidates are kept when its
+    Frobenius norm is at most a hundredth of the cutoff, and otherwise its
+    thin SVD decides.  When ``S`` holds more than half of the coordinates, or
+    a singular value of ``A S`` lies within a factor 100 of the cutoff, the
+    full SVD of ``A`` decides instead.
     """
     # written so that NaN fails too; it would silently empty every null space
     if not rel_tol >= 0:
@@ -417,6 +441,33 @@ def _null_coordinates(blocks: Sequence[np.ndarray], d2: int, rel_tol: float) -> 
         halves += [h for h in (M.real / scale, M.imag / scale) if np.linalg.norm(h) > 1e-12]
     if not halves:
         return np.eye(d2)
+    gram = halves[0].T @ halves[0]
+    for h in halves[1:]:
+        gram += h.T @ h
+    w, V = np.linalg.eigh(gram)
+    w_max = float(w[-1])
+    cutoff = max(rel_tol * w_max**0.5, _KERNEL_ABS_FLOOR)
+    n = int(np.searchsorted(w, max(_CANDIDATE_FLOOR * w_max, (_DECISION_MARGIN * cutoff) ** 2), side="right"))
+    if 2 * n > d2:
+        return _svd_null_coordinates(halves, rel_tol)
+    S, Vn = V[:, :n], V[:, n:]
+    S = S - Vn @ ((Vn.T @ sum(h.T @ (h @ S) for h in halves)) / w[n:, None])
+    # S^T S - I is the step's square (the step is at most about eps / 1e-10);
+    # one Newton-Schulz step squares that again
+    S = 1.5 * S - 0.5 * S @ (S.T @ S)
+    AS = np.vstack([h @ S for h in halves])
+    # the Frobenius norm bounds every singular value: all candidates are kept
+    if np.linalg.norm(AS) <= cutoff / _DECISION_MARGIN:
+        return S
+    _, s, vt = np.linalg.svd(AS, full_matrices=False)
+    k = int(np.count_nonzero(s <= cutoff))  # the last k of the descending s
+    if (k and s[-k] > cutoff / _DECISION_MARGIN) or (k < n and s[-k - 1] < _DECISION_MARGIN * cutoff):
+        return _svd_null_coordinates(halves, rel_tol)
+    return S @ vt[n - k:][::-1].T
+
+
+def _svd_null_coordinates(halves: Sequence[np.ndarray], rel_tol: float) -> np.ndarray:
+    """:func:`_null_coordinates` of the stacked ``halves`` from their full SVD."""
     _, s, vt = np.linalg.svd(np.vstack(halves), full_matrices=False)
     return vt[s <= max(rel_tol * s[0], _KERNEL_ABS_FLOOR)][::-1].T
 

@@ -202,9 +202,17 @@ _KIND_PAYLOAD = {
 }
 
 
+#: Deepest admitted nesting of ``convex_combination`` parts; the top-level spec is level 0.
+MAX_SPEC_DEPTH = 32
+
+
 def _check_spec(doc: Any, path: str) -> None:
     """Raise :class:`SpecParseError`, naming the JSON path, unless ``doc`` has the
-    form ``channel_spec.schema.json`` describes with an ``int`` dim and finite numbers."""
+    form ``channel_spec.schema.json`` describes with an ``int`` dim and finite
+    numbers, and nests parts at most :data:`MAX_SPEC_DEPTH` levels deep."""
+    # a spec's path is "$" and one ".parts[k]" per level
+    if path.count(".parts[") > MAX_SPEC_DEPTH:
+        raise SpecParseError(f"{path} nests parts deeper than {MAX_SPEC_DEPTH} levels")
     _header(doc, path, ("schema_version", "kind", "dim", "name"))
     kind = doc["kind"]
     if type(kind) is not str or kind not in _KIND_PAYLOAD:

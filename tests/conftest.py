@@ -11,6 +11,7 @@ import pytest
 
 from qdeconv import PAULIS
 from qdeconv.deconvolution import _hermitian_basis
+from qdeconv.serialization import unitary_spec
 
 
 def kron(*mats: np.ndarray) -> np.ndarray:
@@ -62,6 +63,38 @@ def coordinates_oracle(M: np.ndarray, d: int) -> np.ndarray:
     i1, i2, w1, w2 = _hermitian_basis(d)
     X = w1.conj()[:, None] * M[i1] + w2.conj()[:, None] * M[i2]
     return X[:, i1] * w1 + X[:, i2] * w2
+
+
+def null_coordinates_oracle(blocks, d2: int, rel_tol: float) -> np.ndarray:
+    """Common null space (columns) of constraints in Hermitian coordinates from
+    one full SVD of the stacked scaled real and imaginary halves: the decision
+    ``deconvolution._null_coordinates`` must reproduce, blocks and halves of
+    norm at most 1e-12 dropped and singular values at most
+    ``max(rel_tol * sigma_max, 1e-14)`` kept."""
+    halves = []
+    for M in blocks:
+        scale = np.linalg.norm(M)
+        if scale > 1e-12:
+            halves += [h for h in (M.real / scale, M.imag / scale) if np.linalg.norm(h) > 1e-12]
+    if not halves:
+        return np.eye(d2)
+    _, s, vt = np.linalg.svd(np.vstack(halves), full_matrices=False)
+    return vt[s <= max(rel_tol * s[0], 1e-14)].T
+
+
+def deep_spec(levels: int) -> dict:
+    """The Pauli-Z unitary wrapped in ``levels`` one-part convex combinations."""
+    doc = unitary_spec("z", SIGMA[3]).document
+    for k in range(levels):
+        doc = {
+            "schema_version": 1,
+            "kind": "convex_combination",
+            "dim": 2,
+            "name": f"level {k}",
+            "weights": [1.0],
+            "parts": [doc],
+        }
+    return doc
 
 
 def matrix_unit(d: int, i: int, j: int) -> np.ndarray:

@@ -339,6 +339,20 @@ def test_is_cptp_reports_a_nan_channel_without_eigvalsh(monkeypatch):
     assert np.isnan(report.choi_min_eigenvalue)
 
 
+@pytest.mark.parametrize("entry", [np.inf, 1e300])
+def test_is_cptp_reports_an_overflowing_channel_without_a_warning(entry):
+    # warnings are errors in this suite: the products' overflow and inf - inf
+    # warned from trace_preservation_residual and choi_from_channel
+    A = np.eye(2, dtype=complex)
+    A[0, 1] = entry
+    ch = q.KrausChannel.from_operators([A])
+    assert not np.isfinite(ch.trace_preservation_residual())
+    assert not np.isfinite(q.choi_from_channel(ch).choi).all()
+    report = q.is_cptp(ch)
+    assert not report.trace_preserving and not report.completely_positive
+    assert not np.isfinite(report.tp_residual) and np.isnan(report.choi_min_eigenvalue)
+
+
 def test_inverse_of_noisy_channel_is_not_cp():
     ch = q.KrausChannel.from_operators([np.sqrt(0.8) * SIGMA[0], np.sqrt(0.2) * SIGMA[1]])
     T_inv = q.inverse_transfer(q.transfer_from_kraus(ch))

@@ -17,7 +17,7 @@ from qdeconv.serialization import (
     unitary_spec,
 )
 
-from conftest import SIGMA
+from conftest import SIGMA, deep_spec
 
 
 @pytest.fixture
@@ -508,4 +508,16 @@ def test_documents_the_schema_admitted_but_the_program_could_not_read_exit_2(run
     result = runner.invoke(main, argv)
     assert result.exit_code == 2, result.output
     assert f"{bad}: " in result.output and reason in result.output
+    assert isinstance(result.exception, SystemExit) and "Traceback" not in result.output
+
+
+def test_deeply_nested_spec_exits_2(runner, tmp_path):
+    # 300 levels of convex_combination parts ended in a RecursionError traceback (exit 1)
+    deep = tmp_path / "deep.json"
+    deep.write_text(json.dumps(deep_spec(300)))
+    good = tmp_path / "z.json"
+    good.write_text(emit_channel_spec(unitary_spec("z", SIGMA[3])))
+    result = runner.invoke(main, ["deconvolve", str(deep), str(good)])
+    assert result.exit_code == 2, result.output
+    assert f"{deep}: " in result.output and "nests parts deeper than 32 levels" in result.output
     assert isinstance(result.exception, SystemExit) and "Traceback" not in result.output

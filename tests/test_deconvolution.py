@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 import qdeconv as q
 from qdeconv.channels import random_hermitian
-from qdeconv.deconvolution import _coordinates, _spectral_norm_bound
+from qdeconv.deconvolution import _coordinates, _null_coordinates, _spectral_norm_bound
 from qdeconv.serialization import emit_family
 from qdeconv.scenarios import (
     bitflip_correlated,
@@ -17,7 +17,15 @@ from qdeconv.scenarios import (
     recovery_probe_state,
 )
 
-from conftest import SIGMA, apply_kraus, coordinates_oracle, kron, matrix_unit, recovery_bound
+from conftest import (
+    SIGMA,
+    apply_kraus,
+    coordinates_oracle,
+    kron,
+    matrix_unit,
+    null_coordinates_oracle,
+    recovery_bound,
+)
 
 
 def guess_pair(true_ch, guess_ch):
@@ -822,6 +830,110 @@ def test_family_size_matches_complex_kernel(d):
         for gp in pairs:
             fam = q.correctable_family(gp)
             assert fam.n_params == len(q.kernel(q.deviation_operator(gp)))
+
+
+def _span_gap(W, O):
+    """Largest distance of either orthonormal column set from the other's span."""
+    return max(np.linalg.norm(W - O @ (O.T @ W)), np.linalg.norm(O - W @ (W.T @ O)))
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    d=st.sampled_from([2, 3, 4]),
+    n_blocks=st.integers(1, 3),
+    complex_blocks=st.booleans(),
+    rel_tol=st.sampled_from([q.DEFAULT_KERNEL_RTOL, 0.0, 1e-12, 1e-4]),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_null_coordinates_match_the_svd_oracle(d, n_blocks, complex_blocks, rel_tol, seed, data):
+    # a planted kernel K of every dimension, from empty (full-rank blocks) to
+    # everything (blocks that are rounding and constrain nothing); at the
+    # default cutoff the oracle finds exactly K
+    d2 = d * d
+    k = data.draw(st.integers(0, d2), label="kernel dimension")
+    rng = np.random.default_rng(seed)
+    K = np.linalg.qr(rng.normal(size=(d2, d2)))[0][:, :k]
+    P = np.eye(d2) - K @ K.T
+    blocks = []
+    for _ in range(n_blocks):
+        X = rng.normal(size=(d2, d2)) + (1j * rng.normal(size=(d2, d2)) if complex_blocks else 0)
+        blocks.append(X @ P)
+    W = _null_coordinates(blocks, d2, rel_tol)
+    O = null_coordinates_oracle(blocks, d2, rel_tol)
+    assert W.shape == O.shape
+    assert np.linalg.norm(W.T @ W - np.eye(W.shape[1])) <= 1e-12
+    assert _span_gap(W, O) <= 1e-12
+    if rel_tol == q.DEFAULT_KERNEL_RTOL:
+        assert W.shape[1] == k and _span_gap(W, K) <= 1e-12
+
+
+@pytest.fixture
+def linalg_calls(monkeypatch):
+    """``(name, shape)`` of every ``np.linalg.svd`` and ``np.linalg.eigh`` call made while the test runs."""
+    calls = []
+
+    def recorded(name):
+        f = getattr(np.linalg, name)
+
+        def call(a, *args, **kwargs):
+            calls.append((name, np.shape(a)))
+            return f(a, *args, **kwargs)
+
+        return call
+
+    for name in ("svd", "eigh"):
+        monkeypatch.setattr(np.linalg, name, recorded(name))
+    return calls
+
+
+@pytest.mark.parametrize(
+    "factor, svd_shapes",
+    [(1.5, [(9, 3), (9, 9)]), (0.5, [(9, 3), (9, 9)]), (500.0, [(9, 3)]), (1e-3, []), (2000.0, [])],
+)
+def test_planted_singular_value_decides_as_the_svd_oracle(linalg_calls, factor, svd_shapes):
+    # singular values 1 (six), factor * cutoff and 0 (two).  Up to 1e-5 (a
+    # factor 1000) the planted value is a third candidate: within a factor 100
+    # of the cutoff the full SVD decides, farther above the thin SVD of the
+    # candidates, far below the Frobenius norm of A S keeps all three.  At
+    # 2e-5 it is not a candidate, and the eigenvectors of the Gram matrix are
+    # off by about eps / 4e-10 until the correction step
+    rng = np.random.default_rng(17)
+    U, V = (np.linalg.qr(rng.normal(size=(9, 9)))[0] for _ in range(2))
+    s = np.array([1.0] * 6 + [factor * q.DEFAULT_KERNEL_RTOL, 0.0, 0.0])
+    block = (U * s) @ V.T
+    W = _null_coordinates([block], 9, q.DEFAULT_KERNEL_RTOL)
+    assert [shape for name, shape in linalg_calls if name == "svd"] == svd_shapes
+    O = null_coordinates_oracle([block], 9, q.DEFAULT_KERNEL_RTOL)
+    planted = V[:, 7:] if factor > 1 else V[:, 6:]
+    assert W.shape == O.shape == planted.shape
+    assert np.linalg.norm(W.T @ W - np.eye(W.shape[1])) <= 1e-14
+    # either route finds the kernel to about eps over its gap to the nearest
+    # dropped singular value
+    tol = max(1e-12, 10 * np.finfo(float).eps / (s[6] if factor > 1 else 1.0))
+    assert _span_gap(W, planted) <= tol and _span_gap(O, planted) <= tol
+
+
+def test_candidates_past_half_the_coordinates_take_the_full_svd(linalg_calls):
+    # rank 3 of 9: six candidates, more than half, so the full SVD decides at once
+    rng = np.random.default_rng(5)
+    block = rng.normal(size=(9, 3)) @ rng.normal(size=(3, 9))
+    W = _null_coordinates([block], 9, q.DEFAULT_KERNEL_RTOL)
+    assert [shape for name, shape in linalg_calls if name == "svd"] == [(9, 9)]
+    assert W.shape == (9, 6) and np.linalg.norm(block @ W) <= 1e-13
+
+
+def test_correctable_family_takes_one_eigh_and_no_full_svd(linalg_calls):
+    # d = 16: the kernel comes from one eigh of the 256 x 256 Gram matrix;
+    # the only SVDs are thin ones, of fewer columns than coordinates
+    d2 = 256
+    rng = np.random.default_rng(16)
+    gp = guess_pair(q.random_cptp_channel(16, 3, rng), q.random_cptp_channel(16, 2, rng))
+    linalg_calls.clear()
+    fam = q.correctable_family(gp)
+    assert fam.n_params == 1
+    assert [shape for name, shape in linalg_calls if name == "eigh"] == [(d2, d2)]
+    assert all(shape[-1] < d2 for name, shape in linalg_calls if name == "svd"), linalg_calls
 
 
 def test_family_json_is_reproducible(qutrit_pair, bitflip_pair):

@@ -17,6 +17,7 @@ from qdeconv.scenarios import (
     run_scenario,
 )
 from qdeconv.serialization import (
+    MAX_SPEC_DEPTH,
     ChannelSpec,
     emit_channel_spec,
     emit_family,
@@ -33,7 +34,7 @@ from qdeconv.serialization import (
     unitary_spec,
 )
 
-from conftest import SIGMA
+from conftest import SIGMA, deep_spec
 
 
 def test_matrix_json_roundtrip_is_bit_exact(rng):
@@ -201,6 +202,19 @@ def _nested_document() -> dict:
         "weights": [0.5, 0.5],
         "parts": [unitary_spec("identity", np.eye(2)).document, inner],
     }
+
+
+def test_spec_nesting_is_bounded():
+    # 300 levels ended in a RecursionError
+    spec = parse_channel_spec(json.dumps(deep_spec(MAX_SPEC_DEPTH)))
+    assert np.allclose(spec.channel.kraus[0], SIGMA[3])
+    path = "$" + ".parts[0]" * (MAX_SPEC_DEPTH + 1)
+    for levels in (MAX_SPEC_DEPTH + 1, 300):
+        with pytest.raises(q.SpecParseError) as err:
+            parse_channel_spec(json.dumps(deep_spec(levels)))
+        assert str(err.value) == (
+            f"channel_spec document violates schema: {path} nests parts deeper than {MAX_SPEC_DEPTH} levels"
+        )
 
 
 def _spec_documents() -> list[dict]:
