@@ -28,11 +28,9 @@ from .channels import (
     _check_sv_cutoff,
     _require_invertible,
     apply_channel,
-    devectorize,
     hs_inner,
     is_hermitian,
     random_density_matrix,
-    vectorize,
 )
 from .errors import FamilyVerificationError, SingularChannelError
 
@@ -92,13 +90,18 @@ def _coordinates(M: np.ndarray, d: int) -> np.ndarray:
     return out
 
 
-def _from_coordinates(coeffs: np.ndarray, d: int) -> ObservableFamily:
-    """Family whose basis elements have the real Hermitian coordinates ``coeffs`` (rows), sign-fixed."""
+def _hermitian_operators(coeffs: np.ndarray, d: int) -> np.ndarray:
+    """Stacked operators with the real Hermitian coordinates ``coeffs`` (rows); exactly Hermitian."""
     i1, i2, w1, w2 = _hermitian_basis(d)
     vecs = np.zeros((len(coeffs), d * d), dtype=complex)
     vecs[:, i1] = coeffs * w1
     vecs[:, i2] += coeffs * w2
-    return ObservableFamily.from_basis(d, [_fix_matrix_sign(v.reshape(d, d)) for v in vecs])
+    return vecs.reshape(-1, d, d)
+
+
+def _from_coordinates(coeffs: np.ndarray, d: int) -> ObservableFamily:
+    """Family whose basis elements have the real Hermitian coordinates ``coeffs`` (rows), sign-fixed."""
+    return ObservableFamily.from_basis(d, [_fix_matrix_sign(M) for M in _hermitian_operators(coeffs, d)])
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +158,7 @@ def _require_invertible_coordinates(G: np.ndarray, sv_cutoff: float) -> None:
 
 @dataclass(frozen=True, eq=False)
 class GuessPair:
-    """True channel and guessed channel; the guess's inverse is built on first use.
+    """True channel and guessed channel; the guess's real Hermitian coordinates are cached.
 
     Build pairs with :meth:`from_transfers`, which checks that the guess is
     invertible and preserves Hermiticity; the constructor checks dimensions only.
@@ -188,19 +191,6 @@ class GuessPair:
         G = G.real.copy()
         G.setflags(write=False)
         return G
-
-    @cached_property
-    def phi_g_inv(self) -> TransferMatrix:
-        """Inverse of the guess, by LU factorization on first use.
-
-        Raises ``ValueError`` when ``||gamma_g gamma_g^-1 - I||`` exceeds
-        ``1e-10 * max(1, ||gamma_g||)``.
-        """
-        inv = np.linalg.inv(self.phi_g.gamma)
-        residual = np.linalg.norm(self.phi_g.gamma @ inv - np.eye(self.dim**2))
-        if residual > 1e-10 * max(1.0, np.linalg.norm(self.phi_g.gamma)):
-            raise ValueError(f"phi_g_inv is not the inverse of phi_g (residual {residual:.3e})")
-        return TransferMatrix(dim=self.dim, gamma=inv)
 
     @classmethod
     def from_transfers(
@@ -239,11 +229,8 @@ class ObservableFamily:
 
     dim: int
     basis: tuple[np.ndarray, ...]
-    n_params: int
 
     def __post_init__(self) -> None:
-        if self.n_params != len(self.basis):
-            raise ValueError("n_params must equal the number of basis elements")
         frozen = []
         for k, A in enumerate(self.basis):
             A = np.asarray(A, dtype=complex)
@@ -264,7 +251,11 @@ class ObservableFamily:
 
     @classmethod
     def from_basis(cls, dim: int, basis: Sequence[np.ndarray]) -> "ObservableFamily":
-        return cls(dim=dim, basis=tuple(basis), n_params=len(basis))
+        return cls(dim=dim, basis=tuple(basis))
+
+    @property
+    def n_params(self) -> int:
+        return len(self.basis)
 
     def member(self, coefficients: Sequence[float]) -> np.ndarray:
         """Real linear combination of the basis elements."""
@@ -565,29 +556,43 @@ def spans_coincide(fam_a: ObservableFamily, fam_b: ObservableFamily, tol: float 
 # ---------------------------------------------------------------------------
 
 def deviation_operator(gp: GuessPair) -> np.ndarray:
-    """``I - gamma_phi^dag @ gamma_{phi_g^-1}^dag``; its kernel is the correctable space."""
-    d2 = gp.dim**2
-    return np.eye(d2) - gp.phi.gamma.conj().T @ gp.phi_g_inv.gamma.conj().T
+    """``I - (gamma_g^-1 gamma_phi)^dag`` from the complex transfer matrices; its kernel is the correctable space."""
+    return np.eye(gp.dim**2) - np.linalg.solve(gp.phi_g.gamma, gp.phi.gamma).conj().T
+
+
+def _modified_observables(gp: GuessPair, As: np.ndarray) -> np.ndarray:
+    """Modified observables of the Hermitian parts of stacked ``(n, d, d)`` observables.
+
+    ``gamma_g^-dag = B G^-T B^dag``, so one ``solve(G^T, a)`` takes all their
+    real coordinates ``a = B^dag vec(A)`` (columns) at once.  Raises
+    ``ValueError`` when a column's backward error ``||G^T m - a||`` exceeds
+    ``1e-10 * max(1, ||G|| ||m||)``.
+    """
+    G = gp._guess_coordinates
+    i1, i2, w1, w2 = _hermitian_basis(gp.dim)
+    V = As.reshape(len(As), -1)
+    a = (V[:, i1] * w1.conj() + V[:, i2] * w2.conj()).real.T
+    m = np.linalg.solve(G.T, a)
+    residual = np.linalg.norm(G.T @ m - a, axis=0)
+    # written so that a NaN residual fails too
+    if not (residual <= 1e-10 * np.maximum(1.0, np.linalg.norm(G) * np.linalg.norm(m, axis=0))).all():
+        raise ValueError(f"solve against the guess failed (backward error up to {residual.max():.3e})")
+    return _hermitian_operators(m.T, gp.dim)
 
 
 def modified_observable(gp: GuessPair, A: np.ndarray) -> np.ndarray:
     """Observable to measure on the noisy state in place of ``A``.
 
-    Applies the adjoint of the inverted guess: ``devec(gamma_inv^dag vec(A))``.
-    The inverse of an invertible completely positive map preserves
-    Hermiticity, so the result is checked to be Hermitian within 1e-10.
+    ``devec(gamma_g^-dag vec(A))``, exactly Hermitian; an ``A`` whose
+    anti-Hermitian part exceeds ``1e-10 * max(1, ||A||)`` raises ``ValueError``.
     """
     A = np.asarray(A, dtype=complex)
     if A.shape != (gp.dim, gp.dim):
         raise ValueError(f"observable shape {A.shape} does not match dim {gp.dim}")
-    out = devectorize(gp.phi_g_inv.gamma.conj().T @ vectorize(A), gp.dim)
-    herm_residual = np.linalg.norm(out - out.conj().T)
-    if herm_residual > 1e-10 * max(1.0, np.linalg.norm(out)):
-        raise ValueError(
-            f"modified observable lost Hermiticity (residual {herm_residual:.3e}); "
-            "the guess inverse is numerically unreliable"
-        )
-    return out
+    skew = np.linalg.norm(A - A.conj().T) / 2
+    if skew > 1e-10 * max(1.0, np.linalg.norm(A)):
+        raise ValueError(f"observable is not Hermitian (anti-Hermitian part {skew:.3e})")
+    return _modified_observables(gp, A[None])[0]
 
 
 def expectation(A: np.ndarray, rho: np.ndarray) -> float:
@@ -604,26 +609,11 @@ def expectation(A: np.ndarray, rho: np.ndarray) -> float:
 
 
 def evaluate(gp: GuessPair, A: np.ndarray, rho: np.ndarray) -> DeconvReport:
-    """Ideal, noisy and deconvolved expectation values plus their deviations.
-
-    The deconvolved value is computed both as ``Tr(modified(A) Phi(rho))``
-    and through the vectorized bilinear form; the two must agree to 1e-10.
-    """
+    """Ideal, noisy and deconvolved (``Tr(modified(A) Phi(rho))``) expectation values plus their deviations."""
     ideal = expectation(A, rho)
     noisy_state = apply_channel(gp.phi, rho)
     experimental = expectation(A, noisy_state)
     deconvolved = expectation(modified_observable(gp, A), noisy_state)
-
-    bilinear = complex(
-        vectorize(rho).conj() @ (gp.phi.gamma.conj().T @ (gp.phi_g_inv.gamma.conj().T @ vectorize(A)))
-    )
-    scale = max(1.0, abs(deconvolved))
-    if abs(bilinear.real - deconvolved) > 1e-10 * scale:
-        raise ValueError(
-            f"trace and vectorized deconvolution paths disagree: "
-            f"{deconvolved} vs {bilinear.real}"
-        )
-
     delta_exp = abs(ideal - experimental)
     delta_nd = abs(ideal - deconvolved)
     tie = delta_nd == delta_exp
@@ -645,14 +635,15 @@ def evaluate(gp: GuessPair, A: np.ndarray, rho: np.ndarray) -> DeconvReport:
 def _recovery_deviations(gp: GuessPair, observables: Sequence[np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
     """Per-state recovery deviations ``Tr(A rho) - Tr(modified(A) Phi(rho))`` of several observables.
 
-    The modified observables are built once; the returned function applies
+    The modified observables are built by one solve; the returned function applies
     the channel once per state and gives the real deviations, raising
     ``ValueError`` when one has an imaginary part above
     :func:`expectation`'s threshold (a channel that breaks Hermiticity).
     """
     # Tr(A X) = vec(A) . vec(X^T), so one product per state gives every value
-    plain = np.stack([np.asarray(A, dtype=complex) for A in observables]).reshape(len(observables), -1)
-    modified = np.stack([modified_observable(gp, A) for A in observables]).reshape(len(observables), -1)
+    plain = np.stack([np.asarray(A, dtype=complex) for A in observables])
+    modified = _modified_observables(gp, plain).reshape(len(plain), -1)
+    plain = plain.reshape(len(plain), -1)
     modified_norm = np.linalg.norm(modified, axis=1).max()
 
     def deviations(rho: np.ndarray) -> np.ndarray:

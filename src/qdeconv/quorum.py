@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import MAX_DIM, apply_channel, is_hermitian
-from .deconvolution import GuessPair, modified_observable
+from .deconvolution import GuessPair, _modified_observables, modified_observable
 
 #: Born probabilities may dip below zero by at most this much before the
 #: state is rejected as invalid.
@@ -164,12 +164,12 @@ def chi_matrix(gp: GuessPair, qb: QuorumBasis) -> np.ndarray:
     """Matrix of the guess inverse-adjoint in the quorum basis.
 
     Column m holds the quorum coefficients of the modified observable built
-    from ``Q_m``; real because modified observables stay Hermitian.
+    from ``Q_m``; real because modified observables stay Hermitian.  All of
+    them come from one solve against the guess.
     """
     if qb.dim != gp.dim:
         raise ValueError(f"quorum dim {qb.dim} does not match channel dim {gp.dim}")
-    cols = [decompose(modified_observable(gp, Q), qb) for Q in qb.elements]
-    return np.column_stack(cols)
+    return np.column_stack([decompose(M, qb) for M in _modified_observables(gp, qb._stacked)])
 
 
 def _born_probabilities(rho: np.ndarray, eigvecs: np.ndarray) -> np.ndarray:
@@ -274,7 +274,6 @@ def deconvolved_estimate(
     """
     if shots_per_element < 0:
         raise ValueError("shots_per_element must be nonnegative (0 selects exact mode)")
-    decompose(A, qb)  # rejects a non-Hermitian A before it is modified
     weights = decompose(modified_observable(gp, A), qb)
     noisy = apply_channel(gp.phi, rho)
 

@@ -371,18 +371,21 @@ def report_to_document(report: DeconvReport) -> dict:
 
 def parse_hermitian_matrix(text: str | bytes, name: str = "matrix") -> np.ndarray:
     """Parse a ``{"dim": d, "matrix": ...}`` document (``dim`` optional) into a finite
-    complex array, Hermitian within ``DEFAULT_TOL`` (Frobenius); anything else is a
-    :class:`SpecParseError`."""
+    complex array, Hermitian within ``DEFAULT_TOL`` (Frobenius), and return its
+    Hermitian part (the array itself when it is exactly Hermitian); anything else
+    is a :class:`SpecParseError`."""
     doc = _load_json(text)
     with _violations(f"{name} document is malformed"):
         M = matrix_from_json(_object(doc, "$", ("matrix",))["matrix"], "$.matrix")
         dim = _integer(doc["dim"], "$.dim", 1, MAX_DIM) if "dim" in doc else M.shape[0]
     if M.shape != (dim, dim):
         raise SpecParseError(f"{name} shape {M.shape} does not match declared dim {dim}")
-    residual = np.linalg.norm(M - M.conj().T)
+    skew = M - M.conj().T
+    residual = np.linalg.norm(skew)
     if residual > DEFAULT_TOL:
         raise SpecParseError(f"{name} is not Hermitian: residual {residual:.3e} > {DEFAULT_TOL:g}")
-    return M
+    # not 0.5 * (M + M^H), which can overflow near the largest float
+    return M - 0.5 * skew
 
 
 def emit_hermitian_matrix(M: np.ndarray) -> str:

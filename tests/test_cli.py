@@ -114,6 +114,28 @@ def test_estimate_exact_mode_matches_evaluate(runner, spec_files, tmp_path):
     assert doc["std_error"] == 0.0
 
 
+@pytest.mark.parametrize("shots", ["0", "100"])
+def test_estimate_reads_the_hermitian_part_of_a_nearly_hermitian_observable(runner, spec_files, tmp_path, shots):
+    # Hermitian within the parser's 1e-9 but not within the library's 1e-10:
+    # 2e-10 imaginary on both off-diagonal entries is a residual of 5.7e-10
+    true_path, guess_path = spec_files
+    A = np.diag([1.0, -0.5, 0.25]).astype(complex)
+    A[0, 1] = A[1, 0] = 0.3 + 2e-10j
+    rho = q.random_density_matrix(3, np.random.default_rng(4))
+    state_path = tmp_path / "state.json"
+    state_path.write_text(emit_hermitian_matrix(rho))
+    outputs = []
+    for name, M in (("near", A), ("part", (A + A.conj().T) / 2)):
+        obs_path = tmp_path / f"{name}.json"
+        obs_path.write_text(emit_hermitian_matrix(M))
+        result = runner.invoke(
+            main, ["--format", "json", "estimate", str(obs_path), str(state_path), true_path, guess_path, "--shots", shots]
+        )
+        assert result.exit_code == 0, result.output
+        outputs.append(result.output)
+    assert outputs[0] == outputs[1]
+
+
 def test_estimate_with_shots_and_pauli_quorum(runner, tmp_path):
     from qdeconv.scenarios import bitflip_correlated, bitflip_with_memory
 

@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 import qdeconv as q
 from qdeconv.channels import random_hermitian
-from qdeconv.deconvolution import _coordinates, _null_coordinates, _spectral_norm_bound
+from qdeconv.deconvolution import _coordinates, _modified_observables, _null_coordinates, _spectral_norm_bound
 from qdeconv.serialization import emit_family
 from qdeconv.scenarios import (
     bitflip_correlated,
@@ -81,16 +81,23 @@ def test_deviation_two_unitary_form(rng):
 def test_guess_pair_validates_lazy_inverse(monkeypatch):
     T = q.transfer_from_kraus(q.unitary_channel(np.eye(2)))
     gp = q.GuessPair.from_transfers(T, T)
-    monkeypatch.setattr(np.linalg, "inv", lambda a: 2 * np.eye(len(a)))
-    with pytest.raises(ValueError, match="phi_g_inv is not the inverse of phi_g"):
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: 2 * b + 1)
+    with pytest.raises(ValueError, match="solve against the guess failed"):
         q.modified_observable(gp, np.eye(2))
 
 
-def test_correctable_family_builds_no_inverse(bitflip_pair):
+def test_correctable_family_builds_no_inverse(bitflip_pair, monkeypatch):
+    left_shapes = []
+    solve = np.linalg.solve
+
+    def recorded(a, b):
+        left_shapes.append(np.shape(a))
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "inv", lambda a: pytest.fail("correctable_family took an inverse"))
+    monkeypatch.setattr(np.linalg, "solve", recorded)
     q.correctable_family(bitflip_pair)
-    assert "phi_g_inv" not in vars(bitflip_pair)
-    q.modified_observable(bitflip_pair, np.eye(4))
-    assert "phi_g_inv" in vars(bitflip_pair)
+    assert (16, 16) not in left_shapes
 
 
 def test_guess_pair_rejects_guess_that_breaks_hermiticity():
@@ -432,6 +439,60 @@ def test_modified_observable_preserves_hermiticity(rng):
         assert np.linalg.norm(mod - mod.conj().T) < 1e-10
 
 
+@settings(deadline=None, max_examples=60)
+@given(
+    d=st.sampled_from([2, 3, 4]),
+    n_kraus=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_modified_observables_match_the_kraus_oracle(d, n_kraus, seed, data):
+    rng = np.random.default_rng(seed)
+    guess = q.random_cptp_channel(d, n_kraus, rng)
+    gp = guess_pair(q.random_cptp_channel(d, 2, rng), guess)
+    As = np.stack([random_hermitian(d, rng) for _ in range(data.draw(st.integers(1, d * d)))])
+    adj = _adjoint_map_matrix(guess.kraus, d)
+    batch = _modified_observables(gp, As)
+    for A, M in zip(As, batch):
+        oracle = q.devectorize(np.linalg.solve(adj, q.vectorize(A)), d)
+        single = q.modified_observable(gp, A)
+        assert np.array_equal(single, single.conj().T)
+        assert np.linalg.norm(single - oracle) <= 1e-10 * np.linalg.norm(oracle)
+        assert np.array_equal(M, M.conj().T)
+        assert np.linalg.norm(M - single) <= 1e-12 * np.linalg.norm(single)
+
+
+def _rotated_depolarizing(ratio):
+    """Qubit guess ``U D(rho) U^dag``, ``D(rho) = ratio rho + (1 - ratio) tr(rho) I / 2``,
+    whose transfer matrix has ``s_min / s_max == ratio`` to rounding."""
+    flat = np.eye(2).reshape(-1)
+    depolarizing = q.TransferMatrix(2, ratio * np.eye(4) + (1 - ratio) * np.outer(flat / 2, flat))
+    U = q.haar_random_unitary(2, np.random.default_rng(7))
+    return q.compose(q.transfer_from_kraus(q.unitary_channel(U)), depolarizing)
+
+
+@pytest.mark.parametrize("ratio", [1e-7, 5e-8, 2.1e-8])
+def test_ill_conditioned_guess_gives_modified_observables(ratio):
+    # these guesses pass the invertibility cutoff; an explicit complex inverse
+    # of them used to fail its own forward-residual check
+    guess = _rotated_depolarizing(ratio)
+    gp = q.GuessPair.from_transfers(guess, guess)
+    A = np.array([[1.0, 0.3 - 0.2j], [0.3 + 0.2j, -0.5]])
+    expected = q.devectorize(q.inverse_transfer(guess).gamma.conj().T @ q.vectorize(A), 2)
+    assert np.linalg.norm(q.modified_observable(gp, A) - expected) <= 1e-8 * np.linalg.norm(expected)
+
+
+def test_modified_observable_rejects_non_hermitian_observable(bitflip_pair):
+    A = np.eye(4, dtype=complex)
+    A[0, 1] = 1e-9
+    with pytest.raises(ValueError, match="observable is not Hermitian"):
+        q.modified_observable(bitflip_pair, A)
+    A[0, 1] = 1e-11  # within the tolerance: the Hermitian part is modified
+    hermitian_part = (A + A.conj().T) / 2
+    assert_allclose(q.modified_observable(bitflip_pair, A), q.modified_observable(bitflip_pair, hermitian_part),
+                    rtol=0, atol=1e-15)
+
+
 # ---------------------------------------------------------------------------
 # expectation / evaluate
 # ---------------------------------------------------------------------------
@@ -583,7 +644,7 @@ def test_verify_family_detects_perturbed_element(qutrit_pair):
 def test_verify_family_one_pass_per_state(qutrit_pair, monkeypatch):
     import qdeconv.deconvolution as dc
 
-    calls = {"modified_observable": 0, "apply_channel": 0}
+    calls = {"solve": 0, "apply_channel": 0}
 
     def counted(name, original):
         def wrapper(*args, **kwargs):
@@ -594,13 +655,13 @@ def test_verify_family_one_pass_per_state(qutrit_pair, monkeypatch):
     def forbidden(*args, **kwargs):
         pytest.fail("verify_family evaluated a candidate on its own")
 
-    for name in calls:
-        monkeypatch.setattr(dc, name, counted(name, getattr(dc, name)))
-    monkeypatch.setattr(dc, "evaluate", forbidden)
-    monkeypatch.setattr(dc, "expectation", forbidden)
     fam = q.correctable_family(qutrit_pair)
+    monkeypatch.setattr(np.linalg, "solve", counted("solve", np.linalg.solve))
+    monkeypatch.setattr(dc, "apply_channel", counted("apply_channel", dc.apply_channel))
+    for name in ("evaluate", "expectation", "modified_observable"):
+        monkeypatch.setattr(dc, name, forbidden)
     q.verify_family(qutrit_pair, fam, 7, seed=1)
-    assert calls == {"modified_observable": fam.n_params, "apply_channel": 7}
+    assert calls == {"solve": 1, "apply_channel": 7}
 
 
 @pytest.mark.parametrize("n_states", [0, -3])

@@ -207,6 +207,15 @@ def test_chi_unitary_guess_is_orthogonal(rng):
     assert np.linalg.norm(chi.T @ chi - np.eye(9)) < 1e-10
 
 
+def test_chi_matrix_takes_one_solve(rng, monkeypatch):
+    gp = guess_pair(q.random_cptp_channel(3, 2, rng), q.random_cptp_channel(3, 2, rng))
+    solves = []
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: solves.append(np.shape(b)) or solve(a, b))
+    q.chi_matrix(gp, q.quorum_basis(3))
+    assert solves == [(9, 9)]
+
+
 def test_chi_correlated_bitflip_diagonal_in_pauli_quorum():
     p = 0.25
     gp = guess_pair(bitflip_with_memory(p, 0.5), bitflip_correlated(p))
