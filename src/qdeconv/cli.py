@@ -16,7 +16,7 @@ import click
 from click.core import ParameterSource
 
 from .channels import DEFAULT_TOL, is_density_matrix, transfer_from_kraus
-from .deconvolution import GuessPair, correctable_family, evaluate, guess_sweep, verify_family
+from .deconvolution import DEFAULT_KERNEL_RTOL, GuessPair, correctable_family, evaluate, guess_sweep, verify_family
 from .errors import QdeconvError, SingularChannelError, SpecParseError, UnknownScenarioError
 from .quorum import deconvolved_estimate, quorum_basis, tensor_product_quorum
 from .serialization import (
@@ -68,8 +68,8 @@ def _non_negative(ctx: click.Context, param: click.Parameter, value: float) -> f
 
 
 @click.group()
-@click.option("--tol", type=float, default=1e-9, show_default=True, callback=_non_negative, help="Tolerance for verification checks (non-negative).")
-@click.option("--kernel-tol", type=float, default=1e-8, show_default=True, callback=_non_negative, help="Relative singular-value threshold for kernel extraction (non-negative): a direction is correctable when its singular value is at most this times the largest.")
+@click.option("--tol", type=float, default=DEFAULT_TOL, show_default=True, callback=_non_negative, help="Tolerance for verification checks (non-negative).")
+@click.option("--kernel-tol", type=float, default=DEFAULT_KERNEL_RTOL, show_default=True, callback=_non_negative, help="Relative singular-value threshold for kernel extraction (non-negative): a direction is correctable when its singular value is at most this times the largest.")
 @click.option("--seed", type=click.IntRange(min=0), default=DEFAULT_SEED, show_default=True, envvar="QDECONV_SEED", help="Random seed, non-negative (flag beats the QDECONV_SEED environment variable).")
 @click.option("--format", "fmt", type=click.Choice(["json", "table"]), default="table", show_default=True, help="Report format.")
 @click.pass_context

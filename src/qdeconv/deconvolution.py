@@ -258,10 +258,12 @@ class ObservableFamily:
         return len(self.basis)
 
     def member(self, coefficients: Sequence[float]) -> np.ndarray:
-        """Real linear combination of the basis elements."""
-        coeff = np.asarray(coefficients, dtype=float)
-        if coeff.size != self.n_params:
-            raise ValueError(f"expected {self.n_params} coefficients, got {coeff.size}")
+        """Real linear combination of the basis elements, from a 1-D sequence of ``n_params`` reals."""
+        coeff = np.asarray(coefficients)
+        if coeff.shape != (self.n_params,) or coeff.dtype.kind not in "iuf":
+            raise ValueError(
+                f"expected a 1-D sequence of {self.n_params} real numbers, got {coeff.dtype} of shape {coeff.shape}"
+            )
         out = np.zeros((self.dim, self.dim), dtype=complex)
         for c, A in zip(coeff, self.basis):
             out += c * A

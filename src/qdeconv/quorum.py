@@ -93,6 +93,8 @@ def quorum_basis(d: int) -> QuorumBasis:
     """
     if d < 2:
         raise ValueError("quorum needs dimension at least 2")
+    if d > MAX_DIM:  # checked before allocating d**2 elements of d x d
+        raise ValueError(f"product dimension {d} exceeds supported maximum {MAX_DIM}")
     elements: list[np.ndarray] = [np.eye(d, dtype=complex) / np.sqrt(d)]
     for j in range(d):
         for k in range(j + 1, d):

@@ -21,6 +21,7 @@ import numpy as np
 
 from .channels import DEFAULT_TOL, is_unitary
 from .deconvolution import (
+    DEFAULT_KERNEL_RTOL,
     ObservableFamily,
     _certified_family,
     _constraint_coordinates,
@@ -33,8 +34,7 @@ from .errors import NonUnitaryError
 #: Eigenvalues closer than this are treated as degenerate when grouping.
 DEFAULT_GROUPING_TOL = 1e-8
 
-#: Default distance-from-1 threshold for invariant (unit-eigenvalue) subspaces,
-#: and default relative singular-value cutoff of the family constructors.
+#: Default distance-from-1 threshold for invariant (unit-eigenvalue) subspaces.
 DEFAULT_INVARIANT_TOL = 1e-8
 
 
@@ -131,7 +131,7 @@ def invariant_subspace(G: np.ndarray, tol: float = DEFAULT_INVARIANT_TOL) -> lis
     return _ordered_null_basis(G - np.eye(n), lambda s: s <= tol)
 
 
-def ru_correctable_family(es: UnitaryErrorSet, tol: float = DEFAULT_INVARIANT_TOL) -> ObservableFamily:
+def ru_correctable_family(es: UnitaryErrorSet, tol: float = DEFAULT_KERNEL_RTOL) -> ObservableFamily:
     """Observables correctable for every probability assignment over the set.
 
     Takes the Hermitian null space of ``G_i - I`` stacked over every
@@ -265,7 +265,7 @@ def two_unitary_family(
     return grouping, ObservableFamily.from_basis(d, basis)
 
 
-def commutant_family(Us: Sequence[np.ndarray], tol: float = DEFAULT_INVARIANT_TOL) -> ObservableFamily:
+def commutant_family(Us: Sequence[np.ndarray], tol: float = DEFAULT_KERNEL_RTOL) -> ObservableFamily:
     """Hermitian basis of the joint commutant ``{A : U_k A == A U_k for all k}``.
 
     The commutator with ``U`` acts on vectorized operators as

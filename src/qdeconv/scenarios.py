@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from functools import partial
 from typing import Any, Callable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -53,8 +54,7 @@ from .random_unitary import (
     ru_correctable_family,
     two_unitary_family,
 )
-
-SCHEMA_VERSION = 1
+from .serialization import SCHEMA_VERSION
 
 
 # ---------------------------------------------------------------------------
@@ -206,15 +206,7 @@ class ScenarioResult:
             "expected_family_dim": self.expected_family_dim,
             "max_delta_nd": self.max_delta_nd,
             "passed": self.passed,
-            "checks": [
-                {
-                    "label": c.label,
-                    "passed": c.passed,
-                    "residual": c.residual,
-                    "tolerance": c.tolerance,
-                }
-                for c in self.checks
-            ],
+            "checks": [asdict(c) for c in self.checks],
             "metadata": self.metadata,
         }
 
@@ -264,22 +256,29 @@ def emit_report(result: ScenarioResult, format: str = "table") -> str:
 # Shared helpers
 # ---------------------------------------------------------------------------
 
+#: What a scenario returns for ``run_scenario`` to build its result from:
+#: family size, worst recovery deviation, checks and metadata.
+_Outcome = tuple[int, float, tuple[ScenarioCheck, ...], dict]
+
+#: Memory weights at which both bit-flip scenarios probe the memory channel.
+_MEMORY_PROBES = (0.1, 0.3, 0.5, 0.7, 0.9)
+
+
 def _vector_span_residual(vecs_a: Sequence[np.ndarray], vecs_b: Sequence[np.ndarray]) -> float:
-    """Largest relative projection residual of span a's vectors inside span b."""
-    B = np.column_stack([np.asarray(v).reshape(-1) for v in vecs_b])
-    Q, _ = np.linalg.qr(B)
+    """Largest relative projection residual of either span's vectors inside the other span."""
     worst = 0.0
-    for v in vecs_a:
-        v = np.asarray(v).reshape(-1)
-        r = v - Q @ (Q.conj().T @ v)
-        worst = max(worst, np.linalg.norm(r) / np.linalg.norm(v))
+    for vecs, other in ((vecs_a, vecs_b), (vecs_b, vecs_a)):
+        Q, _ = np.linalg.qr(np.column_stack([np.asarray(v).reshape(-1) for v in other]))
+        for v in vecs:
+            v = np.asarray(v).reshape(-1)
+            r = v - Q @ (Q.conj().T @ v)
+            worst = max(worst, np.linalg.norm(r) / np.linalg.norm(v))
     return worst
 
 
-def _family_recovery_max(
-    gps: Sequence[GuessPair], fam: ObservableFamily, n_states: int, seed: int
-) -> float:
-    return max(verify_family(gp, fam, n_states, seed + 101 * k) for k, gp in enumerate(gps))
+def _family_recovery_max(gps: Sequence[GuessPair], fam: ObservableFamily, params: dict) -> float:
+    """Worst recovery deviation of ``fam`` over the pairs, on ``params["states"]`` random states each."""
+    return max(verify_family(gp, fam, params["states"], params["seed"] + 101 * k) for k, gp in enumerate(gps))
 
 
 def _mutual_span_residual(fam_a: ObservableFamily, fam_b: ObservableFamily) -> float:
@@ -289,15 +288,60 @@ def _mutual_span_residual(fam_a: ObservableFamily, fam_b: ObservableFamily) -> f
     return max(span_residual(fam_a, fam_b), span_residual(fam_b, fam_a))
 
 
+def _dimension_check(fam: ObservableFamily, expected: int, what: str = "family") -> ScenarioCheck:
+    """The claim that ``fam`` has ``expected`` parameters, labelled with ``what``."""
+    return ScenarioCheck.from_residual(f"{what} dimension is {expected}", abs(fam.n_params - expected), 0.0)
+
+
+def _pairs(make: Callable[[float], KrausChannel], values: Sequence[float], guess: np.ndarray) -> list[GuessPair]:
+    """One pair per value: the channel ``make(value)`` against the guess transfer matrix."""
+    return [GuessPair.from_transfers(transfer_from_kraus(make(v)), guess) for v in values]
+
+
+def _bitflip_family(p: float, kernel_tol: float) -> tuple[np.ndarray, list[GuessPair], ObservableFamily]:
+    """The correlated-flip guess at ``p``, its memory pairs at ``_MEMORY_PROBES`` and their common family."""
+    guess = transfer_from_kraus(bitflip_correlated(p))
+    gps = _pairs(partial(bitflip_with_memory, p), _MEMORY_PROBES, guess)
+    return guess, gps, common_correctable_family(gps, kernel_tol)
+
+
 def _mixture_pairs(
     mixtures: Sequence[Sequence[float]], Us: Sequence[np.ndarray], guess: np.ndarray
 ) -> list[GuessPair]:
     """One pair per probability vector: the unitaries mixed with it, against unitary ``guess``."""
     guess_transfer = transfer_from_kraus(unitary_channel(guess))
-    return [
-        GuessPair.from_transfers(transfer_from_kraus(random_unitary_channel(probs, Us)), guess_transfer)
-        for probs in mixtures
-    ]
+    return _pairs(lambda probs: random_unitary_channel(probs, Us), mixtures, guess_transfer)
+
+
+def _mixture_recovery(
+    params: dict,
+    fam: ObservableFamily,
+    Us: Sequence[np.ndarray],
+    guess: np.ndarray,
+    draw: Callable[[np.random.Generator, int], Sequence[Sequence[float]]],
+) -> float:
+    """Worst recovery deviation of ``fam`` over ``draw(rng, prob_draws)`` mixtures of ``Us``.
+
+    ``rng`` is seeded with ``params["seed"]``; each mixture is paired with unitary ``guess``.
+    """
+    mixtures = draw(np.random.default_rng(params["seed"]), params["prob_draws"])
+    return _family_recovery_max(_mixture_pairs(mixtures, Us, guess), fam, params)
+
+
+def _dirichlet_mixtures(k: int) -> Callable[[np.random.Generator, int], list[np.ndarray]]:
+    """Draws of ``n`` flat-Dirichlet probability vectors over ``k`` unitaries."""
+    return lambda rng, n: [rng.dirichlet(np.ones(k)) for _ in range(n)]
+
+
+def _binary_mixtures(rng: np.random.Generator, n: int) -> list[list[float]]:
+    """``n`` two-unitary mixtures ``[1 - p, p]`` with ``p`` uniform in [0.05, 0.95]."""
+    return [[1 - p, p] for p in rng.uniform(0.05, 0.95, n)]
+
+
+def _ru_route_residual(fam: ObservableFamily, Us: Sequence[np.ndarray], kernel_tol: float) -> float:
+    """Span residual of ``fam`` against the invariant-subspace family of ``Us`` guessing ``Us[1]``."""
+    es = UnitaryErrorSet.from_unitaries(Us, guess_index=1)
+    return _mutual_span_residual(fam, ru_correctable_family(es, kernel_tol))
 
 
 def _matrix_unit(d: int, i: int, j: int) -> np.ndarray:
@@ -336,14 +380,10 @@ def _merge_params(defaults: Mapping[str, Any], overrides: Optional[Mapping[str, 
 # Scenario implementations
 # ---------------------------------------------------------------------------
 
-def _scenario_qutrit_extreme(params: dict, kernel_tol: float) -> ScenarioResult:
+def _scenario_qutrit_extreme(params: dict, kernel_tol: float, expected: int) -> _Outcome:
     probes = [2 * np.pi * k / 6 for k in range(1, 6)]
     guess = transfer_from_kraus(qutrit_extreme_channel(0.0))
-    gps = [
-        GuessPair.from_transfers(transfer_from_kraus(qutrit_extreme_channel(ph)), guess)
-        for ph in probes
-    ]
-    fam = common_correctable_family(gps, kernel_tol)
+    fam = common_correctable_family(_pairs(qutrit_extreme_channel, probes, guess), kernel_tol)
 
     pattern = ObservableFamily.from_basis(
         3,
@@ -359,70 +399,45 @@ def _scenario_qutrit_extreme(params: dict, kernel_tol: float) -> ScenarioResult:
 
     rng = np.random.default_rng(params["seed"])
     check_phases = [float(rng.uniform(0.05, 2 * np.pi - 0.05)) for _ in range(params["check_phases"])]
-    check_gps = [
-        GuessPair.from_transfers(transfer_from_kraus(qutrit_extreme_channel(ph)), guess)
-        for ph in check_phases
-    ]
-    max_delta = _family_recovery_max(check_gps, fam, params["states"], params["seed"])
+    max_delta = _family_recovery_max(_pairs(qutrit_extreme_channel, check_phases, guess), fam, params)
 
     checks = (
-        ScenarioCheck.from_residual("family dimension is 5", abs(fam.n_params - 5), 0.0),
+        _dimension_check(fam, expected),
         ScenarioCheck.from_residual("span matches block-diagonal pattern", span_res, 1e-9),
         ScenarioCheck.from_residual("recovery exact on random states and phases", max_delta, 1e-9),
     )
-    return ScenarioResult(
-        scenario="qutrit-extreme",
-        family_dim=fam.n_params,
-        expected_family_dim=5,
-        max_delta_nd=max_delta,
-        checks=checks,
-        metadata={
-            "phase_probes": [round(p, 12) for p in probes],
-            "sampled_phases": [round(p, 12) for p in check_phases],
-            **params,
-        },
-    )
+    metadata = {
+        "phase_probes": [round(p, 12) for p in probes],
+        "sampled_phases": [round(p, 12) for p in check_phases],
+        **params,
+    }
+    return fam.n_params, max_delta, checks, metadata
 
 
-def _bitflip_pattern_family() -> ObservableFamily:
-    s = PAULIS
-    prods = (
-        [_kron(s[i], s[j]) / 2 for i in (0, 1) for j in (2, 3)]
-        + [_kron(s[j], s[i]) / 2 for i in (0, 1) for j in (2, 3)]
-        + [_kron(s[i], s[j]) / 2 for i in (0, 1) for j in (0, 1)]
-    )
-    return ObservableFamily.from_basis(4, prods)
-
-
-def _scenario_bitflip_memory(params: dict, kernel_tol: float) -> ScenarioResult:
-    p = params["p"]
-    mu_probes = [0.1, 0.3, 0.5, 0.7, 0.9]
-    guess = transfer_from_kraus(bitflip_correlated(p))
-    gps = [
-        GuessPair.from_transfers(transfer_from_kraus(bitflip_with_memory(p, mu)), guess)
-        for mu in mu_probes
-    ]
-    fam = common_correctable_family(gps, kernel_tol)
-
-    pattern = _bitflip_pattern_family()
-    span_res = _mutual_span_residual(fam, pattern)
-
-    # the guess inverse rescales the x-anticommuting sector by 1/(1-2p) and
-    # its adjoint (applied forward) by (1-2p); the commuting sector is fixed
+def _bitflip_products() -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """The 12 correctable Pauli products: 8 that anticommute with X(x)X, then 4 that commute with it."""
     s = PAULIS
     scaled = [_kron(s[i], s[j]) for i in (0, 1) for j in (2, 3)]
     scaled += [_kron(s[j], s[i]) for i in (0, 1) for j in (2, 3)]
-    fixed = [_kron(s[i], s[j]) for i in (0, 1) for j in (0, 1)]
+    return scaled, [_kron(s[i], s[j]) for i in (0, 1) for j in (0, 1)]
+
+
+def _scenario_bitflip_memory(params: dict, kernel_tol: float, expected: int) -> _Outcome:
+    p = params["p"]
+    guess, gps, fam = _bitflip_family(p, kernel_tol)
+
+    scaled, fixed = _bitflip_products()
+    span_res = _mutual_span_residual(fam, ObservableFamily.from_basis(4, [P / 2 for P in scaled + fixed]))
+
+    # the guess inverse rescales the x-anticommuting sector by 1/(1-2p) and
+    # its adjoint (applied forward) by (1-2p); the commuting sector is fixed
     inv_res = 0.0
     fwd_res = 0.0
     gp0 = gps[0]
     fwd_gamma = adjoint_transfer(gp0.phi_g).gamma
-    for P in scaled:
-        inv_res = max(inv_res, np.linalg.norm(modified_observable(gp0, P) - P / (1 - 2 * p)))
-        fwd_res = max(fwd_res, np.linalg.norm(devectorize(fwd_gamma @ vectorize(P), 4) - (1 - 2 * p) * P))
-    for P in fixed:
-        inv_res = max(inv_res, np.linalg.norm(modified_observable(gp0, P) - P))
-        fwd_res = max(fwd_res, np.linalg.norm(devectorize(fwd_gamma @ vectorize(P), 4) - P))
+    for P, f in [(P, 1 - 2 * p) for P in scaled] + [(P, 1.0) for P in fixed]:
+        inv_res = max(inv_res, np.linalg.norm(modified_observable(gp0, P) - P / f))
+        fwd_res = max(fwd_res, np.linalg.norm(devectorize(fwd_gamma @ vectorize(P), 4) - f * P))
 
     try:
         GuessPair.from_transfers(gps[0].phi, transfer_from_kraus(bitflip_correlated(0.5)))
@@ -432,46 +447,38 @@ def _scenario_bitflip_memory(params: dict, kernel_tol: float) -> ScenarioResult:
 
     rng = np.random.default_rng(params["seed"])
     check_memories = [float(rng.uniform(0.02, 0.98)) for _ in range(params["check_memories"])]
-    check_gps = [
-        GuessPair.from_transfers(transfer_from_kraus(bitflip_with_memory(p, mu)), guess)
-        for mu in check_memories
-    ]
-    max_delta = _family_recovery_max(check_gps, fam, params["states"], params["seed"])
+    max_delta = _family_recovery_max(_pairs(partial(bitflip_with_memory, p), check_memories, guess), fam, params)
 
     checks = (
-        ScenarioCheck.from_residual("family dimension is 12", abs(fam.n_params - 12), 0.0),
+        _dimension_check(fam, expected),
         ScenarioCheck.from_residual("span matches the 12 Pauli products", span_res, 1e-9),
         ScenarioCheck.from_residual("guess inverse rescales flip-odd sector by 1/(1-2p)", inv_res, 1e-10),
         ScenarioCheck.from_residual("guess adjoint rescales flip-odd sector by (1-2p)", fwd_res, 1e-10),
         ScenarioCheck.from_bool("correlated guess at p = 1/2 is rejected as singular", singular_ok),
         ScenarioCheck.from_residual("recovery exact across memory weights", max_delta, 1e-9),
     )
-    return ScenarioResult(
-        scenario="bitflip-memory",
-        family_dim=fam.n_params,
-        expected_family_dim=12,
-        max_delta_nd=max_delta,
-        checks=checks,
-        metadata={"memory_probes": mu_probes, "sampled_memories": [round(m, 12) for m in check_memories], **params},
-    )
+    metadata = {
+        "memory_probes": list(_MEMORY_PROBES),
+        "sampled_memories": [round(m, 12) for m in check_memories],
+        **params,
+    }
+    return fam.n_params, max_delta, checks, metadata
 
 
-def _scenario_ru_three_unitaries(params: dict, kernel_tol: float) -> ScenarioResult:
-    U1, U2, U3 = three_unitary_error_set()
-    es = UnitaryErrorSet.from_unitaries([U1, U2, U3], guess_index=0)
+def _scenario_ru_three_unitaries(params: dict, kernel_tol: float, expected: int) -> _Outcome:
+    Us = list(three_unitary_error_set())
+    es = UnitaryErrorSet.from_unitaries(Us, guess_index=0)
 
     s2 = invariant_subspace(gamma_i(es, 1))
     s3 = invariant_subspace(gamma_i(es, 2))
 
-    e = [np.eye(3)[:, k] for k in range(3)]
-    expected_s2 = [np.kron(e[a], e[b]) for a, b in [(0, 0), (1, 1), (2, 2), (0, 2), (2, 0)]]
-    mu1 = np.array([1, 0, -1]) / np.sqrt(2)
-    mu2 = np.array([1, 0, 1]) / np.sqrt(2)
-    mu3 = np.array([0, 1, 0.0])
-    mus = [mu1, mu2, mu3]
-    expected_s3 = [np.kron(mus[a], mus[b]) for a, b in [(0, 0), (1, 1), (2, 2), (0, 2), (2, 0)]]
-    s2_res = max(_vector_span_residual(s2, expected_s2), _vector_span_residual(expected_s2, s2))
-    s3_res = max(_vector_span_residual(s3, expected_s3), _vector_span_residual(expected_s3, s3))
+    # both subspaces are spanned by v_a (x) v_b over the same five index pairs, in two bases
+    def listed(v: Sequence[np.ndarray]) -> list[np.ndarray]:
+        return [np.kron(v[a], v[b]) for a, b in [(0, 0), (1, 1), (2, 2), (0, 2), (2, 0)]]
+
+    mus = [np.array([1, 0, -1]) / np.sqrt(2), np.array([1, 0, 1]) / np.sqrt(2), np.array([0, 1, 0.0])]
+    s2_res = _vector_span_residual(s2, listed([np.eye(3)[:, k] for k in range(3)]))
+    s3_res = _vector_span_residual(s3, listed(mus))
 
     fam = ru_correctable_family(es, kernel_tol)
     pattern = ObservableFamily.from_basis(
@@ -483,31 +490,21 @@ def _scenario_ru_three_unitaries(params: dict, kernel_tol: float) -> ScenarioRes
         ],
     )
     span_res = _mutual_span_residual(fam, pattern)
-
-    rng = np.random.default_rng(params["seed"])
-    mixtures = [rng.dirichlet(np.ones(3)) for _ in range(params["prob_draws"])]
-    max_delta = _family_recovery_max(_mixture_pairs(mixtures, [U1, U2, U3], U1), fam, params["states"], params["seed"])
+    max_delta = _mixture_recovery(params, fam, Us, Us[0], _dirichlet_mixtures(3))
 
     checks = (
         ScenarioCheck.from_residual("first invariant subspace is 5-dimensional", abs(len(s2) - 5), 0.0),
         ScenarioCheck.from_residual("second invariant subspace is 5-dimensional", abs(len(s3) - 5), 0.0),
         ScenarioCheck.from_residual("first invariant subspace matches listed span", s2_res, 1e-9),
         ScenarioCheck.from_residual("second invariant subspace matches listed span", s3_res, 1e-9),
-        ScenarioCheck.from_residual("family dimension is 3", abs(fam.n_params - 3), 0.0),
+        _dimension_check(fam, expected),
         ScenarioCheck.from_residual("span matches persymmetric pattern", span_res, 1e-9),
         ScenarioCheck.from_residual("recovery exact for random mixing probabilities", max_delta, 1e-9),
     )
-    return ScenarioResult(
-        scenario="ru-three-unitaries",
-        family_dim=fam.n_params,
-        expected_family_dim=3,
-        max_delta_nd=max_delta,
-        checks=checks,
-        metadata=dict(params),
-    )
+    return fam.n_params, max_delta, checks, dict(params)
 
 
-def _scenario_ru_two_qubit(params: dict, kernel_tol: float) -> ScenarioResult:
+def _scenario_ru_two_qubit(params: dict, kernel_tol: float, expected: int) -> _Outcome:
     U1, U2 = qubit_pair_unitaries()
     grouping, fam = two_unitary_family(U1, U2)
 
@@ -527,33 +524,21 @@ def _scenario_ru_two_qubit(params: dict, kernel_tol: float) -> ScenarioResult:
     (gp,) = _mixture_pairs([[0.6, 0.4]], [U1, U2], U2)
     mod_res = np.linalg.norm(modified_observable(gp, A) - expected_mod)
 
-    es = UnitaryErrorSet.from_unitaries([U1, U2], guess_index=1)
-    fam_ru = ru_correctable_family(es, kernel_tol)
-    agree_res = _mutual_span_residual(fam, fam_ru)
-
-    rng = np.random.default_rng(params["seed"])
-    mixtures = [[1 - p, p] for p in rng.uniform(0.05, 0.95, params["prob_draws"])]
-    max_delta = _family_recovery_max(_mixture_pairs(mixtures, [U1, U2], U2), fam, params["states"], params["seed"])
+    agree_res = _ru_route_residual(fam, [U1, U2], kernel_tol)
+    max_delta = _mixture_recovery(params, fam, [U1, U2], U2, _binary_mixtures)
 
     checks = (
         ScenarioCheck.from_residual("comparison spectrum is {1, -1}", eig_res, 1e-10),
-        ScenarioCheck.from_residual("family dimension is 2", abs(fam.n_params - 2), 0.0),
+        _dimension_check(fam, expected),
         ScenarioCheck.from_residual("span matches [[a+2b, b], [b, a]]", span_res, 1e-9),
         ScenarioCheck.from_residual("modified observable swaps the diagonal", mod_res, 1e-10),
         ScenarioCheck.from_residual("agrees with invariant-subspace route", agree_res, 1e-9),
         ScenarioCheck.from_residual("recovery exact for random mixing probability", max_delta, 1e-9),
     )
-    return ScenarioResult(
-        scenario="ru-two-qubit",
-        family_dim=fam.n_params,
-        expected_family_dim=2,
-        max_delta_nd=max_delta,
-        checks=checks,
-        metadata=dict(params),
-    )
+    return fam.n_params, max_delta, checks, dict(params)
 
 
-def _scenario_ru_degenerate(params: dict, kernel_tol: float) -> ScenarioResult:
+def _scenario_ru_degenerate(params: dict, kernel_tol: float, expected: int) -> _Outcome:
     U1, U2 = qutrit_pair_unitaries()
     grouping, fam = two_unitary_family(U1, U2)
 
@@ -563,33 +548,21 @@ def _scenario_ru_degenerate(params: dict, kernel_tol: float) -> ScenarioResult:
     eig_res = max(abs(eigs[0] + 1), abs(eigs[1] - 1), abs(eigs[2] - 1))
     mult_ok = sorted(grouping.multiplicities) == [1, 2]
 
-    es = UnitaryErrorSet.from_unitaries([U1, U2], guess_index=1)
-    fam_ru = ru_correctable_family(es, kernel_tol)
-    agree_res = _mutual_span_residual(fam, fam_ru)
-
-    rng = np.random.default_rng(params["seed"])
-    mixtures = [[1 - p, p] for p in rng.uniform(0.05, 0.95, params["prob_draws"])]
-    max_delta = _family_recovery_max(_mixture_pairs(mixtures, [U1, U2], U2), fam, params["states"], params["seed"])
+    agree_res = _ru_route_residual(fam, [U1, U2], kernel_tol)
+    max_delta = _mixture_recovery(params, fam, [U1, U2], U2, _binary_mixtures)
 
     checks = (
         ScenarioCheck.from_residual("comparison matrix matches reference", w_res, 1e-12),
         ScenarioCheck.from_residual("spectrum is {1, -1, 1}", eig_res, 1e-10),
         ScenarioCheck.from_bool("degeneracy multiplicities are {2, 1}", mult_ok),
-        ScenarioCheck.from_residual("family dimension is 5", abs(fam.n_params - 5), 0.0),
+        _dimension_check(fam, expected),
         ScenarioCheck.from_residual("agrees with invariant-subspace route", agree_res, 1e-9),
         ScenarioCheck.from_residual("recovery exact for random mixing probability", max_delta, 1e-9),
     )
-    return ScenarioResult(
-        scenario="ru-degenerate",
-        family_dim=fam.n_params,
-        expected_family_dim=5,
-        max_delta_nd=max_delta,
-        checks=checks,
-        metadata=dict(params),
-    )
+    return fam.n_params, max_delta, checks, dict(params)
 
 
-def _scenario_pauli_irrep(params: dict, kernel_tol: float) -> ScenarioResult:
+def _scenario_pauli_irrep(params: dict, kernel_tol: float, expected: int) -> _Outcome:
     paulis = list(PAULIS)
     es = UnitaryErrorSet.from_unitaries(paulis, guess_index=0)
     fam = ru_correctable_family(es, kernel_tol)
@@ -602,38 +575,21 @@ def _scenario_pauli_irrep(params: dict, kernel_tol: float) -> ScenarioResult:
         if fam.n_params == 1
         else 1.0
     )
-
-    rng = np.random.default_rng(params["seed"])
-    mixtures = [rng.dirichlet(np.ones(4)) for _ in range(params["prob_draws"])]
-    max_delta = _family_recovery_max(_mixture_pairs(mixtures, paulis, PAULIS[0]), fam, params["states"], params["seed"])
+    max_delta = _mixture_recovery(params, fam, paulis, PAULIS[0], _dirichlet_mixtures(4))
 
     checks = (
-        ScenarioCheck.from_residual("invariant-subspace family dimension is 1", abs(fam.n_params - 1), 0.0),
-        ScenarioCheck.from_residual("full-set commutant dimension is 1", abs(fam_comm_full.n_params - 1), 0.0),
-        ScenarioCheck.from_residual("generator commutant dimension is 1", abs(fam_comm_gen.n_params - 1), 0.0),
+        _dimension_check(fam, expected, "invariant-subspace family"),
+        _dimension_check(fam_comm_full, 1, "full-set commutant"),
+        _dimension_check(fam_comm_gen, 1, "generator commutant"),
         ScenarioCheck.from_residual("family member is proportional to identity", id_res, 1e-9),
         ScenarioCheck.from_residual("recovery exact for random Pauli mixing", max_delta, 1e-9),
     )
-    return ScenarioResult(
-        scenario="pauli-irrep",
-        family_dim=fam.n_params,
-        expected_family_dim=1,
-        max_delta_nd=max_delta,
-        checks=checks,
-        metadata=dict(params),
-    )
+    return fam.n_params, max_delta, checks, dict(params)
 
 
-def _scenario_partial_recovery(params: dict, kernel_tol: float) -> ScenarioResult:
+def _scenario_partial_recovery(params: dict, kernel_tol: float, expected: int) -> _Outcome:
     p, mu, x = params["p"], params["mu"], params["x"]
-
-    guess = transfer_from_kraus(bitflip_correlated(p))
-    mu_probes = [0.1, 0.3, 0.5, 0.7, 0.9]
-    gps = [
-        GuessPair.from_transfers(transfer_from_kraus(bitflip_with_memory(p, m)), guess)
-        for m in mu_probes
-    ]
-    fam = common_correctable_family(gps, kernel_tol)
+    guess, _, fam = _bitflip_family(p, kernel_tol)
 
     B = recovery_probe_observable()
     rho = recovery_probe_state(x)
@@ -661,8 +617,7 @@ def _scenario_partial_recovery(params: dict, kernel_tol: float) -> ScenarioResul
     grid_states = [recovery_probe_state(xg) for xg in grid_x]
     for pg in grid_p:
         guess_g = transfer_from_kraus(bitflip_correlated(pg))
-        for mg in grid_mu:
-            gp_g = GuessPair.from_transfers(transfer_from_kraus(bitflip_with_memory(pg, mg)), guess_g)
+        for gp_g in _pairs(partial(bitflip_with_memory, pg), grid_mu, guess_g):
             adjoint = adjoint_transfer(gp_g.phi)
             dev_exp = B - apply_channel(adjoint, B)
             dev_nd = B - apply_channel(adjoint, modified_observable(gp_g, B))
@@ -670,10 +625,10 @@ def _scenario_partial_recovery(params: dict, kernel_tol: float) -> ScenarioResul
                 not abs(expectation(dev_nd, r)) < abs(expectation(dev_exp, r)) for r in grid_states
             )
 
-    max_delta = _family_recovery_max([gp], fam, params["states"], params["seed"])
+    max_delta = _family_recovery_max([gp], fam, params)
 
     checks = (
-        ScenarioCheck.from_residual("family dimension is 12", abs(fam.n_params - 12), 0.0),
+        _dimension_check(fam, expected),
         ScenarioCheck.from_residual(
             "probe observable lies outside the family (span distance >= 1/2)",
             1.0 - membership_residual(fam, B),
@@ -695,27 +650,21 @@ def _scenario_partial_recovery(params: dict, kernel_tol: float) -> ScenarioResul
         ),
         ScenarioCheck.from_residual("recovery exact inside the family", max_delta, 1e-9),
     )
-    return ScenarioResult(
-        scenario="partial-recovery",
-        family_dim=fam.n_params,
-        expected_family_dim=12,
-        max_delta_nd=max_delta,
-        checks=checks,
-        metadata={
-            "memory_probes": mu_probes,
-            "delta_exp": report.delta_exp,
-            "delta_nd": report.delta_nd,
-            "closed_form_exp": closed_exp,
-            "closed_form_nd": closed_nd,
-            "grid_p": [round(float(v), 12) for v in grid_p],
-            "grid_mu": [round(float(v), 12) for v in grid_mu],
-            "grid_x": [round(float(v), 12) for v in grid_x],
-            **params,
-        },
-    )
+    metadata = {
+        "memory_probes": list(_MEMORY_PROBES),
+        "delta_exp": report.delta_exp,
+        "delta_nd": report.delta_nd,
+        "closed_form_exp": closed_exp,
+        "closed_form_nd": closed_nd,
+        "grid_p": [round(float(v), 12) for v in grid_p],
+        "grid_mu": [round(float(v), 12) for v in grid_mu],
+        "grid_x": [round(float(v), 12) for v in grid_x],
+        **params,
+    }
+    return fam.n_params, max_delta, checks, metadata
 
 
-def _scenario_equivalence_covariance(params: dict, kernel_tol: float) -> ScenarioResult:
+def _scenario_equivalence_covariance(params: dict, kernel_tol: float, expected: int) -> _Outcome:
     rng = np.random.default_rng(params["seed"])
 
     dim_mismatches = 0
@@ -762,26 +711,20 @@ def _scenario_equivalence_covariance(params: dict, kernel_tol: float) -> Scenari
             "conjugated members recover exactly under the transformed pair", max_delta, 1e-9
         ),
     )
-    return ScenarioResult(
-        scenario="equivalence-covariance",
-        family_dim=first_dim,
-        expected_family_dim=2,
-        max_delta_nd=max_delta,
-        checks=checks,
-        metadata=dict(params),
-    )
+    return first_dim, max_delta, checks, dict(params)
 
 
-#: Each scenario with its default parameters; ``_RANGES`` bounds every override.
-_SCENARIOS: dict[str, tuple[Callable[[dict, float], ScenarioResult], dict[str, Any]]] = {
-    "qutrit-extreme": (_scenario_qutrit_extreme, {"states": 100, "seed": 11, "check_phases": 3}),
-    "bitflip-memory": (_scenario_bitflip_memory, {"p": 0.25, "states": 100, "seed": 13, "check_memories": 3}),
-    "ru-three-unitaries": (_scenario_ru_three_unitaries, {"states": 20, "seed": 17, "prob_draws": 5}),
-    "ru-two-qubit": (_scenario_ru_two_qubit, {"states": 50, "seed": 19, "prob_draws": 5}),
-    "ru-degenerate": (_scenario_ru_degenerate, {"states": 50, "seed": 23, "prob_draws": 5}),
-    "pauli-irrep": (_scenario_pauli_irrep, {"states": 50, "seed": 29, "prob_draws": 5}),
-    "partial-recovery": (_scenario_partial_recovery, {"p": 0.3, "mu": 0.5, "x": 0.5, "states": 50, "seed": 31}),
-    "equivalence-covariance": (_scenario_equivalence_covariance, {"tuples": 20, "states": 5, "seed": 37}),
+#: Each scenario with its expected family size (its ``expected`` argument) and default parameters;
+#: ``_RANGES`` bounds every override.
+_SCENARIOS: dict[str, tuple[Callable[[dict, float, int], _Outcome], int, dict[str, Any]]] = {
+    "qutrit-extreme": (_scenario_qutrit_extreme, 5, {"states": 100, "seed": 11, "check_phases": 3}),
+    "bitflip-memory": (_scenario_bitflip_memory, 12, {"p": 0.25, "states": 100, "seed": 13, "check_memories": 3}),
+    "ru-three-unitaries": (_scenario_ru_three_unitaries, 3, {"states": 20, "seed": 17, "prob_draws": 5}),
+    "ru-two-qubit": (_scenario_ru_two_qubit, 2, {"states": 50, "seed": 19, "prob_draws": 5}),
+    "ru-degenerate": (_scenario_ru_degenerate, 5, {"states": 50, "seed": 23, "prob_draws": 5}),
+    "pauli-irrep": (_scenario_pauli_irrep, 1, {"states": 50, "seed": 29, "prob_draws": 5}),
+    "partial-recovery": (_scenario_partial_recovery, 12, {"p": 0.3, "mu": 0.5, "x": 0.5, "states": 50, "seed": 31}),
+    "equivalence-covariance": (_scenario_equivalence_covariance, 2, {"tuples": 20, "states": 5, "seed": 37}),
 }
 
 
@@ -800,7 +743,7 @@ def scenario_parameters(name: str, overrides: Optional[Mapping[str, Any]] = None
         raise UnknownScenarioError(
             f"unknown scenario {name!r}; available: {', '.join(_SCENARIOS)}"
         )
-    return _merge_params(_SCENARIOS[name][1], overrides)
+    return _merge_params(_SCENARIOS[name][2], overrides)
 
 
 def run_scenario(
@@ -815,4 +758,6 @@ def run_scenario(
     threshold used by every extraction inside the scenario.
     """
     params = scenario_parameters(name, overrides)
-    return _SCENARIOS[name][0](params, kernel_tol)
+    scenario, expected, _ = _SCENARIOS[name]
+    family_dim, max_delta, checks, metadata = scenario(params, kernel_tol, expected)
+    return ScenarioResult(name, family_dim, expected, max_delta, checks, metadata)

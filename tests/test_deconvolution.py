@@ -851,6 +851,17 @@ def test_observable_family_validation():
     assert_allclose(member, np.sqrt(2) * np.eye(2))
 
 
+def test_member_takes_one_real_coefficient_per_parameter():
+    Z = np.diag([1.0, -1.0]).astype(complex)
+    fam = q.ObservableFamily.from_basis(2, [np.eye(2) / np.sqrt(2), Z / np.sqrt(2)])
+    assert_allclose(fam.member([0.7, -0.3]), np.diag([0.4, 1.0]) / np.sqrt(2), atol=1e-15)
+    # a 2-D array holding the right number of coefficients once combined the rows
+    # of each basis element instead of the elements
+    for bad in ([[0.7, -0.3]], [[0.7], [-0.3]], [0.7], [0.7, -0.3, 0.1], 0.7, [0.7 + 1j, -0.3]):
+        with pytest.raises(ValueError, match="expected a 1-D sequence of 2 real numbers"):
+            fam.member(bad)
+
+
 def test_intersect_spans_dimensions(rng):
     e = [np.eye(4)[:, k] for k in range(4)]
     a = [e[0], e[1], e[2]]

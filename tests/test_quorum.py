@@ -56,6 +56,16 @@ def test_quorum_rejects_small_dim():
         q.quorum_basis(1)
 
 
+def test_quorum_basis_rejects_dimension_above_max(monkeypatch):
+    def forbidden(*args, **kwargs):
+        pytest.fail("quorum_basis allocated before checking its dimension")
+
+    monkeypatch.setattr(np, "eye", forbidden)
+    monkeypatch.setattr(np, "zeros", forbidden)
+    with pytest.raises(ValueError, match=rf"product dimension {MAX_DIM + 1} exceeds supported maximum {MAX_DIM}"):
+        q.quorum_basis(MAX_DIM + 1)
+
+
 def test_pauli_product_quorum_two_qubits():
     qb = q.pauli_product_quorum(2)
     assert qb.dim == 4 and len(qb.elements) == 16

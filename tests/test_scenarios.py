@@ -162,3 +162,29 @@ def test_scenario_documents_match_golden_file():
         assert metadata == want["metadata"], name
         rest = {k: v for k, v in doc.items() if k not in ("max_delta_nd", "checks", "metadata")}
         assert rest == {k: v for k, v in want.items() if k not in ("max_delta_nd", "checks", "metadata")}, name
+
+
+@pytest.mark.parametrize("name", list(EXPECTED_DIMS))
+def test_kernel_tol_reaches_every_extraction(name, monkeypatch):
+    import inspect
+
+    import qdeconv.scenarios as sc
+
+    recorded = []
+
+    def recording(fn):
+        signature = inspect.signature(fn)
+
+        def wrapper(*args, **kwargs):
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            recorded.append((fn.__name__, list(bound.arguments.values())[1]))
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for constructor in ("correctable_family", "common_correctable_family", "ru_correctable_family", "commutant_family"):
+        monkeypatch.setattr(sc, constructor, recording(getattr(sc, constructor)))
+    run_scenario(name, kernel_tol=3e-9)
+    assert recorded, f"{name} extracted no family through the four constructors"
+    assert all(tol == 3e-9 for _, tol in recorded), recorded
