@@ -183,7 +183,7 @@ class KrausChannel:
 
     @classmethod
     def from_operators(cls, kraus: Sequence[np.ndarray]) -> "KrausChannel":
-        ops = [np.asarray(A, dtype=complex) for A in kraus]
+        ops = [_as_complex_matrix(A, "Kraus operator") for A in kraus]
         if not ops:
             raise ValueError("a channel needs at least one Kraus operator")
         return cls(dim=ops[0].shape[0], kraus=tuple(ops))

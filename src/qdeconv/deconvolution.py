@@ -465,18 +465,6 @@ def _svd_null_coordinates(halves: Sequence[np.ndarray], rel_tol: float) -> np.nd
     return vt[s <= max(rel_tol * s[0], _KERNEL_ABS_FLOOR)][::-1].T
 
 
-def _constraint_coordinates(mats: Sequence[np.ndarray], d: int) -> list[np.ndarray]:
-    """``d^2 x d^2`` constraints in Hermitian coordinates on both sides."""
-    d2 = d * d
-    out = []
-    for M in mats:
-        M = np.asarray(M, dtype=complex)
-        if M.shape != (d2, d2):
-            raise ValueError(f"expected {d2}x{d2} blocks, got {M.shape}")
-        out.append(_coordinates(M, d))
-    return out
-
-
 def _hermitian_kernel(mats: Sequence[np.ndarray], d: int, rel_tol: float) -> ObservableFamily:
     """Orthonormal Hermitian basis of ``{A : M vec(A) == 0 for every M in mats}``.
 
@@ -484,7 +472,7 @@ def _hermitian_kernel(mats: Sequence[np.ndarray], d: int, rel_tol: float) -> Obs
     basis ``B`` on both sides, ``B^dag M B``, and the null space is taken by
     :func:`_null_coordinates`: sign-fixed, in ascending singular-value order.
     """
-    return _from_coordinates(_null_coordinates(_constraint_coordinates(mats, d), d * d, rel_tol).T, d)
+    return _from_coordinates(_null_coordinates([_coordinates(M, d) for M in mats], d * d, rel_tol).T, d)
 
 
 def _complement_projector(vecs: Sequence[np.ndarray], dim2: int) -> np.ndarray:
@@ -686,37 +674,6 @@ def verify_family(gp: GuessPair, fam: ObservableFamily, n_states: int, seed: int
     return float(worst)
 
 
-def _certified_family(
-    blocks: Sequence[np.ndarray], d: int, rel_tol: float, guess: np.ndarray | None = None
-) -> ObservableFamily:
-    """Hermitian null space of constraints in Hermitian coordinates, certified per block (named pair k).
-
-    Without ``guess`` the family is the null space ``W`` of the blocks and
-    block k's certificate is ``||M_k W||_2``.  With the guess's real
-    coordinates ``G``, the blocks are the ``D_k`` and the family is the QR
-    orthonormalization ``Q R = G^T W`` (``G^T`` is ``gamma_g^dag``); since
-    ``F_k G^T = D_k``, the certificate ``||D_k W R^-1||_2`` equals
-    ``||F_k Q||_2`` and bounds the recovery error of every unit-norm member on
-    every state.
-    """
-    W = _null_coordinates(blocks, d * d, rel_tol)
-    if not W.shape[1]:
-        return ObservableFamily.from_basis(d, [])
-    Q, X = W, W
-    if guess is not None:
-        Q, R = np.linalg.qr(guess.T @ W)
-        X = np.linalg.solve(R.T, W.T).T  # W R^-1
-    for k, M in enumerate(blocks):
-        bound = float(np.linalg.norm(M @ X, 2))
-        # written so that a NaN bound fails too
-        if not bound <= _RECOVERY_TOL:
-            raise FamilyVerificationError(
-                f"recovery certificate failed on pair {k}: bound {bound:.3e} > {_RECOVERY_TOL:g}; "
-                "consider a tighter kernel tolerance"
-            )
-    return _from_coordinates(Q.T, d)
-
-
 def correctable_family(gp: GuessPair, rel_tol: float = DEFAULT_KERNEL_RTOL) -> ObservableFamily:
     """Full family of observables with exactly recoverable expectation values.
 
@@ -757,11 +714,32 @@ def common_correctable_family(gps: Sequence[GuessPair], rel_tol: float = DEFAULT
 
 
 def _guess_family(gps: Sequence[GuessPair], rel_tol: float) -> ObservableFamily:
-    """Certified family of pairs sharing one guess, from the stacked ``D_k``."""
+    """Certified family of pairs sharing one guess: the one route behind every family constructor.
+
+    ``W`` is the Hermitian null space of the stacked ``D_k`` and the family is
+    the QR orthonormalization ``Q R = G^T W``, with ``G`` the guess's real
+    coordinates (``G^T`` is ``gamma_g^dag``).  Since ``F_k G^T = D_k``, the
+    certificate ``||D_k W R^-1||_2`` equals ``||F_k Q||_2`` and bounds the
+    recovery error of every unit-norm member on every state; above 1e-9,
+    :class:`FamilyVerificationError` names pair k.
+    """
     d = gps[0].dim
     G = gps[0]._guess_coordinates
     blocks = [(G - _coordinates(gp.phi.gamma, d)).conj().T for gp in gps]
-    return _certified_family(blocks, d, rel_tol, G)
+    W = _null_coordinates(blocks, d * d, rel_tol)
+    if not W.shape[1]:
+        return ObservableFamily.from_basis(d, [])
+    Q, R = np.linalg.qr(G.T @ W)
+    X = np.linalg.solve(R.T, W.T).T  # W R^-1
+    for k, M in enumerate(blocks):
+        bound = float(np.linalg.norm(M @ X, 2))
+        # written so that a NaN bound fails too
+        if not bound <= _RECOVERY_TOL:
+            raise FamilyVerificationError(
+                f"recovery certificate failed on pair {k}: bound {bound:.3e} > {_RECOVERY_TOL:g}; "
+                "consider a tighter kernel tolerance"
+            )
+    return _from_coordinates(Q.T, d)
 
 
 def guess_sweep(

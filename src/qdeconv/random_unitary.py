@@ -2,13 +2,15 @@
 
 When the noise is ``rho -> sum_k p_k U_k rho U_k^dag`` with known unitaries
 but unknown probabilities, correctability must hold for every probability
-vector at once.  Choosing one of the error unitaries as the guess, that
-reduces to finding operators invariant under every comparison matrix
-``G_i = kron(V_i, conj(V_i))`` with ``V_i = U_i^dag U_g``, equivalently
-observables with ``U_i A U_i^dag`` independent of i.  The two-unitary case
-has a closed form through the eigenvectors of ``U_1^dag U_2``, and error
-sets forming an irreducible group representation admit only multiples of
-the identity (a commutant computation).
+vector at once.  With one of the error unitaries ``U_g`` as the guess, the
+recovery condition ``sum_k p_k U_k^dag (U_g A U_g^dag) U_k = A`` is affine in
+the probabilities, so it holds on the whole simplex exactly when it holds at
+its vertices: the family is that of the pairs ``(U_k, U_g)`` at once, the
+observables with ``U_k A U_k^dag`` independent of k.  The two-unitary case
+has a closed form through the eigenvectors of ``U_1^dag U_2``, and the
+commutant of an error set is the same family with the identity as the
+guess; error sets forming an irreducible group representation admit only
+multiples of the identity.
 """
 
 from __future__ import annotations
@@ -19,15 +21,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .channels import DEFAULT_TOL, is_unitary
+from .channels import DEFAULT_TOL, TransferMatrix, _as_complex_matrix, is_unitary
 from .deconvolution import (
     DEFAULT_KERNEL_RTOL,
+    GuessPair,
     ObservableFamily,
-    _certified_family,
-    _constraint_coordinates,
     _fix_matrix_sign,
     _fix_vector_phase,
     _ordered_null_basis,
+    common_correctable_family,
 )
 from .errors import NonUnitaryError
 
@@ -67,8 +69,8 @@ class UnitaryErrorSet:
 
     @classmethod
     def from_unitaries(cls, Us: Sequence[np.ndarray], guess_index: int = 0) -> "UnitaryErrorSet":
-        Us = [np.asarray(U, dtype=complex) for U in Us]
-        return cls(dim=Us[0].shape[0], unitaries=tuple(Us), guess_index=guess_index)
+        Us = [_as_complex_matrix(U, f"unitary {k}") for k, U in enumerate(Us)]
+        return cls(dim=Us[0].shape[0] if Us else 0, unitaries=tuple(Us), guess_index=guess_index)
 
     @property
     def guess(self) -> np.ndarray:
@@ -134,18 +136,18 @@ def invariant_subspace(G: np.ndarray, tol: float = DEFAULT_INVARIANT_TOL) -> lis
 def ru_correctable_family(es: UnitaryErrorSet, tol: float = DEFAULT_KERNEL_RTOL) -> ObservableFamily:
     """Observables correctable for every probability assignment over the set.
 
-    Takes the Hermitian null space of ``G_i - I`` stacked over every
-    comparison matrix, with ``tol`` as the relative singular-value cutoff.
-    The guess's block is a literal zero, which the primitive drops; computed,
-    its rounding residual could be normalized into a full-weight constraint.
-    ``||(G_i - I) vec(A)||`` is ``||U_i A U_i^dag - U_g A U_g^dag||_F``;
-    above 1e-9 for a unit-norm member, :class:`FamilyVerificationError`
-    names unitary i as pair i.
+    The recovery condition is affine in the probabilities, so probing the
+    simplex at its vertices suffices: the family is
+    :func:`~qdeconv.deconvolution.common_correctable_family` over one pair
+    ``(U_i, U_g)`` per unitary, with ``tol`` as the relative singular-value
+    cutoff.  The guess's own pair constrains nothing.  Certified like
+    :func:`~qdeconv.deconvolution.correctable_family`: above 1e-9,
+    :class:`FamilyVerificationError` names unitary i as pair i.
     """
-    d2 = es.dim**2
-    blocks = [gamma_i(es, i) - np.eye(d2) for i in range(len(es.unitaries))]
-    blocks[es.guess_index] = np.zeros((d2, d2))
-    return _certified_family(_constraint_coordinates(blocks, es.dim), es.dim, tol)
+    transfers = [TransferMatrix(dim=es.dim, gamma=np.kron(U, U.conj())) for U in es.unitaries]
+    guess = transfers[es.guess_index]
+    # a unitary guess is orthogonal in Hermitian coordinates, so always invertible
+    return common_correctable_family([GuessPair(phi=phi, phi_g=guess) for phi in transfers], tol)
 
 
 def _group_indices(evals: np.ndarray, grouping_tol: float) -> list[list[int]]:
@@ -268,24 +270,10 @@ def two_unitary_family(
 def commutant_family(Us: Sequence[np.ndarray], tol: float = DEFAULT_KERNEL_RTOL) -> ObservableFamily:
     """Hermitian basis of the joint commutant ``{A : U_k A == A U_k for all k}``.
 
-    The commutator with ``U`` acts on vectorized operators as
-    ``kron(U, I) - kron(I, U.T)``; the family is the Hermitian null space of
-    those superoperators stacked, with ``tol`` as the relative singular-value
-    cutoff, certified as in :func:`ru_correctable_family` (pair k is operator k).
+    The family of :func:`ru_correctable_family` for the unitaries with the
+    identity appended as the guess, with ``tol`` as the relative
+    singular-value cutoff; a certificate failure names operator k as pair k.
     """
-    mats = []
-    d = None
-    for k, U in enumerate(Us):
-        U = np.asarray(U, dtype=complex)
-        if U.ndim != 2 or U.shape[0] != U.shape[1]:
-            raise ValueError(f"operator {k} is not square")
-        if d is None:
-            d = U.shape[0]
-        elif U.shape[0] != d:
-            raise ValueError("all operators must share one dimension")
-        if not is_unitary(U, DEFAULT_TOL):
-            raise NonUnitaryError(f"operator {k} fails the unitarity check")
-        mats.append(np.kron(U, np.eye(d)) - np.kron(np.eye(d), U.T))
-    if d is None:
-        raise ValueError("need at least one operator")
-    return _certified_family(_constraint_coordinates(mats, d), d, tol)
+    es = UnitaryErrorSet.from_unitaries(Us)
+    with_identity = [*es.unitaries, np.eye(es.dim)]
+    return ru_correctable_family(UnitaryErrorSet.from_unitaries(with_identity, len(es.unitaries)), tol)

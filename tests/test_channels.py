@@ -451,6 +451,11 @@ def test_kraus_channel_validation():
         q.KrausChannel(dim=0, kraus=(np.zeros((0, 0)),))
 
 
+def test_from_operators_rejects_a_non_matrix_operator():
+    with pytest.raises(ValueError, match="Kraus operator must be 2-dimensional, got shape"):
+        q.KrausChannel.from_operators([np.array(1.0)])
+
+
 def test_kraus_channel_callable_matches_oracle(rng):
     ch = q.random_cptp_channel(2, 2, rng)
     rho = q.random_density_matrix(2, rng)

@@ -1008,6 +1008,32 @@ def test_correctable_family_takes_one_eigh_and_no_full_svd(linalg_calls):
     assert all(shape[-1] < d2 for name, shape in linalg_calls if name == "svd"), linalg_calls
 
 
+def test_every_family_constructor_takes_the_one_certified_route(monkeypatch, qutrit_pair, bitflip_pair):
+    calls = []
+
+    def counted(name):
+        f = getattr(q.deconvolution, name)
+
+        def call(*args, **kwargs):
+            calls.append(name)
+            return f(*args, **kwargs)
+
+        return call
+
+    for name in ("_guess_family", "_null_coordinates"):
+        monkeypatch.setattr(q.deconvolution, name, counted(name))
+    pauli_set = q.UnitaryErrorSet.from_unitaries(list(SIGMA))
+    for construct in (
+        lambda: q.correctable_family(qutrit_pair),
+        lambda: q.common_correctable_family([bitflip_pair, bitflip_pair]),
+        lambda: q.ru_correctable_family(pauli_set),
+        lambda: q.commutant_family([SIGMA[1], SIGMA[3]]),
+    ):
+        calls.clear()
+        construct()
+        assert calls == ["_guess_family", "_null_coordinates"]
+
+
 def test_family_json_is_reproducible(qutrit_pair, bitflip_pair):
     for gp in (qutrit_pair, bitflip_pair):
         first = emit_family(q.correctable_family(gp))

@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import qdeconv as q
+from qdeconv.deconvolution import _hermitian_basis
 from qdeconv.random_unitary import DEFAULT_GROUPING_TOL, _group_indices
 from qdeconv.scenarios import (
     qubit_pair_unitaries,
@@ -10,7 +11,7 @@ from qdeconv.scenarios import (
     three_unitary_error_set,
 )
 
-from conftest import SIGMA, kron, matrix_unit
+from conftest import SIGMA, coordinates_oracle, kron, matrix_unit, null_coordinates_oracle
 
 
 @pytest.fixture
@@ -57,6 +58,15 @@ def test_error_set_validation():
         q.UnitaryErrorSet.from_unitaries([np.eye(2), 0.5 * SIGMA[1]])
     with pytest.raises(ValueError):
         q.UnitaryErrorSet.from_unitaries([np.eye(2)], guess_index=4)
+
+
+def test_from_unitaries_rejects_an_empty_list_and_a_non_matrix():
+    with pytest.raises(ValueError, match="need at least one unitary error operator"):
+        q.UnitaryErrorSet.from_unitaries([])
+    with pytest.raises(ValueError, match="unitary 0 must be 2-dimensional, got shape"):
+        q.UnitaryErrorSet.from_unitaries([np.array(1.0)])
+    with pytest.raises(ValueError, match="unitary 0 must be 2-dimensional, got shape"):
+        q.commutant_family([np.array(1.0)])
 
 
 # ---------------------------------------------------------------------------
@@ -424,6 +434,39 @@ def test_family_sizes_match_complex_joint_kernel(d):
         assert q.ru_correctable_family(es).n_params == len(q.joint_kernel(comparisons, d * d))
         commutators = [np.kron(U, eye) - np.kron(eye, U.T) for U in Us]
         assert q.commutant_family(Us).n_params == len(q.joint_kernel(commutators, d * d))
+
+
+def _stacked_constraint_family(blocks, d):
+    """Hermitian null space of stacked ``d^2 x d^2`` constraints, from the coordinate and SVD oracles."""
+    W = null_coordinates_oracle([coordinates_oracle(M, d) for M in blocks], d * d, q.DEFAULT_KERNEL_RTOL)
+    i1, i2, w1, w2 = _hermitian_basis(d)
+    B = np.zeros((d * d, d * d), dtype=complex)
+    np.add.at(B, (i1, np.arange(d * d)), w1)
+    np.add.at(B, (i2, np.arange(d * d)), w2)
+    return q.ObservableFamily.from_basis(d, list((B @ W).T.reshape(-1, d, d)))
+
+
+def _oracle_error_sets():
+    rng = np.random.default_rng(31)
+    sets = [("three-unitary", list(three_unitary_error_set())), ("pauli", list(SIGMA))]
+    for d in (2, 3, 4):
+        sets += [(f"haar-d{d}-n{n}", [q.haar_random_unitary(d, rng) for _ in range(n)]) for n in (2, 3)]
+        sets.append((f"commuting-d{d}", _commuting_unitaries(d, 3, rng)))
+    return sets
+
+
+@pytest.mark.parametrize("Us", [pytest.param(Us, id=name) for name, Us in _oracle_error_sets()])
+def test_families_span_the_stacked_constraint_null_space(Us):
+    # the families once were the null spaces of the stacked G_i - I (guess
+    # block left out) and of the commutators kron(U, I) - kron(I, U^T)
+    d = Us[0].shape[0]
+    for g in range(len(Us)):
+        es = q.UnitaryErrorSet.from_unitaries(Us, guess_index=g)
+        comparisons = [q.gamma_i(es, i) - np.eye(d * d) for i in range(len(Us)) if i != g]
+        assert q.spans_coincide(q.ru_correctable_family(es), _stacked_constraint_family(comparisons, d), 1e-9)
+    eye = np.eye(d)
+    commutators = [np.kron(U, eye) - np.kron(eye, U.T) for U in Us]
+    assert q.spans_coincide(q.commutant_family(Us), _stacked_constraint_family(commutators, d), 1e-9)
 
 
 @pytest.mark.parametrize("scale", [1e-9, 1e-6, 1e6, 1e9])
