@@ -70,6 +70,13 @@ def _frozen(M: np.ndarray) -> np.ndarray:
     return out
 
 
+def _kron(A: np.ndarray, *rest: np.ndarray) -> np.ndarray:
+    """``np.kron`` of 2-D arrays, left to right: the same products, without its generic reshaping."""
+    for B in rest:
+        A = (A[:, None, :, None] * B[None, :, None, :]).reshape(A.shape[0] * B.shape[0], -1)
+    return A
+
+
 # ---------------------------------------------------------------------------
 # Predicates
 # ---------------------------------------------------------------------------
@@ -282,7 +289,7 @@ def transfer_from_kraus(ch: KrausChannel) -> TransferMatrix:
     d = ch.dim
     gamma = np.zeros((d * d, d * d), dtype=complex)
     for A in ch.kraus:
-        gamma += np.kron(A, A.conj())
+        gamma += _kron(A, A.conj())
     return TransferMatrix(dim=d, gamma=gamma)
 
 
@@ -468,11 +475,21 @@ def is_cptp(ch: KrausChannel, tol: float = DEFAULT_TOL) -> CptpReport:
 # Seeded random samplers used throughout the test and scenario suites
 # ---------------------------------------------------------------------------
 
+def _ginibre_states(z: np.ndarray, d: int) -> np.ndarray:
+    """Stacked states ``G G^dag / Tr(G G^dag)``, one per row of standard normals ``z``.
+
+    A row holds ``2 d^2`` draws: the real part of ``G``, then its imaginary
+    part, each row-major.  Row by row this is :func:`random_density_matrix`.
+    """
+    d2 = d * d
+    G = z[:, :d2].reshape(-1, d, d) + 1j * z[:, d2 : 2 * d2].reshape(-1, d, d)
+    rho = G @ G.conj().transpose(0, 2, 1)
+    return rho / np.trace(rho, axis1=1, axis2=2)[:, None, None]
+
+
 def random_density_matrix(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Random full-rank state ``G G^dag / Tr(G G^dag)`` with Ginibre ``G``."""
-    G = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    rho = G @ G.conj().T
-    return rho / np.trace(rho)
+    """Random full-rank state ``G G^dag / Tr(G G^dag)`` with Ginibre ``G``: one row of :func:`_ginibre_states`."""
+    return _ginibre_states(rng.normal(size=(1, 2 * d * d)), d)[0]
 
 
 def haar_random_unitary(d: int, rng: np.random.Generator) -> np.ndarray:

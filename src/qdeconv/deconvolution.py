@@ -26,11 +26,11 @@ from .channels import (
     DEFAULT_SV_CUTOFF,
     TransferMatrix,
     _check_sv_cutoff,
+    _ginibre_states,
     _require_invertible,
     apply_channel,
     hs_inner,
     is_hermitian,
-    random_density_matrix,
 )
 from .errors import FamilyVerificationError, SingularChannelError
 
@@ -622,26 +622,40 @@ def evaluate(gp: GuessPair, A: np.ndarray, rho: np.ndarray) -> DeconvReport:
 # Family extraction
 # ---------------------------------------------------------------------------
 
-def _recovery_deviations(gp: GuessPair, observables: Sequence[np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
-    """Per-state recovery deviations ``Tr(A rho) - Tr(modified(A) Phi(rho))`` of several observables.
+#: States per block in :func:`verify_family`; bounds its memory at any ``n_states``.
+_VERIFY_BLOCK = 128
 
-    The modified observables are built by one solve; the returned function applies
-    the channel once per state and gives the real deviations, raising
-    ``ValueError`` when one has an imaginary part above
-    :func:`expectation`'s threshold (a channel that breaks Hermiticity).
+
+def _transposed_rows(X: np.ndarray, d: int) -> np.ndarray:
+    """Rows ``vec(X_i^T)`` of stacked operators given as rows ``vec(X_i)``."""
+    return X.reshape(-1, d, d).transpose(0, 2, 1).reshape(len(X), d * d)
+
+
+def _recovery_deviations(gp: GuessPair, observables: Sequence[np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
+    """Recovery deviations ``Tr(A rho) - Tr(modified(A) Phi(rho))`` of several observables.
+
+    The modified observables are built by one solve.  The returned function
+    takes stacked ``(n, d, d)`` states and gives the real ``(n, k)``
+    deviations from one channel product and two deviation products; it raises
+    ``ValueError`` when a state's deviations have an imaginary part above
+    :func:`expectation`'s threshold (a channel that breaks Hermiticity),
+    naming the residual of the first such state.
     """
-    # Tr(A X) = vec(A) . vec(X^T), so one product per state gives every value
+    d = gp.dim
     plain = np.stack([np.asarray(A, dtype=complex) for A in observables])
     modified = _modified_observables(gp, plain).reshape(len(plain), -1)
     plain = plain.reshape(len(plain), -1)
     modified_norm = np.linalg.norm(modified, axis=1).max()
 
-    def deviations(rho: np.ndarray) -> np.ndarray:
-        noisy = apply_channel(gp.phi, rho)
-        deviation = plain @ rho.T.reshape(-1) - modified @ noisy.T.reshape(-1)
-        residual = np.abs(deviation.imag).max()
-        if residual > 1e-10 * max(1.0, modified_norm * np.linalg.norm(noisy)):
-            raise ValueError(f"expectation value has imaginary residual {residual:.3e}")
+    def deviations(rhos: np.ndarray) -> np.ndarray:
+        # Tr(A X) = vec(A) . vec(X^T), so two products give every value of the block
+        states = rhos.reshape(len(rhos), -1)
+        noisy = states @ gp.phi.gamma.T
+        deviation = _transposed_rows(states, d) @ plain.T - _transposed_rows(noisy, d) @ modified.T
+        residual = np.abs(deviation.imag).max(axis=1)
+        bad = residual > 1e-10 * np.maximum(1.0, modified_norm * np.linalg.norm(noisy, axis=1))
+        if bad.any():
+            raise ValueError(f"expectation value has imaginary residual {residual[np.argmax(bad)]:.3e}")
         return deviation.real
 
     return deviations
@@ -651,11 +665,14 @@ def verify_family(gp: GuessPair, fam: ObservableFamily, n_states: int, seed: int
     """Monte-Carlo check of perfect recovery over seeded random states.
 
     Draws ``n_states`` (at least 1) random density matrices and, per state,
-    checks every basis element plus two random unit-norm real combinations in
-    one pass: a combination's deviation is that combination of the basis
-    deviations.  Returns the maximum observed deviation of the deconvolved
-    value; raises ``ValueError`` when a deviation has an imaginary part above
-    :func:`expectation`'s threshold (a channel that breaks Hermiticity).
+    two random unit-norm real combinations of the basis: the same draws, in
+    the same order, as evaluating every basis element and both combinations
+    separately on each state.  States are evaluated in bounded blocks of
+    stacked states, and a combination's deviation is that combination of the
+    basis deviations.  Returns the maximum observed deviation of the
+    deconvolved value; raises ``ValueError`` when a deviation has an
+    imaginary part above :func:`expectation`'s threshold (a channel that
+    breaks Hermiticity).
     """
     if n_states < 1:
         raise ValueError(f"need at least one state to verify, got {n_states}")
@@ -665,12 +682,16 @@ def verify_family(gp: GuessPair, fam: ObservableFamily, n_states: int, seed: int
         raise ValueError(f"family dimension {fam.dim} does not match channel dimension {gp.dim}")
     deviations = _recovery_deviations(gp, fam.basis)
     rng = np.random.default_rng(seed)
+    n_state_draws, k = 2 * gp.dim**2, fam.n_params
     worst = 0.0
-    for _ in range(n_states):
-        deviation = deviations(random_density_matrix(gp.dim, rng))
-        coeffs = rng.normal(size=(2, fam.n_params))
-        coeffs /= np.linalg.norm(coeffs, axis=1, keepdims=True)
-        worst = max(worst, np.abs(deviation).max(), np.abs(coeffs @ deviation).max())
+    for start in range(0, n_states, _VERIFY_BLOCK):
+        # per state: the state's draws, then two coefficient vectors
+        z = rng.normal(size=(min(_VERIFY_BLOCK, n_states - start), n_state_draws + 2 * k))
+        deviation = deviations(_ginibre_states(z[:, :n_state_draws], gp.dim))
+        coeffs = z[:, n_state_draws:].reshape(-1, 2, k)
+        coeffs /= np.linalg.norm(coeffs, axis=2, keepdims=True)
+        members = np.einsum("nck,nk->nc", coeffs, deviation)
+        worst = max(worst, np.abs(deviation).max(), np.abs(members).max())
     return float(worst)
 
 

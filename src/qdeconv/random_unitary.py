@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channels import DEFAULT_TOL, TransferMatrix, _as_complex_matrix, is_unitary
+from .channels import DEFAULT_TOL, TransferMatrix, _as_complex_matrix, _kron, is_unitary
 from .deconvolution import (
     DEFAULT_KERNEL_RTOL,
     GuessPair,
@@ -116,7 +116,7 @@ def gamma_i(es: UnitaryErrorSet, i: int) -> np.ndarray:
     if not 0 <= i < len(es.unitaries):
         raise IndexError(f"index {i} out of range for {len(es.unitaries)} unitaries")
     V = es.unitaries[i].conj().T @ es.guess
-    return np.kron(V, V.conj())
+    return _kron(V, V.conj())
 
 
 def invariant_subspace(G: np.ndarray, tol: float = DEFAULT_INVARIANT_TOL) -> list[np.ndarray]:
@@ -144,7 +144,7 @@ def ru_correctable_family(es: UnitaryErrorSet, tol: float = DEFAULT_KERNEL_RTOL)
     :func:`~qdeconv.deconvolution.correctable_family`: above 1e-9,
     :class:`FamilyVerificationError` names unitary i as pair i.
     """
-    transfers = [TransferMatrix(dim=es.dim, gamma=np.kron(U, U.conj())) for U in es.unitaries]
+    transfers = [TransferMatrix(dim=es.dim, gamma=_kron(U, U.conj())) for U in es.unitaries]
     guess = transfers[es.guess_index]
     # a unitary guess is orthogonal in Hermitian coordinates, so always invertible
     return common_correctable_family([GuessPair(phi=phi, phi_g=guess) for phi in transfers], tol)
@@ -274,6 +274,7 @@ def commutant_family(Us: Sequence[np.ndarray], tol: float = DEFAULT_KERNEL_RTOL)
     identity appended as the guess, with ``tol`` as the relative
     singular-value cutoff; a certificate failure names operator k as pair k.
     """
-    es = UnitaryErrorSet.from_unitaries(Us)
-    with_identity = [*es.unitaries, np.eye(es.dim)]
-    return ru_correctable_family(UnitaryErrorSet.from_unitaries(with_identity, len(es.unitaries)), tol)
+    Us = [_as_complex_matrix(U, f"unitary {k}") for k, U in enumerate(Us)]
+    # an empty list has no dimension and gets no identity; the set rejects it
+    identity = [np.eye(Us[0].shape[0])] if Us else []
+    return ru_correctable_family(UnitaryErrorSet.from_unitaries([*Us, *identity], len(Us)), tol)

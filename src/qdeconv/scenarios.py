@@ -19,12 +19,13 @@ import numpy as np
 from .channels import (
     PAULIS,
     KrausChannel,
+    _ginibre_states,
+    _kron,
     adjoint_transfer,
     apply_channel,
     compose,
     devectorize,
     haar_random_unitary,
-    random_density_matrix,
     random_unitary_channel,
     transfer_from_kraus,
     unitary_channel,
@@ -69,13 +70,6 @@ def qutrit_extreme_channel(phase: float) -> KrausChannel:
     A2 = r * np.array([[0, -1, 0], [0, 0, 0], [w, 0, 0]], dtype=complex)
     A3 = r * np.array([[0, 0, 1], [-w, 0, 0], [0, 0, 0]], dtype=complex)
     return KrausChannel(dim=3, kraus=(A1, A2, A3))
-
-
-def _kron(*mats: np.ndarray) -> np.ndarray:
-    out = mats[0]
-    for m in mats[1:]:
-        out = np.kron(out, m)
-    return out
 
 
 def bitflip_uncorrelated(p: float) -> KrausChannel:
@@ -474,7 +468,7 @@ def _scenario_ru_three_unitaries(params: dict, kernel_tol: float, expected: int)
 
     # both subspaces are spanned by v_a (x) v_b over the same five index pairs, in two bases
     def listed(v: Sequence[np.ndarray]) -> list[np.ndarray]:
-        return [np.kron(v[a], v[b]) for a, b in [(0, 0), (1, 1), (2, 2), (0, 2), (2, 0)]]
+        return [_kron(v[a][None], v[b][None])[0] for a, b in [(0, 0), (1, 1), (2, 2), (0, 2), (2, 0)]]
 
     mus = [np.array([1, 0, -1]) / np.sqrt(2), np.array([1, 0, 1]) / np.sqrt(2), np.array([0, 1, 0.0])]
     s2_res = _vector_span_residual(s2, listed([np.eye(3)[:, k] for k in range(3)]))
@@ -696,9 +690,8 @@ def _scenario_equivalence_covariance(params: dict, kernel_tol: float, expected: 
         mapped = [U.conj().T @ A @ U for A in fam.basis]
         for A in mapped:
             max_membership = max(max_membership, membership_residual(eq_fam, A))
-        deviations = _recovery_deviations(eq_gp, mapped)
-        for _ in range(params["states"]):
-            max_delta = max(max_delta, float(np.abs(deviations(random_density_matrix(d, rng))).max()))
+        states = _ginibre_states(rng.normal(size=(params["states"], 2 * d * d)), d)
+        max_delta = max(max_delta, float(np.abs(_recovery_deviations(eq_gp, mapped)(states)).max()))
 
     checks = (
         ScenarioCheck.from_residual(

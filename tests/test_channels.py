@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import qdeconv as q
-from qdeconv.channels import random_hermitian
+from qdeconv.channels import _ginibre_states, _kron, random_hermitian
 from qdeconv.scenarios import qutrit_extreme_channel, three_unitary_error_set
 
 from conftest import SIGMA, apply_kraus, kron, matrix_unit
@@ -440,6 +440,27 @@ def test_samplers(rng):
     ch = q.random_cptp_channel(3, 3, rng)
     report = q.is_cptp(ch)
     assert report.trace_preserving and report.completely_positive
+
+
+@settings(max_examples=40, deadline=None)
+@given(m=st.integers(1, 5), n=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+def test_lean_kron_equals_numpy_kron(m, n, seed):
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+    B = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    C = rng.normal(size=(2, 2))
+    assert np.array_equal(_kron(A, B), np.kron(A, B))
+    assert np.array_equal(_kron(A, A.conj()), np.kron(A, A.conj()))
+    assert np.array_equal(_kron(A, B, C), np.kron(np.kron(A, B), C))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 16])
+def test_batched_states_equal_one_state_at_a_time(d):
+    one_at_a_time, batched = np.random.default_rng(d), np.random.default_rng(d)
+    states = [q.random_density_matrix(d, one_at_a_time) for _ in range(5)]
+    assert np.array_equal(_ginibre_states(batched.normal(size=(5, 2 * d * d)), d), np.stack(states))
+    # both generators are left at the same position
+    assert one_at_a_time.normal() == batched.normal()
 
 
 def test_kraus_channel_validation():

@@ -1,12 +1,18 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import qdeconv as q
 from qdeconv.channels import random_hermitian
-from qdeconv.deconvolution import _coordinates, _modified_observables, _null_coordinates, _spectral_norm_bound
+from qdeconv.deconvolution import (
+    _coordinates,
+    _hermitian_operators,
+    _modified_observables,
+    _null_coordinates,
+    _spectral_norm_bound,
+)
 from qdeconv.serialization import emit_family
 from qdeconv.scenarios import (
     bitflip_correlated,
@@ -642,6 +648,8 @@ def test_verify_family_detects_perturbed_element(qutrit_pair):
 
 
 def test_verify_family_one_pass_per_state(qutrit_pair, monkeypatch):
+    """One solve for the whole family, no per-candidate evaluation and no
+    per-state channel application: every state goes through stacked products."""
     import qdeconv.deconvolution as dc
 
     calls = {"solve": 0, "apply_channel": 0}
@@ -661,7 +669,95 @@ def test_verify_family_one_pass_per_state(qutrit_pair, monkeypatch):
     for name in ("evaluate", "expectation", "modified_observable"):
         monkeypatch.setattr(dc, name, forbidden)
     q.verify_family(qutrit_pair, fam, 7, seed=1)
-    assert calls == {"solve": 1, "apply_channel": 7}
+    assert calls == {"solve": 1, "apply_channel": 0}
+
+
+@pytest.mark.parametrize("block", [1, 3])
+def test_verify_family_does_not_depend_on_the_block_size(qutrit_pair, monkeypatch, block):
+    import qdeconv.deconvolution as dc
+
+    fam = q.correctable_family(qutrit_pair)
+    families = (fam, perturbed_qutrit_family(fam))
+    n_states = dc._VERIFY_BLOCK + 5
+    default = [q.verify_family(qutrit_pair, f, n_states, seed=5) for f in families]
+    monkeypatch.setattr(dc, "_VERIFY_BLOCK", block)
+    for f, want in zip(families, default):
+        assert q.verify_family(qutrit_pair, f, n_states, seed=5) == pytest.approx(want, rel=1e-12, abs=1e-12)
+    assert default[1] == pytest.approx(evaluate_oracle(qutrit_pair, families[1], n_states, 5), rel=1e-12)
+
+
+def test_verify_family_raises_for_a_failing_state_in_a_later_block(monkeypatch):
+    import qdeconv.deconvolution as dc
+
+    # Phi(rho) = exp(0.3i) rho breaks Hermiticity on every state but the zero
+    # state, whose deviations are exactly 0: only the eighth state is left nonzero
+    phi = q.TransferMatrix(2, np.exp(0.3j) * np.eye(4))
+    gp = q.GuessPair.from_transfers(phi, q.TransferMatrix(2, np.eye(4)))
+    fam = q.ObservableFamily.from_basis(2, [np.eye(2) / np.sqrt(2)])
+    sample = dc._ginibre_states
+    blocks = []
+
+    def sampler(z, d):
+        states = sample(z, d)
+        first = sum(blocks)
+        blocks.append(len(states))
+        states[np.arange(first, first + len(states)) != 7] = 0
+        return states
+
+    monkeypatch.setattr(dc, "_VERIFY_BLOCK", 3)
+    monkeypatch.setattr(dc, "_ginibre_states", sampler)
+    # on a nonzero state the deconvolved value has imaginary part -sin(0.3) / sqrt(2)
+    with pytest.raises(ValueError, match=f"imaginary residual {np.sin(0.3) / np.sqrt(2):.3e}"):
+        q.verify_family(gp, fam, 8, seed=0)
+    assert blocks == [3, 3, 2]
+    blocks.clear()
+    assert q.verify_family(gp, fam, 7, seed=0) == 0.0
+    assert blocks == [3, 3, 1]
+
+
+def _random_family(d, k, rng):
+    """Orthonormal Hermitian family of ``k`` members with random real coordinates."""
+    Q, _ = np.linalg.qr(rng.normal(size=(d * d, k)))
+    return q.ObservableFamily.from_basis(d, list(_hermitian_operators(Q.T, d)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(d=st.sampled_from([2, 3]), n_states=st.integers(1, 40), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_verify_family_equals_the_per_candidate_oracle(d, n_states, seed, data):
+    rng = np.random.default_rng(seed)
+    phi = q.transfer_from_kraus(q.random_cptp_channel(d, data.draw(st.integers(1, 3)), rng))
+    guess = q.transfer_from_kraus(q.random_cptp_channel(d, data.draw(st.integers(1, 3)), rng))
+    try:
+        gp = q.GuessPair.from_transfers(phi, guess)
+    except q.SingularChannelError:
+        assume(False)
+    for fam in (q.correctable_family(gp), _random_family(d, data.draw(st.integers(1, d * d)), rng)):
+        want = evaluate_oracle(gp, fam, n_states, seed)
+        assert q.verify_family(gp, fam, n_states, seed) == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+def test_verify_family_memory_does_not_grow_with_the_state_count(bitflip_pair):
+    import tracemalloc
+
+    import qdeconv.deconvolution as dc
+
+    fam = q.correctable_family(bitflip_pair)
+
+    def peak(n_states):
+        q.verify_family(bitflip_pair, fam, n_states, seed=1)  # warm caches before tracing
+        tracemalloc.start()
+        try:
+            q.verify_family(bitflip_pair, fam, n_states, seed=1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # a block's arrays live until the next block replaces them, so the peak
+    # stops growing at two blocks and stays below two blocks' worth
+    block = dc._VERIFY_BLOCK
+    one, two, ten = peak(block), peak(2 * block), peak(10 * block)
+    assert ten <= 1.1 * two
+    assert ten < 2 * one
 
 
 @pytest.mark.parametrize("n_states", [0, -3])

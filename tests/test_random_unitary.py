@@ -399,6 +399,23 @@ def test_commutant_single_diagonal_unitary():
         assert np.linalg.norm(A - np.diag(np.diag(A))) < 1e-10
 
 
+def test_commutant_builds_its_error_set_once(monkeypatch):
+    post_init = q.UnitaryErrorSet.__post_init__
+    calls = []
+
+    def counted(self):
+        calls.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(q.UnitaryErrorSet, "__post_init__", counted)
+    q.commutant_family([SIGMA[1], SIGMA[3]])
+    assert len(calls) == 1
+    with pytest.raises(ValueError, match="need at least one unitary error operator"):
+        q.commutant_family([])
+    with pytest.raises(q.NonUnitaryError, match="operator 1 fails the unitarity check"):
+        q.commutant_family([SIGMA[1], 0.5 * SIGMA[3]])
+
+
 def test_commutant_identity_only():
     assert q.commutant_family([np.eye(3)]).n_params == 9
 
