@@ -148,6 +148,8 @@ def estimate(ctx: click.Context, observable: str, state: str, true_spec: str, gu
     rho = _parse(state, parse_hermitian_matrix, "state")
     gp = _guess_pair(true_spec, guess_spec)
     d = gp.dim
+    if d < 2:
+        raise click.UsageError(f"{true_spec}: estimate needs channel dimension at least 2 for a quorum, got {d}")
     for path, name, M in ((observable, "observable", A), (state, "state", rho)):
         if M.shape[0] != d:
             raise click.UsageError(f"{path}: {name} dimension {M.shape[0]} does not match channel dimension {d}")
@@ -193,7 +195,10 @@ def sweep(ctx: click.Context, true_spec: str, candidates: tuple[str, ...]) -> No
     """Rank candidate guess channels by correctable-family size."""
     phi = _load_transfer(true_spec)
     cand_transfers = [_load_transfer(path) for path in candidates]
-    ranking = guess_sweep(phi, cand_transfers, ctx.obj["kernel_tol"])
+    try:
+        ranking = guess_sweep(phi, cand_transfers, ctx.obj["kernel_tol"])
+    except QdeconvError as exc:
+        raise click.ClickException(str(exc))
     rows = [
         {"rank": i, "candidate": candidates[idx], "index": idx, "n_params": n}
         for i, (idx, n) in enumerate(ranking)

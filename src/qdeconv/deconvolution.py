@@ -16,7 +16,8 @@ quality per (state, observable) pair, and ranks candidate guesses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Callable, Sequence
 
@@ -29,8 +30,6 @@ from .channels import (
     _ginibre_states,
     _require_invertible,
     apply_channel,
-    hs_inner,
-    is_hermitian,
 )
 from .errors import FamilyVerificationError, SingularChannelError
 
@@ -223,31 +222,52 @@ class GuessPair:
         return pair
 
 
+def _hermitian_stack(elements: Sequence[np.ndarray], d: int, norms: np.ndarray) -> np.ndarray:
+    """Owned, read-only ``(k, d, d)`` stack of Hermitian ``elements`` whose Gram matrix is ``diag(norms)``.
+
+    Each element must be ``d x d`` and Hermitian within 1e-10 (Frobenius);
+    Gram entries may miss by 1e-10 off the diagonal and by ``1e-10 * norms[m]``
+    on it.  ``ValueError`` names the first element or pair that fails.
+    """
+    for k, A in enumerate(elements):
+        if np.shape(A) != (d, d):
+            raise ValueError(f"element {k} has shape {np.shape(A)}, expected ({d}, {d})")
+    # an owned array, so no element view can be made writeable again
+    stack = np.array(elements, dtype=complex) if len(elements) else np.zeros((0, d, d), dtype=complex)
+    skew = np.linalg.norm(stack - stack.conj().transpose(0, 2, 1), axis=(1, 2))
+    # written so that NaN fails too
+    bad = np.flatnonzero(~(skew <= 1e-10))
+    if bad.size:
+        raise ValueError(f"element {bad[0]} is not Hermitian within 1e-10")
+    V = stack.reshape(len(stack), d * d)
+    gram = V.conj() @ V.T
+    off = np.argwhere(np.triu(np.abs(gram), 1) > 1e-10)
+    if off.size:
+        i, j = off[0]
+        raise ValueError(f"elements {i},{j} are not orthogonal within 1e-10")
+    wrong = np.flatnonzero(~(np.abs(gram.diagonal().real - norms) <= 1e-10 * norms))
+    if wrong.size:
+        m = wrong[0]
+        raise ValueError(f"norms[{m}] = {norms[m]:g} but <Q_{m}, Q_{m}> = {gram[m, m].real:g}")
+    stack.setflags(write=False)
+    return stack
+
+
 @dataclass(frozen=True, eq=False)
 class ObservableFamily:
-    """Orthonormal Hermitian basis of a correctable-observable space."""
+    """Orthonormal Hermitian basis of a correctable-observable space.
+
+    ``basis`` holds read-only views of one stack from :func:`_hermitian_stack`.
+    """
 
     dim: int
     basis: tuple[np.ndarray, ...]
+    _stacked: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        frozen = []
-        for k, A in enumerate(self.basis):
-            A = np.asarray(A, dtype=complex)
-            if A.shape != (self.dim, self.dim):
-                raise ValueError(f"basis element {k} has shape {A.shape}, expected square {self.dim}")
-            if not is_hermitian(A, 1e-10):
-                raise ValueError(f"basis element {k} is not Hermitian within 1e-10")
-            A = A.copy()
-            A.setflags(write=False)
-            frozen.append(A)
-        if frozen:
-            V = np.stack(frozen).reshape(len(frozen), -1)
-            bad = np.argwhere(np.abs(V.conj() @ V.T - np.eye(len(frozen))) > 1e-10)
-            if bad.size:
-                i, j = bad[0]
-                raise ValueError(f"basis elements {i},{j} are not orthonormal within 1e-10")
-        object.__setattr__(self, "basis", tuple(frozen))
+        stacked = _hermitian_stack(self.basis, self.dim, np.ones(len(self.basis)))
+        object.__setattr__(self, "_stacked", stacked)
+        object.__setattr__(self, "basis", tuple(stacked))
 
     @classmethod
     def from_basis(cls, dim: int, basis: Sequence[np.ndarray]) -> "ObservableFamily":
@@ -264,10 +284,7 @@ class ObservableFamily:
             raise ValueError(
                 f"expected a 1-D sequence of {self.n_params} real numbers, got {coeff.dtype} of shape {coeff.shape}"
             )
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for c, A in zip(coeff, self.basis):
-            out += c * A
-        return out
+        return np.tensordot(coeff, self._stacked, axes=1)
 
 
 @dataclass(frozen=True)
@@ -513,23 +530,33 @@ def intersect_spans(B1: Sequence[np.ndarray], B2: Sequence[np.ndarray], tol: flo
     return joint_kernel([_complement_projector(B1, dim2), _complement_projector(B2, dim2)], dim2, tol)
 
 
+def _span_residual(rows: np.ndarray, span: np.ndarray) -> float:
+    """Largest relative distance of the rows of ``rows`` from the span of the rows of ``span``.
+
+    Both are stacks (operators or vectors), flattened to one row each; the
+    rows of ``span`` must be linearly independent.  One QR of ``span`` and
+    one orthogonal projection; a zero row, and an empty ``rows``, give 0.
+    Rows of different lengths raise ``ValueError``.
+    """
+    X, S = (np.asarray(a, dtype=complex) for a in (rows, span))
+    X, S = (a.reshape(len(a), math.prod(a.shape[1:])) for a in (X, S))
+    Q = np.linalg.qr(S.T)[0]
+    residual = np.linalg.norm(X - (X @ Q.conj()) @ Q.T, axis=1)
+    norms = np.linalg.norm(X, axis=1)
+    return float(np.max(residual / np.where(norms > 0, norms, 1.0), initial=0.0))
+
+
 def membership_residual(fam: ObservableFamily, A: np.ndarray) -> float:
     """Relative distance from ``A`` to the span of a family (0 for members)."""
     A = np.asarray(A, dtype=complex)
-    norm = np.linalg.norm(A)
-    if norm == 0.0:
-        return 0.0
-    proj = np.zeros_like(A)
-    for B in fam.basis:
-        proj += hs_inner(B, A) * B
-    return float(np.linalg.norm(A - proj) / norm)
+    if A.shape != (fam.dim, fam.dim):
+        raise ValueError(f"observable shape {A.shape} does not match family dimension {fam.dim}")
+    return _span_residual(A[None], fam._stacked)
 
 
 def span_residual(fam_a: ObservableFamily, fam_b: ObservableFamily) -> float:
     """Largest membership residual of ``fam_a`` members inside ``fam_b``'s span."""
-    if fam_a.n_params == 0:
-        return 0.0
-    return max(membership_residual(fam_b, A) for A in fam_a.basis)
+    return _span_residual(fam_a._stacked, fam_b._stacked)
 
 
 def spans_coincide(fam_a: ObservableFamily, fam_b: ObservableFamily, tol: float = MEMBERSHIP_RTOL) -> bool:
@@ -631,8 +658,8 @@ def _transposed_rows(X: np.ndarray, d: int) -> np.ndarray:
     return X.reshape(-1, d, d).transpose(0, 2, 1).reshape(len(X), d * d)
 
 
-def _recovery_deviations(gp: GuessPair, observables: Sequence[np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
-    """Recovery deviations ``Tr(A rho) - Tr(modified(A) Phi(rho))`` of several observables.
+def _recovery_deviations(gp: GuessPair, plain: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """Recovery deviations ``Tr(A rho) - Tr(modified(A) Phi(rho))`` of stacked ``(k, d, d)`` observables.
 
     The modified observables are built by one solve.  The returned function
     takes stacked ``(n, d, d)`` states and gives the real ``(n, k)``
@@ -642,7 +669,6 @@ def _recovery_deviations(gp: GuessPair, observables: Sequence[np.ndarray]) -> Ca
     naming the residual of the first such state.
     """
     d = gp.dim
-    plain = np.stack([np.asarray(A, dtype=complex) for A in observables])
     modified = _modified_observables(gp, plain).reshape(len(plain), -1)
     plain = plain.reshape(len(plain), -1)
     modified_norm = np.linalg.norm(modified, axis=1).max()
@@ -680,7 +706,7 @@ def verify_family(gp: GuessPair, fam: ObservableFamily, n_states: int, seed: int
         raise ValueError("cannot verify an empty family")
     if fam.dim != gp.dim:
         raise ValueError(f"family dimension {fam.dim} does not match channel dimension {gp.dim}")
-    deviations = _recovery_deviations(gp, fam.basis)
+    deviations = _recovery_deviations(gp, fam._stacked)
     rng = np.random.default_rng(seed)
     n_state_draws, k = 2 * gp.dim**2, fam.n_params
     worst = 0.0
@@ -746,7 +772,8 @@ def _guess_family(gps: Sequence[GuessPair], rel_tol: float) -> ObservableFamily:
     """
     d = gps[0].dim
     G = gps[0]._guess_coordinates
-    blocks = [(G - _coordinates(gp.phi.gamma, d)).conj().T for gp in gps]
+    # the guess's own pair constrains nothing: its block is zero
+    blocks = [np.zeros_like(G) if gp.phi is gp.phi_g else (G - _coordinates(gp.phi.gamma, d)).conj().T for gp in gps]
     W = _null_coordinates(blocks, d * d, rel_tol)
     if not W.shape[1]:
         return ObservableFamily.from_basis(d, [])

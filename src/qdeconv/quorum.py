@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import MAX_DIM, apply_channel, is_hermitian
-from .deconvolution import GuessPair, _modified_observables, modified_observable
+from .deconvolution import GuessPair, _hermitian_stack, _modified_observables, modified_observable
 
 #: Born probabilities may dip below zero by at most this much before the
 #: state is rejected as invalid.
@@ -31,7 +31,8 @@ PROBABILITY_FLOOR = -1e-8
 class QuorumBasis:
     """Orthogonal Hermitian operators spanning the full observable space.
 
-    ``elements`` are read-only views of one stacked ``(d*d, d, d)`` array.
+    ``elements`` are read-only views of one ``(d*d, d, d)`` stack from
+    :func:`~qdeconv.deconvolution._hermitian_stack`.
     """
 
     dim: int
@@ -43,32 +44,13 @@ class QuorumBasis:
         d = self.dim
         if len(self.elements) != d * d:
             raise ValueError(f"a dim-{d} quorum needs {d*d} elements, got {len(self.elements)}")
-        norms = np.asarray(self.norms, dtype=float)
+        norms = np.array(self.norms, dtype=float)
         if norms.shape != (d * d,) or norms.min() <= 0:
             raise ValueError("norms must be positive, one per element")
-        for k, Q in enumerate(self.elements):
-            if np.shape(Q) != (d, d):
-                raise ValueError(f"element {k} has shape {np.shape(Q)}")
-        stacked = np.array(self.elements, dtype=complex)
-        skew = np.linalg.norm(stacked - stacked.conj().transpose(0, 2, 1), axis=(1, 2))
-        bad = np.flatnonzero(~(skew <= 1e-10))
-        if bad.size:
-            raise ValueError(f"element {bad[0]} is not Hermitian")
-        V = stacked.reshape(d * d, -1)
-        gram = V.conj() @ V.T
-        off = np.argwhere(np.triu(np.abs(gram), 1) > 1e-10)
-        if off.size:
-            i, j = off[0]
-            raise ValueError(f"elements {i},{j} are not orthogonal")
         # decompose divides by norms[m], so it must be <Q_m, Q_m>
-        wrong = np.flatnonzero(np.abs(gram.diagonal().real - norms) > 1e-10 * norms)
-        if wrong.size:
-            m = wrong[0]
-            raise ValueError(f"norms[{m}] = {norms[m]:g} but <Q_{m}, Q_{m}> = {gram[m, m].real:g}")
-        stacked.setflags(write=False)
+        stacked = _hermitian_stack(self.elements, d, norms)
         object.__setattr__(self, "_stacked", stacked)
         object.__setattr__(self, "elements", tuple(stacked))
-        norms = norms.copy()
         norms.setflags(write=False)
         object.__setattr__(self, "norms", norms)
 

@@ -37,13 +37,13 @@ from .deconvolution import (
     GuessPair,
     ObservableFamily,
     _recovery_deviations,
+    _span_residual,
     common_correctable_family,
     correctable_family,
     evaluate,
     expectation,
     membership_residual,
     modified_observable,
-    span_residual,
     verify_family,
 )
 from .errors import SingularChannelError, UnknownScenarioError
@@ -258,28 +258,14 @@ _Outcome = tuple[int, float, tuple[ScenarioCheck, ...], dict]
 _MEMORY_PROBES = (0.1, 0.3, 0.5, 0.7, 0.9)
 
 
-def _vector_span_residual(vecs_a: Sequence[np.ndarray], vecs_b: Sequence[np.ndarray]) -> float:
-    """Largest relative projection residual of either span's vectors inside the other span."""
-    worst = 0.0
-    for vecs, other in ((vecs_a, vecs_b), (vecs_b, vecs_a)):
-        Q, _ = np.linalg.qr(np.column_stack([np.asarray(v).reshape(-1) for v in other]))
-        for v in vecs:
-            v = np.asarray(v).reshape(-1)
-            r = v - Q @ (Q.conj().T @ v)
-            worst = max(worst, np.linalg.norm(r) / np.linalg.norm(v))
-    return worst
-
-
 def _family_recovery_max(gps: Sequence[GuessPair], fam: ObservableFamily, params: dict) -> float:
     """Worst recovery deviation of ``fam`` over the pairs, on ``params["states"]`` random states each."""
     return max(verify_family(gp, fam, params["states"], params["seed"] + 101 * k) for k, gp in enumerate(gps))
 
 
-def _mutual_span_residual(fam_a: ObservableFamily, fam_b: ObservableFamily) -> float:
-    """Larger of the two span residuals, or 1.0 when the family sizes differ."""
-    if fam_a.n_params != fam_b.n_params:
-        return 1.0
-    return max(span_residual(fam_a, fam_b), span_residual(fam_b, fam_a))
+def _mutual_span_residual(a: np.ndarray, b: np.ndarray) -> float:
+    """Larger of the two span residuals between the stacks ``a`` and ``b`` (0 when their spans coincide)."""
+    return max(_span_residual(a, b), _span_residual(b, a))
 
 
 def _dimension_check(fam: ObservableFamily, expected: int, what: str = "family") -> ScenarioCheck:
@@ -335,7 +321,7 @@ def _binary_mixtures(rng: np.random.Generator, n: int) -> list[list[float]]:
 def _ru_route_residual(fam: ObservableFamily, Us: Sequence[np.ndarray], kernel_tol: float) -> float:
     """Span residual of ``fam`` against the invariant-subspace family of ``Us`` guessing ``Us[1]``."""
     es = UnitaryErrorSet.from_unitaries(Us, guess_index=1)
-    return _mutual_span_residual(fam, ru_correctable_family(es, kernel_tol))
+    return _mutual_span_residual(fam._stacked, ru_correctable_family(es, kernel_tol)._stacked)
 
 
 def _matrix_unit(d: int, i: int, j: int) -> np.ndarray:
@@ -379,17 +365,16 @@ def _scenario_qutrit_extreme(params: dict, kernel_tol: float, expected: int) -> 
     guess = transfer_from_kraus(qutrit_extreme_channel(0.0))
     fam = common_correctable_family(_pairs(qutrit_extreme_channel, probes, guess), kernel_tol)
 
-    pattern = ObservableFamily.from_basis(
-        3,
+    pattern = np.array(
         [
             _matrix_unit(3, 0, 0),
             _matrix_unit(3, 1, 1),
             _matrix_unit(3, 2, 2),
-            (_matrix_unit(3, 1, 2) + _matrix_unit(3, 2, 1)) / np.sqrt(2),
-            (-1j * _matrix_unit(3, 1, 2) + 1j * _matrix_unit(3, 2, 1)) / np.sqrt(2),
-        ],
+            _matrix_unit(3, 1, 2) + _matrix_unit(3, 2, 1),
+            -1j * _matrix_unit(3, 1, 2) + 1j * _matrix_unit(3, 2, 1),
+        ]
     )
-    span_res = _mutual_span_residual(fam, pattern)
+    span_res = _mutual_span_residual(fam._stacked, pattern)
 
     rng = np.random.default_rng(params["seed"])
     check_phases = [float(rng.uniform(0.05, 2 * np.pi - 0.05)) for _ in range(params["check_phases"])]
@@ -421,7 +406,7 @@ def _scenario_bitflip_memory(params: dict, kernel_tol: float, expected: int) -> 
     guess, gps, fam = _bitflip_family(p, kernel_tol)
 
     scaled, fixed = _bitflip_products()
-    span_res = _mutual_span_residual(fam, ObservableFamily.from_basis(4, [P / 2 for P in scaled + fixed]))
+    span_res = _mutual_span_residual(fam._stacked, np.array(scaled + fixed))
 
     # the guess inverse rescales the x-anticommuting sector by 1/(1-2p) and
     # its adjoint (applied forward) by (1-2p); the commuting sector is fixed
@@ -471,19 +456,18 @@ def _scenario_ru_three_unitaries(params: dict, kernel_tol: float, expected: int)
         return [_kron(v[a][None], v[b][None])[0] for a, b in [(0, 0), (1, 1), (2, 2), (0, 2), (2, 0)]]
 
     mus = [np.array([1, 0, -1]) / np.sqrt(2), np.array([1, 0, 1]) / np.sqrt(2), np.array([0, 1, 0.0])]
-    s2_res = _vector_span_residual(s2, listed([np.eye(3)[:, k] for k in range(3)]))
-    s3_res = _vector_span_residual(s3, listed(mus))
+    s2_res = _mutual_span_residual(np.array(s2), np.array(listed(np.eye(3))))
+    s3_res = _mutual_span_residual(np.array(s3), np.array(listed(mus)))
 
     fam = ru_correctable_family(es, kernel_tol)
-    pattern = ObservableFamily.from_basis(
-        3,
+    pattern = np.array(
         [
-            (_matrix_unit(3, 0, 0) + _matrix_unit(3, 2, 2)) / np.sqrt(2),
-            (_matrix_unit(3, 0, 2) + _matrix_unit(3, 2, 0)) / np.sqrt(2),
+            _matrix_unit(3, 0, 0) + _matrix_unit(3, 2, 2),
+            _matrix_unit(3, 0, 2) + _matrix_unit(3, 2, 0),
             _matrix_unit(3, 1, 1),
-        ],
+        ]
     )
-    span_res = _mutual_span_residual(fam, pattern)
+    span_res = _mutual_span_residual(fam._stacked, pattern)
     max_delta = _mixture_recovery(params, fam, Us, Us[0], _dirichlet_mixtures(3))
 
     checks = (
@@ -506,11 +490,7 @@ def _scenario_ru_two_qubit(params: dict, kernel_tol: float, expected: int) -> _O
         abs(ev - target)
         for ev, target in zip(sorted(grouping.eigenvalues, key=lambda z: z.real), (-1.0, 1.0))
     )
-    # orthonormal basis of span{I, [[2, 1], [1, 0]]}
-    pattern = ObservableFamily.from_basis(
-        2, [np.eye(2, dtype=complex) / np.sqrt(2), np.array([[1, 1], [1, -1]], dtype=complex) / 2]
-    )
-    span_res = _mutual_span_residual(fam, pattern)
+    span_res = _mutual_span_residual(fam._stacked, np.array([np.eye(2), [[2, 1], [1, 0]]]))
 
     a, b = 0.7, -0.3
     A = np.array([[a + 2 * b, b], [b, a]], dtype=complex)
@@ -687,9 +667,8 @@ def _scenario_equivalence_covariance(params: dict, kernel_tol: float, expected: 
             first_dim = fam.n_params
         if fam.n_params != eq_fam.n_params:
             dim_mismatches += 1
-        mapped = [U.conj().T @ A @ U for A in fam.basis]
-        for A in mapped:
-            max_membership = max(max_membership, membership_residual(eq_fam, A))
+        mapped = U.conj().T @ fam._stacked @ U
+        max_membership = max(max_membership, _span_residual(mapped, eq_fam._stacked))
         states = _ginibre_states(rng.normal(size=(params["states"], 2 * d * d)), d)
         max_delta = max(max_delta, float(np.abs(_recovery_deviations(eq_gp, mapped)(states)).max()))
 

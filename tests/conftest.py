@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from qdeconv import PAULIS
+from qdeconv import PAULIS, hs_inner
 from qdeconv.deconvolution import _hermitian_basis
 from qdeconv.serialization import unitary_spec
 
@@ -80,6 +80,16 @@ def null_coordinates_oracle(blocks, d2: int, rel_tol: float) -> np.ndarray:
         return np.eye(d2)
     _, s, vt = np.linalg.svd(np.vstack(halves), full_matrices=False)
     return vt[s <= max(rel_tol * s[0], 1e-14)].T
+
+
+def membership_oracle(basis, A: np.ndarray) -> float:
+    """Relative distance of ``A`` from the span of an orthonormal ``basis``,
+    projected one ``hs_inner`` at a time (0 for a zero ``A``)."""
+    norm = np.linalg.norm(A)
+    if norm == 0.0:
+        return 0.0
+    proj = sum((hs_inner(B, A) * B for B in basis), np.zeros_like(A, dtype=complex))
+    return float(np.linalg.norm(A - proj) / norm)
 
 
 def deep_spec(levels: int) -> dict:

@@ -181,6 +181,31 @@ def test_estimate_rejects_bad_quorum_dim(runner, spec_files, tmp_path):
         assert result.exit_code == 2, quorum_dim
 
 
+def test_estimate_rejects_dimension_one(runner, tmp_path):
+    # a valid dimension-1 channel has no quorum; the check comes before any estimate
+    one = tmp_path / "one.json"
+    one.write_text(emit_channel_spec(kraus_spec("identity", [np.eye(1)])))
+    matrix = tmp_path / "matrix.json"
+    matrix.write_text('{"dim": 1, "matrix": [[[1.0, 0.0]]]}')
+    assert runner.invoke(main, ["deconvolve", str(one), str(one)]).exit_code == 0
+    result = runner.invoke(main, ["estimate", str(matrix), str(matrix), str(one), str(one)])
+    assert result.exit_code == 2, result.output
+    assert "channel dimension at least 2" in result.output and "got 1" in result.output
+
+
+def test_failed_certificate_is_a_one_line_error_in_deconvolve_and_sweep(runner, tmp_path):
+    rng = np.random.default_rng(3)
+    paths = [tmp_path / "true.json", tmp_path / "guess.json"]
+    for path in paths:
+        path.write_text(emit_channel_spec(kraus_spec(path.stem, q.random_cptp_channel(2, 2, rng).kraus)))
+    for command in ("deconvolve", "sweep"):
+        result = runner.invoke(main, ["--kernel-tol", "0.9", command, *map(str, paths)])
+        assert result.exit_code == 1, command
+        assert isinstance(result.exception, SystemExit), command
+        assert "Error: recovery certificate failed on pair 0: bound" in result.output, command
+        assert "Traceback" not in result.output, command
+
+
 def test_kernel_tol_is_only_the_kernel_threshold(runner, spec_files, tmp_path):
     # the guess has s_min/s_max = 0.5; a kernel threshold above that must not
     # reject it as singular

@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 import qdeconv as q
 from qdeconv.channels import random_hermitian
 from qdeconv.deconvolution import (
+    MEMBERSHIP_RTOL,
     _coordinates,
     _hermitian_operators,
     _modified_observables,
@@ -29,6 +30,7 @@ from conftest import (
     coordinates_oracle,
     kron,
     matrix_unit,
+    membership_oracle,
     null_coordinates_oracle,
     recovery_bound,
 )
@@ -978,6 +980,54 @@ def test_observable_family_names_first_non_orthonormal_pair():
     X = SIGMA[1] / np.sqrt(2)
     with pytest.raises(ValueError, match="elements 1,2 "):
         q.ObservableFamily.from_basis(2, [np.eye(2) / np.sqrt(2), X, (X + SIGMA[3] / np.sqrt(2)) / np.sqrt(2)])
+
+
+def test_observable_family_elements_are_read_only_and_owned():
+    source = [np.eye(2, dtype=complex) / np.sqrt(2), SIGMA[1] / np.sqrt(2)]
+    fam = q.ObservableFamily.from_basis(2, source)
+    source[1][0, 1] = 5.0
+    assert fam.basis[1][0, 1] == 1 / np.sqrt(2)
+    for A in fam.basis:
+        assert not A.flags.writeable
+    with pytest.raises(ValueError):
+        fam.basis[1][0, 1] = 5.0
+    with pytest.raises(ValueError):
+        fam.basis[1].setflags(write=True)
+
+
+def test_observable_family_names_the_first_bad_element():
+    good = [np.eye(2) / np.sqrt(2), SIGMA[1] / np.sqrt(2), SIGMA[2] / np.sqrt(2)]
+    upper = np.array([[0, 1], [0, 0]], dtype=complex)
+    cases = [
+        (good[:2] + [np.eye(3), np.eye(3)], r"element 2 has shape \(3, 3\)"),
+        (good[:1] + [upper, good[2], upper], "element 1 is not Hermitian"),
+    ]
+    for basis, message in cases:
+        with pytest.raises(ValueError, match=message):
+            q.ObservableFamily.from_basis(2, basis)
+
+
+@settings(deadline=None, max_examples=60)
+@given(d=st.sampled_from([2, 3]), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_span_helpers_match_the_projection_oracle(d, seed, data):
+    rng = np.random.default_rng(seed)
+    fam_a, fam_b = (_random_family(d, data.draw(st.integers(0, d * d)), rng) for _ in range(2))
+    # the span of fam_a in a rotated basis
+    R, _ = np.linalg.qr(rng.normal(size=(fam_a.n_params,) * 2))
+    fam_c = q.ObservableFamily.from_basis(d, list(np.tensordot(R, fam_a._stacked, axes=1)))
+    member = fam_a.member(rng.normal(size=fam_a.n_params))
+    for A in (random_hermitian(d, rng), np.zeros((d, d)), member):
+        for fam in (fam_a, fam_b):
+            assert abs(q.membership_residual(fam, A) - membership_oracle(fam.basis, A)) <= 1e-12
+
+    def oracle(x, y):
+        return max((membership_oracle(y.basis, A) for A in x.basis), default=0.0)
+
+    for x, y in ((fam_a, fam_b), (fam_b, fam_a), (fam_a, fam_c), (fam_c, fam_a)):
+        assert abs(q.span_residual(x, y) - oracle(x, y)) <= 1e-12
+        coincide = x.n_params == y.n_params and max(oracle(x, y), oracle(y, x)) <= MEMBERSHIP_RTOL
+        assert q.spans_coincide(x, y) == coincide
+    assert q.spans_coincide(fam_a, fam_c)
 
 
 # ---------------------------------------------------------------------------

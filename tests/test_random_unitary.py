@@ -160,6 +160,24 @@ def test_ru_family_ignores_rounding_in_the_guess():
     assert exact.n_params == scaled.n_params == 2
 
 
+def test_ru_family_skips_the_coordinates_of_the_guess_own_pair(qutrit_set, monkeypatch):
+    import qdeconv.deconvolution as dc
+
+    calls = []
+    coordinates = dc._coordinates
+    monkeypatch.setattr(dc, "_coordinates", lambda M, d: calls.append(d) or coordinates(M, d))
+    transfers = [q.TransferMatrix(dim=3, gamma=kron(U, U.conj())) for U in qutrit_set.unitaries]
+    # every true channel an equal copy, so the guess's own pair takes the general route
+    copied = q.common_correctable_family(
+        [q.GuessPair(phi=q.TransferMatrix(dim=3, gamma=t.gamma.copy()), phi_g=transfers[0]) for t in transfers]
+    )
+    assert len(calls) == 4
+    calls.clear()
+    fam = q.ru_correctable_family(qutrit_set)
+    assert len(calls) == 3
+    assert np.array_equal(fam._stacked, copied._stacked)
+
+
 def test_ru_family_singleton_is_unconstrained(rng):
     U = q.haar_random_unitary(3, rng)
     es = q.UnitaryErrorSet.from_unitaries([U])

@@ -1,8 +1,9 @@
-"""The benchmark's traced targets exist in the library.
+"""The benchmark's traced targets and the package's exports exist in the library.
 
 A traced benchmark run wraps every ``qdeconv.*`` function listed in ``LAYERS``
 of ``bench/qbench/tracing.py`` and fails on a name that is missing, so
-retiring or renaming a public function must fail here first.
+retiring or renaming a public function must fail here first.  The same holds
+for a name left behind in ``qdeconv.__all__``.
 """
 
 import importlib
@@ -36,3 +37,11 @@ def test_every_traced_qdeconv_target_is_callable(monkeypatch):
             target = getattr(home, t.attr, None)
         assert callable(target), f"{t.module}.{t.attr} is traced but not defined"
 
+
+def test_every_exported_name_is_unique_and_defined():
+    import qdeconv
+
+    names = qdeconv.__all__
+    assert len(names) == len(set(names)), sorted(n for n in set(names) if names.count(n) > 1)
+    missing = [n for n in names if not hasattr(qdeconv, n)]
+    assert not missing, f"exported but not defined: {missing}"
