@@ -51,9 +51,17 @@ def _load_transfer(path: str):
     return transfer_from_kraus(_parse(path, parse_channel_spec).to_kraus_channel())
 
 
+def _require_same_dim(true_path: str, phi, guess_path: str, phi_g) -> None:
+    if phi.dim != phi_g.dim:
+        raise click.UsageError(
+            f"{guess_path}: guess dimension {phi_g.dim} does not match dimension {phi.dim} of {true_path}"
+        )
+
+
 def _guess_pair(true_path: str, guess_path: str) -> GuessPair:
     phi = _load_transfer(true_path)
     phi_g = _load_transfer(guess_path)
+    _require_same_dim(true_path, phi, guess_path, phi_g)
     try:
         return GuessPair.from_transfers(phi, phi_g)
     except QdeconvError as exc:
@@ -195,6 +203,8 @@ def sweep(ctx: click.Context, true_spec: str, candidates: tuple[str, ...]) -> No
     """Rank candidate guess channels by correctable-family size."""
     phi = _load_transfer(true_spec)
     cand_transfers = [_load_transfer(path) for path in candidates]
+    for path, cand in zip(candidates, cand_transfers):
+        _require_same_dim(true_spec, phi, path, cand)
     try:
         ranking = guess_sweep(phi, cand_transfers, ctx.obj["kernel_tol"])
     except QdeconvError as exc:

@@ -222,12 +222,12 @@ class GuessPair:
         return pair
 
 
-def _hermitian_stack(elements: Sequence[np.ndarray], d: int, norms: np.ndarray) -> np.ndarray:
-    """Owned, read-only ``(k, d, d)`` stack of Hermitian ``elements`` whose Gram matrix is ``diag(norms)``.
+def _hermitian_stack(elements: Sequence[np.ndarray], d: int) -> np.ndarray:
+    """Owned, read-only ``(k, d, d)`` stack of orthonormal Hermitian ``elements``.
 
-    Each element must be ``d x d`` and Hermitian within 1e-10 (Frobenius);
-    Gram entries may miss by 1e-10 off the diagonal and by ``1e-10 * norms[m]``
-    on it.  ``ValueError`` names the first element or pair that fails.
+    Each element must be ``d x d`` and Hermitian within 1e-10 (Frobenius), and
+    the Gram matrix must be the identity within 1e-10.  ``ValueError`` names
+    the first element or pair that fails.
     """
     for k, A in enumerate(elements):
         if np.shape(A) != (d, d):
@@ -245,19 +245,21 @@ def _hermitian_stack(elements: Sequence[np.ndarray], d: int, norms: np.ndarray) 
     if off.size:
         i, j = off[0]
         raise ValueError(f"elements {i},{j} are not orthogonal within 1e-10")
-    wrong = np.flatnonzero(~(np.abs(gram.diagonal().real - norms) <= 1e-10 * norms))
+    wrong = np.flatnonzero(~(np.abs(gram.diagonal().real - 1) <= 1e-10))
     if wrong.size:
         m = wrong[0]
-        raise ValueError(f"norms[{m}] = {norms[m]:g} but <Q_{m}, Q_{m}> = {gram[m, m].real:g}")
+        raise ValueError(f"element {m} has <Q_{m}, Q_{m}> = {gram[m, m].real:g}, expected 1 within 1e-10")
     stack.setflags(write=False)
     return stack
 
 
 @dataclass(frozen=True, eq=False)
 class ObservableFamily:
-    """Orthonormal Hermitian basis of a correctable-observable space.
+    """Orthonormal Hermitian basis of a space of observables.
 
-    ``basis`` holds read-only views of one stack from :func:`_hermitian_stack`.
+    A correctable family is one such space; a quorum is the complete one, the
+    family of a pair whose guess is the true channel.  ``basis`` holds
+    read-only views of one stack from :func:`_hermitian_stack`.
     """
 
     dim: int
@@ -265,7 +267,7 @@ class ObservableFamily:
     _stacked: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        stacked = _hermitian_stack(self.basis, self.dim, np.ones(len(self.basis)))
+        stacked = _hermitian_stack(self.basis, self.dim)
         object.__setattr__(self, "_stacked", stacked)
         object.__setattr__(self, "basis", tuple(stacked))
 
@@ -542,8 +544,8 @@ def _span_residual(rows: np.ndarray, span: np.ndarray) -> float:
     X, S = (a.reshape(len(a), math.prod(a.shape[1:])) for a in (X, S))
     Q = np.linalg.qr(S.T)[0]
     residual = np.linalg.norm(X - (X @ Q.conj()) @ Q.T, axis=1)
-    norms = np.linalg.norm(X, axis=1)
-    return float(np.max(residual / np.where(norms > 0, norms, 1.0), initial=0.0))
+    lengths = np.linalg.norm(X, axis=1)
+    return float(np.max(residual / np.where(lengths > 0, lengths, 1.0), initial=0.0))
 
 
 def membership_residual(fam: ObservableFamily, A: np.ndarray) -> float:

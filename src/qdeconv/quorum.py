@@ -15,12 +15,12 @@ from the uniform draws ``Generator.choice`` would make with the same seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .channels import MAX_DIM, apply_channel, is_hermitian
-from .deconvolution import GuessPair, _hermitian_stack, _modified_observables, modified_observable
+from .deconvolution import GuessPair, ObservableFamily, _modified_observables, modified_observable
 
 #: Born probabilities may dip below zero by at most this much before the
 #: state is rejected as invalid.
@@ -28,31 +28,14 @@ PROBABILITY_FLOOR = -1e-8
 
 
 @dataclass(frozen=True, eq=False)
-class QuorumBasis:
-    """Orthogonal Hermitian operators spanning the full observable space.
-
-    ``elements`` are read-only views of one ``(d*d, d, d)`` stack from
-    :func:`~qdeconv.deconvolution._hermitian_stack`.
-    """
-
-    dim: int
-    elements: tuple[np.ndarray, ...]
-    norms: np.ndarray
-    _stacked: np.ndarray = field(init=False, repr=False, compare=False)
+class QuorumBasis(ObservableFamily):
+    """A complete observable family: ``d*d`` orthonormal Hermitian operators."""
 
     def __post_init__(self) -> None:
         d = self.dim
-        if len(self.elements) != d * d:
-            raise ValueError(f"a dim-{d} quorum needs {d*d} elements, got {len(self.elements)}")
-        norms = np.array(self.norms, dtype=float)
-        if norms.shape != (d * d,) or norms.min() <= 0:
-            raise ValueError("norms must be positive, one per element")
-        # decompose divides by norms[m], so it must be <Q_m, Q_m>
-        stacked = _hermitian_stack(self.elements, d, norms)
-        object.__setattr__(self, "_stacked", stacked)
-        object.__setattr__(self, "elements", tuple(stacked))
-        norms.setflags(write=False)
-        object.__setattr__(self, "norms", norms)
+        if len(self.basis) != d * d:
+            raise ValueError(f"a dim-{d} quorum needs {d*d} elements, got {len(self.basis)}")
+        super().__post_init__()
 
 
 @dataclass(frozen=True)
@@ -94,30 +77,28 @@ def quorum_basis(d: int) -> QuorumBasis:
         diag[:l] = 1.0
         diag[l] = -l
         elements.append(np.diag(diag).astype(complex) / np.sqrt(l * (l + 1)))
-    return QuorumBasis(dim=d, elements=tuple(elements), norms=np.ones(d * d))
+    return QuorumBasis(dim=d, basis=tuple(elements))
 
 
 def tensor_product_quorum(base: QuorumBasis, n_factors: int) -> QuorumBasis:
     """Quorum of n-fold tensor products of a base quorum's elements.
 
     Element order is lexicographic in the factor indices, so the all-identity
-    product comes first.  Products of orthogonal Hermitians stay orthogonal
-    Hermitian, and the norms multiply.  The product dimension may not exceed
-    ``MAX_DIM``, the largest a channel supports.
+    product comes first.  Products of orthonormal Hermitians stay orthonormal
+    Hermitian.  The product dimension may not exceed ``MAX_DIM``, the largest
+    a channel supports.
     """
     if n_factors < 1:
         raise ValueError("need at least one factor")
     dim = base.dim**n_factors
     if dim > MAX_DIM:  # checked before allocating dim**2 elements of dim x dim
         raise ValueError(f"product dimension {dim} exceeds supported maximum {MAX_DIM}")
-    B = base._stacked
-    elements, norms = B, base.norms
+    B = elements = base._stacked
     for _ in range(n_factors - 1):
         # entry (a, j, i, k, l, m) is P_a[i, l] * B_j[k, m], i.e. kron(P_a, B_j)[i*d+k, l*d+m]
         D = elements.shape[1] * base.dim
         elements = (elements[:, None, :, None, :, None] * B[None, :, None, :, None, :]).reshape(-1, D, D)
-        norms = (norms[:, None] * base.norms[None, :]).ravel()
-    return QuorumBasis(dim=dim, elements=tuple(elements), norms=norms)
+    return QuorumBasis(dim=dim, basis=tuple(elements))
 
 
 def pauli_product_quorum(n_qubits: int) -> QuorumBasis:
@@ -128,13 +109,13 @@ def pauli_product_quorum(n_qubits: int) -> QuorumBasis:
 def decompose(A: np.ndarray, qb: QuorumBasis) -> np.ndarray:
     """Real coefficients of a Hermitian ``A`` over the quorum.
 
-    ``a_m = <Q_m, A> / c_m``; the imaginary parts must vanish to 1e-10.
+    ``a_m = <Q_m, A>``; the imaginary parts must vanish to 1e-10.
     """
     A = np.asarray(A, dtype=complex)
     if A.shape != (qb.dim, qb.dim):
         raise ValueError(f"observable shape {A.shape} does not match quorum dim {qb.dim}")
     # conj(vec(Q)^T conj(vec(A))) = <Q, A> without copying the stacked quorum
-    raw = np.conj(qb._stacked.reshape(len(qb.norms), -1) @ A.conj().ravel()) / qb.norms
+    raw = np.conj(qb._stacked.reshape(qb.n_params, -1) @ A.conj().ravel())
     scale = max(1.0, float(np.abs(raw).max()))
     if np.abs(raw.imag).max() > 1e-10 * scale:
         raise ValueError(
@@ -263,10 +244,10 @@ def deconvolved_estimate(
 
     if shots_per_element == 0:
         # Tr(Q noisy) is the plain dot product of vec(Q) with vec(noisy^T)
-        exact = (qb._stacked.reshape(len(qb.norms), -1) @ noisy.T.ravel()).real
+        exact = (qb._stacked.reshape(qb.n_params, -1) @ noisy.T.ravel()).real
         return ShotEstimate(mean=float(weights @ exact), shots=0, std_error=0.0, seed=seed)
 
-    seeds = _element_seeds(seed, len(qb.norms))
+    seeds = _element_seeds(seed, qb.n_params)
     means, errs = _shot_estimates(noisy, qb._stacked, shots_per_element, seeds)
     mean = float(weights @ means)
     std_error = float(np.sqrt(np.sum((weights * errs) ** 2)))

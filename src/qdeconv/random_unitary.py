@@ -127,10 +127,9 @@ def invariant_subspace(G: np.ndarray, tol: float = DEFAULT_INVARIANT_TOL) -> lis
     ``|lambda - 1|``, so ``tol`` bounds how far an eigenvalue may sit from 1.
     """
     G = np.asarray(G, dtype=complex)
-    n = G.shape[0]
     if G.ndim != 2 or G.shape[0] != G.shape[1]:
         raise ValueError(f"expected a square matrix, got {G.shape}")
-    return _ordered_null_basis(G - np.eye(n), lambda s: s <= tol)
+    return _ordered_null_basis(G - np.eye(len(G)), lambda s: s <= tol)
 
 
 def ru_correctable_family(es: UnitaryErrorSet, tol: float = DEFAULT_KERNEL_RTOL) -> ObservableFamily:

@@ -193,6 +193,26 @@ def test_estimate_rejects_dimension_one(runner, tmp_path):
     assert "channel dimension at least 2" in result.output and "got 1" in result.output
 
 
+def test_specs_of_different_dimensions_are_a_usage_error(runner, tmp_path):
+    z2, i3 = tmp_path / "z2.json", tmp_path / "i3.json"
+    z2.write_text(emit_channel_spec(unitary_spec("z", SIGMA[3])))
+    i3.write_text(emit_channel_spec(unitary_spec("identity", np.eye(3))))
+    fam = tmp_path / "fam.json"
+    fam.write_text(emit_family(q.ObservableFamily.from_basis(2, [np.eye(2) / np.sqrt(2)])))
+    matrix = tmp_path / "matrix.json"
+    matrix.write_text(emit_hermitian_matrix(np.eye(2) / 2))
+    commands = {
+        "deconvolve": ["deconvolve", str(z2), str(i3)],
+        "verify": ["verify", str(fam), str(z2), str(i3)],
+        "estimate": ["estimate", str(matrix), str(matrix), str(z2), str(i3)],
+        "sweep": ["sweep", str(z2), str(z2), str(i3)],
+    }
+    for command, args in commands.items():
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, (command, result.output)
+        assert f"{i3}: guess dimension 3 does not match dimension 2 of {z2}" in result.output, command
+
+
 def test_failed_certificate_is_a_one_line_error_in_deconvolve_and_sweep(runner, tmp_path):
     rng = np.random.default_rng(3)
     paths = [tmp_path / "true.json", tmp_path / "guess.json"]

@@ -1,3 +1,4 @@
+import re
 from itertools import product
 from types import SimpleNamespace
 
@@ -34,20 +35,20 @@ def guess_pair(true_ch, guess_ch):
 def test_quorum_d2_is_normalized_pauli_basis():
     qb = q.quorum_basis(2)
     expected = [s / np.sqrt(2) for s in SIGMA]
-    for Q, E in zip(qb.elements, expected):
+    for Q, E in zip(qb.basis, expected):
         assert np.linalg.norm(Q - E) < 1e-14
 
 
 def test_quorum_d3_gram_matrix():
     qb = q.quorum_basis(3)
-    assert len(qb.elements) == 9
-    gram = np.array([[q.hs_inner(a, b) for b in qb.elements] for a in qb.elements])
+    assert len(qb.basis) == 9
+    gram = np.array([[q.hs_inner(a, b) for b in qb.basis] for a in qb.basis])
     assert np.linalg.norm(gram - np.eye(9)) < 1e-12
 
 
 def test_quorum_d4_spans_hermitian_space():
     qb = q.quorum_basis(4)
-    stacked = np.column_stack([q.vectorize(Q) for Q in qb.elements])
+    stacked = np.column_stack([q.vectorize(Q) for Q in qb.basis])
     assert np.linalg.matrix_rank(stacked, tol=1e-10) == 16
 
 
@@ -68,41 +69,23 @@ def test_quorum_basis_rejects_dimension_above_max(monkeypatch):
 
 def test_pauli_product_quorum_two_qubits():
     qb = q.pauli_product_quorum(2)
-    assert qb.dim == 4 and len(qb.elements) == 16
-    assert np.linalg.norm(qb.elements[0] - np.eye(4) / 2) < 1e-14
-    gram = np.array([[q.hs_inner(a, b) for b in qb.elements] for a in qb.elements])
+    assert qb.dim == 4 and len(qb.basis) == 16
+    assert np.linalg.norm(qb.basis[0] - np.eye(4) / 2) < 1e-14
+    gram = np.array([[q.hs_inner(a, b) for b in qb.basis] for a in qb.basis])
     assert np.linalg.norm(gram - np.eye(16)) < 1e-12
 
 
 def _kron_quorum(base, n_factors):
-    """Nested ``np.kron`` products in lexicographic order, norms multiplied left to right."""
-    elements, norms = [], []
-    for combo in product(range(len(base.elements)), repeat=n_factors):
-        elements.append(kron(*(base.elements[k] for k in combo)))
-        c = base.norms[combo[0]]
-        for k in combo[1:]:
-            c = c * base.norms[k]
-        norms.append(c)
-    return np.array(elements), np.array(norms)
-
-
-def _scaled_gell_mann(d):
-    scale = 1 + 0.37 * np.arange(d * d)
-    elements = tuple(s * Q for s, Q in zip(scale, q.quorum_basis(d).elements))
-    return q.QuorumBasis(dim=d, elements=elements, norms=scale**2)
+    """Nested ``np.kron`` products in lexicographic order."""
+    combos = product(range(base.n_params), repeat=n_factors)
+    return np.array([kron(*(base.basis[k] for k in combo)) for combo in combos])
 
 
 @pytest.mark.parametrize("n_factors", [1, 2, 3])
-@pytest.mark.parametrize(
-    "base",
-    [q.quorum_basis(2), q.quorum_basis(3), _scaled_gell_mann(3)],
-    ids=["gell-mann-2", "gell-mann-3", "scaled-gell-mann-3"],
-)
+@pytest.mark.parametrize("base", [q.quorum_basis(2), q.quorum_basis(3)], ids=["gell-mann-2", "gell-mann-3"])
 def test_tensor_product_quorum_equals_nested_kron(base, n_factors):
     qb = q.tensor_product_quorum(base, n_factors)
-    elements, norms = _kron_quorum(base, n_factors)
-    assert np.array_equal(np.array(qb.elements), elements)
-    assert np.array_equal(qb.norms, norms)
+    assert np.array_equal(np.array(qb.basis), _kron_quorum(base, n_factors))
 
 
 @pytest.mark.parametrize("base_dim, n_factors", [(2, 7), (8, 3), (65, 1), (4, 40)])
@@ -120,30 +103,65 @@ def test_tensor_product_quorum_admits_max_dim():
 
 
 def test_quorum_elements_are_read_only_and_owned():
-    source = [np.array(Q) for Q in q.quorum_basis(2).elements]
-    qb = q.QuorumBasis(dim=2, elements=tuple(source), norms=np.ones(4))
+    source = [np.array(Q) for Q in q.quorum_basis(2).basis]
+    qb = q.QuorumBasis(dim=2, basis=tuple(source))
     source[1][0, 1] = 5.0
-    assert qb.elements[1][0, 1] == 1 / np.sqrt(2)
-    for Q in qb.elements + q.pauli_product_quorum(2).elements:
+    assert qb.basis[1][0, 1] == 1 / np.sqrt(2)
+    for Q in qb.basis + q.pauli_product_quorum(2).basis:
         assert not Q.flags.writeable
     with pytest.raises(ValueError):
-        qb.elements[1][0, 1] = 5.0
+        qb.basis[1][0, 1] = 5.0
     with pytest.raises(ValueError):
-        qb.elements[1].setflags(write=True)
+        qb.basis[1].setflags(write=True)
 
 
 def test_quorum_basis_names_the_first_bad_element():
-    good = list(q.quorum_basis(2).elements)
+    good = list(q.quorum_basis(2).basis)
     upper = np.array([[0, 1], [0, 0]], dtype=complex)
     cases = [
-        (good[:2] + [np.eye(3), np.eye(3)], np.ones(4), r"element 2 has shape \(3, 3\)"),
-        (good[:1] + [upper, good[2], upper], np.ones(4), "element 1 is not Hermitian"),
-        ([good[0], good[1], good[1], good[1]], np.ones(4), "elements 1,2 are not orthogonal"),
-        (good, np.array([1.0, 1.0, 2.0, 2.0]), r"norms\[2\] = 2 but <Q_2, Q_2> = 1"),
+        (good[:2] + [np.eye(3), np.eye(3)], r"element 2 has shape \(3, 3\)"),
+        (good[:1] + [upper, good[2], upper], "element 1 is not Hermitian"),
+        ([good[0], good[1], good[1], good[1]], "elements 1,2 are not orthogonal"),
+        (good[:2] + [np.sqrt(2) * good[2], good[3]], "element 2 has <Q_2, Q_2> = 2, expected 1 within 1e-10"),
     ]
-    for elements, norms, message in cases:
+    for elements, message in cases:
         with pytest.raises(ValueError, match=message):
-            q.QuorumBasis(dim=2, elements=tuple(elements), norms=norms)
+            q.QuorumBasis(dim=2, basis=tuple(elements))
+
+
+QUORUM_CASES = [("gell-mann", d) for d in (2, 3, 4)] + [("pauli-product", n) for n in (1, 2)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    case=st.sampled_from(QUORUM_CASES),
+    scale=st.sampled_from([0.5, np.sqrt(2), 2.0]),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_quorum_is_a_complete_orthonormal_family(case, scale, seed, data):
+    kind, k = case
+    if kind == "gell-mann":
+        qb, base, n_factors = q.quorum_basis(k), q.quorum_basis(k), 1
+    else:
+        qb, base, n_factors = q.pauli_product_quorum(k), q.quorum_basis(2), k
+    d = qb.dim
+    assert isinstance(qb, q.ObservableFamily) and qb.n_params == d * d
+    A = random_hermitian(d, np.random.default_rng(seed))
+    assert np.abs(qb.member(q.decompose(A, qb)) - A).max() <= 1e-12
+    assert np.array_equal(np.array(qb.basis), _kron_quorum(base, n_factors))
+
+    m = data.draw(st.integers(0, d * d - 1))
+    incomplete = qb.basis[:m] + qb.basis[m + 1 :]
+    with pytest.raises(ValueError, match=f"a dim-{d} quorum needs {d * d} elements, got {d * d - 1}"):
+        q.QuorumBasis(dim=d, basis=incomplete)
+    scaled = qb.basis[:m] + (scale * qb.basis[m],) + qb.basis[m + 1 :]
+    with pytest.raises(ValueError, match=re.escape(f"element {m} has <Q_{m}, Q_{m}> = {scale**2:g}, expected 1")):
+        q.QuorumBasis(dim=d, basis=scaled)
+    if kind == "pauli-product":
+        raw = tuple(kron(*(SIGMA[j] for j in combo)) for combo in product(range(4), repeat=k))
+        with pytest.raises(ValueError, match=re.escape(f"element 0 has <Q_0, Q_0> = {2**k}, expected 1")):
+            q.QuorumBasis(dim=d, basis=raw)
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +170,7 @@ def test_quorum_basis_names_the_first_bad_element():
 
 def test_decompose_basis_element_gives_unit_vector():
     qb = q.quorum_basis(3)
-    coeffs = q.decompose(qb.elements[4], qb)
+    coeffs = q.decompose(qb.basis[4], qb)
     expected = np.zeros(9)
     expected[4] = 1.0
     assert_allclose(coeffs, expected, atol=1e-12)
@@ -181,7 +199,7 @@ def test_decompose_reconstructs(rng):
         qb = q.quorum_basis(d)
         A = random_hermitian(d, rng)
         coeffs = q.decompose(A, qb)
-        recon = sum(c * Q for c, Q in zip(coeffs, qb.elements))
+        recon = sum(c * Q for c, Q in zip(coeffs, qb.basis))
         assert np.linalg.norm(recon - A) < 1e-10
 
 
@@ -235,7 +253,7 @@ def test_chi_correlated_bitflip_diagonal_in_pauli_quorum():
     # apply the closed-form inverse to each quorum element as the oracle
     x4 = kron(SIGMA[1], SIGMA[1], SIGMA[1], SIGMA[1])
     inv_gamma = (1 - p) / (1 - 2 * p) * np.eye(16) - p / (1 - 2 * p) * x4
-    for m, Q in enumerate(qb.elements):
+    for m, Q in enumerate(qb.basis):
         expected = q.devectorize(inv_gamma.conj().T @ q.vectorize(Q), 4)
         assert abs(chi[m, m] - q.decompose(expected, qb)[m]) < 1e-12
     scaling = sorted(set(np.round(np.diag(chi), 9)))
@@ -295,7 +313,7 @@ def _oracle_cases():
     V = q.haar_random_unitary(3, rng)
     cases["degenerate-d3"] = (q.random_density_matrix(3, rng), V @ np.diag([1.0, 1.0, -1.0]) @ V.conj().T)
     # a Pauli product: eigenvalues +-1/4, each eight-fold degenerate
-    cases["pauli-product-d16"] = (q.random_density_matrix(16, rng), q.pauli_product_quorum(4).elements[27])
+    cases["pauli-product-d16"] = (q.random_density_matrix(16, rng), q.pauli_product_quorum(4).basis[27])
     return cases
 
 
@@ -343,8 +361,8 @@ def test_deconvolved_estimate_equals_per_shot_recombination(qb, rng):
     scale = np.abs(weights).sum()
     for shots in (1, 37, 10**4):
         est = q.deconvolved_estimate(gp, A, rho, qb, shots, seed=11)
-        seeds = _element_seeds(11, len(qb.elements))
-        means, errs = np.array([choice_estimate(noisy, Q, shots, s) for Q, s in zip(qb.elements, seeds)]).T
+        seeds = _element_seeds(11, len(qb.basis))
+        means, errs = np.array([choice_estimate(noisy, Q, shots, s) for Q, s in zip(qb.basis, seeds)]).T
         assert abs(est.mean - weights @ means) <= 1e-12 * scale
         assert abs(est.std_error - np.sqrt(np.sum((weights * errs) ** 2))) <= 1e-12 * scale
 
@@ -394,7 +412,7 @@ def test_chi_path_identity(rng):
     noisy = q.apply_channel(gp.phi, rho)
     weights = q.chi_matrix(gp, qb) @ q.decompose(A, qb)
     direct = sum(
-        w * np.trace(Q @ noisy).real for w, Q in zip(weights, qb.elements)
+        w * np.trace(Q @ noisy).real for w, Q in zip(weights, qb.basis)
     )
     assert abs(direct - q.evaluate(gp, A, rho).deconvolved) < 1e-10
     exact = q.deconvolved_estimate(gp, A, rho, qb, shots_per_element=0, seed=0)
@@ -447,20 +465,6 @@ def test_estimate_rejects_negative_shots(rng):
 
 def test_quorum_basis_validation():
     with pytest.raises(ValueError):
-        q.QuorumBasis(dim=2, elements=(np.eye(2),), norms=np.array([1.0]))
+        q.QuorumBasis(dim=2, basis=(np.eye(2),))
     with pytest.raises(ValueError):
-        q.QuorumBasis(
-            dim=2,
-            elements=(np.eye(2), np.eye(2), SIGMA[1], SIGMA[2]),
-            norms=np.ones(4),
-        )
-
-
-def test_quorum_basis_rejects_norms_that_are_not_squared_norms(rng):
-    with pytest.raises(ValueError, match=r"norms\[0\]"):
-        q.QuorumBasis(dim=2, elements=q.quorum_basis(2).elements, norms=2 * np.ones(4))
-    # unnormalized Paulis are a valid quorum once norms hold <Q, Q> = 2
-    paulis = q.QuorumBasis(dim=2, elements=tuple(SIGMA), norms=2 * np.ones(4))
-    A = random_hermitian(2, rng)
-    coeffs = q.decompose(A, paulis)
-    assert np.linalg.norm(sum(c * P for c, P in zip(coeffs, SIGMA)) - A) < 1e-12
+        q.QuorumBasis(dim=2, basis=(np.eye(2), np.eye(2), SIGMA[1], SIGMA[2]))

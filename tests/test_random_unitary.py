@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -111,6 +113,12 @@ def test_invariant_subspace_can_be_empty():
     phase = np.exp(0.31j)
     vecs = q.invariant_subspace(phase * np.eye(2) @ U)
     assert vecs == []
+
+
+@pytest.mark.parametrize("G", [np.array(1.0), np.ones(3), np.ones((2, 3))], ids=["0-d", "1-d", "2x3"])
+def test_invariant_subspace_rejects_a_non_square_input(G):
+    with pytest.raises(ValueError, match=re.escape(f"expected a square matrix, got {G.shape}")):
+        q.invariant_subspace(G)
 
 
 # ---------------------------------------------------------------------------

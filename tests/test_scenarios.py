@@ -1,7 +1,7 @@
 import pytest
 
 import qdeconv as q
-from qdeconv.scenarios import emit_report, run_scenario, scenario_names
+from qdeconv.scenarios import _bitflip_family, bitflip_with_memory, emit_report, run_scenario, scenario_names
 
 EXPECTED_DIMS = {
     "qutrit-extreme": 5,
@@ -95,6 +95,17 @@ def test_partial_recovery_evaluates_only_the_reported_point(monkeypatch):
     monkeypatch.setattr(sc, "evaluate", counting)
     assert run_scenario("partial-recovery").passed
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("p", [0.25, 0.1, 0.4])
+def test_bitflip_memory_family_is_fixed_by_the_memory_vertices(p):
+    # the memory channel is affine in mu and mu = 1 is the guess itself, so
+    # the pairs at mu in {0, 1} constrain exactly what the five probes do
+    guess, _, fam = _bitflip_family(p, q.DEFAULT_KERNEL_RTOL)
+    vertices = [q.GuessPair.from_transfers(q.transfer_from_kraus(bitflip_with_memory(p, mu)), guess) for mu in (0.0, 1.0)]
+    vertex_fam = q.common_correctable_family(vertices)
+    assert vertex_fam.n_params == fam.n_params == 12
+    assert q.spans_coincide(vertex_fam, fam)
 
 
 def test_result_with_wrong_family_dimension_fails():
