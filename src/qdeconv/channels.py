@@ -14,13 +14,15 @@ has transfer matrix ``sum_k kron(A_k, conj(A_k))`` and
     vec(channel(rho)) == gamma @ vec(rho).
 
 All functions are pure; the dataclasses are frozen and their array fields
-are marked read-only, so values can be shared freely between threads.
+are marked read-only, so values can be shared freely between threads.  Every
+tolerance or cutoff argument in the package must be a non-negative number:
+NaN or a negative value raises ``ValueError`` (:func:`_require_non_negative`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -57,6 +59,13 @@ def _as_complex_matrix(M: np.ndarray, name: str = "matrix") -> np.ndarray:
         raise ValueError(f"{name} must be 2-dimensional, got shape {M.shape}")
     return M
 
+def _require_non_negative(value: float, name: str) -> None:
+    """Raise ``ValueError`` unless the tolerance ``value`` is a non-negative number."""
+    # written so that NaN fails too: it compares false with everything
+    if not value >= 0:
+        raise ValueError(f"{name} must be a non-negative number, got {value}")
+
+
 def _require_square(M: np.ndarray, name: str = "matrix") -> int:
     M = _as_complex_matrix(M, name)
     if M.shape[0] != M.shape[1]:
@@ -83,17 +92,16 @@ def _kron(A: np.ndarray, *rest: np.ndarray) -> np.ndarray:
 
 def is_hermitian(M: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     """Whether ``M`` equals its conjugate transpose within ``tol`` (Frobenius)."""
+    _require_non_negative(tol, "tolerance")
     M = _as_complex_matrix(M)
     return M.shape[0] == M.shape[1] and np.linalg.norm(M - M.conj().T) <= tol
 
 
 def is_unitary(M: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     """Whether ``M^dag M`` equals the identity within ``tol`` (Frobenius)."""
+    _require_non_negative(tol, "tolerance")
     M = _as_complex_matrix(M)
-    if M.shape[0] != M.shape[1]:
-        return False
-    d = M.shape[0]
-    return np.linalg.norm(M.conj().T @ M - np.eye(d)) <= tol
+    return M.shape[0] == M.shape[1] and np.linalg.norm(M.conj().T @ M - np.eye(len(M))) <= tol
 
 
 def is_positive_semidefinite(M: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
@@ -107,11 +115,8 @@ def is_positive_semidefinite(M: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
 def is_density_matrix(M: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     """Whether ``M`` is a valid state: Hermitian, PSD and unit trace within ``tol``."""
     M = _as_complex_matrix(M)
-    return (
-        M.shape[0] == M.shape[1]
-        and is_positive_semidefinite(M, tol)
-        and abs(np.trace(M) - 1.0) <= tol
-    )
+    # is_hermitian checks tol and rejects a non-square M first
+    return is_positive_semidefinite(M, tol) and abs(np.trace(M) - 1.0) <= tol
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +274,7 @@ def validate_probabilities(ps: Sequence[float], tol: float = DEFAULT_TOL) -> np.
         If any entry is negative (beyond ``tol``) or NaN, or the sum deviates
         from 1.
     """
+    _require_non_negative(tol, "tolerance")
     p = np.asarray(ps, dtype=float)
     if p.ndim != 1 or p.size == 0:
         raise InvalidProbabilityError("probability vector must be a nonempty 1-d sequence")
@@ -344,45 +350,70 @@ def adjoint_transfer(T: TransferMatrix) -> TransferMatrix:
     return TransferMatrix(dim=T.dim, gamma=T.gamma.conj().T)
 
 
-def _check_sv_cutoff(tol: float) -> None:
-    """Raise ``ValueError`` unless ``tol`` is a non-negative number."""
-    # written so that NaN fails too; it would accept every matrix
-    if not tol >= 0:
-        raise ValueError(f"singular-value cutoff must be a non-negative number, got {tol}")
+#: Smallest norm bracket that may accept without an SVD.  Above it the LU
+#: inverse's relative rounding, about ``n * kappa * eps``, stays below 1e-4 for
+#: n <= 4096, so the factor 2 in :func:`_checked_inverse` absorbs it at any
+#: cutoff.  It lies below twice the default cutoff.
+_BRACKET_FLOOR = float(np.sqrt(np.finfo(float).eps))
 
 
-def _require_invertible(s: np.ndarray, tol: float) -> None:
-    """Raise :class:`SingularChannelError` unless the descending singular values
-    ``s`` keep their smallest above ``tol`` times their largest."""
-    if s[0] == 0.0 or s[-1] <= tol * s[0]:
+def _spectral_norm_bound(M: np.ndarray) -> float:
+    """Upper bound on ``||M||_2`` of a nonzero ``M``: the smaller of
+    ``sqrt(||M||_1 ||M||_inf)`` and the Frobenius norm (Higham, Accuracy and
+    Stability of Numerical Algorithms, sec. 6.2).
+
+    Both are evaluated so that squares and products of tiny entries cannot
+    underflow to a bound of 0; a product that overflows gives ``inf``.
+    """
+    A = np.abs(M)
+    top = A.max()
+    one_inf = np.sqrt(A.sum(axis=0).max()) * np.sqrt(A.sum(axis=1).max())
+    A /= top
+    return min(one_inf, top * np.linalg.norm(A))
+
+
+def _checked_inverse(M: np.ndarray, cutoff: float) -> Optional[np.ndarray]:
+    """The LU inverse of the square ``M``; ``SingularChannelError`` unless
+    ``s_min > cutoff * s_max``.
+
+    ``1 / (u(M) u(M^-1))``, with ``u`` from :func:`_spectral_norm_bound`, is a
+    lower bound on ``s_min / s_max``; when it exceeds twice the cutoff (and
+    ``_BRACKET_FLOOR``) ``M`` passes without an SVD, and otherwise the
+    values-only SVD decides.  ``None`` means ``M`` passes without a finite LU
+    inverse (a zero pivot or an overflow), which needs a cutoff below ~1e-16.
+    """
+    _require_non_negative(cutoff, "singular-value cutoff")
+    try:
+        inv = np.linalg.inv(M)
+    except np.linalg.LinAlgError:
+        inv = None
+    if inv is not None and not np.isfinite(inv).all():
+        inv = None
+    if inv is not None:
+        with np.errstate(over="ignore"):
+            lower = 1.0 / (_spectral_norm_bound(M) * _spectral_norm_bound(inv))
+        if lower > max(2.0 * cutoff, _BRACKET_FLOOR):
+            return inv
+    s = np.linalg.svd(M, compute_uv=False)
+    if s[0] == 0.0 or s[-1] <= cutoff * s[0]:
         raise SingularChannelError(
             f"transfer matrix is singular: smallest/largest singular value "
-            f"{s[-1]:.3e}/{s[0]:.3e} is below cutoff {tol:g}"
+            f"{s[-1]:.3e}/{s[0]:.3e} is below cutoff {cutoff:g}"
         )
+    return inv
 
 
 def inverse_transfer(T: TransferMatrix, tol: float = DEFAULT_SV_CUTOFF) -> TransferMatrix:
-    """Transfer matrix of the inverse map.
+    """Transfer matrix of the inverse map: the LU inverse of :func:`_checked_inverse`.
 
-    Parameters
-    ----------
-    T : TransferMatrix
-        Map to invert.
-    tol : float
-        Relative singular-value cutoff: the map counts as singular when its
-        smallest singular value is at most ``tol`` times its largest.
-
-    Raises
-    ------
-    SingularChannelError
-        If the transfer matrix is singular at the given cutoff.
-    ValueError
-        If ``tol`` is NaN or negative.
+    ``tol`` is the relative singular-value cutoff: the map counts as singular,
+    and raises :class:`SingularChannelError`, when its smallest singular value
+    is at most ``tol`` times its largest, and also when it passes (only
+    possible below about 1e-16) without a finite LU inverse.
     """
-    _check_sv_cutoff(tol)
-    u, s, vh = np.linalg.svd(T.gamma)
-    _require_invertible(s, tol)
-    inv = (vh.conj().T * (1.0 / s)) @ u.conj().T
+    inv = _checked_inverse(T.gamma, tol)
+    if inv is None:
+        raise SingularChannelError(f"transfer matrix passes cutoff {tol:g} but has no finite LU inverse")
     return TransferMatrix(dim=T.dim, gamma=inv)
 
 
@@ -413,6 +444,7 @@ def unitary_channel(U: np.ndarray, tol: float = DEFAULT_TOL) -> KrausChannel:
     NonUnitaryError
         If ``U^dag U`` deviates from the identity by more than ``tol``.
     """
+    _require_non_negative(tol, "tolerance")
     d = _require_square(U, "U")
     U = np.asarray(U, dtype=complex)
     residual = np.linalg.norm(U.conj().T @ U - np.eye(d))
@@ -454,10 +486,11 @@ def random_unitary_channel(
 def is_cptp(ch: KrausChannel, tol: float = DEFAULT_TOL) -> CptpReport:
     """Diagnose trace preservation and complete positivity of a Kraus channel.
 
-    Never raises: returns the numeric residuals so callers can report them.
-    A channel whose Choi matrix is not finite (a NaN or infinite Kraus entry,
-    or one whose products overflow) is neither, with a NaN eigenvalue floor.
+    Never raises for a channel: returns the numeric residuals so callers can
+    report them.  A channel whose Choi matrix is not finite (a NaN or infinite
+    Kraus entry, or one whose products overflow) is neither, with a NaN floor.
     """
+    _require_non_negative(tol, "tolerance")
     tp_residual = ch.trace_preservation_residual()
     choi = choi_from_channel(ch).choi
     if not np.isfinite(choi).all():  # eigvalsh would raise LinAlgError

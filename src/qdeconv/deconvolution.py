@@ -26,9 +26,9 @@ import numpy as np
 from .channels import (
     DEFAULT_SV_CUTOFF,
     TransferMatrix,
-    _check_sv_cutoff,
+    _checked_inverse,
     _ginibre_states,
-    _require_invertible,
+    _require_non_negative,
     apply_channel,
 )
 from .errors import FamilyVerificationError, SingularChannelError
@@ -104,54 +104,6 @@ def _from_coordinates(coeffs: np.ndarray, d: int) -> ObservableFamily:
 
 
 # ---------------------------------------------------------------------------
-# Invertibility of the guess
-# ---------------------------------------------------------------------------
-
-#: Smallest bracket that may accept without an SVD.  Above it the LU inverse's
-#: relative rounding, about ``n * kappa * eps``, stays below 1e-4 for n <= 4096,
-#: so the factor 2 in :func:`_require_invertible_coordinates` absorbs it at any
-#: cutoff.  It lies below twice the default cutoff.
-_BRACKET_FLOOR = float(np.sqrt(np.finfo(float).eps))
-
-
-def _spectral_norm_bound(M: np.ndarray) -> float:
-    """Upper bound on ``||M||_2`` of a nonzero ``M``: the smaller of
-    ``sqrt(||M||_1 ||M||_inf)`` and the Frobenius norm (Higham, Accuracy and
-    Stability of Numerical Algorithms, sec. 6.2).
-
-    Both are evaluated so that squares and products of tiny entries cannot
-    underflow to a bound of 0; a product that overflows gives ``inf``.
-    """
-    A = np.abs(M)
-    top = A.max()
-    one_inf = np.sqrt(A.sum(axis=0).max()) * np.sqrt(A.sum(axis=1).max())
-    A /= top
-    return min(one_inf, top * np.linalg.norm(A))
-
-
-def _require_invertible_coordinates(G: np.ndarray, sv_cutoff: float) -> None:
-    """:func:`~qdeconv.channels._require_invertible` on the singular values of
-    the real square ``G``, without them when one LU inverse decides.
-
-    ``1 / (u(G) u(G^-1))``, with ``u`` from :func:`_spectral_norm_bound`, is a
-    lower bound on ``s_min / s_max``; when it exceeds twice the cutoff (and
-    ``_BRACKET_FLOOR``) ``G`` is accepted.  Otherwise, and when the inverse
-    fails or is not finite, the values-only SVD decides, so every rejection
-    and its message come from ``_require_invertible``.  The inverse is dropped.
-    """
-    try:
-        inv = np.linalg.inv(G)
-    except np.linalg.LinAlgError:
-        inv = None
-    if inv is not None and np.isfinite(inv).all():
-        with np.errstate(over="ignore"):
-            lower = 1.0 / (_spectral_norm_bound(G) * _spectral_norm_bound(inv))
-        if lower > max(2.0 * sv_cutoff, _BRACKET_FLOOR):
-            return
-    _require_invertible(np.linalg.svd(G, compute_uv=False), sv_cutoff)
-
-
-# ---------------------------------------------------------------------------
 # Value types
 # ---------------------------------------------------------------------------
 
@@ -200,9 +152,9 @@ class GuessPair:
     ) -> "GuessPair":
         """Build a pair from transfer matrices, checking that the guess is invertible.
 
-        A norm bracket from one LU inverse of the guess decides, and its
-        values-only SVD only when the bracket cannot (see
-        :func:`_require_invertible_coordinates`).
+        The guess's real coordinates pass
+        :func:`~qdeconv.channels._checked_inverse`, the rule of
+        :func:`~qdeconv.channels.inverse_transfer`; the inverse is dropped.
 
         Raises
         ------
@@ -213,12 +165,11 @@ class GuessPair:
             guess does not preserve Hermiticity, or ``sv_cutoff`` is NaN or
             negative.
         """
-        _check_sv_cutoff(sv_cutoff)
         for name, t in (("true channel", phi), ("guess", phi_g)):
             if not np.isfinite(t.gamma).all():
                 raise ValueError(f"{name} transfer matrix has non-finite entries")
         pair = cls(phi=phi, phi_g=phi_g)
-        _require_invertible_coordinates(pair._guess_coordinates, sv_cutoff)
+        _checked_inverse(pair._guess_coordinates, sv_cutoff)
         return pair
 
 
@@ -348,6 +299,11 @@ def _ordered_null_basis(M: np.ndarray, keep: Callable[[np.ndarray], np.ndarray])
 _KERNEL_ABS_FLOOR = 1e-14
 
 
+def _kernel_cutoff(rel_tol: float, sigma_max: float) -> float:
+    """Largest singular value that counts as zero: ``max(rel_tol * sigma_max, 1e-14)``."""
+    return max(rel_tol * sigma_max, _KERNEL_ABS_FLOOR)
+
+
 def kernel(F: np.ndarray, rel_tol: float = DEFAULT_KERNEL_RTOL) -> list[np.ndarray]:
     """Orthonormal basis of the numerical null space of a square matrix.
 
@@ -356,10 +312,11 @@ def kernel(F: np.ndarray, rel_tol: float = DEFAULT_KERNEL_RTOL) -> list[np.ndarr
     rounding) every direction qualifies.  An empty list means the kernel is
     trivial.
     """
+    _require_non_negative(rel_tol, "kernel threshold")
     F = np.asarray(F, dtype=complex)
     if F.ndim != 2 or F.shape[0] != F.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {F.shape}")
-    return _ordered_null_basis(F, lambda s: s <= max(rel_tol * s.max(), _KERNEL_ABS_FLOOR))
+    return _ordered_null_basis(F, lambda s: s <= _kernel_cutoff(rel_tol, s.max()))
 
 
 def joint_kernel(mats: Sequence[np.ndarray], dim2: int, rel_tol: float = DEFAULT_KERNEL_RTOL) -> list[np.ndarray]:
@@ -369,6 +326,7 @@ def joint_kernel(mats: Sequence[np.ndarray], dim2: int, rel_tol: float = DEFAULT
     operator dominates the cutoff.  Blocks that are numerically zero impose
     no constraint; with no effective constraint the full space is returned.
     """
+    _require_non_negative(rel_tol, "kernel threshold")
     blocks = []
     for M in mats:
         M = np.asarray(M, dtype=complex)
@@ -381,9 +339,7 @@ def joint_kernel(mats: Sequence[np.ndarray], dim2: int, rel_tol: float = DEFAULT
             blocks.append(M / top)
     if not blocks:
         return kernel(np.zeros((dim2, dim2)), rel_tol)
-    return _ordered_null_basis(
-        np.vstack(blocks), lambda s: s <= max(rel_tol * s.max(), _KERNEL_ABS_FLOOR)
-    )
+    return _ordered_null_basis(np.vstack(blocks), lambda s: s <= _kernel_cutoff(rel_tol, s.max()))
 
 
 # ---------------------------------------------------------------------------
@@ -442,9 +398,7 @@ def _null_coordinates(blocks: Sequence[np.ndarray], d2: int, rel_tol: float) -> 
     a singular value of ``A S`` lies within a factor 100 of the cutoff, the
     full SVD of ``A`` decides instead.
     """
-    # written so that NaN fails too; it would silently empty every null space
-    if not rel_tol >= 0:
-        raise ValueError(f"kernel threshold must be a non-negative number, got {rel_tol}")
+    _require_non_negative(rel_tol, "kernel threshold")
     halves = []
     for M in blocks:
         scale = np.linalg.norm(M)
@@ -458,7 +412,7 @@ def _null_coordinates(blocks: Sequence[np.ndarray], d2: int, rel_tol: float) -> 
         gram += h.T @ h
     w, V = np.linalg.eigh(gram)
     w_max = float(w[-1])
-    cutoff = max(rel_tol * w_max**0.5, _KERNEL_ABS_FLOOR)
+    cutoff = _kernel_cutoff(rel_tol, w_max**0.5)
     n = int(np.searchsorted(w, max(_CANDIDATE_FLOOR * w_max, (_DECISION_MARGIN * cutoff) ** 2), side="right"))
     if 2 * n > d2:
         return _svd_null_coordinates(halves, rel_tol)
@@ -481,7 +435,7 @@ def _null_coordinates(blocks: Sequence[np.ndarray], d2: int, rel_tol: float) -> 
 def _svd_null_coordinates(halves: Sequence[np.ndarray], rel_tol: float) -> np.ndarray:
     """:func:`_null_coordinates` of the stacked ``halves`` from their full SVD."""
     _, s, vt = np.linalg.svd(np.vstack(halves), full_matrices=False)
-    return vt[s <= max(rel_tol * s[0], _KERNEL_ABS_FLOOR)][::-1].T
+    return vt[s <= _kernel_cutoff(rel_tol, s[0])][::-1].T
 
 
 def _hermitian_kernel(mats: Sequence[np.ndarray], d: int, rel_tol: float) -> ObservableFamily:
@@ -526,6 +480,7 @@ def intersect_spans(B1: Sequence[np.ndarray], B2: Sequence[np.ndarray], tol: flo
     The joint kernel of the projectors onto the two orthogonal complements,
     with ``tol`` as its relative cutoff.
     """
+    _require_non_negative(tol, "kernel threshold")
     if not B1 or not B2:
         return []
     dim2 = np.asarray(B1[0]).size
@@ -563,6 +518,7 @@ def span_residual(fam_a: ObservableFamily, fam_b: ObservableFamily) -> float:
 
 def spans_coincide(fam_a: ObservableFamily, fam_b: ObservableFamily, tol: float = MEMBERSHIP_RTOL) -> bool:
     """Whether two families span the same space (mutual residual within ``tol``)."""
+    _require_non_negative(tol, "span tolerance")
     return (
         fam_a.n_params == fam_b.n_params
         and span_residual(fam_a, fam_b) <= tol
@@ -803,6 +759,7 @@ def guess_sweep(
     ``n_params`` with ties broken by ascending index.  Candidates whose
     transfer matrix is singular are kept in the ranking with ``n_params = -1``.
     """
+    _require_non_negative(rel_tol, "kernel threshold")
     results = []
     for idx, cand in enumerate(candidates):
         try:

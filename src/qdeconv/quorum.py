@@ -237,6 +237,8 @@ def deconvolved_estimate(
     :func:`qdeconv.deconvolution.evaluate`.  Quorums, like channels, stop at
     dimension ``MAX_DIM`` (64).
     """
+    if qb.dim != gp.dim:
+        raise ValueError(f"quorum dim {qb.dim} does not match channel dim {gp.dim}")
     if shots_per_element < 0:
         raise ValueError("shots_per_element must be nonnegative (0 selects exact mode)")
     weights = decompose(modified_observable(gp, A), qb)

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channels import DEFAULT_TOL, TransferMatrix, _as_complex_matrix, _kron, is_unitary
+from .channels import DEFAULT_TOL, TransferMatrix, _as_complex_matrix, _kron, _require_non_negative, is_unitary
 from .deconvolution import (
     DEFAULT_KERNEL_RTOL,
     GuessPair,
@@ -126,6 +126,7 @@ def invariant_subspace(G: np.ndarray, tol: float = DEFAULT_INVARIANT_TOL) -> lis
     unitary ``G`` the singular values of ``G - I`` are exactly the distances
     ``|lambda - 1|``, so ``tol`` bounds how far an eigenvalue may sit from 1.
     """
+    _require_non_negative(tol, "invariant-subspace tolerance")
     G = np.asarray(G, dtype=complex)
     if G.ndim != 2 or G.shape[0] != G.shape[1]:
         raise ValueError(f"expected a square matrix, got {G.shape}")
@@ -183,6 +184,7 @@ def eig_grouping(W: np.ndarray, grouping_tol: float = DEFAULT_GROUPING_TOL) -> E
     positive.  Indices are ordered by ascending eigenvalue phase angle, ties
     by original position; groups are listed by their first member.
     """
+    _require_non_negative(grouping_tol, "grouping tolerance")
     W = np.asarray(W, dtype=complex)
     if not is_unitary(W, 1e-8):
         raise NonUnitaryError("eigendecomposition input fails the unitarity check")

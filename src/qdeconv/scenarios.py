@@ -21,6 +21,7 @@ from .channels import (
     KrausChannel,
     _ginibre_states,
     _kron,
+    _require_non_negative,
     adjoint_transfer,
     apply_channel,
     compose,
@@ -169,6 +170,7 @@ class ScenarioCheck:
 
     @classmethod
     def from_residual(cls, label: str, residual: float, tolerance: float) -> "ScenarioCheck":
+        _require_non_negative(tolerance, "check tolerance")
         return cls(label=label, passed=bool(residual <= tolerance), residual=float(residual), tolerance=float(tolerance))
 
     @classmethod
@@ -319,7 +321,7 @@ def _binary_mixtures(rng: np.random.Generator, n: int) -> list[list[float]]:
 
 
 def _ru_route_residual(fam: ObservableFamily, Us: Sequence[np.ndarray], kernel_tol: float) -> float:
-    """Span residual of ``fam`` against the invariant-subspace family of ``Us`` guessing ``Us[1]``."""
+    """Span residual of ``fam`` against :func:`ru_correctable_family` of ``Us`` guessing ``Us[1]``."""
     es = UnitaryErrorSet.from_unitaries(Us, guess_index=1)
     return _mutual_span_residual(fam._stacked, ru_correctable_family(es, kernel_tol)._stacked)
 
@@ -729,6 +731,7 @@ def run_scenario(
     :func:`scenario_parameters`; ``kernel_tol`` is the relative kernel
     threshold used by every extraction inside the scenario.
     """
+    _require_non_negative(kernel_tol, "kernel threshold")
     params = scenario_parameters(name, overrides)
     scenario, expected, _ = _SCENARIOS[name]
     family_dim, max_delta, checks, metadata = scenario(params, kernel_tol, expected)

@@ -5,14 +5,13 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import qdeconv as q
-from qdeconv.channels import random_hermitian
+from qdeconv.channels import _spectral_norm_bound, random_hermitian
 from qdeconv.deconvolution import (
     MEMBERSHIP_RTOL,
     _coordinates,
     _hermitian_operators,
     _modified_observables,
     _null_coordinates,
-    _spectral_norm_bound,
 )
 from qdeconv.serialization import emit_family
 from qdeconv.scenarios import (
@@ -153,17 +152,28 @@ def _parity_guesses():
         yield q.TransferMatrix(2, (1 - lam) * replacement + lam * np.kron(U, U.conj()))
 
 
+def _has_finite_lu_inverse(M):
+    try:
+        return bool(np.isfinite(np.linalg.inv(M)).all())
+    except np.linalg.LinAlgError:
+        return False
+
+
 @pytest.mark.parametrize("scale", [1.0, 1e-170, 1e-306])
 def test_guess_check_decides_as_the_singular_value_rule(svd_calls, scale):
     # the ratio is scale-free; at 1e-170 squares of entries underflow, and at
     # 1e-306 the inverse's norms overflow
     paths = set()
+    outcomes = set()
     for k, T in enumerate(_parity_guesses()):
         T = q.TransferMatrix(T.dim, scale * T.gamma)
         s = np.linalg.svd(q.GuessPair(T, T)._guess_coordinates, compute_uv=False)
+        # the same singular values in exact arithmetic; near 1e-17 the two
+        # computed ratios differ by more than the factors 0.999 and 1.001
+        s_gamma = np.linalg.svd(T.gamma, compute_uv=False)
         for factor in (1e-3, 0.1, 0.5, 0.999, 1.001, 2, 10, 100):
             cutoff = factor * s[-1] / s[0]
-            accepted = bool(s[-1] > cutoff * s[0])  # the rule of channels._require_invertible
+            accepted = bool(s[-1] > cutoff * s[0])  # the rule of channels._checked_inverse
             svd_calls.clear()
             try:
                 q.GuessPair.from_transfers(T, T, cutoff)
@@ -172,8 +182,43 @@ def test_guess_check_decides_as_the_singular_value_rule(svd_calls, scale):
             else:
                 assert accepted, (k, factor)
             paths.add((accepted, len(svd_calls)))
+            # inverse_transfer decides by the same rule on the transfer matrix,
+            # and also needs a finite LU inverse to return
+            accepted = bool(s_gamma[-1] > cutoff * s_gamma[0])
+            try:
+                inv = q.inverse_transfer(T, cutoff).gamma
+            except q.SingularChannelError as err:
+                assert not accepted or not _has_finite_lu_inverse(T.gamma), (k, factor)
+                assert ("no finite LU inverse" in str(err)) == accepted, (k, factor)
+                outcomes.add((accepted, "raised"))
+            else:
+                assert accepted and np.isfinite(inv).all(), (k, factor)
+                outcomes.add((accepted, "inverted"))
     # the bracket alone accepts; the SVD accepts and rejects
     assert paths == {(True, 0), (True, 1), (False, 1)}
+    assert outcomes == {(True, "inverted"), (True, "raised"), (False, "raised")}
+
+
+def test_inverse_transfer_of_a_clearly_invertible_channel_takes_no_svd(svd_calls):
+    T = q.transfer_from_kraus(q.random_cptp_channel(3, 2, np.random.default_rng(7)))
+    inv = q.inverse_transfer(T)
+    assert svd_calls == []
+    assert_allclose(inv.gamma @ T.gamma, np.eye(9), atol=1e-12)
+
+
+def test_cutoff_zero_accepts_a_guess_without_lu_inverse_but_cannot_invert_it():
+    # a replacement channel plus a unitary at weight 2.7e-18: s_min/s_max is
+    # about 1e-19, above a zero cutoff, but the LU factorizations of both the
+    # transfer matrix and the guess coordinates hit an exactly zero pivot
+    T = list(_parity_guesses())[20]
+    assert not _has_finite_lu_inverse(T.gamma)
+    assert not _has_finite_lu_inverse(q.GuessPair(T, T)._guess_coordinates)
+    assert np.linalg.svd(T.gamma, compute_uv=False)[-1] > 0
+    q.GuessPair.from_transfers(T, T, 0.0)
+    with pytest.raises(q.SingularChannelError, match="^transfer matrix passes cutoff 0 but has no finite LU inverse$"):
+        q.inverse_transfer(T, 0.0)
+    with pytest.raises(q.SingularChannelError, match="is below cutoff 1e-08$"):
+        q.inverse_transfer(T)
 
 
 def test_clearly_invertible_guess_takes_no_svd(svd_calls):

@@ -427,6 +427,18 @@ def test_estimate_rejects_non_hermitian_observable(rng):
         q.deconvolved_estimate(gp, A, rho, q.quorum_basis(2), shots_per_element=0, seed=0)
 
 
+def test_estimate_checks_the_quorum_dimension_first(rng):
+    gp = guess_pair(q.random_cptp_channel(2, 2, rng), q.random_cptp_channel(2, 2, rng))
+    rho = q.random_density_matrix(2, rng)
+    # the observable matches the pair, so only the quorum can be blamed, and
+    # before the shot count is looked at
+    for shots in (0, -1):
+        with pytest.raises(ValueError, match=r"^quorum dim 3 does not match channel dim 2$"):
+            q.deconvolved_estimate(gp, SIGMA[3], rho, q.quorum_basis(3), shots_per_element=shots, seed=0)
+    with pytest.raises(ValueError, match=r"^quorum dim 3 does not match channel dim 2$"):
+        q.chi_matrix(gp, q.quorum_basis(3))
+
+
 def test_estimate_deterministic_given_seed(rng):
     ch = q.random_cptp_channel(2, 2, rng)
     gp = guess_pair(ch, q.random_cptp_channel(2, 2, rng))
