@@ -22,7 +22,7 @@ NaN or a negative value raises ``ValueError`` (:func:`_require_non_negative`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -106,6 +106,7 @@ def is_unitary(M: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
 
 def is_positive_semidefinite(M: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     """Whether ``M`` is Hermitian with eigenvalue floor ``>= -tol``."""
+    M = _as_complex_matrix(M)
     if not is_hermitian(M, tol):
         return False
     eigs = np.linalg.eigvalsh(0.5 * (M + M.conj().T))
@@ -114,7 +115,6 @@ def is_positive_semidefinite(M: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
 
 def is_density_matrix(M: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     """Whether ``M`` is a valid state: Hermitian, PSD and unit trace within ``tol``."""
-    M = _as_complex_matrix(M)
     # is_hermitian checks tol and rejects a non-square M first
     return is_positive_semidefinite(M, tol) and abs(np.trace(M) - 1.0) <= tol
 
@@ -372,24 +372,25 @@ def _spectral_norm_bound(M: np.ndarray) -> float:
     return min(one_inf, top * np.linalg.norm(A))
 
 
-def _checked_inverse(M: np.ndarray, cutoff: float) -> Optional[np.ndarray]:
-    """The LU inverse of the square ``M``; ``SingularChannelError`` unless
-    ``s_min > cutoff * s_max``.
+def _checked_inverse(M: np.ndarray, cutoff: float) -> np.ndarray:
+    """The finite LU inverse of the square ``M``, which must have ``s_min > cutoff * s_max``.
 
     ``1 / (u(M) u(M^-1))``, with ``u`` from :func:`_spectral_norm_bound`, is a
     lower bound on ``s_min / s_max``; when it exceeds twice the cutoff (and
     ``_BRACKET_FLOOR``) ``M`` passes without an SVD, and otherwise the
-    values-only SVD decides.  ``None`` means ``M`` passes without a finite LU
-    inverse (a zero pivot or an overflow), which needs a cutoff below ~1e-16.
+    values-only SVD decides.  Raises ``ValueError`` for a NaN or infinite
+    entry, and :class:`SingularChannelError` below the cutoff or when ``M``
+    passes without a finite LU inverse (a zero pivot or an overflow).
     """
     _require_non_negative(cutoff, "singular-value cutoff")
+    if not np.isfinite(M).all():
+        raise ValueError("transfer matrix has non-finite entries")
     try:
         inv = np.linalg.inv(M)
     except np.linalg.LinAlgError:
         inv = None
-    if inv is not None and not np.isfinite(inv).all():
-        inv = None
-    if inv is not None:
+    finite = inv is not None and bool(np.isfinite(inv).all())
+    if finite:
         with np.errstate(over="ignore"):
             lower = 1.0 / (_spectral_norm_bound(M) * _spectral_norm_bound(inv))
         if lower > max(2.0 * cutoff, _BRACKET_FLOOR):
@@ -400,21 +401,19 @@ def _checked_inverse(M: np.ndarray, cutoff: float) -> Optional[np.ndarray]:
             f"transfer matrix is singular: smallest/largest singular value "
             f"{s[-1]:.3e}/{s[0]:.3e} is below cutoff {cutoff:g}"
         )
+    if not finite:
+        raise SingularChannelError(f"transfer matrix passes cutoff {cutoff:g} but has no finite LU inverse")
     return inv
 
 
 def inverse_transfer(T: TransferMatrix, tol: float = DEFAULT_SV_CUTOFF) -> TransferMatrix:
     """Transfer matrix of the inverse map: the LU inverse of :func:`_checked_inverse`.
 
-    ``tol`` is the relative singular-value cutoff: the map counts as singular,
-    and raises :class:`SingularChannelError`, when its smallest singular value
-    is at most ``tol`` times its largest, and also when it passes (only
-    possible below about 1e-16) without a finite LU inverse.
+    ``tol`` is the relative singular-value cutoff.  Raises
+    :class:`SingularChannelError` when the map is singular at ``tol`` or has no
+    finite LU inverse, and ``ValueError`` for a NaN or infinite entry.
     """
-    inv = _checked_inverse(T.gamma, tol)
-    if inv is None:
-        raise SingularChannelError(f"transfer matrix passes cutoff {tol:g} but has no finite LU inverse")
-    return TransferMatrix(dim=T.dim, gamma=inv)
+    return TransferMatrix(dim=T.dim, gamma=_checked_inverse(T.gamma, tol))
 
 
 def apply_channel(T: TransferMatrix, rho: np.ndarray) -> np.ndarray:

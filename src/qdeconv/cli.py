@@ -101,8 +101,11 @@ def deconvolve(ctx: click.Context, true_spec: str, guess_spec: str, output: Opti
         raise click.ClickException(str(exc))
     text = emit_family(fam)
     if output:
-        with open(output, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(output, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise click.UsageError(f"cannot write {output}: {exc}")
     else:
         click.echo(text)
 

@@ -152,14 +152,14 @@ class GuessPair:
     ) -> "GuessPair":
         """Build a pair from transfer matrices, checking that the guess is invertible.
 
-        The guess's real coordinates pass
-        :func:`~qdeconv.channels._checked_inverse`, the rule of
-        :func:`~qdeconv.channels.inverse_transfer`; the inverse is dropped.
+        ``G^T``, the transposed real coordinates of the guess that
+        :func:`modified_observable` solves against, passes
+        :func:`~qdeconv.channels._checked_inverse`; the inverse is dropped.
 
         Raises
         ------
         SingularChannelError
-            If the guess is not invertible at the given relative cutoff.
+            If ``G^T`` is singular at ``sv_cutoff`` or has no finite LU inverse.
         ValueError
             If the true channel or the guess has a NaN or infinite entry, the
             guess does not preserve Hermiticity, or ``sv_cutoff`` is NaN or
@@ -169,7 +169,7 @@ class GuessPair:
             if not np.isfinite(t.gamma).all():
                 raise ValueError(f"{name} transfer matrix has non-finite entries")
         pair = cls(phi=phi, phi_g=phi_g)
-        _checked_inverse(pair._guess_coordinates, sv_cutoff)
+        _checked_inverse(pair._guess_coordinates.T, sv_cutoff)
         return pair
 
 
@@ -648,15 +648,14 @@ def _recovery_deviations(gp: GuessPair, plain: np.ndarray) -> Callable[[np.ndarr
 def verify_family(gp: GuessPair, fam: ObservableFamily, n_states: int, seed: int) -> float:
     """Monte-Carlo check of perfect recovery over seeded random states.
 
-    Draws ``n_states`` (at least 1) random density matrices and, per state,
-    two random unit-norm real combinations of the basis: the same draws, in
-    the same order, as evaluating every basis element and both combinations
-    separately on each state.  States are evaluated in bounded blocks of
-    stacked states, and a combination's deviation is that combination of the
-    basis deviations.  Returns the maximum observed deviation of the
-    deconvolved value; raises ``ValueError`` when a deviation has an
-    imaginary part above :func:`expectation`'s threshold (a channel that
-    breaks Hermiticity).
+    Draws ``n_states`` random density matrices and, per state, two random
+    unit-norm real combinations of the basis: the same draws, in the same
+    order, as evaluating every basis element and both combinations separately
+    on each state, in bounded blocks of stacked states.  Returns the largest
+    absolute deviation of a deconvolved value, NaN if any is NaN.  Raises
+    ``ValueError`` for fewer than one state, an empty family, a dimension
+    mismatch, or an imaginary part above :func:`expectation`'s threshold (a
+    channel that breaks Hermiticity).
     """
     if n_states < 1:
         raise ValueError(f"need at least one state to verify, got {n_states}")
@@ -675,7 +674,7 @@ def verify_family(gp: GuessPair, fam: ObservableFamily, n_states: int, seed: int
         coeffs = z[:, n_state_draws:].reshape(-1, 2, k)
         coeffs /= np.linalg.norm(coeffs, axis=2, keepdims=True)
         members = np.einsum("nck,nk->nc", coeffs, deviation)
-        worst = max(worst, np.abs(deviation).max(), np.abs(members).max())
+        worst = np.max([worst, np.abs(deviation).max(), np.abs(members).max()])
     return float(worst)
 
 

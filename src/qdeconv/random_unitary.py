@@ -15,7 +15,6 @@ multiples of the identity.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -28,6 +27,7 @@ from .deconvolution import (
     ObservableFamily,
     _fix_matrix_sign,
     _fix_vector_phase,
+    _hermitian_operators,
     _ordered_null_basis,
     common_correctable_family,
 )
@@ -239,11 +239,12 @@ def two_unitary_family(
 ) -> tuple[EigGrouping, ObservableFamily]:
     """Closed-form family for noise mixing exactly two unitary conjugations.
 
-    Eigendecomposes ``W = U1^dag U2``; the family is the Hermitian span of
-    ``|w_a><w_b|`` over eigenvector pairs in a common degeneracy group.
-    With a non-degenerate spectrum that is the d real diagonal weights; each
-    group of multiplicity m contributes m^2 real parameters, built on a basis
-    of its eigenspace that depends on the eigenspace alone, not on the solver.
+    Eigendecomposes ``W = U1^dag U2``; the family is the commutant of ``W``
+    in block form: each degeneracy group of multiplicity m, with a basis ``V``
+    of its eigenspace that depends on the eigenspace alone, not on the solver,
+    contributes the m^2 matrices ``V H V^dag`` over the orthonormal Hermitian
+    basis ``H`` of m x m operators (diagonal units, then symmetric, then
+    antisymmetric).  With a non-degenerate spectrum that is the d projectors.
     """
     U1 = np.asarray(U1, dtype=complex)
     U2 = np.asarray(U2, dtype=complex)
@@ -258,12 +259,8 @@ def two_unitary_family(
     basis: list[np.ndarray] = []
     for group in grouping.groups:
         vecs = [grouping.eigenvectors[a] for a in group]
-        vecs = _projector_basis(vecs) if len(vecs) > 1 else vecs
-        basis.extend(np.outer(v, v.conj()) for v in vecs)
-        for v, w in itertools.combinations(vecs, 2):
-            cross = np.outer(v, w.conj())
-            basis.append((cross + cross.conj().T) / np.sqrt(2))
-            basis.append((-1j * cross + 1j * cross.conj().T) / np.sqrt(2))
+        V = np.column_stack(_projector_basis(vecs) if len(vecs) > 1 else vecs)
+        basis.extend(V @ _hermitian_operators(np.eye(len(vecs) ** 2), len(vecs)) @ V.conj().T)
     basis = [_fix_matrix_sign(0.5 * (A + A.conj().T)) for A in basis]
     return grouping, ObservableFamily.from_basis(d, basis)
 

@@ -262,7 +262,7 @@ _MEMORY_PROBES = (0.1, 0.3, 0.5, 0.7, 0.9)
 
 def _family_recovery_max(gps: Sequence[GuessPair], fam: ObservableFamily, params: dict) -> float:
     """Worst recovery deviation of ``fam`` over the pairs, on ``params["states"]`` random states each."""
-    return max(verify_family(gp, fam, params["states"], params["seed"] + 101 * k) for k, gp in enumerate(gps))
+    return float(np.max([verify_family(gp, fam, params["states"], params["seed"] + 101 * k) for k, gp in enumerate(gps)]))
 
 
 def _mutual_span_residual(a: np.ndarray, b: np.ndarray) -> float:
@@ -670,9 +670,9 @@ def _scenario_equivalence_covariance(params: dict, kernel_tol: float, expected: 
         if fam.n_params != eq_fam.n_params:
             dim_mismatches += 1
         mapped = U.conj().T @ fam._stacked @ U
-        max_membership = max(max_membership, _span_residual(mapped, eq_fam._stacked))
+        max_membership = float(np.max([max_membership, _span_residual(mapped, eq_fam._stacked)]))
         states = _ginibre_states(rng.normal(size=(params["states"], 2 * d * d)), d)
-        max_delta = max(max_delta, float(np.abs(_recovery_deviations(eq_gp, mapped)(states)).max()))
+        max_delta = float(np.max([max_delta, np.abs(_recovery_deviations(eq_gp, mapped)(states)).max()]))
 
     checks = (
         ScenarioCheck.from_residual(

@@ -420,6 +420,12 @@ def test_predicates():
     assert not q.is_density_matrix(np.eye(2))
 
 
+@pytest.mark.parametrize("predicate", [q.is_positive_semidefinite, q.is_density_matrix])
+def test_state_predicates_accept_nested_lists(predicate):
+    assert predicate([[0.5, 0], [0, 0.5]])
+    assert not predicate([[1.5, 0], [0, -0.5]])
+
+
 def test_validate_probabilities():
     p = q.validate_probabilities([0.25, 0.75])
     assert_allclose(p, [0.25, 0.75])

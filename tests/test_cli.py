@@ -258,6 +258,15 @@ def test_kernel_tol_must_be_non_negative(runner, spec_files, tmp_path, value):
         assert "n_params" not in result.output and "FAIL" not in result.output
 
 
+def test_deconvolve_to_an_unwritable_path_is_a_usage_error(runner, spec_files, tmp_path):
+    true_path, guess_path = spec_files
+    output = tmp_path / "missing" / "family.json"
+    result = runner.invoke(main, ["deconvolve", true_path, guess_path, "-o", str(output)])
+    assert result.exit_code == 2, result.output
+    assert f"cannot write {output}" in result.output
+    assert isinstance(result.exception, SystemExit)
+
+
 def test_verify_dimension_mismatch_is_a_usage_error(runner, spec_files, tmp_path):
     true_path, guess_path = spec_files
     fam_path = tmp_path / "qubit.json"

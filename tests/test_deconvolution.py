@@ -15,6 +15,7 @@ from qdeconv.deconvolution import (
 )
 from qdeconv.serialization import emit_family
 from qdeconv.scenarios import (
+    ScenarioCheck,
     bitflip_correlated,
     bitflip_with_memory,
     qubit_pair_unitaries,
@@ -167,33 +168,30 @@ def test_guess_check_decides_as_the_singular_value_rule(svd_calls, scale):
     outcomes = set()
     for k, T in enumerate(_parity_guesses()):
         T = q.TransferMatrix(T.dim, scale * T.gamma)
-        s = np.linalg.svd(q.GuessPair(T, T)._guess_coordinates, compute_uv=False)
-        # the same singular values in exact arithmetic; near 1e-17 the two
-        # computed ratios differ by more than the factors 0.999 and 1.001
-        s_gamma = np.linalg.svd(T.gamma, compute_uv=False)
-        for factor in (1e-3, 0.1, 0.5, 0.999, 1.001, 2, 10, 100):
-            cutoff = factor * s[-1] / s[0]
-            accepted = bool(s[-1] > cutoff * s[0])  # the rule of channels._checked_inverse
-            svd_calls.clear()
-            try:
-                q.GuessPair.from_transfers(T, T, cutoff)
-            except q.SingularChannelError:
-                assert not accepted, (k, factor)
-            else:
-                assert accepted, (k, factor)
-            paths.add((accepted, len(svd_calls)))
-            # inverse_transfer decides by the same rule on the transfer matrix,
-            # and also needs a finite LU inverse to return
-            accepted = bool(s_gamma[-1] > cutoff * s_gamma[0])
-            try:
-                inv = q.inverse_transfer(T, cutoff).gamma
-            except q.SingularChannelError as err:
-                assert not accepted or not _has_finite_lu_inverse(T.gamma), (k, factor)
-                assert ("no finite LU inverse" in str(err)) == accepted, (k, factor)
-                outcomes.add((accepted, "raised"))
-            else:
-                assert accepted and np.isfinite(inv).all(), (k, factor)
-                outcomes.add((accepted, "inverted"))
+        # each caller decides on its own matrix: from_transfers on G^T, the
+        # matrix modified observables solve against, inverse_transfer on gamma;
+        # near 1e-17 their computed ratios differ by more than the factors 0.999 and 1.001
+        callers = (
+            (lambda c: q.GuessPair.from_transfers(T, T, c), q.GuessPair(T, T)._guess_coordinates.T),
+            (lambda c: q.inverse_transfer(T, c).gamma, T.gamma),
+        )
+        for call, M in callers:
+            s = np.linalg.svd(M, compute_uv=False)
+            invertible = _has_finite_lu_inverse(M)
+            for factor in (1e-3, 0.1, 0.5, 0.999, 1.001, 2, 10, 100):
+                cutoff = factor * s[-1] / s[0]
+                accepted = bool(s[-1] > cutoff * s[0])  # the rule of channels._checked_inverse
+                svd_calls.clear()
+                try:
+                    call(cutoff)
+                except q.SingularChannelError as err:
+                    assert not accepted or not invertible, (k, factor)
+                    assert ("no finite LU inverse" in str(err)) == accepted, (k, factor)
+                    outcomes.add((accepted, "raised"))
+                else:
+                    assert accepted and invertible, (k, factor)
+                    outcomes.add((accepted, "inverted"))
+                paths.add((accepted, len(svd_calls)))
     # the bracket alone accepts; the SVD accepts and rejects
     assert paths == {(True, 0), (True, 1), (False, 1)}
     assert outcomes == {(True, "inverted"), (True, "raised"), (False, "raised")}
@@ -206,19 +204,51 @@ def test_inverse_transfer_of_a_clearly_invertible_channel_takes_no_svd(svd_calls
     assert_allclose(inv.gamma @ T.gamma, np.eye(9), atol=1e-12)
 
 
-def test_cutoff_zero_accepts_a_guess_without_lu_inverse_but_cannot_invert_it():
+def test_zero_pivot_guess_is_rejected_by_both_callers():
     # a replacement channel plus a unitary at weight 2.7e-18: s_min/s_max is
     # about 1e-19, above a zero cutoff, but the LU factorizations of both the
     # transfer matrix and the guess coordinates hit an exactly zero pivot
     T = list(_parity_guesses())[20]
+    G = q.GuessPair(T, T)._guess_coordinates
     assert not _has_finite_lu_inverse(T.gamma)
-    assert not _has_finite_lu_inverse(q.GuessPair(T, T)._guess_coordinates)
+    assert not _has_finite_lu_inverse(G) and not _has_finite_lu_inverse(G.T)
     assert np.linalg.svd(T.gamma, compute_uv=False)[-1] > 0
-    q.GuessPair.from_transfers(T, T, 0.0)
-    with pytest.raises(q.SingularChannelError, match="^transfer matrix passes cutoff 0 but has no finite LU inverse$"):
-        q.inverse_transfer(T, 0.0)
-    with pytest.raises(q.SingularChannelError, match="is below cutoff 1e-08$"):
-        q.inverse_transfer(T)
+    for build in (q.inverse_transfer, lambda T, cutoff: q.GuessPair.from_transfers(T, T, cutoff)):
+        with pytest.raises(q.SingularChannelError, match="^transfer matrix passes cutoff 0 but has no finite LU inverse$"):
+            build(T, 0.0)
+        with pytest.raises(q.SingularChannelError, match="is below cutoff 1e-08$"):
+            build(T, 1e-8)
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+def test_inverse_transfer_rejects_non_finite_entries(entry):
+    gamma = np.eye(4, dtype=complex)
+    gamma[1, 2] = entry
+    with pytest.raises(ValueError, match="^transfer matrix has non-finite entries$"):
+        q.inverse_transfer(q.TransferMatrix(2, gamma))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.sampled_from([2, 3]),
+    log_weight=st.floats(-20, 0),
+    log_cutoff=st.floats(-20, -2),
+)
+def test_an_accepted_guess_gives_finite_hermitian_modified_observables(seed, d, log_weight, log_cutoff):
+    # a random CPTP guess mixed into the rank-one replacement rho -> tr(rho) sigma
+    rng = np.random.default_rng(seed)
+    guess = q.transfer_from_kraus(q.random_cptp_channel(d, int(rng.integers(1, 4)), rng)).gamma
+    replacement = np.outer(q.random_density_matrix(d, rng).reshape(-1), np.eye(d).reshape(-1))
+    weight = 10.0**log_weight
+    T = q.TransferMatrix(d, (1 - weight) * replacement + weight * guess)
+    try:
+        gp = q.GuessPair.from_transfers(T, T, 10.0**log_cutoff)
+    except q.SingularChannelError:
+        return
+    M = q.modified_observable(gp, random_hermitian(d, rng))
+    assert np.isfinite(M).all()
+    assert np.array_equal(M, M.conj().T)
 
 
 def test_clearly_invertible_guess_takes_no_svd(svd_calls):
@@ -834,6 +864,17 @@ def test_verify_family_rejects_channel_that_breaks_hermiticity():
         evaluate_oracle(gp, fam, 3, 0)
     with pytest.raises(ValueError, match="imaginary residual"):
         q.verify_family(gp, fam, 3, seed=0)
+
+
+def test_verify_family_propagates_a_nan_deviation():
+    # a plain pair is unchecked, so its true channel may hold a NaN
+    gamma = np.eye(4, dtype=complex)
+    gamma[np.diag_indices(4)] = np.nan
+    gp = q.GuessPair(q.TransferMatrix(2, gamma), q.TransferMatrix(2, np.eye(4)))
+    fam = q.ObservableFamily.from_basis(2, [np.eye(2) / np.sqrt(2)])
+    worst = q.verify_family(gp, fam, 5, seed=0)
+    assert np.isnan(worst)
+    assert not ScenarioCheck.from_residual("recovery exact on random states", worst, 1e-9).passed
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import qdeconv as q
@@ -302,6 +304,31 @@ def test_two_unitary_param_count_lower_bound(rng):
             grouping, fam = q.two_unitary_family(U1, U2)
             assert fam.n_params >= d
             assert fam.n_params == sum(m * m for m in grouping.multiplicities)
+
+
+@st.composite
+def planted_spectra(draw):
+    """``(d, multiplicities, phases)``: one phase per group, at least 1e-3 apart on the circle."""
+    d = draw(st.sampled_from([2, 3, 4]))
+    multiplicities = []
+    while sum(multiplicities) < d:
+        multiplicities.append(draw(st.integers(1, d - sum(multiplicities))))
+    phases = draw(st.lists(st.floats(-np.pi, np.pi), min_size=len(multiplicities), max_size=len(multiplicities)))
+    ordered = np.sort(phases)
+    assume(np.diff(ordered, append=ordered[0] + 2 * np.pi).min() >= 1e-3)
+    return d, multiplicities, phases
+
+
+@settings(max_examples=60, deadline=None)
+@given(spectrum=planted_spectra(), seed=st.integers(0, 2**32 - 1))
+def test_two_unitary_family_is_the_commutant_of_a_planted_spectrum(spectrum, seed):
+    d, multiplicities, phases = spectrum
+    Q = q.haar_random_unitary(d, np.random.default_rng(seed))
+    W = Q @ np.diag(np.exp(1j * np.repeat(phases, multiplicities))) @ Q.conj().T
+    grouping, fam = q.two_unitary_family(np.eye(d), W)
+    assert sorted(grouping.multiplicities) == sorted(multiplicities)
+    assert fam.n_params == sum(m * m for m in multiplicities) >= d
+    assert q.spans_coincide(fam, q.commutant_family([W]), 1e-9)
 
 
 def test_two_unitary_rejects_bad_input():
