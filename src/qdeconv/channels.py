@@ -1,9 +1,9 @@
 """Quantum channel representations and exact conversions between them.
 
 Dense linear algebra for completely positive trace-preserving (CPTP) maps on
-a d-dimensional system: the Kraus form, the d^2 x d^2 transfer matrix acting
-on vectorized operators, and the Choi state, plus the adjoint, inverse,
-composition and application operations everything else builds on.
+a d-dimensional system: the Kraus form and the d^2 x d^2 transfer matrix acting
+on vectorized operators, plus the adjoint, inverse, composition and
+application operations everything else builds on.
 
 Conventions
 -----------
@@ -97,11 +97,26 @@ def is_hermitian(M: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     return M.shape[0] == M.shape[1] and np.linalg.norm(M - M.conj().T) <= tol
 
 
+def _unitarity_residual(U: np.ndarray) -> float:
+    """Frobenius norm of ``U^dag U - I`` for a square ``U``: ``inf`` or NaN,
+    without a warning, when an entry is infinite or the products overflow."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.linalg.norm(U.conj().T @ U - np.eye(len(U))))
+
+
 def is_unitary(M: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     """Whether ``M^dag M`` equals the identity within ``tol`` (Frobenius)."""
     _require_non_negative(tol, "tolerance")
     M = _as_complex_matrix(M)
-    return M.shape[0] == M.shape[1] and np.linalg.norm(M.conj().T @ M - np.eye(len(M))) <= tol
+    return M.shape[0] == M.shape[1] and _unitarity_residual(M) <= tol
+
+
+def is_cptp(ch: KrausChannel, tol: float = DEFAULT_TOL) -> bool:
+    """Whether the Kraus channel is trace preserving within ``tol``: a map in
+    Kraus form is completely positive by construction.  False, without a
+    warning, for a NaN or infinite entry or products that overflow."""
+    _require_non_negative(tol, "tolerance")
+    return ch.trace_preservation_residual() <= tol
 
 
 def is_positive_semidefinite(M: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
@@ -120,7 +135,7 @@ def is_density_matrix(M: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Vectorization and inner product
+# Vectorization
 # ---------------------------------------------------------------------------
 
 def vectorize(M: np.ndarray) -> np.ndarray:
@@ -148,18 +163,6 @@ def devectorize(v: np.ndarray, d: int) -> np.ndarray:
     return v.reshape(d, d)
 
 
-def hs_inner(X: np.ndarray, Y: np.ndarray) -> complex:
-    """Hilbert-Schmidt inner product ``Tr(X^dag Y)``.
-
-    Equals the ordinary inner product of the vectorized operators.
-    """
-    X = _as_complex_matrix(X, "X")
-    Y = _as_complex_matrix(Y, "Y")
-    if X.shape != Y.shape or X.shape[0] != X.shape[1]:
-        raise ValueError(f"operands must share a square shape, got {X.shape} and {Y.shape}")
-    return complex(np.sum(X.conj() * Y))
-
-
 # ---------------------------------------------------------------------------
 # Channel value types
 # ---------------------------------------------------------------------------
@@ -168,9 +171,9 @@ def hs_inner(X: np.ndarray, Y: np.ndarray) -> complex:
 class KrausChannel:
     """A channel given by a nonempty list of d x d Kraus operators.
 
-    Construction only enforces shapes; trace preservation and complete
-    positivity are diagnosed by :func:`is_cptp` so that deliberately
-    non-physical operator lists can still be inspected.
+    Construction only enforces shapes, so that operator lists that are not
+    trace preserving can still be inspected; :func:`is_cptp` checks trace
+    preservation.
     """
 
     dim: int
@@ -239,32 +242,6 @@ class TransferMatrix:
         return float(np.linalg.norm(vi.conj() @ self.gamma - vi.conj()))
 
 
-@dataclass(frozen=True, eq=False)
-class ChoiMatrix:
-    """The Choi state of a channel, normalized to unit trace for CPTP maps."""
-
-    dim: int
-    choi: np.ndarray
-
-    def __post_init__(self) -> None:
-        c = _as_complex_matrix(self.choi, "choi")
-        if c.shape != (self.dim**2, self.dim**2):
-            raise ValueError(
-                f"choi shape {c.shape} does not match dim {self.dim} (need {self.dim**2})"
-            )
-        object.__setattr__(self, "choi", _frozen(c))
-
-
-@dataclass(frozen=True)
-class CptpReport:
-    """Diagnostic result of :func:`is_cptp`."""
-
-    trace_preserving: bool
-    completely_positive: bool
-    tp_residual: float
-    choi_min_eigenvalue: float
-
-
 def validate_probabilities(ps: Sequence[float], tol: float = DEFAULT_TOL) -> np.ndarray:
     """Check that ``ps`` is a probability vector and return it as an array.
 
@@ -297,52 +274,6 @@ def transfer_from_kraus(ch: KrausChannel) -> TransferMatrix:
     for A in ch.kraus:
         gamma += _kron(A, A.conj())
     return TransferMatrix(dim=d, gamma=gamma)
-
-
-def choi_from_channel(ch: KrausChannel) -> ChoiMatrix:
-    """Choi state ``(1/d) sum_k |vec(A_k)><vec(A_k)|`` of a Kraus channel.
-
-    This equals applying the channel to one half of the maximally entangled
-    state: ``(1/d) sum_ij channel(|i><j|) (x) |i><j|``.  An infinite entry, or
-    products that overflow, give non-finite entries without a warning.
-    """
-    d = ch.dim
-    C = np.zeros((d * d, d * d), dtype=complex)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for A in ch.kraus:
-            v = vectorize(A)
-            C += np.outer(v, v.conj())
-        C /= d
-    return ChoiMatrix(dim=d, choi=C)
-
-
-def reshuffle(C: ChoiMatrix) -> TransferMatrix:
-    """Convert a Choi state back to the transfer matrix by index reshuffling.
-
-    With row-major vectorization the relation is
-
-        gamma[i*d + j, k*d + l] = d * choi[i*d + k, j*d + l],
-
-    the inverse of :func:`choi_from_channel` composed with
-    :func:`transfer_from_kraus`.
-    """
-    d = C.dim
-    c4 = C.choi.reshape(d, d, d, d)
-    gamma = d * c4.transpose(0, 2, 1, 3).reshape(d * d, d * d)
-    return TransferMatrix(dim=d, gamma=gamma)
-
-
-def choi_from_transfer(T: TransferMatrix) -> ChoiMatrix:
-    """Choi matrix of an arbitrary linear map given by its transfer matrix.
-
-    The index reshuffle is an involution, so this inverts :func:`reshuffle`;
-    for maps that are not completely positive the result has negative
-    eigenvalues, which is how such maps are diagnosed.
-    """
-    d = T.dim
-    g4 = T.gamma.reshape(d, d, d, d)
-    choi = g4.transpose(0, 2, 1, 3).reshape(d * d, d * d) / d
-    return ChoiMatrix(dim=d, choi=choi)
 
 
 def adjoint_transfer(T: TransferMatrix) -> TransferMatrix:
@@ -446,8 +377,9 @@ def unitary_channel(U: np.ndarray, tol: float = DEFAULT_TOL) -> KrausChannel:
     _require_non_negative(tol, "tolerance")
     d = _require_square(U, "U")
     U = np.asarray(U, dtype=complex)
-    residual = np.linalg.norm(U.conj().T @ U - np.eye(d))
-    if residual > tol:
+    residual = _unitarity_residual(U)
+    # written so that a NaN residual fails too
+    if not residual <= tol:
         raise NonUnitaryError(f"matrix is not unitary: residual {residual:.3e} > {tol:g}")
     return KrausChannel(dim=d, kraus=(U,))
 
@@ -480,27 +412,6 @@ def random_unitary_channel(
         ops.append(unitary_channel(U, tol).kraus[0])
     kraus = tuple(np.sqrt(pk) * U for pk, U in zip(p, ops))
     return KrausChannel(dim=d, kraus=kraus)
-
-
-def is_cptp(ch: KrausChannel, tol: float = DEFAULT_TOL) -> CptpReport:
-    """Diagnose trace preservation and complete positivity of a Kraus channel.
-
-    Never raises for a channel: returns the numeric residuals so callers can
-    report them.  A channel whose Choi matrix is not finite (a NaN or infinite
-    Kraus entry, or one whose products overflow) is neither, with a NaN floor.
-    """
-    _require_non_negative(tol, "tolerance")
-    tp_residual = ch.trace_preservation_residual()
-    choi = choi_from_channel(ch).choi
-    if not np.isfinite(choi).all():  # eigvalsh would raise LinAlgError
-        return CptpReport(False, False, tp_residual, float("nan"))
-    eigs = np.linalg.eigvalsh(choi)
-    return CptpReport(
-        trace_preserving=tp_residual <= tol,
-        completely_positive=bool(eigs.min() >= -tol),
-        tp_residual=tp_residual,
-        choi_min_eigenvalue=float(eigs.min()),
-    )
 
 
 # ---------------------------------------------------------------------------

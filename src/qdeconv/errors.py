@@ -26,7 +26,7 @@ class SpecParseError(QdeconvError):
 
 
 class CptpViolationError(SpecParseError):
-    """A parsed channel payload is not completely positive and trace preserving."""
+    """A parsed channel payload is not trace preserving (its Kraus form is completely positive)."""
 
 
 class UnknownScenarioError(QdeconvError):

@@ -277,11 +277,10 @@ def _resolve(doc: dict) -> KrausChannel:
         channel = KrausChannel(dim=dim, kraus=tuple(ops))
     except ValueError as exc:
         raise SpecParseError(str(exc)) from exc
-    report = is_cptp(channel, DEFAULT_TOL)
-    if not (report.trace_preserving and report.completely_positive):
+    if not is_cptp(channel, DEFAULT_TOL):
         raise CptpViolationError(
             f"channel {name!r} is not CPTP: trace-preservation residual "
-            f"{report.tp_residual:.3e}, Choi eigenvalue floor {report.choi_min_eigenvalue:.3e}"
+            f"{channel.trace_preservation_residual():.3e}"
         )
     return channel
 
@@ -296,8 +295,10 @@ def parse_channel_spec(text: str | bytes) -> ChannelSpec:
         channel-spec schema (the message names the JSON path), and counts,
         weights, shapes or members the channel cannot have.
     CptpViolationError
-        When the payload resolves to a non-CPTP channel; the message names
-        the trace-preservation residual and the Choi eigenvalue floor.
+        When the payload resolves to a channel that is not trace preserving
+        within ``DEFAULT_TOL``; the message names the trace-preservation
+        residual only.  A Kraus form is completely positive by construction,
+        so there is no positivity floor to check or report.
     """
     doc = _load_json(text)
     with _violations("channel_spec document violates schema"):

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from qdeconv import PAULIS, hs_inner
+from qdeconv import PAULIS
 from qdeconv.deconvolution import _hermitian_basis
 from qdeconv.serialization import unitary_spec
 
@@ -19,6 +19,29 @@ def kron(*mats: np.ndarray) -> np.ndarray:
     for m in mats[1:]:
         out = np.kron(out, m)
     return out
+
+
+def hs_inner(X: np.ndarray, Y: np.ndarray) -> complex:
+    """Hilbert-Schmidt inner product ``Tr(X^dag Y)``: the inner product of the
+    vectorized operators."""
+    return complex(np.vdot(X, Y))
+
+
+def choi_state(kraus) -> np.ndarray:
+    """Choi state ``(1/d) sum_k |vec(A_k)><vec(A_k)|`` of a Kraus list, ``vec``
+    row-major: the channel applied to one half of the maximally entangled
+    state, ``(1/d) sum_ij channel(|i><j|) (x) |i><j|``."""
+    d = len(kraus[0])
+    return sum(np.outer(A.reshape(-1), A.reshape(-1).conj()) for A in kraus) / d
+
+
+def reshuffle(M: np.ndarray) -> np.ndarray:
+    """The index reshuffle ``R[i*d + j, k*d + l] = M[i*d + k, j*d + l]``, an
+    involution.  With row-major ``vec`` it takes ``d`` times a channel's Choi
+    state to its transfer matrix, and a transfer matrix to ``d`` times the
+    Choi matrix of its map, completely positive or not."""
+    d = int(round(np.sqrt(len(M))))
+    return M.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
 
 
 def apply_kraus(kraus, rho: np.ndarray) -> np.ndarray:

@@ -17,6 +17,8 @@ import qdeconv as q
 from qdeconv.channels import random_hermitian
 from qdeconv.scenarios import run_scenario
 
+from conftest import choi_state, reshuffle
+
 
 def _finish(number: int, label: str, failures: list[str], elapsed: float, limit: float) -> None:
     if elapsed >= limit:
@@ -125,7 +127,7 @@ def test_criterion_8_representation_identities():
             ch = q.random_cptp_channel(d, 2, rng)
             T = q.transfer_from_kraus(ch)
 
-            reshuffled = q.reshuffle(q.choi_from_channel(ch)).gamma
+            reshuffled = d * reshuffle(choi_state(ch.kraus))
             if np.linalg.norm(reshuffled - T.gamma) > 1e-10:
                 failures.append(f"d={d} #{k}: choi reshuffle mismatch")
 

@@ -8,11 +8,11 @@ import qdeconv as q
 from qdeconv.channels import _ginibre_states, _kron, random_hermitian
 from qdeconv.scenarios import qutrit_extreme_channel, three_unitary_error_set
 
-from conftest import SIGMA, apply_kraus, kron, matrix_unit
+from conftest import SIGMA, apply_kraus, choi_state, kron, matrix_unit, reshuffle
 
 
 # ---------------------------------------------------------------------------
-# vectorize / devectorize / hs_inner
+# vectorize / devectorize
 # ---------------------------------------------------------------------------
 
 def test_vectorize_identity_layout():
@@ -45,39 +45,8 @@ def test_vectorize_roundtrip_property(d, seed):
     assert v[i * d + j] == M[i, j]
 
 
-def test_hs_inner_identity():
-    assert q.hs_inner(np.eye(2), np.eye(2)) == pytest.approx(2)
-
-
-def test_hs_inner_orthogonal_paulis():
-    assert q.hs_inner(SIGMA[1], SIGMA[3]) == pytest.approx(0)
-
-
-def test_hs_inner_matches_trace_oracle(rng):
-    X = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    Y = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    oracle = np.trace(X.conj().T @ Y)
-    assert abs(q.hs_inner(X, Y) - oracle) < 1e-12
-    # equals the inner product of the vectorized operators
-    assert abs(q.hs_inner(X, Y) - np.vdot(q.vectorize(X), q.vectorize(Y))) < 1e-12
-
-
-def test_hs_inner_shape_mismatch():
-    with pytest.raises(ValueError):
-        q.hs_inner(np.eye(2), np.eye(3))
-
-
-@settings(deadline=None, max_examples=25)
-@given(seed=st.integers(0, 2**31 - 1))
-def test_hs_inner_conjugate_symmetry(seed):
-    g = np.random.default_rng(seed)
-    X = g.normal(size=(3, 3)) + 1j * g.normal(size=(3, 3))
-    Y = g.normal(size=(3, 3)) + 1j * g.normal(size=(3, 3))
-    assert abs(q.hs_inner(X, Y) - np.conj(q.hs_inner(Y, X))) < 1e-12
-
-
 # ---------------------------------------------------------------------------
-# transfer / choi / reshuffle
+# transfer matrix
 # ---------------------------------------------------------------------------
 
 def test_transfer_identity_channel():
@@ -107,55 +76,12 @@ def test_transfer_trace_preservation_invariant(rng):
         assert T.trace_preservation_residual() < 1e-12
 
 
-def test_choi_identity_channel_is_maximally_entangled():
-    C = q.choi_from_channel(q.unitary_channel(np.eye(2)))
-    omega = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
-    assert_allclose(C.choi, np.outer(omega, omega.conj()), atol=1e-15)
-    eigs = np.linalg.eigvalsh(C.choi)
-    assert eigs[-1] == pytest.approx(1.0)
-    assert np.trace(C.choi) == pytest.approx(1.0)
-
-
-def test_choi_completely_depolarizing():
-    d = 3
-    kraus = [matrix_unit(d, i, j) / np.sqrt(d) for i in range(d) for j in range(d)]
-    C = q.choi_from_channel(q.KrausChannel.from_operators(kraus))
-    assert_allclose(C.choi, np.eye(d * d) / d**2, atol=1e-14)
-
-
-def test_choi_extreme_qutrit_channel_is_state():
-    C = q.choi_from_channel(qutrit_extreme_channel(1.0))
-    eigs = np.linalg.eigvalsh(C.choi)
-    assert eigs.min() >= -1e-10
-    assert abs(np.trace(C.choi) - 1) < 1e-12
-    assert np.linalg.norm(C.choi - C.choi.conj().T) < 1e-12
-
-
-def test_reshuffle_identity():
-    C = q.choi_from_channel(q.unitary_channel(np.eye(2)))
-    assert_allclose(q.reshuffle(C).gamma, np.eye(4), atol=1e-14)
-
-
 def test_reshuffle_bitflip():
     p = 0.2
     ch = q.KrausChannel.from_operators([np.sqrt(1 - p) * SIGMA[0], np.sqrt(p) * SIGMA[1]])
     expected = (1 - p) * np.eye(4) + p * kron(SIGMA[1], SIGMA[1])
-    assert_allclose(q.reshuffle(q.choi_from_channel(ch)).gamma, expected, atol=1e-14)
+    assert_allclose(2 * reshuffle(choi_state(ch.kraus)), expected, atol=1e-14)
     assert_allclose(q.transfer_from_kraus(ch).gamma, expected, atol=1e-14)
-
-
-def test_reshuffle_roundtrip_random_channel(rng):
-    ch = q.random_cptp_channel(2, 2, rng)
-    direct = q.transfer_from_kraus(ch)
-    via_choi = q.reshuffle(q.choi_from_channel(ch))
-    assert np.linalg.norm(direct.gamma - via_choi.gamma) < 1e-12
-
-
-def test_choi_from_transfer_inverts_reshuffle(rng):
-    ch = q.random_cptp_channel(3, 2, rng)
-    T = q.transfer_from_kraus(ch)
-    assert np.linalg.norm(q.choi_from_transfer(T).choi - q.choi_from_channel(ch).choi) < 1e-13
-    assert np.linalg.norm(q.reshuffle(q.choi_from_transfer(T)).gamma - T.gamma) < 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +209,16 @@ def test_unitary_channel_rejects_non_unitary():
         q.unitary_channel(0.9 * np.eye(2))
 
 
+@pytest.mark.parametrize("entry", [np.inf, 1e300])
+def test_unitarity_checks_reject_an_overflowing_matrix_without_a_warning(entry):
+    # warnings are errors in this suite: U^dag U overflows, and inf * 0 is NaN
+    U = np.eye(2, dtype=complex)
+    U[0, 0] = entry
+    assert not q.is_unitary(U)
+    with pytest.raises(q.NonUnitaryError):
+        q.unitary_channel(U)
+
+
 def test_random_unitary_channel_trivial():
     ch = q.random_unitary_channel([1.0], [np.eye(2)])
     assert_allclose(ch.kraus[0], np.eye(2))
@@ -316,17 +252,15 @@ def test_random_unitary_channel_non_unitary():
 
 
 def test_is_cptp_extreme_qutrit():
-    report = q.is_cptp(qutrit_extreme_channel(1.3))
-    assert report.trace_preserving and report.completely_positive
-    assert report.tp_residual < 1e-12
+    ch = qutrit_extreme_channel(1.3)
+    assert q.is_cptp(ch) is True
+    assert ch.trace_preservation_residual() < 1e-12
 
 
 def test_is_cptp_flags_trace_violation():
-    report = q.is_cptp(q.KrausChannel.from_operators([0.9 * np.eye(2)]))
-    assert not report.trace_preserving
-    assert report.tp_residual == pytest.approx(np.linalg.norm(0.81 * np.eye(2) - np.eye(2)))
-    # still reports rather than raising
-    assert report.completely_positive
+    ch = q.KrausChannel.from_operators([0.9 * np.eye(2)])
+    assert q.is_cptp(ch) is False
+    assert ch.trace_preservation_residual() == pytest.approx(np.linalg.norm(0.81 * np.eye(2) - np.eye(2)))
 
 
 def test_is_cptp_reports_a_nan_channel_without_eigvalsh(monkeypatch):
@@ -334,29 +268,46 @@ def test_is_cptp_reports_a_nan_channel_without_eigvalsh(monkeypatch):
         raise AssertionError("eigvalsh called")
 
     monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
-    report = q.is_cptp(q.KrausChannel.from_operators([np.array([[np.nan, 0], [0, 1]])]))
-    assert not report.trace_preserving and not report.completely_positive
-    assert np.isnan(report.choi_min_eigenvalue)
+    assert q.is_cptp(q.KrausChannel.from_operators([np.array([[np.nan, 0], [0, 1]])])) is False
 
 
 @pytest.mark.parametrize("entry", [np.inf, 1e300])
 def test_is_cptp_reports_an_overflowing_channel_without_a_warning(entry):
     # warnings are errors in this suite: the products' overflow and inf - inf
-    # warned from trace_preservation_residual and choi_from_channel
+    # would warn from trace_preservation_residual
     A = np.eye(2, dtype=complex)
     A[0, 1] = entry
     ch = q.KrausChannel.from_operators([A])
     assert not np.isfinite(ch.trace_preservation_residual())
-    assert not np.isfinite(q.choi_from_channel(ch).choi).all()
-    report = q.is_cptp(ch)
-    assert not report.trace_preserving and not report.completely_positive
-    assert not np.isfinite(report.tp_residual) and np.isnan(report.choi_min_eigenvalue)
+    assert q.is_cptp(ch) is False
+
+
+@settings(deadline=None, max_examples=200)
+@given(data=st.data(), d=st.integers(1, 4), seed=st.integers(0, 2**32 - 1), log_residual=st.floats(-16, -9.3))
+def test_trace_preserving_kraus_lists_are_completely_positive(data, d, seed, log_residual):
+    """Why ``is_cptp`` checks trace preservation only: ``sum_k A_k^dag A_k`` is
+    a sum of PSD terms, so a list that passes bounds every ``||A_k||_op`` by
+    ``sqrt(1 + tol)``, and the Choi floor of its Kraus form is pure rounding.
+    Operators span 11 decades of scale, and the list is pushed to a
+    trace-preservation residual ``r`` up to ``10**-9.3``, near the tolerance:
+    the map is scaled by ``1 + r / sqrt(d)``, since ``||(1 + e) I_d - I_d||_F``
+    is ``e sqrt(d)``."""
+    k = data.draw(st.integers(1, 2 * d * d), label="k")
+    scales = data.draw(st.lists(st.floats(-8, 3), min_size=k, max_size=k), label="log_scales")
+    g = np.random.default_rng(seed)
+    ops = [10**s * (g.normal(size=(d, d)) + 1j * g.normal(size=(d, d))) for s in scales]
+    # Householder QR: the stacked blocks A_k R^-1 have orthonormal columns to rounding
+    Q, _ = np.linalg.qr(np.vstack(ops))
+    lift = np.sqrt(1 + 10**log_residual / np.sqrt(d))
+    ch = q.KrausChannel(dim=d, kraus=tuple(lift * Q[i * d : (i + 1) * d] for i in range(k)))
+    assert q.is_cptp(ch) is True
+    assert np.linalg.eigvalsh(choi_state(ch.kraus)).min() >= -1e-12
 
 
 def test_inverse_of_noisy_channel_is_not_cp():
     ch = q.KrausChannel.from_operators([np.sqrt(0.8) * SIGMA[0], np.sqrt(0.2) * SIGMA[1]])
     T_inv = q.inverse_transfer(q.transfer_from_kraus(ch))
-    eigs = np.linalg.eigvalsh(q.choi_from_transfer(T_inv).choi)
+    eigs = np.linalg.eigvalsh(reshuffle(T_inv.gamma) / 2)
     assert eigs.min() < -1e-6
 
 
@@ -370,7 +321,7 @@ def test_representation_identities(d, rng):
         ch = q.random_cptp_channel(d, 2, rng)
         T = q.transfer_from_kraus(ch)
         # choi reshuffle round trip
-        assert np.linalg.norm(q.reshuffle(q.choi_from_channel(ch)).gamma - T.gamma) < 1e-12
+        assert np.linalg.norm(d * reshuffle(choi_state(ch.kraus)) - T.gamma) < 1e-12
         # adjoint in Kraus form
         oracle = sum(kron(A.conj().T, A.T) for A in ch.kraus)
         assert np.linalg.norm(q.adjoint_transfer(T).gamma - oracle) < 1e-12
@@ -444,8 +395,7 @@ def test_samplers(rng):
     U = q.haar_random_unitary(4, rng)
     assert q.is_unitary(U, 1e-10)
     ch = q.random_cptp_channel(3, 3, rng)
-    report = q.is_cptp(ch)
-    assert report.trace_preserving and report.completely_positive
+    assert q.is_cptp(ch) is True
 
 
 @settings(max_examples=40, deadline=None)
@@ -496,7 +446,6 @@ def _equal_but_distinct_values():
     builders = {
         "KrausChannel": lambda: q.KrausChannel.from_operators([U2]),
         "TransferMatrix": lambda: q.transfer_from_kraus(q.unitary_channel(U2)),
-        "ChoiMatrix": lambda: q.choi_from_channel(q.unitary_channel(U2)),
         "ChannelSpec": lambda: unitary_spec("z", U2),
         "GuessPair": lambda: q.GuessPair.from_transfers(*(q.transfer_from_kraus(q.unitary_channel(U)) for U in (U1, U2))),
         "ObservableFamily": lambda: q.ObservableFamily.from_basis(2, [U1 / np.sqrt(2)]),

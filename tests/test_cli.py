@@ -390,6 +390,21 @@ def test_spec_with_non_unitary_member_is_a_usage_error(runner, spec_files, tmp_p
     assert f"{bad}: member 0 of 'scaled projectors' is not unitary" in result.output
 
 
+def test_spec_with_an_overflowing_member_is_a_usage_error_without_a_warning(runner, tmp_path):
+    # warnings are errors in this suite: the member's U^dag U overflows
+    bad = tmp_path / "r.json"
+    bad.write_text(json.dumps({
+        "schema_version": 1,
+        "kind": "random_unitary",
+        "dim": 2,
+        "name": "r",
+        "unitaries": [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]], [[[1e300, 0], [0, 0]], [[0, 0], [1, 0]]]],
+    }))
+    result = runner.invoke(main, ["deconvolve", str(bad), str(bad)])
+    assert result.exit_code == 2, result.output
+    assert f"{bad}: member 1 of 'r' is not unitary" in result.output
+
+
 def test_examples_run_singular_guess_is_a_usage_error(runner):
     # the correlated bit-flip guess at p = 1/2 has no inverse
     result = runner.invoke(main, ["examples", "run", "bitflip-memory", "--set", "p=0.5"])

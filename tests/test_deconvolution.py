@@ -28,6 +28,7 @@ from conftest import (
     SIGMA,
     apply_kraus,
     coordinates_oracle,
+    hs_inner,
     kron,
     matrix_unit,
     membership_oracle,
@@ -45,7 +46,7 @@ def guess_pair(true_ch, guess_ch):
 def perturbed_qutrit_family(fam):
     """``fam`` with its first member nudged along an uncorrectable direction."""
     bad = fam.basis[0] + 0.01 * (matrix_unit(3, 0, 1) + matrix_unit(3, 1, 0))
-    bad = bad / np.sqrt(q.hs_inner(bad, bad).real)
+    bad = bad / np.sqrt(hs_inner(bad, bad).real)
     return q.ObservableFamily.from_basis(3, [bad] + list(fam.basis[1:]))
 
 

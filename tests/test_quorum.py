@@ -19,7 +19,7 @@ from qdeconv.scenarios import (
     recovery_probe_observable,
 )
 
-from conftest import SIGMA, apply_kraus, choice_estimate, kron
+from conftest import SIGMA, apply_kraus, choice_estimate, hs_inner, kron
 
 
 def guess_pair(true_ch, guess_ch):
@@ -42,7 +42,7 @@ def test_quorum_d2_is_normalized_pauli_basis():
 def test_quorum_d3_gram_matrix():
     qb = q.quorum_basis(3)
     assert len(qb.basis) == 9
-    gram = np.array([[q.hs_inner(a, b) for b in qb.basis] for a in qb.basis])
+    gram = np.array([[hs_inner(a, b) for b in qb.basis] for a in qb.basis])
     assert np.linalg.norm(gram - np.eye(9)) < 1e-12
 
 
@@ -71,7 +71,7 @@ def test_pauli_product_quorum_two_qubits():
     qb = q.pauli_product_quorum(2)
     assert qb.dim == 4 and len(qb.basis) == 16
     assert np.linalg.norm(qb.basis[0] - np.eye(4) / 2) < 1e-14
-    gram = np.array([[q.hs_inner(a, b) for b in qb.basis] for a in qb.basis])
+    gram = np.array([[hs_inner(a, b) for b in qb.basis] for a in qb.basis])
     assert np.linalg.norm(gram - np.eye(16)) < 1e-12
 
 

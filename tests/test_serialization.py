@@ -62,7 +62,21 @@ def test_parse_rejects_non_cptp_with_residual():
     bad = kraus_spec("bad", [0.9 * np.eye(2)])
     with pytest.raises(q.CptpViolationError) as err:
         parse_channel_spec(emit_channel_spec(bad))
-    assert "residual" in str(err.value)
+    # ||0.81 I - I||_F = 0.19 sqrt(2)
+    assert str(err.value) == "channel 'bad' is not CPTP: trace-preservation residual 2.687e-01"
+
+
+def test_parse_runs_no_eigendecomposition(monkeypatch):
+    # a Kraus form is completely positive by construction: the check is trace
+    # preservation alone, with no eigenvalues of a d^2 x d^2 matrix
+    text = emit_channel_spec(kraus_spec("d32", q.random_cptp_channel(32, 3, np.random.default_rng(1)).kraus))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigendecomposition during a spec parse")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    assert parse_channel_spec(text).to_kraus_channel().dim == 32
 
 
 def test_parse_rejects_malformed_json():
