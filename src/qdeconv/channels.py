@@ -28,7 +28,8 @@ import numpy as np
 
 from .errors import InvalidProbabilityError, NonUnitaryError, SingularChannelError
 
-#: Default tolerance for invariant checks (Hermiticity, trace preservation, ...).
+#: Tolerance of the channel validity checks (probabilities, unitarity,
+#: Hermiticity, trace preservation, ...), and the default of ``is_unitary``'s.
 DEFAULT_TOL = 1e-9
 
 #: Default relative singular-value cutoff below which a transfer matrix is
@@ -90,11 +91,10 @@ def _kron(A: np.ndarray, *rest: np.ndarray) -> np.ndarray:
 # Predicates
 # ---------------------------------------------------------------------------
 
-def is_hermitian(M: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    """Whether ``M`` equals its conjugate transpose within ``tol`` (Frobenius)."""
-    _require_non_negative(tol, "tolerance")
+def is_hermitian(M: np.ndarray) -> bool:
+    """Whether ``M`` equals its conjugate transpose within ``DEFAULT_TOL`` (Frobenius)."""
     M = _as_complex_matrix(M)
-    return M.shape[0] == M.shape[1] and np.linalg.norm(M - M.conj().T) <= tol
+    return M.shape[0] == M.shape[1] and np.linalg.norm(M - M.conj().T) <= DEFAULT_TOL
 
 
 def _unitarity_residual(U: np.ndarray) -> float:
@@ -111,27 +111,26 @@ def is_unitary(M: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     return M.shape[0] == M.shape[1] and _unitarity_residual(M) <= tol
 
 
-def is_cptp(ch: KrausChannel, tol: float = DEFAULT_TOL) -> bool:
-    """Whether the Kraus channel is trace preserving within ``tol``: a map in
-    Kraus form is completely positive by construction.  False, without a
-    warning, for a NaN or infinite entry or products that overflow."""
-    _require_non_negative(tol, "tolerance")
-    return ch.trace_preservation_residual() <= tol
+def is_cptp(ch: KrausChannel) -> bool:
+    """Whether the Kraus channel is trace preserving within ``DEFAULT_TOL``: a
+    map in Kraus form is completely positive by construction.  False, without
+    a warning, for a NaN or infinite entry or products that overflow."""
+    return ch.trace_preservation_residual() <= DEFAULT_TOL
 
 
-def is_positive_semidefinite(M: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    """Whether ``M`` is Hermitian with eigenvalue floor ``>= -tol``."""
+def is_positive_semidefinite(M: np.ndarray) -> bool:
+    """Whether ``M`` is Hermitian with eigenvalue floor ``>= -DEFAULT_TOL``."""
     M = _as_complex_matrix(M)
-    if not is_hermitian(M, tol):
+    if not is_hermitian(M):
         return False
     eigs = np.linalg.eigvalsh(0.5 * (M + M.conj().T))
-    return bool(eigs.min() >= -tol)
+    return bool(eigs.min() >= -DEFAULT_TOL)
 
 
-def is_density_matrix(M: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    """Whether ``M`` is a valid state: Hermitian, PSD and unit trace within ``tol``."""
-    # is_hermitian checks tol and rejects a non-square M first
-    return is_positive_semidefinite(M, tol) and abs(np.trace(M) - 1.0) <= tol
+def is_density_matrix(M: np.ndarray) -> bool:
+    """Whether ``M`` is a valid state: Hermitian, PSD and unit trace within ``DEFAULT_TOL``."""
+    # is_hermitian rejects a non-square M first
+    return is_positive_semidefinite(M) and abs(np.trace(M) - 1.0) <= DEFAULT_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -210,16 +209,6 @@ class KrausChannel:
             acc = sum(A.conj().T @ A for A in self.kraus)
             return float(np.linalg.norm(acc - np.eye(self.dim)))
 
-    def __call__(self, rho: np.ndarray) -> np.ndarray:
-        """Apply the channel in Kraus form: ``sum_k A_k rho A_k^dag``."""
-        rho = _as_complex_matrix(rho, "state")
-        if rho.shape != (self.dim, self.dim):
-            raise ValueError(f"state shape {rho.shape} does not match dim {self.dim}")
-        out = np.zeros_like(rho)
-        for A in self.kraus:
-            out += A @ rho @ A.conj().T
-        return out
-
 
 @dataclass(frozen=True, eq=False)
 class TransferMatrix:
@@ -242,23 +231,23 @@ class TransferMatrix:
         return float(np.linalg.norm(vi.conj() @ self.gamma - vi.conj()))
 
 
-def validate_probabilities(ps: Sequence[float], tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Check that ``ps`` is a probability vector and return it as an array.
+def validate_probabilities(ps: Sequence[float]) -> np.ndarray:
+    """Check that ``ps`` is a probability vector within ``DEFAULT_TOL`` and
+    return it as an array, with entries in ``[-DEFAULT_TOL, 0)`` set to 0.
 
     Raises
     ------
     InvalidProbabilityError
-        If any entry is negative (beyond ``tol``) or NaN, or the sum deviates
-        from 1.
+        If any entry is negative (beyond ``DEFAULT_TOL``) or NaN, or the sum
+        deviates from 1.
     """
-    _require_non_negative(tol, "tolerance")
     p = np.asarray(ps, dtype=float)
     if p.ndim != 1 or p.size == 0:
         raise InvalidProbabilityError("probability vector must be a nonempty 1-d sequence")
     # written so that NaN fails too
-    if not p.min() >= -tol:
+    if not p.min() >= -DEFAULT_TOL:
         raise InvalidProbabilityError(f"probability {p.min()} is negative or not a number")
-    if not abs(p.sum() - 1.0) <= max(tol, 1e-12 * p.size):
+    if not abs(p.sum() - 1.0) <= max(DEFAULT_TOL, 1e-12 * p.size):
         raise InvalidProbabilityError(f"probabilities sum to {p.sum()}, expected 1")
     return np.clip(p, 0.0, None)
 
@@ -366,52 +355,58 @@ def compose(T1: TransferMatrix, T2: TransferMatrix) -> TransferMatrix:
 # Constructors
 # ---------------------------------------------------------------------------
 
-def unitary_channel(U: np.ndarray, tol: float = DEFAULT_TOL) -> KrausChannel:
+def unitary_channel(U: np.ndarray) -> KrausChannel:
     """Unitary conjugation ``rho -> U rho U^dag`` as a single-Kraus channel.
 
     Raises
     ------
     NonUnitaryError
-        If ``U^dag U`` deviates from the identity by more than ``tol``.
+        If ``U^dag U`` deviates from the identity by more than ``DEFAULT_TOL``.
     """
-    _require_non_negative(tol, "tolerance")
     d = _require_square(U, "U")
     U = np.asarray(U, dtype=complex)
     residual = _unitarity_residual(U)
     # written so that a NaN residual fails too
-    if not residual <= tol:
-        raise NonUnitaryError(f"matrix is not unitary: residual {residual:.3e} > {tol:g}")
+    if not residual <= DEFAULT_TOL:
+        raise NonUnitaryError(f"matrix is not unitary: residual {residual:.3e} > {DEFAULT_TOL:g}")
     return KrausChannel(dim=d, kraus=(U,))
 
 
-def random_unitary_channel(
-    ps: Sequence[float],
-    Us: Sequence[np.ndarray],
-    tol: float = DEFAULT_TOL,
-) -> KrausChannel:
-    """Mixture of unitary conjugations ``rho -> sum_k p_k U_k rho U_k^dag``.
+def convex_combination(weights: Sequence[float], parts: Sequence[KrausChannel]) -> KrausChannel:
+    """Mixture ``rho -> sum_k w_k part_k(rho)`` of Kraus channels on one system.
 
-    The Kraus operators are ``sqrt(p_k) U_k``, trace preserving by
-    construction.
+    The Kraus operators are ``sqrt(w_k) A`` for each operator ``A`` of each
+    part in turn, with the weights :func:`validate_probabilities` returns; the
+    mixture is trace preserving when every part is.
 
     Raises
     ------
     InvalidProbabilityError
-        If ``ps`` is not a probability vector.
-    NonUnitaryError
-        If any ``U_k`` fails the unitarity check.
+        If ``weights`` is not a probability vector within ``DEFAULT_TOL``.
+    ValueError
+        If the number of weights and parts differ or the parts' dimensions do.
     """
-    p = validate_probabilities(ps, tol)
-    if len(Us) != p.size:
-        raise ValueError(f"{p.size} probabilities but {len(Us)} unitaries")
-    ops = []
-    for U in Us:
-        d = _require_square(U, "unitary")
-        if ops and d != ops[0].shape[0]:
-            raise ValueError("all unitaries must share one dimension")
-        ops.append(unitary_channel(U, tol).kraus[0])
-    kraus = tuple(np.sqrt(pk) * U for pk, U in zip(p, ops))
-    return KrausChannel(dim=d, kraus=kraus)
+    w = validate_probabilities(weights)
+    if len(parts) != w.size:
+        raise ValueError(f"{w.size} weights for {len(parts)} parts")
+    d = parts[0].dim
+    if any(part.dim != d for part in parts):
+        raise ValueError("all parts must share one dimension")
+    return KrausChannel(dim=d, kraus=tuple(np.sqrt(wk) * A for wk, part in zip(w, parts) for A in part.kraus))
+
+
+def random_unitary_channel(ps: Sequence[float], Us: Sequence[np.ndarray]) -> KrausChannel:
+    """Mixture of unitary conjugations ``rho -> sum_k p_k U_k rho U_k^dag``:
+    the :func:`convex_combination` of the :func:`unitary_channel` of each ``U_k``.
+
+    Raises
+    ------
+    InvalidProbabilityError
+        If ``ps`` is not a probability vector within ``DEFAULT_TOL``.
+    NonUnitaryError
+        If any ``U_k`` fails the unitarity check at ``DEFAULT_TOL``.
+    """
+    return convex_combination(ps, [unitary_channel(U) for U in Us])
 
 
 # ---------------------------------------------------------------------------

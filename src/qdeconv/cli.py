@@ -13,6 +13,7 @@ import sys
 from typing import Optional
 
 import click
+import numpy as np
 from click.core import ParameterSource
 
 from .channels import DEFAULT_TOL, is_density_matrix, transfer_from_kraus
@@ -179,8 +180,13 @@ def estimate(ctx: click.Context, observable: str, state: str, true_spec: str, gu
             raise click.UsageError(f"--quorum-dim {quorum_dim} is not a tensor root of dimension {d}")
         qb = tensor_product_quorum(quorum_basis(quorum_dim), factors)
 
-    est = deconvolved_estimate(gp, A, rho, qb, shots, ctx.obj["seed"])
-    exact = evaluate(gp, A, rho)
+    # a finite but huge observable entry overflows the modified observables or their spread
+    try:
+        with np.errstate(over="raise"):
+            est = deconvolved_estimate(gp, A, rho, qb, shots, ctx.obj["seed"])
+            exact = evaluate(gp, A, rho)
+    except FloatingPointError as exc:
+        raise click.UsageError(f"{observable}: observable is too large to estimate: {exc}")
     doc = {
         "mean": est.mean,
         "std_error": est.std_error,

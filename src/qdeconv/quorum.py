@@ -196,7 +196,7 @@ def sample_expectation(rho: np.ndarray, Q: np.ndarray, shots: int, seed: int) ->
     Q = np.asarray(Q, dtype=complex)
     if rho.shape != Q.shape or rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError(f"shape mismatch: state {rho.shape} vs observable {Q.shape}")
-    if not is_hermitian(Q, 1e-9):
+    if not is_hermitian(Q):
         raise ValueError("observable must be Hermitian")
     if shots < 1:
         raise ValueError("shots must be at least 1")

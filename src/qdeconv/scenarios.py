@@ -25,6 +25,7 @@ from .channels import (
     adjoint_transfer,
     apply_channel,
     compose,
+    convex_combination,
     devectorize,
     haar_random_unitary,
     random_unitary_channel,
@@ -73,21 +74,19 @@ def qutrit_extreme_channel(phase: float) -> KrausChannel:
     return KrausChannel(dim=3, kraus=(A1, A2, A3))
 
 
+#: The two-qubit unitary channels ``PAULIS[i] (x) PAULIS[j]`` for i, j in {0, 1}, row-major.
+_FLIPS = tuple(KrausChannel(dim=4, kraus=(_kron(PAULIS[i], PAULIS[j]),)) for i in (0, 1) for j in (0, 1))
+
+
 def bitflip_uncorrelated(p: float) -> KrausChannel:
     """Independent bit flips on two qubits with per-qubit probability ``p``."""
-    weights = validate_probabilities([1 - p, p])
-    ops = []
-    for i, wi in enumerate(weights):
-        for j, wj in enumerate(weights):
-            ops.append(np.sqrt(wi * wj) * _kron(PAULIS[i], PAULIS[j]))
-    return KrausChannel(dim=4, kraus=tuple(ops))
+    w = validate_probabilities([1 - p, p])
+    return convex_combination(np.outer(w, w).ravel(), _FLIPS)
 
 
 def bitflip_correlated(p: float) -> KrausChannel:
     """Completely correlated two-qubit bit flip: both qubits flip or neither."""
-    keep, flip = validate_probabilities([1 - p, p])
-    ops = (np.sqrt(keep) * _kron(PAULIS[0], PAULIS[0]), np.sqrt(flip) * _kron(PAULIS[1], PAULIS[1]))
-    return KrausChannel(dim=4, kraus=ops)
+    return convex_combination([1 - p, p], (_FLIPS[0], _FLIPS[3]))
 
 
 def bitflip_with_memory(p: float, mu: float) -> KrausChannel:
@@ -95,11 +94,7 @@ def bitflip_with_memory(p: float, mu: float) -> KrausChannel:
 
     ``mu`` is the memory weight on the correlated part.
     """
-    free, memory = validate_probabilities([1 - mu, mu])
-    uc = bitflip_uncorrelated(p)
-    cc = bitflip_correlated(p)
-    ops = tuple(np.sqrt(free) * A for A in uc.kraus) + tuple(np.sqrt(memory) * A for A in cc.kraus)
-    return KrausChannel(dim=4, kraus=ops)
+    return convex_combination([1 - mu, mu], [bitflip_uncorrelated(p), bitflip_correlated(p)])
 
 
 def three_unitary_error_set() -> tuple[np.ndarray, np.ndarray, np.ndarray]:

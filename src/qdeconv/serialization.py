@@ -21,7 +21,7 @@ from typing import Any, NoReturn, Sequence
 
 import numpy as np
 
-from .channels import DEFAULT_TOL, MAX_DIM, KrausChannel, is_cptp, is_unitary, validate_probabilities
+from .channels import DEFAULT_TOL, MAX_DIM, KrausChannel, convex_combination, is_cptp, is_unitary
 from .deconvolution import DeconvReport, ObservableFamily
 from .errors import CptpViolationError, InvalidProbabilityError, SpecParseError
 
@@ -238,46 +238,32 @@ _PAYLOAD_FORM = {
 
 def _resolve(doc: dict) -> KrausChannel:
     """The CPTP Kraus channel a structurally checked channel-spec document describes:
-    the one place that reads each ``kind``.  The recursive call resolves and checks each part once."""
+    the one place that reads each ``kind``.  Both mixing kinds resolve through
+    :func:`convex_combination`; the recursive call resolves and checks each part once."""
     kind, dim, name = doc["kind"], doc["dim"], doc["name"]
-    if kind == "kraus":
-        ops = [matrix_from_json(m, "Kraus operator") for m in doc["kraus"]]
-    elif kind == "unitary":
-        ops = [matrix_from_json(doc["unitary"], "unitary")]
-    else:
-        if kind == "random_unitary":
-            groups = [(matrix_from_json(m, "unitary"),) for m in doc["unitaries"]]
-            for k, (U,) in enumerate(groups):
-                # a wrong shape is left to the Kraus shape check below
+    try:
+        if kind == "kraus":
+            channel = KrausChannel(dim=dim, kraus=tuple(matrix_from_json(m, "Kraus operator") for m in doc["kraus"]))
+        elif kind == "unitary":
+            channel = KrausChannel(dim=dim, kraus=(matrix_from_json(doc["unitary"], "unitary"),))
+        elif kind == "random_unitary":
+            members = [matrix_from_json(m, "unitary") for m in doc["unitaries"]]
+            for k, U in enumerate(members):
+                # a wrong shape is left to the Kraus shape check of its part
                 if U.shape == (dim, dim) and not is_unitary(U, DEFAULT_TOL):
                     raise SpecParseError(f"member {k} of {name!r} is not unitary within {DEFAULT_TOL:g}")
-            n = len(groups)
-            weights = [float(p) for p in doc.get("probabilities", [1.0 / n] * n)]
-            counts, prefix, parts = f"{len(weights)} probabilities for {n} unitaries", "", ()
+            n = len(members)
+            parts = [KrausChannel(dim=dim, kraus=(U,)) for U in members]
+            channel = convex_combination(doc.get("probabilities", [1.0 / n] * n), parts)
         else:  # convex_combination, the last kind _check_spec admits
-            parts = doc["parts"]
-            groups = [_resolve(part).kraus for part in parts]
-            weights = [float(w) for w in doc["weights"]]
-            counts, prefix = f"{len(weights)} weights for {len(groups)} parts", "mixing weights invalid: "
-        if len(weights) != len(groups):
-            raise SpecParseError(counts)
-        try:
-            validate_probabilities(weights)
-        except InvalidProbabilityError as exc:
-            raise SpecParseError(f"{prefix}{exc}") from exc
-        for part in parts:
-            if part["dim"] != dim:
-                raise SpecParseError(
-                    f"part {part['name']!r} has dim {part['dim']}, combination declares {dim}"
-                )
-        ops = [np.sqrt(w) * A for w, group in zip(weights, groups) for A in group]
-
-    # shape sanity before the CPTP check so errors stay precise
-    try:
-        channel = KrausChannel(dim=dim, kraus=tuple(ops))
-    except ValueError as exc:
+            parts = [_resolve(part) for part in doc["parts"]]
+            for part, part_doc in zip(parts, doc["parts"]):
+                if part.dim != dim:
+                    raise SpecParseError(f"part {part_doc['name']!r} has dim {part.dim}, combination declares {dim}")
+            channel = convex_combination(doc["weights"], parts)
+    except (ValueError, InvalidProbabilityError) as exc:
         raise SpecParseError(str(exc)) from exc
-    if not is_cptp(channel, DEFAULT_TOL):
+    if not is_cptp(channel):
         raise CptpViolationError(
             f"channel {name!r} is not CPTP: trace-preservation residual "
             f"{channel.trace_preservation_residual():.3e}"

@@ -251,6 +251,43 @@ def test_random_unitary_channel_non_unitary():
         q.random_unitary_channel([0.5, 0.5], [np.eye(2), 0.5 * SIGMA[1]])
 
 
+def test_convex_combination_scales_each_part_by_the_root_of_its_weight():
+    flip = q.random_unitary_channel([0.5, 0.5], [np.eye(2), SIGMA[1]])
+    ch = q.convex_combination([0.2, 0.8], [flip, q.unitary_channel(SIGMA[3])])
+    assert [A.tolist() for A in ch.kraus] == [
+        (np.sqrt(0.2) * A).tolist() for A in flip.kraus
+    ] + [(np.sqrt(0.8) * SIGMA[3]).tolist()]
+
+
+def test_convex_combination_mixes_the_clipped_weights():
+    # -1e-10 is a probability within DEFAULT_TOL: it weighs as 0, without a warning
+    ch = q.convex_combination([1.0000000001, -1e-10], [q.unitary_channel(np.eye(2)), q.unitary_channel(SIGMA[1])])
+    assert np.array_equal(ch.kraus[1], np.zeros((2, 2)))
+    assert np.array_equal(ch.kraus[0], np.sqrt(1.0000000001) * np.eye(2))
+
+
+def test_convex_combination_rejects_bad_weights_counts_and_dimensions():
+    parts = [q.unitary_channel(np.eye(2)), q.unitary_channel(SIGMA[1])]
+    with pytest.raises(q.InvalidProbabilityError, match="probabilities sum to 1.4"):
+        q.convex_combination([0.7, 0.7], parts)
+    with pytest.raises(ValueError, match="^3 weights for 2 parts$"):
+        q.convex_combination([0.5, 0.25, 0.25], parts)
+    with pytest.raises(ValueError, match="^all parts must share one dimension$"):
+        q.convex_combination([0.5, 0.5], [parts[0], q.unitary_channel(np.eye(3))])
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.sampled_from([2, 3]), n_parts=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_random_unitary_channel_is_the_convex_combination_of_its_unitaries(d, n_parts, seed):
+    rng = np.random.default_rng(seed)
+    p = rng.dirichlet(np.ones(n_parts))
+    Us = [q.haar_random_unitary(d, rng) for _ in range(n_parts)]
+    direct = q.random_unitary_channel(p, Us)
+    mixed = q.convex_combination(p, [q.unitary_channel(U) for U in Us])
+    assert len(direct.kraus) == len(mixed.kraus) == n_parts
+    assert all(np.array_equal(A, B) for A, B in zip(direct.kraus, mixed.kraus))
+
+
 def test_is_cptp_extreme_qutrit():
     ch = qutrit_extreme_channel(1.3)
     assert q.is_cptp(ch) is True
@@ -391,7 +428,7 @@ def test_validate_probabilities():
 
 def test_samplers(rng):
     rho = q.random_density_matrix(3, rng)
-    assert q.is_density_matrix(rho, 1e-9)
+    assert q.is_density_matrix(rho)
     U = q.haar_random_unitary(4, rng)
     assert q.is_unitary(U, 1e-10)
     ch = q.random_cptp_channel(3, 3, rng)
@@ -431,12 +468,6 @@ def test_kraus_channel_validation():
 def test_from_operators_rejects_a_non_matrix_operator():
     with pytest.raises(ValueError, match="Kraus operator must be 2-dimensional, got shape"):
         q.KrausChannel.from_operators([np.array(1.0)])
-
-
-def test_kraus_channel_callable_matches_oracle(rng):
-    ch = q.random_cptp_channel(2, 2, rng)
-    rho = q.random_density_matrix(2, rng)
-    assert_allclose(ch(rho), apply_kraus(ch.kraus, rho), atol=1e-14)
 
 
 def _equal_but_distinct_values():

@@ -136,6 +136,19 @@ def test_estimate_reads_the_hermitian_part_of_a_nearly_hermitian_observable(runn
     assert outputs[0] == outputs[1]
 
 
+@pytest.mark.parametrize("shots", ["0", "100"])
+def test_estimate_with_an_overflowing_observable_is_a_usage_error_without_a_warning(runner, tmp_path, shots):
+    # a finite entry the parser admits, whose modified observable's norm overflows;
+    # warnings are errors in this suite, so exit code 2 also means no warning
+    obs_path, state_path, spec_path = (tmp_path / f"{name}.json" for name in ("obs", "state", "id"))
+    obs_path.write_text(json.dumps({"dim": 2, "matrix": [[[1e300, 0], [0, 0]], [[0, 0], [1, 0]]]}))
+    state_path.write_text(emit_hermitian_matrix(np.diag([1.0, 0.0])))
+    spec_path.write_text(emit_channel_spec(unitary_spec("identity", np.eye(2))))
+    result = runner.invoke(main, ["estimate", str(obs_path), str(state_path), str(spec_path), str(spec_path), "--shots", shots])
+    assert result.exit_code == 2, result.output
+    assert f"{obs_path}: observable is too large to estimate: overflow" in result.output
+
+
 def test_estimate_with_shots_and_pauli_quorum(runner, tmp_path):
     from qdeconv.scenarios import bitflip_correlated, bitflip_with_memory
 
@@ -403,6 +416,22 @@ def test_spec_with_an_overflowing_member_is_a_usage_error_without_a_warning(runn
     result = runner.invoke(main, ["deconvolve", str(bad), str(bad)])
     assert result.exit_code == 2, result.output
     assert f"{bad}: member 1 of 'r' is not unitary" in result.output
+
+
+@pytest.mark.parametrize("kind", ["random_unitary", "convex_combination"])
+def test_mixture_with_a_weight_just_below_zero_deconvolves(runner, tmp_path, kind):
+    # -1e-10 is a probability within 1e-9; its square root used to be taken unclipped
+    members = [unitary_spec("identity", np.eye(2)).document, unitary_spec("x", SIGMA[1]).document]
+    doc = {"schema_version": 1, "kind": kind, "dim": 2, "name": "mixture"}
+    if kind == "random_unitary":
+        doc.update(unitaries=[m["unitary"] for m in members], probabilities=[1.0000000001, -1e-10])
+    else:
+        doc.update(parts=members, weights=[1.0000000001, -1e-10])
+    spec_path = tmp_path / "mixture.json"
+    spec_path.write_text(json.dumps(doc))
+    result = runner.invoke(main, ["deconvolve", str(spec_path), str(spec_path)])
+    assert result.exit_code == 0, result.output
+    assert parse_family(result.output).n_params == 4
 
 
 def test_examples_run_singular_guess_is_a_usage_error(runner):

@@ -1,7 +1,16 @@
+import numpy as np
 import pytest
 
 import qdeconv as q
-from qdeconv.scenarios import _bitflip_family, bitflip_with_memory, emit_report, run_scenario, scenario_names
+from qdeconv.scenarios import (
+    _bitflip_family,
+    bitflip_correlated,
+    bitflip_uncorrelated,
+    bitflip_with_memory,
+    emit_report,
+    run_scenario,
+    scenario_names,
+)
 
 EXPECTED_DIMS = {
     "qutrit-extreme": 5,
@@ -106,6 +115,26 @@ def test_bitflip_memory_family_is_fixed_by_the_memory_vertices(p):
     vertex_fam = q.common_correctable_family(vertices)
     assert vertex_fam.n_params == fam.n_params == 12
     assert q.spans_coincide(vertex_fam, fam)
+
+
+@pytest.mark.parametrize("p", [0.0, 0.1, 0.25, 1 / 3, 0.5, 0.9, 1.0])
+def test_bitflip_builders_give_the_weighted_pauli_products(p):
+    # sqrt(w_i w_j) P_i (x) P_j with (w_0, w_1) = (1 - p, p), bit for bit, and
+    # the memory channel scales those of each part by the root of its weight
+    X = q.PAULIS[1]
+    w = (1 - p, p)
+    P = (np.eye(2), X)
+    uncorrelated = [np.sqrt(w[i] * w[j]) * np.kron(P[i], P[j]) for i in (0, 1) for j in (0, 1)]
+    correlated = [np.sqrt(w[0]) * np.kron(P[0], P[0]), np.sqrt(w[1]) * np.kron(X, X)]
+
+    def same(ch, ops):
+        return len(ch.kraus) == len(ops) and all(np.array_equal(A, B) for A, B in zip(ch.kraus, ops))
+
+    assert same(bitflip_uncorrelated(p), uncorrelated)
+    assert same(bitflip_correlated(p), correlated)
+    for mu in (0.0, 0.2, 0.5, 0.8, 1.0):
+        memory = [np.sqrt(1 - mu) * A for A in uncorrelated] + [np.sqrt(mu) * A for A in correlated]
+        assert same(bitflip_with_memory(p, mu), memory)
 
 
 def test_result_with_wrong_family_dimension_fails():

@@ -1,5 +1,6 @@
 import copy
 import json
+import warnings
 
 import jsonschema
 import numpy as np
@@ -156,6 +157,42 @@ def test_random_unitary_spec_rejects_non_unitary_member():
         parse_channel_spec(json.dumps(nested))
 
 
+@pytest.mark.parametrize("kind", ["random_unitary", "convex_combination"])
+def test_mixture_with_a_weight_just_below_zero_parses_without_a_warning(kind):
+    # valid within 1e-9; the mixing rule used to take the root of -1e-10
+    weights = [1.0000000001, -1e-10]
+    if kind == "random_unitary":
+        payload = {"unitaries": [matrix_to_json(np.eye(2)), matrix_to_json(SIGMA[1])], "probabilities": weights}
+    else:
+        payload = {"parts": [unitary_spec("i", np.eye(2)).document, unitary_spec("x", SIGMA[1]).document], "weights": weights}
+    doc = {"schema_version": 1, "kind": kind, "dim": 2, "name": "mixture", **payload}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ch = parse_channel_spec(json.dumps(doc)).channel
+    assert np.array_equal(ch.kraus[0], np.sqrt(1.0000000001) * np.eye(2))
+    assert np.array_equal(ch.kraus[1], np.zeros((2, 2)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.sampled_from([2, 3]), n_parts=st.integers(1, 3), n_kraus=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_convex_combination_spec_resolves_to_the_library_mixture(d, n_parts, n_kraus, seed):
+    rng = np.random.default_rng(seed)
+    weights = rng.dirichlet(np.ones(n_parts))
+    parts = [q.random_cptp_channel(d, n_kraus, rng) for _ in range(n_parts)]
+    doc = {
+        "schema_version": 1,
+        "kind": "convex_combination",
+        "dim": d,
+        "name": "mixture",
+        "weights": weights.tolist(),
+        "parts": [kraus_spec(f"part {k}", part.kraus).document for k, part in enumerate(parts)],
+    }
+    parsed = parse_channel_spec(json.dumps(doc)).channel
+    direct = q.convex_combination(weights, parts)
+    assert len(parsed.kraus) == len(direct.kraus) == n_parts * n_kraus
+    assert all(np.array_equal(A, B) for A, B in zip(parsed.kraus, direct.kraus))
+
+
 def test_convex_combination_realizes_memory_channel():
     p, mu = 0.3, 0.6
     doc = {
@@ -283,7 +320,7 @@ def test_spec_holds_one_resolved_channel():
 
 
 def test_nested_spec_builds_one_channel_per_document(monkeypatch):
-    from qdeconv import serialization
+    from qdeconv import channels, serialization
 
     text = json.dumps(_nested_document())
     built = []
@@ -293,7 +330,9 @@ def test_nested_spec_builds_one_channel_per_document(monkeypatch):
             built.append(self.dim)
             super().__post_init__()
 
+    # a leaf is built in serialization, a mixture in channels.convex_combination
     monkeypatch.setattr(serialization, "KrausChannel", Counting)
+    monkeypatch.setattr(channels, "KrausChannel", Counting)
     parse_channel_spec(text).to_kraus_channel()
     assert len(built) == 5  # outer, identity, inner, and the inner's two parts
 

@@ -23,15 +23,8 @@ VECS = [np.eye(4)[0]]
 
 #: One call per public function, on inputs it accepts at its default tolerance.
 CALLS = {
-    "channels.is_hermitian": lambda tol: q.is_hermitian(I2, tol),
     "channels.is_unitary": lambda tol: q.is_unitary(I2, tol),
-    "channels.is_positive_semidefinite": lambda tol: q.is_positive_semidefinite(I2, tol),
-    "channels.is_density_matrix": lambda tol: q.is_density_matrix(I2 / 2, tol),
-    "channels.validate_probabilities": lambda tol: q.validate_probabilities([0.5, 0.5], tol),
     "channels.inverse_transfer": lambda tol: q.inverse_transfer(T2, tol),
-    "channels.unitary_channel": lambda tol: q.unitary_channel(I2, tol),
-    "channels.random_unitary_channel": lambda tol: q.random_unitary_channel([1.0], [I2], tol),
-    "channels.is_cptp": lambda tol: q.is_cptp(q.unitary_channel(I2), tol),
     "deconvolution.GuessPair.from_transfers": lambda tol: q.GuessPair.from_transfers(T2, T2, tol),
     "deconvolution.kernel": lambda tol: q.kernel(np.zeros((4, 4)), tol),
     "deconvolution.joint_kernel": lambda tol: q.joint_kernel([np.zeros((4, 4))], 4, tol),
