@@ -13,12 +13,11 @@ import sys
 from typing import Optional
 
 import click
-import numpy as np
 from click.core import ParameterSource
 
 from .channels import DEFAULT_TOL, is_density_matrix, transfer_from_kraus
 from .deconvolution import DEFAULT_KERNEL_RTOL, GuessPair, correctable_family, evaluate, guess_sweep, verify_family
-from .errors import QdeconvError, SingularChannelError, SpecParseError, UnknownScenarioError
+from .errors import NumericalOverflowError, QdeconvError, SingularChannelError, SpecParseError, UnknownScenarioError
 from .quorum import deconvolved_estimate, quorum_basis, tensor_product_quorum
 from .serialization import (
     emit_family,
@@ -182,10 +181,9 @@ def estimate(ctx: click.Context, observable: str, state: str, true_spec: str, gu
 
     # a finite but huge observable entry overflows the modified observables or their spread
     try:
-        with np.errstate(over="raise"):
-            est = deconvolved_estimate(gp, A, rho, qb, shots, ctx.obj["seed"])
-            exact = evaluate(gp, A, rho)
-    except FloatingPointError as exc:
+        est = deconvolved_estimate(gp, A, rho, qb, shots, ctx.obj["seed"])
+        exact = evaluate(gp, A, rho)
+    except NumericalOverflowError as exc:
         raise click.UsageError(f"{observable}: observable is too large to estimate: {exc}")
     doc = {
         "mean": est.mean,

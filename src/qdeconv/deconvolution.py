@@ -17,9 +17,10 @@ quality per (state, observable) pair, and ranks candidate guesses.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -31,7 +32,7 @@ from .channels import (
     _require_non_negative,
     apply_channel,
 )
-from .errors import FamilyVerificationError, SingularChannelError
+from .errors import FamilyVerificationError, NumericalOverflowError, SingularChannelError
 
 #: Default relative singular-value threshold for numerical kernel extraction.
 DEFAULT_KERNEL_RTOL = 1e-8
@@ -361,14 +362,34 @@ def _fix_matrix_sign(A: np.ndarray) -> np.ndarray:
     return -A if lead < 0 else A
 
 
-#: Gram eigenvalues up to this fraction of the largest are kernel candidates
-#: at any cutoff.  The eigensolver resolves them only to about ``eps * w_max``;
-#: this keeps every singular value below ``1e-5 * sigma_max`` a candidate.
+#: Columns of the first block of :func:`_null_coordinates`.
+_START_BLOCK = 8
+
+#: Gram eigenvalues up to this fraction of ``||A||_F^2`` are kernel candidates
+#: at any cutoff: the Gram matrix and its Cholesky factor resolve eigenvalues
+#: only to about ``eps * ||A||_F^2``, so no certificate can tell them from zero.
 _CANDIDATE_FLOOR = 1e-10
 
-#: Stage-2 singular values within this factor of the cutoff send the decision
-#: to the full SVD; candidate eigenvalues reach the square of this factor.
+#: Singular values within this factor of the cutoff send the decision to the
+#: full SVD.
 _DECISION_MARGIN = 100.0
+
+
+@lru_cache(maxsize=None)
+def _start_block(n: int, b: int) -> np.ndarray:
+    """Fixed, read-only ``n x b`` start block of :func:`_null_coordinates`, entries in [-0.5, 0.5).
+
+    Entry ``k`` (row-major) is the splitmix64 hash of ``k + 1``: the same on
+    every platform, without structure along the coordinates, and drawn
+    without ``numpy.random``.
+    """
+    z = np.arange(1, n * b + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    for shift, factor in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        z = (z ^ (z >> np.uint64(shift))) * np.uint64(factor)
+    z ^= z >> np.uint64(31)
+    X = (z >> np.uint64(11)).astype(float).reshape(n, b) * 2.0**-53 - 0.5
+    X.setflags(write=False)
+    return X
 
 
 def _null_coordinates(blocks: Sequence[np.ndarray], d2: int, rel_tol: float) -> np.ndarray:
@@ -381,22 +402,43 @@ def _null_coordinates(blocks: Sequence[np.ndarray], d2: int, rel_tol: float) -> 
     rounding).  The null space is that of the remaining halves ``h`` stacked
     into ``A``: the right-singular vectors of ``A`` with singular value at
     most ``max(rel_tol * sigma_max, 1e-14)``, returned orthonormal, smallest
-    singular value (or Gram eigenvalue, when all candidates are kept) first;
-    with no effective constraint every coordinate direction is returned.  A
-    NaN or negative ``rel_tol`` raises ``ValueError``.
+    singular value first; with no effective constraint every coordinate
+    direction is returned.  A NaN or negative ``rel_tol`` raises
+    ``ValueError``.
 
-    It is found without every singular vector of ``A``.  One ``eigh`` of the
-    Gram matrix ``A^T A = sum h^T h`` gives eigenpairs ``(w, v)``; those with
-    ``w <= max(1e-10 * w_max, (100 * cutoff)^2)`` are the candidates ``S``.
-    The Gram matrix squares the condition number, so ``S`` is first corrected
-    by one step ``S - V_n diag(1 / w_n) V_n^T A^T A S`` over the other
-    eigenpairs and re-orthonormalized, which restores the SVD's accuracy
-    (the step's product ``A S`` is formed directly, not through the Gram).
-    Then ``A S`` decides against the cutoff: all candidates are kept when its
-    Frobenius norm is at most a hundredth of the cutoff, and otherwise its
-    thin SVD decides.  When ``S`` holds more than half of the coordinates, or
-    a singular value of ``A S`` lies within a factor 100 of the cutoff, the
-    full SVD of ``A`` decides instead.
+    It is found without every singular vector of ``A``, by a certified block
+    inverse iteration on ``b`` orthonormal columns ``S``, first ``b = 8``:
+
+    1. ``S`` is the orthonormalized solve of a fixed start block against a
+       square matrix whose kernel holds that of ``A`` (:func:`_square_factor`),
+       the half itself when there is one, so the kernel comes out amplified
+       by the inverse of the rounding.  The Gram matrix ``A^T A`` squares the
+       condition number, so the iteration never solves against it, and a
+       second solve would only add rounding.
+    2. When ``||A S||_F^2 <= t``, the candidate threshold below, every
+       direction of the block is a candidate and the kernel may not fit: the
+       block grows to ``max(4 b, 2 d)`` and step 1 starts again.
+    3. One correction step ``S - solve(A^T A + ||A||_F^2 S S^T, A^T (A S))``
+       against the Gram matrix deflated by the block, then re-orthonormalized,
+       restores the SVD's accuracy.
+    4. Certificate: the Cholesky factorization of ``A^T A + ||A||_F^2 S S^T -
+       t I`` must succeed.  That proves (Courant-Fischer) that every ``x``
+       orthogonal to the block has ``||A x||^2 > t ||x||^2``: no kernel
+       direction and no candidate lies outside it.  If it fails, the block
+       doubles and step 1 starts again.
+    5. Decision: the thin SVD of ``A S`` keeps the directions with singular
+       value at most ``c / 100`` and drops those above ``max(100 c, c_F)``.
+
+    ``sigma_max`` itself is not computed.  It lies in ``[sqrt(max diag A^T A),
+    ||A||_F]``; ``c`` is the cutoff at the lower end and ``c_F`` the one at
+    the upper end, at most ``d`` times larger.  Every cutoff the bracket
+    allows therefore lies between a kept and a dropped value, so the decision
+    is the full SVD's.  The candidate threshold is ``t = max(1e-10
+    ||A||_F^2, max(100 c, c_F)^2)``, so the certificate also places every
+    direction outside the block above the cutoff.  When a singular value of
+    ``A S`` lies between the two bounds, when the square factor is exactly
+    singular, or when the block would hold more than half of the coordinates
+    (every kernel with ``d <= 3``), the full SVD of ``A`` decides instead.
     """
     _require_non_negative(rel_tol, "kernel threshold")
     halves = []
@@ -407,29 +449,74 @@ def _null_coordinates(blocks: Sequence[np.ndarray], d2: int, rel_tol: float) -> 
         halves += [h for h in (M.real / scale, M.imag / scale) if np.linalg.norm(h) > 1e-12]
     if not halves:
         return np.eye(d2)
+    # the squared column norms of A are the diagonal of A^T A
+    col2 = sum(np.einsum("ij,ij->j", h, h) for h in halves)
+    fro2 = float(col2.sum())
+    cutoff = _kernel_cutoff(rel_tol, math.sqrt(col2.max()))
+    keep = cutoff / _DECISION_MARGIN
+    drop = max(_DECISION_MARGIN * cutoff, _kernel_cutoff(rel_tol, math.sqrt(fro2)))
+    t = max(_CANDIDATE_FLOOR * fro2, drop**2)
+    b = _START_BLOCK
+    while 2 * b <= d2:
+        try:
+            S = np.linalg.qr(np.linalg.solve(_square_factor(halves), _start_block(d2, b)))[0]
+        except np.linalg.LinAlgError:
+            break
+        HS = [h @ S for h in halves]
+        if sum(np.linalg.norm(x) ** 2 for x in HS) <= t:
+            b = max(4 * b, 2 * math.isqrt(d2))
+            continue
+        S = _certified_correction(halves, S, HS, fro2, t)
+        if S is None:
+            b *= 2
+            continue
+        _, s, vt = np.linalg.svd(np.vstack([h @ S for h in halves]), full_matrices=False)
+        k = int(np.count_nonzero(s <= keep))  # the last k of the descending s
+        if k < b and s[-k - 1] <= drop:
+            break
+        return S @ vt[b - k:][::-1].T
+    return _svd_null_coordinates(halves, rel_tol)
+
+
+def _square_factor(halves: Sequence[np.ndarray]) -> np.ndarray:
+    """Square matrix whose kernel holds every common kernel direction of ``halves``.
+
+    The half itself when there is one; otherwise the combination ``sum c_i h_i``
+    with fixed weights ``c_i`` in [0.5, 1.5) from the start block's hash,
+    which costs ``d^4`` adds where the QR of the stacked halves costs ``d^6``.
+    The combination can have kernel directions of its own (where the weights
+    meet an eigenvalue of the halves' pencil); they only take columns of the
+    block, since the certificate and the decision look at ``A`` itself.
+    """
+    if len(halves) == 1:
+        return halves[0]
+    return sum(c * h for c, h in zip(1.0 + _start_block(len(halves), 1)[:, 0], halves))
+
+
+def _certified_correction(
+    halves: Sequence[np.ndarray], S: np.ndarray, HS: Sequence[np.ndarray], fro2: float, t: float
+) -> np.ndarray | None:
+    """Steps 3 and 4 of :func:`_null_coordinates`: the corrected block, or ``None`` when the certificate fails.
+
+    ``HS`` holds the products ``h @ S`` and ``fro2`` is ``||A||_F^2``.  The
+    deflated Gram matrix is built, solved against, re-deflated by the
+    corrected block, shifted and factorized in one ``d^2 x d^2`` buffer.
+    """
     gram = halves[0].T @ halves[0]
     for h in halves[1:]:
         gram += h.T @ h
-    w, V = np.linalg.eigh(gram)
-    w_max = float(w[-1])
-    cutoff = _kernel_cutoff(rel_tol, w_max**0.5)
-    n = int(np.searchsorted(w, max(_CANDIDATE_FLOOR * w_max, (_DECISION_MARGIN * cutoff) ** 2), side="right"))
-    if 2 * n > d2:
-        return _svd_null_coordinates(halves, rel_tol)
-    S, Vn = V[:, :n], V[:, n:]
-    S = S - Vn @ ((Vn.T @ sum(h.T @ (h @ S) for h in halves)) / w[n:, None])
-    # S^T S - I is the step's square (the step is at most about eps / 1e-10);
-    # one Newton-Schulz step squares that again
-    S = 1.5 * S - 0.5 * S @ (S.T @ S)
-    AS = np.vstack([h @ S for h in halves])
-    # the Frobenius norm bounds every singular value: all candidates are kept
-    if np.linalg.norm(AS) <= cutoff / _DECISION_MARGIN:
-        return S
-    _, s, vt = np.linalg.svd(AS, full_matrices=False)
-    k = int(np.count_nonzero(s <= cutoff))  # the last k of the descending s
-    if (k and s[-k] > cutoff / _DECISION_MARGIN) or (k < n and s[-k - 1] < _DECISION_MARGIN * cutoff):
-        return _svd_null_coordinates(halves, rel_tol)
-    return S @ vt[n - k:][::-1].T
+    rhs = sum(h.T @ x for h, x in zip(halves, HS))
+    gram += (fro2 * S) @ S.T
+    try:
+        correction = np.linalg.solve(gram, rhs)
+        gram -= (fro2 * S) @ S.T
+        S = np.linalg.qr(S - correction)[0]
+        gram += (fro2 * S) @ S.T
+        gram.flat[:: len(gram) + 1] -= t
+        np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        return None
+    return S
 
 
 def _svd_null_coordinates(halves: Sequence[np.ndarray], rel_tol: float) -> np.ndarray:
@@ -583,6 +670,21 @@ def expectation(A: np.ndarray, rho: np.ndarray) -> float:
     return value.real
 
 
+@contextmanager
+def _overflow_raises() -> Iterator[None]:
+    """Raise :class:`NumericalOverflowError`, a ``ValueError``, instead of warning when a float operation overflows.
+
+    A finite input can still be too large: the norm of an observable with an
+    entry near ``1e300`` overflows.  The message names the operation.
+    """
+    try:
+        with np.errstate(over="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise NumericalOverflowError(str(exc)) from None
+
+
+@_overflow_raises()
 def evaluate(gp: GuessPair, A: np.ndarray, rho: np.ndarray) -> DeconvReport:
     """Ideal, noisy and deconvolved (``Tr(modified(A) Phi(rho))``) expectation values plus their deviations."""
     ideal = expectation(A, rho)

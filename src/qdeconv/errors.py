@@ -21,6 +21,10 @@ class FamilyVerificationError(QdeconvError):
     """A constructed observable family failed its recovery certificate or invariance check."""
 
 
+class NumericalOverflowError(QdeconvError, ValueError):
+    """A finite input is too large to compute with: a float operation on it overflows."""
+
+
 class SpecParseError(QdeconvError):
     """A channel/observable/state document is malformed or violates its schema."""
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import MAX_DIM, apply_channel, is_hermitian
-from .deconvolution import GuessPair, ObservableFamily, _modified_observables, modified_observable
+from .deconvolution import GuessPair, ObservableFamily, _modified_observables, _overflow_raises, modified_observable
 
 #: Born probabilities may dip below zero by at most this much before the
 #: state is rejected as invalid.
@@ -213,6 +213,7 @@ def _element_seeds(seed: int, count: int) -> list[int]:
     return out
 
 
+@_overflow_raises()
 def deconvolved_estimate(
     gp: GuessPair,
     A: np.ndarray,

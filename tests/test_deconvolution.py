@@ -96,17 +96,20 @@ def test_guess_pair_validates_lazy_inverse(monkeypatch):
 
 
 def test_correctable_family_builds_no_inverse(bitflip_pair, monkeypatch):
-    left_shapes = []
+    # the kernel's own solves have d^2 x d^2 left operands too, so the guess
+    # is told apart by value
+    left = []
     solve = np.linalg.solve
 
     def recorded(a, b):
-        left_shapes.append(np.shape(a))
+        left.append(np.array(a))
         return solve(a, b)
 
     monkeypatch.setattr(np.linalg, "inv", lambda a: pytest.fail("correctable_family took an inverse"))
     monkeypatch.setattr(np.linalg, "solve", recorded)
     q.correctable_family(bitflip_pair)
-    assert (16, 16) not in left_shapes
+    G = bitflip_pair._guess_coordinates
+    assert not any(a.shape == G.shape and (np.allclose(a, G) or np.allclose(a, G.T)) for a in left)
 
 
 def test_guess_pair_rejects_guess_that_breaks_hermiticity():
@@ -662,6 +665,15 @@ def test_evaluate_report_fields(bitflip_pair, rng):
     assert r.improved == (r.delta_nd < r.delta_exp)
 
 
+def test_evaluate_of_an_overflowing_observable_is_a_value_error_without_a_warning(rng):
+    # warnings are errors in this suite: the observable's norm overflows
+    T = q.transfer_from_kraus(q.unitary_channel(np.eye(2)))
+    gp = q.GuessPair.from_transfers(T, T)
+    with pytest.raises(q.NumericalOverflowError, match="overflow encountered in dot") as info:
+        q.evaluate(gp, np.diag([1e300, 1.0]), q.random_density_matrix(2, rng))
+    assert isinstance(info.value, ValueError)
+
+
 # ---------------------------------------------------------------------------
 # correctable_family / verify_family
 # ---------------------------------------------------------------------------
@@ -1144,7 +1156,7 @@ def _span_gap(W, O):
 
 @settings(deadline=None, max_examples=200)
 @given(
-    d=st.sampled_from([2, 3, 4]),
+    d=st.sampled_from([2, 3, 4, 5, 6, 8]),
     n_blocks=st.integers(1, 3),
     complex_blocks=st.booleans(),
     rel_tol=st.sampled_from([q.DEFAULT_KERNEL_RTOL, 0.0, 1e-12, 1e-4]),
@@ -1154,7 +1166,8 @@ def _span_gap(W, O):
 def test_null_coordinates_match_the_svd_oracle(d, n_blocks, complex_blocks, rel_tol, seed, data):
     # a planted kernel K of every dimension, from empty (full-rank blocks) to
     # everything (blocks that are rounding and constrain nothing); at the
-    # default cutoff the oracle finds exactly K
+    # default cutoff the oracle finds exactly K.  From d = 4 on, kernels
+    # smaller and larger than the start block take the block iteration
     d2 = d * d
     k = data.draw(st.integers(0, d2), label="kernel dimension")
     rng = np.random.default_rng(seed)
@@ -1175,7 +1188,7 @@ def test_null_coordinates_match_the_svd_oracle(d, n_blocks, complex_blocks, rel_
 
 @pytest.fixture
 def linalg_calls(monkeypatch):
-    """``(name, shape)`` of every ``np.linalg.svd`` and ``np.linalg.eigh`` call made while the test runs."""
+    """``(name, shape)`` of every ``np.linalg`` SVD and eigendecomposition made while the test runs."""
     calls = []
 
     def recorded(name):
@@ -1187,58 +1200,106 @@ def linalg_calls(monkeypatch):
 
         return call
 
-    for name in ("svd", "eigh"):
+    for name in ("svd", "eigh", "eigvalsh"):
         monkeypatch.setattr(np.linalg, name, recorded(name))
     return calls
 
 
 @pytest.mark.parametrize(
     "factor, svd_shapes",
-    [(1.5, [(9, 3), (9, 9)]), (0.5, [(9, 3), (9, 9)]), (500.0, [(9, 3)]), (1e-3, []), (2000.0, [])],
+    [(1.5, [(64, 8), (64, 64)]), (0.5, [(64, 8), (64, 64)]), (500.0, [(64, 8)]), (1e-3, [(64, 8)]), (2000.0, [(64, 8)])],
 )
 def test_planted_singular_value_decides_as_the_svd_oracle(linalg_calls, factor, svd_shapes):
-    # singular values 1 (six), factor * cutoff and 0 (two).  Up to 1e-5 (a
-    # factor 1000) the planted value is a third candidate: within a factor 100
-    # of the cutoff the full SVD decides, farther above the thin SVD of the
-    # candidates, far below the Frobenius norm of A S keeps all three.  At
-    # 2e-5 it is not a candidate, and the eigenvectors of the Gram matrix are
-    # off by about eps / 4e-10 until the correction step
+    # singular values 1 (61), factor * cutoff and 0 (two), so the 8-column
+    # start block holds the three smallest.  Within a factor 100 of the
+    # cutoff the full SVD decides; farther above or below, the thin SVD of
+    # A S does.  The first solve leaves the block off by about eps over the
+    # planted value until the correction step
     rng = np.random.default_rng(17)
-    U, V = (np.linalg.qr(rng.normal(size=(9, 9)))[0] for _ in range(2))
-    s = np.array([1.0] * 6 + [factor * q.DEFAULT_KERNEL_RTOL, 0.0, 0.0])
+    U, V = (np.linalg.qr(rng.normal(size=(64, 64)))[0] for _ in range(2))
+    s = np.array([1.0] * 61 + [factor * q.DEFAULT_KERNEL_RTOL, 0.0, 0.0])
     block = (U * s) @ V.T
-    W = _null_coordinates([block], 9, q.DEFAULT_KERNEL_RTOL)
+    W = _null_coordinates([block], 64, q.DEFAULT_KERNEL_RTOL)
     assert [shape for name, shape in linalg_calls if name == "svd"] == svd_shapes
-    O = null_coordinates_oracle([block], 9, q.DEFAULT_KERNEL_RTOL)
-    planted = V[:, 7:] if factor > 1 else V[:, 6:]
+    assert [name for name, _ in linalg_calls if name != "svd"] == []
+    O = null_coordinates_oracle([block], 64, q.DEFAULT_KERNEL_RTOL)
+    planted = V[:, 62:] if factor > 1 else V[:, 61:]
     assert W.shape == O.shape == planted.shape
     assert np.linalg.norm(W.T @ W - np.eye(W.shape[1])) <= 1e-14
     # either route finds the kernel to about eps over its gap to the nearest
     # dropped singular value
-    tol = max(1e-12, 10 * np.finfo(float).eps / (s[6] if factor > 1 else 1.0))
+    tol = max(1e-12, 10 * np.finfo(float).eps / (s[61] if factor > 1 else 1.0))
     assert _span_gap(W, planted) <= tol and _span_gap(O, planted) <= tol
 
 
 def test_candidates_past_half_the_coordinates_take_the_full_svd(linalg_calls):
-    # rank 3 of 9: six candidates, more than half, so the full SVD decides at once
+    # rank 3 of 64: the blocks of 8 and then 32 columns are all kernel, and a
+    # block of 128 would hold more than half the coordinates, so the full SVD
+    # decides
     rng = np.random.default_rng(5)
-    block = rng.normal(size=(9, 3)) @ rng.normal(size=(3, 9))
-    W = _null_coordinates([block], 9, q.DEFAULT_KERNEL_RTOL)
-    assert [shape for name, shape in linalg_calls if name == "svd"] == [(9, 9)]
-    assert W.shape == (9, 6) and np.linalg.norm(block @ W) <= 1e-13
+    block = rng.normal(size=(64, 3)) @ rng.normal(size=(3, 64))
+    W = _null_coordinates([block], 64, q.DEFAULT_KERNEL_RTOL)
+    assert linalg_calls == [("svd", (64, 64))]
+    assert W.shape == (64, 61) and np.linalg.norm(block @ W) <= 1e-13
 
 
-def test_correctable_family_takes_one_eigh_and_no_full_svd(linalg_calls):
-    # d = 16: the kernel comes from one eigh of the 256 x 256 Gram matrix;
-    # the only SVDs are thin ones, of fewer columns than coordinates
+@pytest.mark.parametrize("d", [2, 3])
+def test_kernels_up_to_d_3_take_one_svd(linalg_calls, d):
+    # twice the start block exceeds d^2: one SVD is cheaper than any iteration
+    rng = np.random.default_rng(d)
+    blocks = [rng.normal(size=(d * d, d * d)) for _ in range(2)]
+    _null_coordinates(blocks, d * d, q.DEFAULT_KERNEL_RTOL)
+    assert linalg_calls == [("svd", (2 * d * d, d * d))]
+
+
+def test_a_block_made_only_of_kernel_grows_to_twice_d(linalg_calls, monkeypatch):
+    # d = 16 and a kernel of d directions, as for a pair of unitaries: the
+    # first block is all kernel and grows once, to 2d columns, without the
+    # correction or the certificate
+    rng = np.random.default_rng(4)
+    K = np.linalg.qr(rng.normal(size=(256, 16)))[0]
+    block = rng.normal(size=(256, 256)) @ (np.eye(256) - K @ K.T)
+    widths = []
+    solve = np.linalg.solve
+
+    def recorded(a, b):
+        widths.append(np.shape(b)[1])
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", recorded)
+    W = _null_coordinates([block], 256, q.DEFAULT_KERNEL_RTOL)
+    assert widths == [8, 32, 32] and linalg_calls == [("svd", (256, 32))]
+    assert W.shape == (256, 16) and _span_gap(W, K) <= 1e-12
+
+
+def test_candidates_outside_the_block_fail_the_certificate_and_double(linalg_calls):
+    # singular values 1 (51), 8e-6 of ||A||_F (twelve) and 0: the twelve are
+    # candidates (below 1e-5 of ||A||_F) but lie far above the cutoff.  The
+    # first block holds the kernel and seven of them; the five left outside
+    # fail the certificate, and the doubled block holds all thirteen
+    rng = np.random.default_rng(9)
+    U, V = (np.linalg.qr(rng.normal(size=(64, 64)))[0] for _ in range(2))
+    s = np.array([1.0] * 51 + [8e-6 * np.sqrt(51)] * 12 + [0.0])
+    block = (U * s) @ V.T
+    W = _null_coordinates([block], 64, q.DEFAULT_KERNEL_RTOL)
+    assert linalg_calls == [("svd", (64, 16))]
+    # the kernel is determined to about eps over its gap
+    O = null_coordinates_oracle([block], 64, q.DEFAULT_KERNEL_RTOL)
+    tol = 10 * np.finfo(float).eps / 8e-6
+    assert W.shape == O.shape == (64, 1) and _span_gap(W, V[:, 63:]) <= tol and _span_gap(O, V[:, 63:]) <= tol
+
+
+def test_correctable_family_takes_no_eigendecomposition_and_no_full_svd(linalg_calls):
+    # d = 16: the kernel comes from the block iteration; the only SVDs are
+    # thin ones, of fewer columns than coordinates
     d2 = 256
     rng = np.random.default_rng(16)
     gp = guess_pair(q.random_cptp_channel(16, 3, rng), q.random_cptp_channel(16, 2, rng))
     linalg_calls.clear()
     fam = q.correctable_family(gp)
     assert fam.n_params == 1
-    assert [shape for name, shape in linalg_calls if name == "eigh"] == [(d2, d2)]
-    assert all(shape[-1] < d2 for name, shape in linalg_calls if name == "svd"), linalg_calls
+    assert [name for name, _ in linalg_calls if name != "svd"] == []
+    assert linalg_calls and all(shape[-1] < d2 for _, shape in linalg_calls), linalg_calls
 
 
 def test_every_family_constructor_takes_the_one_certified_route(monkeypatch, qutrit_pair, bitflip_pair):

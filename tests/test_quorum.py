@@ -383,6 +383,17 @@ def test_exact_mode_reproduces_evaluate(rng):
         assert est.std_error == 0.0
 
 
+@pytest.mark.parametrize("shots", [0, 100])
+def test_estimate_of_an_overflowing_observable_is_a_value_error_without_a_warning(rng, shots):
+    # warnings are errors in this suite: the observable's norm overflows
+    T = q.transfer_from_kraus(q.unitary_channel(np.eye(2)))
+    gp = q.GuessPair.from_transfers(T, T)
+    rho = q.random_density_matrix(2, rng)
+    with pytest.raises(q.NumericalOverflowError, match="overflow encountered in dot") as info:
+        q.deconvolved_estimate(gp, np.diag([1e300, 1.0]), rho, q.quorum_basis(2), shots, seed=1)
+    assert isinstance(info.value, ValueError)
+
+
 def test_identity_estimate_is_one_even_with_shots(rng):
     ch = q.random_cptp_channel(2, 2, rng)
     gp = guess_pair(ch, q.random_cptp_channel(2, 2, rng))

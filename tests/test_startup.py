@@ -99,6 +99,32 @@ def test_subcommand_paths_import_neither_scipy_nor_scenarios():
     assert json.loads(family) == json.loads(emit_family(expected))
 
 
+def test_deconvolve_and_sweep_do_not_load_numpy_random(tmp_path):
+    # its first use costs about 15 ms per process; the kernel's start block
+    # is a fixed hash, and d = 8 takes the block iteration
+    rng = np.random.default_rng(11)
+    paths = []
+    for name, n in (("true", 3), ("guess", 2)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(emit_channel_spec(kraus_spec(name, q.random_cptp_channel(8, n, rng).kraus)))
+        paths.append(str(path))
+    out = _python(
+        f"""
+        import sys
+        from qdeconv.cli import main
+
+        for args in (["deconvolve", *{paths!r}], ["sweep", *{paths!r}]):
+            try:
+                main(args, standalone_mode=False)
+            except SystemExit as exc:
+                assert not exc.code, exc.code
+        print(sorted(m for m in sys.modules if m.startswith("numpy.random")))
+        """
+    )
+    assert '"n_params": 1' in out
+    assert out.splitlines()[-1] == "[]"
+
+
 def test_cli_examples_as_a_process():
     listed = _qdeconv("--format", "json", "examples", "list")
     assert listed.returncode == 0, listed.stderr
