@@ -270,66 +270,85 @@ def adjoint_transfer(T: TransferMatrix) -> TransferMatrix:
     return TransferMatrix(dim=T.dim, gamma=T.gamma.conj().T)
 
 
-#: Smallest norm bracket that may accept without an SVD.  Above it the LU
-#: inverse's relative rounding, about ``n * kappa * eps``, stays below 1e-4 for
-#: n <= 4096, so the factor 2 in :func:`_checked_inverse` absorbs it at any
-#: cutoff.  It lies below twice the default cutoff.
-_BRACKET_FLOOR = float(np.sqrt(np.finfo(float).eps))
+def _gram_certificate(M: np.ndarray, cutoff: float) -> bool:
+    """Whether one Cholesky factorization proves ``s_min > cutoff * s_max`` for the finite square ``M``.
 
-
-def _spectral_norm_bound(M: np.ndarray) -> float:
-    """Upper bound on ``||M||_2`` of a nonzero ``M``: the smaller of
-    ``sqrt(||M||_1 ||M||_inf)`` and the Frobenius norm (Higham, Accuracy and
-    Stability of Numerical Algorithms, sec. 6.2).
-
-    Both are evaluated so that squares and products of tiny entries cannot
-    underflow to a bound of 0; a product that overflows gives ``inf``.
+    With ``X = M / max|M_ij|`` and ``H = X X^dag``, the factorization of
+    ``H - tau I``, ``tau = max(4 cutoff^2 ||H||_inf, 4 (n + 1) eps ||X||_F^2)``,
+    must succeed.  Forming and factoring ``H`` perturbs it by at most about
+    ``2 (n + 1) eps ||X||_F^2 <= tau / 2`` (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., ch. 10; Demmel, 1989), so success proves
+    ``s_min^2 > tau / 2 >= 2 cutoff^2 s_max^2``, since ``||H||_inf >=
+    s_max^2``.  The scaling keeps ``H`` from overflowing at any entry size.
+    ``False`` decides nothing.
     """
-    A = np.abs(M)
-    top = A.max()
-    one_inf = np.sqrt(A.sum(axis=0).max()) * np.sqrt(A.sum(axis=1).max())
-    A /= top
-    return min(one_inf, top * np.linalg.norm(A))
+    top = np.abs(M).max()
+    if top == 0.0:
+        return False
+    X = M / top
+    # a transposed view of X itself lets matmul take the symmetric product
+    Xh = X.conj().T if np.iscomplexobj(X) else X.T
+    H = X @ Xh
+    n = len(H)
+    # a cutoff of 1 already exceeds every ratio; the min keeps its square finite
+    tau = max(
+        4.0 * min(cutoff, 1.0) ** 2 * float(np.abs(H).sum(axis=1).max()),
+        4.0 * (n + 1) * np.finfo(float).eps * float(np.trace(H).real),
+    )
+    H.flat[:: n + 1] -= tau
+    try:
+        np.linalg.cholesky(H)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
-def _checked_inverse(M: np.ndarray, cutoff: float) -> np.ndarray:
-    """The finite LU inverse of the square ``M``, which must have ``s_min > cutoff * s_max``.
-
-    ``1 / (u(M) u(M^-1))``, with ``u`` from :func:`_spectral_norm_bound`, is a
-    lower bound on ``s_min / s_max``; when it exceeds twice the cutoff (and
-    ``_BRACKET_FLOOR``) ``M`` passes without an SVD, and otherwise the
-    values-only SVD decides.  Raises ``ValueError`` for a NaN or infinite
-    entry, and :class:`SingularChannelError` below the cutoff or when ``M``
-    passes without a finite LU inverse (a zero pivot or an overflow).
-    """
-    _require_non_negative(cutoff, "singular-value cutoff")
-    if not np.isfinite(M).all():
-        raise ValueError("transfer matrix has non-finite entries")
+def _lu_inverse(M: np.ndarray, cutoff: float) -> np.ndarray:
+    """The LU inverse of ``M``; :class:`SingularChannelError` when it meets a zero pivot or overflows."""
     try:
         inv = np.linalg.inv(M)
     except np.linalg.LinAlgError:
         inv = None
-    finite = inv is not None and bool(np.isfinite(inv).all())
-    if finite:
-        with np.errstate(over="ignore"):
-            lower = 1.0 / (_spectral_norm_bound(M) * _spectral_norm_bound(inv))
-        if lower > max(2.0 * cutoff, _BRACKET_FLOOR):
-            return inv
+    if inv is None or not np.isfinite(inv).all():
+        raise SingularChannelError(f"transfer matrix passes cutoff {cutoff:g} but has no finite LU inverse")
+    return inv
+
+
+def _require_invertible(M: np.ndarray, cutoff: float) -> None:
+    """Check that the square ``M`` has ``s_min > cutoff * s_max`` and a finite LU inverse, without forming one when it can.
+
+    :func:`_gram_certificate` accepts a matrix well above the cutoff in one
+    Gram product and one Cholesky factorization.  Otherwise the values-only
+    SVD decides, and a matrix it accepts must also have a finite LU inverse.
+    Raises ``ValueError`` for a NaN or infinite entry, and
+    :class:`SingularChannelError` below the cutoff or when ``M`` passes
+    without a finite LU inverse (a zero pivot or an overflow).
+    """
+    _require_non_negative(cutoff, "singular-value cutoff")
+    if not np.isfinite(M).all():
+        raise ValueError("transfer matrix has non-finite entries")
+    if _gram_certificate(M, cutoff):
+        return
     s = np.linalg.svd(M, compute_uv=False)
     if s[0] == 0.0 or s[-1] <= cutoff * s[0]:
         raise SingularChannelError(
             f"transfer matrix is singular: smallest/largest singular value "
             f"{s[-1]:.3e}/{s[0]:.3e} is below cutoff {cutoff:g}"
         )
-    if not finite:
-        raise SingularChannelError(f"transfer matrix passes cutoff {cutoff:g} but has no finite LU inverse")
-    return inv
+    _lu_inverse(M, cutoff)
+
+
+def _checked_inverse(M: np.ndarray, cutoff: float) -> np.ndarray:
+    """The finite LU inverse of the square ``M`` once :func:`_require_invertible` has accepted it; raises as that does."""
+    _require_invertible(M, cutoff)
+    return _lu_inverse(M, cutoff)
 
 
 def inverse_transfer(T: TransferMatrix, tol: float = DEFAULT_SV_CUTOFF) -> TransferMatrix:
     """Transfer matrix of the inverse map: the LU inverse of :func:`_checked_inverse`.
 
-    ``tol`` is the relative singular-value cutoff.  Raises
+    ``tol`` is the relative singular-value cutoff.  The check is
+    :func:`_require_invertible`'s, on the complex transfer matrix.  Raises
     :class:`SingularChannelError` when the map is singular at ``tol`` or has no
     finite LU inverse, and ``ValueError`` for a NaN or infinite entry.
     """

@@ -27,8 +27,8 @@ import numpy as np
 from .channels import (
     DEFAULT_SV_CUTOFF,
     TransferMatrix,
-    _checked_inverse,
     _ginibre_states,
+    _require_invertible,
     _require_non_negative,
     apply_channel,
 )
@@ -154,8 +154,10 @@ class GuessPair:
         """Build a pair from transfer matrices, checking that the guess is invertible.
 
         ``G^T``, the transposed real coordinates of the guess that
-        :func:`modified_observable` solves against, passes
-        :func:`~qdeconv.channels._checked_inverse`; the inverse is dropped.
+        :func:`modified_observable` solves against, must pass
+        :func:`~qdeconv.channels._require_invertible`.  A guess well above the
+        cutoff passes on one Gram product and one Cholesky factorization, and
+        no inverse of it is formed.
 
         Raises
         ------
@@ -170,7 +172,7 @@ class GuessPair:
             if not np.isfinite(t.gamma).all():
                 raise ValueError(f"{name} transfer matrix has non-finite entries")
         pair = cls(phi=phi, phi_g=phi_g)
-        _checked_inverse(pair._guess_coordinates.T, sv_cutoff)
+        _require_invertible(pair._guess_coordinates.T, sv_cutoff)
         return pair
 
 
@@ -437,8 +439,9 @@ def _null_coordinates(blocks: Sequence[np.ndarray], d2: int, rel_tol: float) -> 
     ||A||_F^2, max(100 c, c_F)^2)``, so the certificate also places every
     direction outside the block above the cutoff.  When a singular value of
     ``A S`` lies between the two bounds, when the square factor is exactly
-    singular, or when the block would hold more than half of the coordinates
-    (every kernel with ``d <= 3``), the full SVD of ``A`` decides instead.
+    singular, when the block would hold more than half of the coordinates,
+    or when ``d^2 <= 36`` (every kernel with ``d <= 6``, where one SVD is the
+    cheaper route), the full SVD of ``A`` decides instead.
     """
     _require_non_negative(rel_tol, "kernel threshold")
     halves = []
@@ -457,7 +460,8 @@ def _null_coordinates(blocks: Sequence[np.ndarray], d2: int, rel_tol: float) -> 
     drop = max(_DECISION_MARGIN * cutoff, _kernel_cutoff(rel_tol, math.sqrt(fro2)))
     t = max(_CANDIDATE_FLOOR * fro2, drop**2)
     b = _START_BLOCK
-    while 2 * b <= d2:
+    # up to d = 6 one SVD of A costs less than the block iteration's dozen small calls
+    while 2 * b <= d2 and d2 > 36:
         try:
             S = np.linalg.qr(np.linalg.solve(_square_factor(halves), _start_block(d2, b)))[0]
         except np.linalg.LinAlgError:
@@ -642,11 +646,27 @@ def _modified_observables(gp: GuessPair, As: np.ndarray) -> np.ndarray:
     return _hermitian_operators(m.T, gp.dim)
 
 
+@contextmanager
+def _overflow_raises() -> Iterator[None]:
+    """Raise :class:`NumericalOverflowError`, a ``ValueError``, instead of warning when a float operation overflows.
+
+    A finite input can still be too large: the norm of an observable with an
+    entry near ``1e300`` overflows.  The message names the operation.
+    """
+    try:
+        with np.errstate(over="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise NumericalOverflowError(str(exc)) from None
+
+
+@_overflow_raises()
 def modified_observable(gp: GuessPair, A: np.ndarray) -> np.ndarray:
     """Observable to measure on the noisy state in place of ``A``.
 
     ``devec(gamma_g^-dag vec(A))``, exactly Hermitian; an ``A`` whose
-    anti-Hermitian part exceeds ``1e-10 * max(1, ||A||)`` raises ``ValueError``.
+    anti-Hermitian part exceeds ``1e-10 * max(1, ||A||)`` raises ``ValueError``,
+    and one whose norms or solve overflow raises :class:`NumericalOverflowError`.
     """
     A = np.asarray(A, dtype=complex)
     if A.shape != (gp.dim, gp.dim):
@@ -668,20 +688,6 @@ def expectation(A: np.ndarray, rho: np.ndarray) -> float:
     if abs(value.imag) > 1e-10 * scale:
         raise ValueError(f"expectation value has imaginary residual {value.imag:.3e}")
     return value.real
-
-
-@contextmanager
-def _overflow_raises() -> Iterator[None]:
-    """Raise :class:`NumericalOverflowError`, a ``ValueError``, instead of warning when a float operation overflows.
-
-    A finite input can still be too large: the norm of an observable with an
-    entry near ``1e300`` overflows.  The message names the operation.
-    """
-    try:
-        with np.errstate(over="raise"):
-            yield
-    except FloatingPointError as exc:
-        raise NumericalOverflowError(str(exc)) from None
 
 
 @_overflow_raises()

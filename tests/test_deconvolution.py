@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import qdeconv as q
-from qdeconv.channels import _spectral_norm_bound, random_hermitian
+from qdeconv.channels import _gram_certificate, random_hermitian
 from qdeconv.deconvolution import (
     MEMBERSHIP_RTOL,
     _coordinates,
@@ -125,7 +125,7 @@ def test_guess_pair_rejects_singular_guess():
 
 
 # ---------------------------------------------------------------------------
-# invertibility of the guess: norm bracket first, values-only SVD when it cannot decide
+# invertibility of the guess: Gram-Cholesky certificate first, values-only SVD when it cannot decide
 # ---------------------------------------------------------------------------
 
 @pytest.fixture
@@ -147,8 +147,8 @@ def _parity_guesses():
     for d in (2, 3, 4, 8):
         for n_kraus in (1, 2, 3):
             yield q.transfer_from_kraus(q.random_cptp_channel(d, n_kraus, rng))
-    # rho -> tr(rho) sigma plus a unitary at weight 1e-18..1e-14: the LU inverse
-    # is rounding there and its bracket can exceed the exact ratio
+    # rho -> tr(rho) sigma plus a unitary at weight 1e-18..1e-14: far below
+    # the certificate's rounding floor, where the SVD and the LU inverse decide
     for seed in range(40):
         rng = np.random.default_rng(seed)
         replacement = np.outer(q.random_density_matrix(2, rng).reshape(-1), np.eye(2).reshape(-1))
@@ -262,13 +262,63 @@ def test_clearly_invertible_guess_takes_no_svd(svd_calls):
     assert svd_calls == []
 
 
-def test_straddling_bracket_takes_one_values_only_svd(svd_calls):
+def test_straddling_certificate_takes_one_values_only_svd(svd_calls):
     T = q.transfer_from_kraus(q.random_cptp_channel(3, 2, np.random.default_rng(7)))
     s = np.linalg.svd(q.GuessPair(T, T)._guess_coordinates, compute_uv=False)
     cutoff = 0.999 * s[-1] / s[0]
     svd_calls.clear()
     q.GuessPair.from_transfers(T, T, cutoff)
     assert svd_calls == [{"compute_uv": False}]
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    n=st.integers(4, 64),
+    log_ratio=st.floats(-14, 0),
+    near_cutoff=st.one_of(st.none(), st.floats(-1, 1)),
+    rotated=st.booleans(),
+    complex_entries=st.booleans(),
+    log_scale=st.integers(-300, 300),
+    cutoff=st.sampled_from([0.0, 1e-10, 1e-8, 1e-3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_gram_certificate_accepts_only_above_the_cutoff(
+    n, log_ratio, near_cutoff, rotated, complex_entries, log_scale, cutoff, seed
+):
+    # planted singular values from 1 down to 10**log_ratio, the extremes
+    # included, half the time within a decade of the cutoff; unrotated, the
+    # Gram matrix is diagonal and its infinity norm is exactly s_max^2.  At
+    # 1e-10 the Gram matrix's rounding exceeds 4 cutoff^2 ||H||_inf, and only
+    # the rounding floor keeps the certificate sound
+    rng = np.random.default_rng(seed)
+    if near_cutoff is not None and cutoff > 0:
+        log_ratio = np.log10(cutoff) + near_cutoff
+
+    def haar():
+        if not rotated:
+            return np.eye(n)
+        G = rng.normal(size=(n, n)) + (1j * rng.normal(size=(n, n)) if complex_entries else 0)
+        return np.linalg.qr(G)[0]
+
+    planted = np.concatenate([[1.0], 10.0 ** rng.uniform(log_ratio, 0, n - 2), [10.0**log_ratio]])
+    M = 10.0**log_scale * ((haar() * planted) @ haar().conj().T).astype(complex if complex_entries else float)
+    accepted = _gram_certificate(M, cutoff)
+    s = np.linalg.svd(M, compute_uv=False)
+    ratio = s[-1] / s[0]
+    if accepted:
+        assert ratio > cutoff
+    # and it is not vacuous: well above the cutoff and the rounding floor it accepts
+    if ratio > 4 * max(cutoff * n**0.25, np.sqrt((n + 1) * n * np.finfo(float).eps)):
+        assert accepted
+
+
+def test_an_extract_dense_guess_takes_no_svd_and_no_inverse(svd_calls, monkeypatch):
+    # d = 32, random CPTP channels of 3 (true) and 2 (guess) Kraus operators
+    rng = np.random.default_rng(32)
+    phi, phi_g = (q.transfer_from_kraus(q.random_cptp_channel(32, k, rng)) for k in (3, 2))
+    monkeypatch.setattr(np.linalg, "inv", lambda a: pytest.fail("the guess check took an inverse"))
+    q.GuessPair.from_transfers(phi, phi_g)
+    assert svd_calls == []
 
 
 def test_singular_guess_errors_are_unchanged():
@@ -292,44 +342,12 @@ def test_singular_guess_errors_are_unchanged():
 def test_singular_value_cutoff_must_be_non_negative(cutoff):
     phi = q.transfer_from_kraus(q.unitary_channel(np.eye(2)))
     singular = q.TransferMatrix(2, np.diag([1.0, 0.0, 0.0, 1.0]))
-    # the identity guess shows the check runs before the bracket could accept
+    # the identity guess shows the check runs before the certificate could accept
     for guess in (phi, singular):
         with pytest.raises(ValueError, match="singular-value cutoff must be a non-negative number"):
             q.GuessPair.from_transfers(phi, guess, cutoff)
     with pytest.raises(ValueError, match="singular-value cutoff must be a non-negative number"):
         q.inverse_transfer(singular, cutoff)
-
-
-def _largest_line_norm(M):
-    """Lower bound on ``||M||_2``: the largest column or row 2-norm."""
-    return max(np.linalg.norm(M, axis=0).max(), np.linalg.norm(M, axis=1).max())
-
-
-@settings(deadline=None, max_examples=60)
-@given(
-    n=st.integers(1, 16),
-    seed=st.integers(0, 2**31 - 1),
-    decades=st.one_of(st.none(), st.floats(0.0, 8.0)),
-)
-def test_norm_bracket_contains_the_singular_value_ratio(n, seed, decades):
-    rng = np.random.default_rng(seed)
-    if decades is None:
-        G = rng.normal(size=(n, n))
-    else:  # prescribed singular values from 1 down to 10**-decades
-        U, _ = np.linalg.qr(rng.normal(size=(n, n)))
-        V, _ = np.linalg.qr(rng.normal(size=(n, n)))
-        G = (U * np.logspace(0, -decades, n)) @ V.T
-    s = np.linalg.svd(G, compute_uv=False)
-    ratio = s[-1] / s[0]
-    inv = np.linalg.inv(G)
-    for M in (G, inv):
-        top = np.linalg.norm(M, 2)
-        assert _largest_line_norm(M) <= top * (1 + 1e-12)
-        assert top <= _spectral_norm_bound(M) * (1 + 1e-12)
-    lower = 1.0 / (_spectral_norm_bound(G) * _spectral_norm_bound(inv))
-    upper = 1.0 / (_largest_line_norm(G) * _largest_line_norm(inv))
-    assert lower <= ratio * (1 + 1e-6)
-    assert ratio <= upper * (1 + 1e-6)
 
 
 def test_guess_sweep_ranks_singular_candidates_last():
@@ -672,6 +690,14 @@ def test_evaluate_of_an_overflowing_observable_is_a_value_error_without_a_warnin
     with pytest.raises(q.NumericalOverflowError, match="overflow encountered in dot") as info:
         q.evaluate(gp, np.diag([1e300, 1.0]), q.random_density_matrix(2, rng))
     assert isinstance(info.value, ValueError)
+
+
+def test_modified_observable_of_an_overflowing_observable_is_a_value_error_without_a_warning():
+    # warnings are errors in this suite: the norms of the Hermiticity check overflow
+    T = q.transfer_from_kraus(q.unitary_channel(np.eye(2)))
+    gp = q.GuessPair.from_transfers(T, T)
+    with pytest.raises(q.NumericalOverflowError, match="overflow encountered in dot"):
+        q.modified_observable(gp, np.diag([1e300, 1.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -1156,7 +1182,7 @@ def _span_gap(W, O):
 
 @settings(deadline=None, max_examples=200)
 @given(
-    d=st.sampled_from([2, 3, 4, 5, 6, 8]),
+    d=st.sampled_from([2, 3, 4, 5, 6, 7, 8]),
     n_blocks=st.integers(1, 3),
     complex_blocks=st.booleans(),
     rel_tol=st.sampled_from([q.DEFAULT_KERNEL_RTOL, 0.0, 1e-12, 1e-4]),
@@ -1166,7 +1192,7 @@ def _span_gap(W, O):
 def test_null_coordinates_match_the_svd_oracle(d, n_blocks, complex_blocks, rel_tol, seed, data):
     # a planted kernel K of every dimension, from empty (full-rank blocks) to
     # everything (blocks that are rounding and constrain nothing); at the
-    # default cutoff the oracle finds exactly K.  From d = 4 on, kernels
+    # default cutoff the oracle finds exactly K.  From d = 7 on, kernels
     # smaller and larger than the start block take the block iteration
     d2 = d * d
     k = data.draw(st.integers(0, d2), label="kernel dimension")
@@ -1243,13 +1269,21 @@ def test_candidates_past_half_the_coordinates_take_the_full_svd(linalg_calls):
     assert W.shape == (64, 61) and np.linalg.norm(block @ W) <= 1e-13
 
 
-@pytest.mark.parametrize("d", [2, 3])
-def test_kernels_up_to_d_3_take_one_svd(linalg_calls, d):
-    # twice the start block exceeds d^2: one SVD is cheaper than any iteration
+@pytest.mark.parametrize("d", [2, 3, 4, 6, 8])
+def test_only_kernels_up_to_d_6_take_one_svd(linalg_calls, monkeypatch, d):
+    # up to d^2 = 36 one SVD is cheaper than the block iteration's dozen small
+    # calls; at d = 8 the block route solves, certifies and takes a thin SVD
+    factorized = []
+    for name in ("solve", "cholesky"):
+        f = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda *args, f=f, name=name: factorized.append(name) or f(*args))
     rng = np.random.default_rng(d)
     blocks = [rng.normal(size=(d * d, d * d)) for _ in range(2)]
     _null_coordinates(blocks, d * d, q.DEFAULT_KERNEL_RTOL)
-    assert linalg_calls == [("svd", (2 * d * d, d * d))]
+    if d <= 6:
+        assert factorized == [] and linalg_calls == [("svd", (2 * d * d, d * d))]
+    else:
+        assert factorized == ["solve", "solve", "cholesky"] and linalg_calls == [("svd", (2 * d * d, 8))]
 
 
 def test_a_block_made_only_of_kernel_grows_to_twice_d(linalg_calls, monkeypatch):
