@@ -257,11 +257,15 @@ def validate_probabilities(ps: Sequence[float]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def transfer_from_kraus(ch: KrausChannel) -> TransferMatrix:
-    """Transfer matrix ``gamma = sum_k kron(A_k, conj(A_k))`` of a Kraus channel."""
+    """Transfer matrix ``gamma = sum_k kron(A_k, conj(A_k))`` of a Kraus channel.
+
+    With ``F`` the ``m x d^2`` stack of the vectorized operators,
+    ``(F^T conj(F))[(i,k),(j,l)] = sum_m A_m[i,k] conj(A_m[j,l])``: one
+    product, then one copy that reorders the axes to ``(i,j),(k,l)``.
+    """
     d = ch.dim
-    gamma = np.zeros((d * d, d * d), dtype=complex)
-    for A in ch.kraus:
-        gamma += _kron(A, A.conj())
+    F = np.array(ch.kraus).reshape(len(ch.kraus), d * d)
+    gamma = (F.T @ F.conj()).reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
     return TransferMatrix(dim=d, gamma=gamma)
 
 
@@ -289,6 +293,8 @@ def _gram_certificate(M: np.ndarray, cutoff: float) -> bool:
     # a transposed view of X itself lets matmul take the symmetric product
     Xh = X.conj().T if np.iscomplexobj(X) else X.T
     H = X @ Xh
+    # the scaled copy is not needed past here; free it before LAPACK's own copy of H
+    del X, Xh
     n = len(H)
     # a cutoff of 1 already exceeds every ratio; the min keeps its square finite
     tau = max(
@@ -297,7 +303,9 @@ def _gram_certificate(M: np.ndarray, cutoff: float) -> bool:
     )
     H.flat[:: n + 1] -= tau
     try:
-        np.linalg.cholesky(H)
+        # the F-ordered view spares LAPACK a strided copy; H^T = conj(H) is
+        # positive definite exactly when H is
+        np.linalg.cholesky(H.T)
     except np.linalg.LinAlgError:
         return False
     return True

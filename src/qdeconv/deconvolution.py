@@ -20,7 +20,7 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -70,24 +70,49 @@ def _hermitian_basis(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nda
     return i1, i2, w1, w2
 
 
+#: Entries per row chunk of :func:`_coordinates`' gathers; bounds its
+#: scratch space at any ``d``.
+_COORDINATE_CHUNK = 1 << 16
+
+
 def _coordinates(M: np.ndarray, d: int) -> np.ndarray:
     """``B^dag M B``: a superoperator in Hermitian coordinates on both sides.
 
     Real (to rounding) when ``M`` maps Hermitian operators to Hermitian ones.
-    ``M`` is complex; the rows and then the columns are gathered, scaled and
-    added in place, in three ``d^2 x d^2`` buffers.
+    The rows of ``M`` are gathered, scaled and added into the row-mixed
+    matrix ``B^dag M``, then its columns into the output, a fixed number of
+    entries at a time, so the only ``d^2 x d^2`` buffers are those two.
     """
     i1, i2, w1, w2 = _hermitian_basis(d)
-    X, buf = M[i1], M[i2]
-    X *= w1.conj()[:, None]
-    buf *= w2.conj()[:, None]
-    X += buf
-    out = np.take(X, i1, axis=1)
-    out *= w1
-    np.take(X, i2, axis=1, out=buf)
-    buf *= w2
-    out += buf
+    d2 = d * d
+    rows = max(1, _COORDINATE_CHUNK // d2)
+    c1, c2 = w1.conj()[:, None], w2.conj()[:, None]
+    X = np.empty((d2, d2), dtype=complex)
+    out = np.empty((d2, d2), dtype=complex)
+    buf = np.empty((min(rows, d2), d2), dtype=complex)
+    chunks = [slice(start, min(start + rows, d2)) for start in range(0, d2, rows)]
+    # the indices are in range; mode="clip" only stops np.take from buffering its output
+    for r in chunks:
+        x, b = X[r], buf[: r.stop - r.start]
+        np.take(M, i1[r], axis=0, out=x, mode="clip")
+        x *= c1[r]
+        np.take(M, i2[r], axis=0, out=b, mode="clip")
+        b *= c2[r]
+        x += b
+    for r in chunks:
+        o, b = out[r], buf[: r.stop - r.start]
+        np.take(X[r], i1, axis=1, out=o, mode="clip")
+        o *= w1
+        np.take(X[r], i2, axis=1, out=b, mode="clip")
+        b *= w2
+        o += b
     return out
+
+
+def _coordinate_rows(V: np.ndarray, d: int) -> np.ndarray:
+    """Rows ``B^dag v`` of the rows ``v`` of ``V``, ``(n, d^2)``: complex Hermitian coordinates, two gathers."""
+    i1, i2, w1, w2 = _hermitian_basis(d)
+    return V[:, i1] * w1.conj() + V[:, i2] * w2.conj()
 
 
 def _hermitian_operators(coeffs: np.ndarray, d: int) -> np.ndarray:
@@ -394,14 +419,16 @@ def _start_block(n: int, b: int) -> np.ndarray:
     return X
 
 
-def _null_coordinates(blocks: Sequence[np.ndarray], d2: int, rel_tol: float) -> np.ndarray:
+def _null_coordinates(blocks: Iterable[np.ndarray], d2: int, rel_tol: float) -> np.ndarray:
     """Real Hermitian coordinates (columns) of the common null space of ``blocks``.
 
     Each block is a constraint already in Hermitian coordinates and is
     divided by its Frobenius norm; blocks of norm at most 1e-12 constrain
     nothing, and so does a scaled real or imaginary half of norm at most
     1e-12 (the imaginary half of a map that preserves Hermiticity is
-    rounding).  The null space is that of the remaining halves ``h`` stacked
+    rounding).  The blocks are read once, in order, and only the halves are
+    kept, so an iterator that builds each complex block on demand holds one
+    at a time.  The null space is that of the remaining halves ``h`` stacked
     into ``A``: the right-singular vectors of ``A`` with singular value at
     most ``max(rel_tol * sigma_max, 1e-14)``, returned orthonormal, smallest
     singular value first; with no effective constraint every coordinate
@@ -444,12 +471,7 @@ def _null_coordinates(blocks: Sequence[np.ndarray], d2: int, rel_tol: float) -> 
     cheaper route), the full SVD of ``A`` decides instead.
     """
     _require_non_negative(rel_tol, "kernel threshold")
-    halves = []
-    for M in blocks:
-        scale = np.linalg.norm(M)
-        if scale <= 1e-12:
-            continue
-        halves += [h for h in (M.real / scale, M.imag / scale) if np.linalg.norm(h) > 1e-12]
+    halves = _scaled_halves(blocks)
     if not halves:
         return np.eye(d2)
     # the squared column norms of A are the diagonal of A^T A
@@ -482,6 +504,16 @@ def _null_coordinates(blocks: Sequence[np.ndarray], d2: int, rel_tol: float) -> 
     return _svd_null_coordinates(halves, rel_tol)
 
 
+def _scaled_halves(blocks: Iterable[np.ndarray]) -> list[np.ndarray]:
+    """The real and imaginary halves of each block over its Frobenius norm, those of norm at most 1e-12 dropped."""
+    halves = []
+    for M in blocks:
+        scale = np.linalg.norm(M)
+        if scale > 1e-12:
+            halves += [h for h in (M.real / scale, M.imag / scale) if np.linalg.norm(h) > 1e-12]
+    return halves
+
+
 def _square_factor(halves: Sequence[np.ndarray]) -> np.ndarray:
     """Square matrix whose kernel holds every common kernel direction of ``halves``.
 
@@ -505,19 +537,26 @@ def _certified_correction(
     ``HS`` holds the products ``h @ S`` and ``fro2`` is ``||A||_F^2``.  The
     deflated Gram matrix is built, solved against, re-deflated by the
     corrected block, shifted and factorized in one ``d^2 x d^2`` buffer.
+    Every term is a symmetric product (``h^T h``, and ``U U^T`` with ``U =
+    sqrt(fro2) S`` for the rank-b updates), so the buffer stays exactly
+    symmetric and LAPACK reads it through its F-ordered transpose without
+    a strided copy.
     """
     gram = halves[0].T @ halves[0]
     for h in halves[1:]:
         gram += h.T @ h
     rhs = sum(h.T @ x for h, x in zip(halves, HS))
-    gram += (fro2 * S) @ S.T
+    root = math.sqrt(fro2)
+    U = root * S
+    gram += U @ U.T
     try:
-        correction = np.linalg.solve(gram, rhs)
-        gram -= (fro2 * S) @ S.T
+        correction = np.linalg.solve(gram.T, rhs)
+        gram -= U @ U.T
         S = np.linalg.qr(S - correction)[0]
-        gram += (fro2 * S) @ S.T
+        U = root * S
+        gram += U @ U.T
         gram.flat[:: len(gram) + 1] -= t
-        np.linalg.cholesky(gram)
+        np.linalg.cholesky(gram.T)
     except np.linalg.LinAlgError:
         return None
     return S
@@ -536,7 +575,7 @@ def _hermitian_kernel(mats: Sequence[np.ndarray], d: int, rel_tol: float) -> Obs
     basis ``B`` on both sides, ``B^dag M B``, and the null space is taken by
     :func:`_null_coordinates`: sign-fixed, in ascending singular-value order.
     """
-    return _from_coordinates(_null_coordinates([_coordinates(M, d) for M in mats], d * d, rel_tol).T, d)
+    return _from_coordinates(_null_coordinates((_coordinates(M, d) for M in mats), d * d, rel_tol).T, d)
 
 
 def _complement_projector(vecs: Sequence[np.ndarray], dim2: int) -> np.ndarray:
@@ -635,9 +674,7 @@ def _modified_observables(gp: GuessPair, As: np.ndarray) -> np.ndarray:
     ``1e-10 * max(1, ||G|| ||m||)``.
     """
     G = gp._guess_coordinates
-    i1, i2, w1, w2 = _hermitian_basis(gp.dim)
-    V = As.reshape(len(As), -1)
-    a = (V[:, i1] * w1.conj() + V[:, i2] * w2.conj()).real.T
+    a = _coordinate_rows(As.reshape(len(As), -1), gp.dim).real.T
     m = np.linalg.solve(G.T, a)
     residual = np.linalg.norm(G.T @ m - a, axis=0)
     # written so that a NaN residual fails too
@@ -825,27 +862,51 @@ def common_correctable_family(gps: Sequence[GuessPair], rel_tol: float = DEFAULT
     return _guess_family(gps, rel_tol)
 
 
+def _deviation_coordinates(G: np.ndarray, gamma_phi: np.ndarray, d: int) -> np.ndarray:
+    """``D = (G - B^dag gamma_phi B)^dag``, built in place in the buffer of the true channel's coordinates."""
+    D = _coordinates(gamma_phi, d)
+    np.subtract(G, D, out=D)
+    return np.conjugate(D, out=D).T
+
+
+def _recovery_bound(G: np.ndarray, gamma_phi: np.ndarray, X: np.ndarray, d: int) -> float:
+    """``||D X||_2`` for :func:`_deviation_coordinates`' ``D``, without forming ``D``.
+
+    ``D X = G^T X - B^dag (gamma_phi^dag (B X))`` for the ``k`` columns of
+    ``X``: two products of ``k`` rows with a ``d^2 x d^2`` matrix, and no
+    ``d^2 x d^2`` array allocated.
+    """
+    BX = _hermitian_operators(X.T, d).reshape(X.shape[1], -1)  # rows of (B X)^T
+    rows = _coordinate_rows((BX.conj() @ gamma_phi).conj(), d)  # rows of (B^dag gamma_phi^dag B X)^T
+    return float(np.linalg.norm(X.T @ G - rows, 2))
+
+
 def _guess_family(gps: Sequence[GuessPair], rel_tol: float) -> ObservableFamily:
     """Certified family of pairs sharing one guess: the one route behind every family constructor.
 
     ``W`` is the Hermitian null space of the stacked ``D_k`` and the family is
     the QR orthonormalization ``Q R = G^T W``, with ``G`` the guess's real
-    coordinates (``G^T`` is ``gamma_g^dag``).  Since ``F_k G^T = D_k``, the
-    certificate ``||D_k W R^-1||_2`` equals ``||F_k Q||_2`` and bounds the
-    recovery error of every unit-norm member on every state; above 1e-9,
+    coordinates (``G^T`` is ``gamma_g^dag``).  Each complex ``D_k`` is built
+    in place in its coordinate buffer and dropped once
+    :func:`_null_coordinates` has taken its real halves.  Since
+    ``F_k G^T = D_k``, the certificate ``||D_k W R^-1||_2`` equals
+    ``||F_k Q||_2`` and bounds the recovery error of every unit-norm member
+    on every state; :func:`_recovery_bound` computes it from ``G``,
+    ``gamma_phi_k`` and ``W R^-1``.  Above 1e-9,
     :class:`FamilyVerificationError` names pair k.
     """
     d = gps[0].dim
     G = gps[0]._guess_coordinates
-    # the guess's own pair constrains nothing: its block is zero
-    blocks = [np.zeros_like(G) if gp.phi is gp.phi_g else (G - _coordinates(gp.phi.gamma, d)).conj().T for gp in gps]
-    W = _null_coordinates(blocks, d * d, rel_tol)
+    # the guess's own pair constrains nothing: its D_k is zero
+    W = _null_coordinates(
+        (_deviation_coordinates(G, gp.phi.gamma, d) for gp in gps if gp.phi is not gp.phi_g), d * d, rel_tol
+    )
     if not W.shape[1]:
         return ObservableFamily.from_basis(d, [])
     Q, R = np.linalg.qr(G.T @ W)
     X = np.linalg.solve(R.T, W.T).T  # W R^-1
-    for k, M in enumerate(blocks):
-        bound = float(np.linalg.norm(M @ X, 2))
+    for k, gp in enumerate(gps):
+        bound = 0.0 if gp.phi is gp.phi_g else _recovery_bound(G, gp.phi.gamma, X, d)
         # written so that a NaN bound fails too
         if not bound <= _RECOVERY_TOL:
             raise FamilyVerificationError(

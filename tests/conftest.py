@@ -88,6 +88,14 @@ def coordinates_oracle(M: np.ndarray, d: int) -> np.ndarray:
     return X[:, i1] * w1 + X[:, i2] * w2
 
 
+def deviation_coordinates_oracle(gp) -> np.ndarray:
+    """The complex ``D = (B^dag gamma_g B - B^dag gamma_phi B)^dag`` of a pair
+    from :func:`coordinates_oracle`: the constraint whose null space is the
+    pair's correctable family, formed as a whole ``d^2 x d^2`` array."""
+    d = gp.dim
+    return (coordinates_oracle(gp.phi_g.gamma, d) - coordinates_oracle(gp.phi.gamma, d)).conj().T
+
+
 def null_coordinates_oracle(blocks, d2: int, rel_tol: float) -> np.ndarray:
     """Common null space (columns) of constraints in Hermitian coordinates from
     one full SVD of the stacked scaled real and imaginary halves: the decision

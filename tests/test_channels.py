@@ -76,6 +76,15 @@ def test_transfer_trace_preservation_invariant(rng):
         assert T.trace_preservation_residual() < 1e-12
 
 
+@pytest.mark.parametrize("d, n_kraus", [(1, 2), (2, 1), (2, 4), (3, 3), (8, 5)])
+def test_transfer_equals_the_sum_of_krons(d, n_kraus):
+    # one product sums over the operators in another order than the loop of
+    # krons, so entries may differ by a few roundings of unit-size products
+    ch = q.random_cptp_channel(d, n_kraus, np.random.default_rng(10 * d + n_kraus))
+    expected = sum(np.kron(A, A.conj()) for A in ch.kraus)
+    assert_allclose(q.transfer_from_kraus(ch).gamma, expected, rtol=0, atol=4 * n_kraus * np.finfo(float).eps)
+
+
 def test_reshuffle_bitflip():
     p = 0.2
     ch = q.KrausChannel.from_operators([np.sqrt(1 - p) * SIGMA[0], np.sqrt(p) * SIGMA[1]])

@@ -12,6 +12,7 @@ from qdeconv.deconvolution import (
     _hermitian_operators,
     _modified_observables,
     _null_coordinates,
+    _recovery_bound,
 )
 from qdeconv.serialization import emit_family
 from qdeconv.scenarios import (
@@ -28,6 +29,7 @@ from conftest import (
     SIGMA,
     apply_kraus,
     coordinates_oracle,
+    deviation_coordinates_oracle,
     hs_inner,
     kron,
     matrix_unit,
@@ -367,6 +369,63 @@ def test_coordinates_match_the_whole_array_form(d):
     arbitrary = rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d))
     for M in (preserving, arbitrary):
         assert np.array_equal(_coordinates(M, d), coordinates_oracle(M, d))
+
+
+def test_dense_path_keeps_at_most_two_and_a_half_complex_arrays():
+    # d = 32: one complex d^2 x d^2 array is 16 MiB.  The coordinates keep the
+    # row-mixed matrix and the output; the family keeps no complex constraint
+    # once its real halves exist, and its certificate allocates no d^4 array
+    import tracemalloc
+
+    d = 32
+    rng = np.random.default_rng(32)
+    phi = q.transfer_from_kraus(q.random_cptp_channel(d, 3, rng))
+    guess = q.transfer_from_kraus(q.random_cptp_channel(d, 2, rng))
+    q.correctable_family(q.GuessPair.from_transfers(phi, guess))  # warm caches before tracing
+
+    def peak(f):
+        tracemalloc.start()
+        try:
+            result = f()
+            return tracemalloc.get_traced_memory()[1], result
+        finally:
+            tracemalloc.stop()
+
+    limit = 2.5 * (d * d) ** 2 * 16
+    assert peak(lambda: _coordinates(phi.gamma, d))[0] <= limit
+    traced, gp = peak(lambda: q.GuessPair.from_transfers(phi, guess))
+    assert traced <= limit
+    traced, fam = peak(lambda: q.correctable_family(gp))
+    assert traced <= limit and fam.n_params == 1
+
+
+def _certificate_cases():
+    for d in (2, 3, 4, 16):
+        rng = np.random.default_rng(300 + d)
+        gp = guess_pair(q.random_cptp_channel(d, 3, rng), q.random_cptp_channel(d, 2, rng))
+        yield pytest.param([gp], id=f"random-d{d}")
+    probes = [guess_pair(bitflip_with_memory(0.25, mu), bitflip_correlated(0.25)) for mu in (0.1, 0.4, 0.9)]
+    yield pytest.param(probes, id="bitflip-common")
+
+
+@pytest.mark.parametrize("gps", list(_certificate_cases()))
+def test_recovery_bound_equals_the_dense_product(gps):
+    # ||D_k X||_2 from G, gamma_phi and X equals the product with the whole
+    # complex D_k, for the family's own X = W R^-1 and for arbitrary columns
+    d = gps[0].dim
+    G = gps[0]._guess_coordinates
+    Ds = [deviation_coordinates_oracle(gp) for gp in gps]
+    W = null_coordinates_oracle(Ds, d * d, q.DEFAULT_KERNEL_RTOL)
+    assert W.shape[1] >= 1
+    R = np.linalg.qr(G.T @ W)[1]
+    family_X = np.linalg.solve(R.T, W.T).T
+    arbitrary_X = np.random.default_rng(d).normal(size=(d * d, 3))
+    for gp, D in zip(gps, Ds):
+        for X in (family_X, arbitrary_X):
+            want = np.linalg.norm(D @ X, 2)
+            scale = np.linalg.norm(D, 2) * np.linalg.norm(X, 2)
+            assert _recovery_bound(G, gp.phi.gamma, X, d) == pytest.approx(want, rel=1e-12, abs=1e-12 * scale)
+        assert _recovery_bound(G, gp.phi.gamma, family_X, d) <= 1e-9
 
 
 # ---------------------------------------------------------------------------
