@@ -63,7 +63,9 @@ def _guess_pair(true_path: str, guess_path: str) -> GuessPair:
     phi_g = _load_transfer(guess_path)
     _require_same_dim(true_path, phi, guess_path, phi_g)
     try:
-        return GuessPair.from_transfers(phi, phi_g)
+        pair = GuessPair.from_transfers(phi, phi_g)
+        pair.require_invertible()
+        return pair
     except QdeconvError as exc:
         raise click.UsageError(str(exc))
 

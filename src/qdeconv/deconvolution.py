@@ -9,7 +9,11 @@ recovered, for every input state, by measuring the modified observable
 ``adjoint(inverse(phi_g))(A)`` on the noisy state.  Since
 ``F gamma_phi_g^dag = (gamma_phi_g - gamma_phi)^dag``, that space is
 ``gamma_phi_g^dag`` applied to the kernel of ``D = (gamma_phi_g - gamma_phi)^dag``,
-so it is extracted without inverting the guess.  This module extracts and
+so it is extracted without inverting the guess.  That image is the family
+for a singular guess too: ``A = Phi_g^dag(M)`` is recovered by measuring
+``M`` whenever ``Phi^dag(M) = Phi_g^dag(M)``, a preimage and not an inverse,
+so the guess is checked for invertibility only where a modified observable
+of an arbitrary ``A`` needs its inverse.  This module extracts and
 certifies an orthonormal Hermitian basis of that space, evaluates recovery
 quality per (state, observable) pair, and ranks candidate guesses.
 """
@@ -28,6 +32,7 @@ from .channels import (
     DEFAULT_SV_CUTOFF,
     TransferMatrix,
     _ginibre_states,
+    _gram_certificate,
     _require_invertible,
     _require_non_negative,
     apply_channel,
@@ -137,16 +142,23 @@ def _from_coordinates(coeffs: np.ndarray, d: int) -> ObservableFamily:
 class GuessPair:
     """True channel and guessed channel; the guess's real Hermitian coordinates are cached.
 
-    Build pairs with :meth:`from_transfers`, which checks that the guess is
-    invertible and preserves Hermiticity; the constructor checks dimensions only.
+    Build pairs with :meth:`from_transfers`, which checks that both channels
+    are finite and that the guess preserves Hermiticity; the constructor
+    checks dimensions and ``sv_cutoff`` only.  Whether the guess is
+    invertible at ``sv_cutoff`` is decided once, by :meth:`require_invertible`,
+    when the first modified observable needs it: a correctable family is a
+    preimage under the guess and needs no inverse.
     """
 
     phi: TransferMatrix
     phi_g: TransferMatrix
+    #: Relative singular-value cutoff of :meth:`require_invertible`.
+    sv_cutoff: float = DEFAULT_SV_CUTOFF
 
     def __post_init__(self) -> None:
         if self.phi.dim != self.phi_g.dim:
             raise ValueError("all transfer matrices must share one dimension")
+        _require_non_negative(self.sv_cutoff, "singular-value cutoff")
 
     @property
     def dim(self) -> int:
@@ -160,7 +172,8 @@ class GuessPair:
         ``1e-10 * max(1, norm)``: the guess does not preserve Hermiticity.
         """
         G = _coordinates(self.phi_g.gamma, self.dim)
-        leak = np.linalg.norm(G.imag)
+        # the squares of the strided imaginary view, summed without copying it
+        leak = math.sqrt(np.einsum("ij,ij->", G.imag, G.imag))
         if leak > 1e-10 * max(1.0, np.linalg.norm(G)):
             raise ValueError(
                 f"guess does not preserve Hermiticity (imaginary part {leak:.3e} in Hermitian coordinates)"
@@ -169,6 +182,34 @@ class GuessPair:
         G.setflags(write=False)
         return G
 
+    @cached_property
+    def _singular_reason(self) -> str | None:
+        """The message of the guess check's :class:`SingularChannelError`, or ``None`` when the guess passes."""
+        try:
+            _require_invertible(self._guess_coordinates.T, self.sv_cutoff)
+        except SingularChannelError as exc:
+            return str(exc)
+        return None
+
+    def require_invertible(self) -> None:
+        """Check, once per pair, that the guess is invertible at ``sv_cutoff``.
+
+        ``G^T``, the transposed real coordinates of the guess that
+        :func:`modified_observable` solves against, must pass
+        :func:`~qdeconv.channels._require_invertible`.  A guess well above the
+        cutoff passes on one Gram product and one Cholesky factorization, and
+        no inverse of it is formed.  The outcome is cached, so later calls
+        repeat it without a factorization.
+
+        Raises
+        ------
+        SingularChannelError
+            If ``G^T`` is singular at ``sv_cutoff`` or has no finite LU inverse.
+        """
+        reason = self._singular_reason
+        if reason is not None:
+            raise SingularChannelError(reason)
+
     @classmethod
     def from_transfers(
         cls,
@@ -176,18 +217,13 @@ class GuessPair:
         phi_g: TransferMatrix,
         sv_cutoff: float = DEFAULT_SV_CUTOFF,
     ) -> "GuessPair":
-        """Build a pair from transfer matrices, checking that the guess is invertible.
+        """Build a pair from transfer matrices, checking the inputs but not the guess's invertibility.
 
-        ``G^T``, the transposed real coordinates of the guess that
-        :func:`modified_observable` solves against, must pass
-        :func:`~qdeconv.channels._require_invertible`.  A guess well above the
-        cutoff passes on one Gram product and one Cholesky factorization, and
-        no inverse of it is formed.
+        ``sv_cutoff`` is stored for :meth:`require_invertible`, which every
+        modified observable calls first.
 
         Raises
         ------
-        SingularChannelError
-            If ``G^T`` is singular at ``sv_cutoff`` or has no finite LU inverse.
         ValueError
             If the true channel or the guess has a NaN or infinite entry, the
             guess does not preserve Hermiticity, or ``sv_cutoff`` is NaN or
@@ -196,8 +232,8 @@ class GuessPair:
         for name, t in (("true channel", phi), ("guess", phi_g)):
             if not np.isfinite(t.gamma).all():
                 raise ValueError(f"{name} transfer matrix has non-finite entries")
-        pair = cls(phi=phi, phi_g=phi_g)
-        _require_invertible(pair._guess_coordinates.T, sv_cutoff)
+        pair = cls(phi=phi, phi_g=phi_g, sv_cutoff=sv_cutoff)
+        pair._guess_coordinates  # formed now, so that a guess that breaks Hermiticity raises here
         return pair
 
 
@@ -435,15 +471,23 @@ def _null_coordinates(blocks: Iterable[np.ndarray], d2: int, rel_tol: float) -> 
     direction is returned.  A NaN or negative ``rel_tol`` raises
     ``ValueError``.
 
-    It is found without every singular vector of ``A``, by a certified block
-    inverse iteration on ``b`` orthonormal columns ``S``, first ``b = 8``:
+    It is found without every singular vector of ``A``, on ``b`` orthonormal
+    columns ``S`` that are certified to hold the null space:
 
-    1. ``S`` is the orthonormalized solve of a fixed start block against a
-       square matrix whose kernel holds that of ``A`` (:func:`_square_factor`),
-       the half itself when there is one, so the kernel comes out amplified
-       by the inverse of the rounding.  The Gram matrix ``A^T A`` squares the
-       condition number, so the iteration never solves against it, and a
-       second solve would only add rounding.
+    0. Identity seed.  ``S`` is first the coordinates ``e`` of ``I/sqrt(d)``,
+       which every pair of trace-preserving channels leaves in the kernel,
+       when ``||A e||`` is at most the keep bound of step 5.  Steps 4 and 5
+       decide it; only when the certificate fails do steps 1-5 follow.  No
+       correction step refines ``e``: it lies within about ``||A e|| /
+       sigma`` of the SVD's singular vector, ``sigma`` the next singular
+       value, and for trace-preserving pairs it is the exact kernel, with
+       ``||A e||`` the rounding of ``A``.
+    1. ``S`` is the orthonormalized solve of a fixed start block of ``b = 8``
+       columns against a square matrix whose kernel holds that of ``A``
+       (:func:`_square_factor`), the half itself when there is one, so the
+       kernel comes out amplified by the inverse of the rounding.  The Gram
+       matrix ``A^T A`` squares the condition number, so the iteration never
+       solves against it, and a second solve would only add rounding.
     2. When ``||A S||_F^2 <= t``, the candidate threshold below, every
        direction of the block is a candidate and the kernel may not fit: the
        block grows to ``max(4 b, 2 d)`` and step 1 starts again.
@@ -474,34 +518,9 @@ def _null_coordinates(blocks: Iterable[np.ndarray], d2: int, rel_tol: float) -> 
     halves = _scaled_halves(blocks)
     if not halves:
         return np.eye(d2)
-    # the squared column norms of A are the diagonal of A^T A
-    col2 = sum(np.einsum("ij,ij->j", h, h) for h in halves)
-    fro2 = float(col2.sum())
-    cutoff = _kernel_cutoff(rel_tol, math.sqrt(col2.max()))
-    keep = cutoff / _DECISION_MARGIN
-    drop = max(_DECISION_MARGIN * cutoff, _kernel_cutoff(rel_tol, math.sqrt(fro2)))
-    t = max(_CANDIDATE_FLOOR * fro2, drop**2)
-    b = _START_BLOCK
     # up to d = 6 one SVD of A costs less than the block iteration's dozen small calls
-    while 2 * b <= d2 and d2 > 36:
-        try:
-            S = np.linalg.qr(np.linalg.solve(_square_factor(halves), _start_block(d2, b)))[0]
-        except np.linalg.LinAlgError:
-            break
-        HS = [h @ S for h in halves]
-        if sum(np.linalg.norm(x) ** 2 for x in HS) <= t:
-            b = max(4 * b, 2 * math.isqrt(d2))
-            continue
-        S = _certified_correction(halves, S, HS, fro2, t)
-        if S is None:
-            b *= 2
-            continue
-        _, s, vt = np.linalg.svd(np.vstack([h @ S for h in halves]), full_matrices=False)
-        k = int(np.count_nonzero(s <= keep))  # the last k of the descending s
-        if k < b and s[-k - 1] <= drop:
-            break
-        return S @ vt[b - k:][::-1].T
-    return _svd_null_coordinates(halves, rel_tol)
+    W = _block_null_coordinates(halves, rel_tol) if d2 > 36 else None
+    return _svd_null_coordinates(halves, rel_tol) if W is None else W
 
 
 def _scaled_halves(blocks: Iterable[np.ndarray]) -> list[np.ndarray]:
@@ -512,6 +531,56 @@ def _scaled_halves(blocks: Iterable[np.ndarray]) -> list[np.ndarray]:
         if scale > 1e-12:
             halves += [h for h in (M.real / scale, M.imag / scale) if np.linalg.norm(h) > 1e-12]
     return halves
+
+
+def _block_null_coordinates(halves: Sequence[np.ndarray], rel_tol: float) -> np.ndarray | None:
+    """Steps 0-5 of :func:`_null_coordinates`: the null space, or ``None`` when the full SVD must decide.
+
+    ``A^T A`` is formed once, in one ``d^2 x d^2`` buffer that every
+    certificate and correction updates in place and then restores: exactly
+    after the seed, whose update touches only the leading ``d x d`` block, and
+    to rounding of order ``eps ||A||_F^2``, far inside the candidate
+    threshold's floor, after a rank-b update.
+    """
+    d2 = halves[0].shape[1]
+    # the squared column norms of A are the diagonal of A^T A
+    col2 = sum(np.einsum("ij,ij->j", h, h) for h in halves)
+    fro2 = float(col2.sum())
+    cutoff = _kernel_cutoff(rel_tol, math.sqrt(col2.max()))
+    keep = cutoff / _DECISION_MARGIN
+    drop = max(_DECISION_MARGIN * cutoff, _kernel_cutoff(rel_tol, math.sqrt(fro2)))
+    t = max(_CANDIDATE_FLOOR * fro2, drop**2)
+    gram = halves[0].T @ halves[0]
+    for h in halves[1:]:
+        gram += h.T @ h
+    # e, the coordinates of I / sqrt(d), is 1 / sqrt(d) on the d diagonal coordinates, which come first
+    d = math.isqrt(d2)
+    if math.sqrt(sum(float(np.sum(h[:, :d].sum(axis=1) ** 2)) for h in halves) / d) <= keep:
+        lead = gram[:d, :d]
+        saved = lead.copy()
+        lead += fro2 / d  # ||A||_F^2 e e^T
+        seeded = _shifted_cholesky(gram, t)
+        lead[...] = saved
+        if seeded:
+            e = np.zeros((d2, 1))
+            e[:d] = 1 / math.sqrt(d)
+            return _decided_null_coordinates(halves, e, keep, drop)
+    b = _START_BLOCK
+    while 2 * b <= d2:
+        try:
+            S = np.linalg.qr(np.linalg.solve(_square_factor(halves), _start_block(d2, b)))[0]
+        except np.linalg.LinAlgError:
+            return None
+        HS = [h @ S for h in halves]
+        if sum(np.linalg.norm(x) ** 2 for x in HS) <= t:
+            b = max(4 * b, 2 * d)
+            continue
+        S = _certified_correction(gram, halves, S, HS, fro2, t)
+        if S is None:
+            b *= 2
+            continue
+        return _decided_null_coordinates(halves, S, keep, drop)
+    return None
 
 
 def _square_factor(halves: Sequence[np.ndarray]) -> np.ndarray:
@@ -529,37 +598,67 @@ def _square_factor(halves: Sequence[np.ndarray]) -> np.ndarray:
     return sum(c * h for c, h in zip(1.0 + _start_block(len(halves), 1)[:, 0], halves))
 
 
+def _shifted_cholesky(gram: np.ndarray, t: float) -> bool:
+    """Step 4's test: whether ``gram - t I`` has a Cholesky factorization; the diagonal is restored exactly.
+
+    ``gram`` must be exactly symmetric, as every sum of symmetric products
+    is, so LAPACK reads it through its F-ordered transpose without a strided
+    copy.
+    """
+    n = len(gram)
+    diagonal = gram.diagonal().copy()
+    gram.flat[:: n + 1] -= t
+    try:
+        np.linalg.cholesky(gram.T)
+    except np.linalg.LinAlgError:
+        return False
+    finally:
+        gram.flat[:: n + 1] = diagonal
+    return True
+
+
 def _certified_correction(
-    halves: Sequence[np.ndarray], S: np.ndarray, HS: Sequence[np.ndarray], fro2: float, t: float
+    gram: np.ndarray, halves: Sequence[np.ndarray], S: np.ndarray, HS: Sequence[np.ndarray], fro2: float, t: float
 ) -> np.ndarray | None:
     """Steps 3 and 4 of :func:`_null_coordinates`: the corrected block, or ``None`` when the certificate fails.
 
-    ``HS`` holds the products ``h @ S`` and ``fro2`` is ``||A||_F^2``.  The
-    deflated Gram matrix is built, solved against, re-deflated by the
-    corrected block, shifted and factorized in one ``d^2 x d^2`` buffer.
-    Every term is a symmetric product (``h^T h``, and ``U U^T`` with ``U =
-    sqrt(fro2) S`` for the rank-b updates), so the buffer stays exactly
-    symmetric and LAPACK reads it through its F-ordered transpose without
-    a strided copy.
+    ``gram`` holds ``A^T A``, ``HS`` the products ``h @ S`` and ``fro2``
+    ``||A||_F^2``.  The Gram matrix is deflated by the block, ``U U^T`` with
+    ``U = sqrt(fro2) S``, for the solve, and by the corrected block for the
+    certificate, and restored after each.
     """
-    gram = halves[0].T @ halves[0]
-    for h in halves[1:]:
-        gram += h.T @ h
     rhs = sum(h.T @ x for h, x in zip(halves, HS))
     root = math.sqrt(fro2)
     U = root * S
     gram += U @ U.T
     try:
         correction = np.linalg.solve(gram.T, rhs)
-        gram -= U @ U.T
-        S = np.linalg.qr(S - correction)[0]
-        U = root * S
-        gram += U @ U.T
-        gram.flat[:: len(gram) + 1] -= t
-        np.linalg.cholesky(gram.T)
     except np.linalg.LinAlgError:
+        correction = None
+    gram -= U @ U.T
+    if correction is None:
         return None
-    return S
+    S = np.linalg.qr(S - correction)[0]
+    U = root * S
+    gram += U @ U.T
+    certified = _shifted_cholesky(gram, t)
+    gram -= U @ U.T
+    return S if certified else None
+
+
+def _decided_null_coordinates(
+    halves: Sequence[np.ndarray], S: np.ndarray, keep: float, drop: float
+) -> np.ndarray | None:
+    """Step 5 of :func:`_null_coordinates` on a certified block ``S``.
+
+    ``None`` when a singular value of ``A S`` lies between the two bounds.
+    """
+    b = S.shape[1]
+    _, s, vt = np.linalg.svd(np.vstack([h @ S for h in halves]), full_matrices=False)
+    k = int(np.count_nonzero(s <= keep))  # the last k of the descending s
+    if k < b and s[-k - 1] <= drop:
+        return None
+    return S @ vt[b - k:][::-1].T
 
 
 def _svd_null_coordinates(halves: Sequence[np.ndarray], rel_tol: float) -> np.ndarray:
@@ -670,9 +769,11 @@ def _modified_observables(gp: GuessPair, As: np.ndarray) -> np.ndarray:
 
     ``gamma_g^-dag = B G^-T B^dag``, so one ``solve(G^T, a)`` takes all their
     real coordinates ``a = B^dag vec(A)`` (columns) at once.  Raises
-    ``ValueError`` when a column's backward error ``||G^T m - a||`` exceeds
-    ``1e-10 * max(1, ||G|| ||m||)``.
+    :class:`SingularChannelError` when the guess fails
+    :meth:`GuessPair.require_invertible`, and ``ValueError`` when a column's
+    backward error ``||G^T m - a||`` exceeds ``1e-10 * max(1, ||G|| ||m||)``.
     """
+    gp.require_invertible()
     G = gp._guess_coordinates
     a = _coordinate_rows(As.reshape(len(As), -1), gp.dim).real.T
     m = np.linalg.solve(G.T, a)
@@ -703,7 +804,9 @@ def modified_observable(gp: GuessPair, A: np.ndarray) -> np.ndarray:
 
     ``devec(gamma_g^-dag vec(A))``, exactly Hermitian; an ``A`` whose
     anti-Hermitian part exceeds ``1e-10 * max(1, ||A||)`` raises ``ValueError``,
-    and one whose norms or solve overflow raises :class:`NumericalOverflowError`.
+    one whose norms or solve overflow raises :class:`NumericalOverflowError`,
+    and a guess that fails :meth:`GuessPair.require_invertible` raises
+    :class:`SingularChannelError`.
     """
     A = np.asarray(A, dtype=complex)
     if A.shape != (gp.dim, gp.dim):
@@ -869,31 +972,43 @@ def _deviation_coordinates(G: np.ndarray, gamma_phi: np.ndarray, d: int) -> np.n
     return np.conjugate(D, out=D).T
 
 
-def _recovery_bound(G: np.ndarray, gamma_phi: np.ndarray, X: np.ndarray, d: int) -> float:
-    """``||D X||_2`` for :func:`_deviation_coordinates`' ``D``, without forming ``D``.
+def _recovery_bounds(G: np.ndarray, X: np.ndarray, d: int) -> Callable[[np.ndarray], float]:
+    """``gamma_phi -> ||D X||_2`` for :func:`_deviation_coordinates`' ``D``, without forming ``D``.
 
     ``D X = G^T X - B^dag (gamma_phi^dag (B X))`` for the ``k`` columns of
-    ``X``: two products of ``k`` rows with a ``d^2 x d^2`` matrix, and no
-    ``d^2 x d^2`` array allocated.
+    ``X``.  ``B X`` and ``X^T G`` are formed once, for every pair of a
+    family; each bound then takes one product of ``k`` rows with a
+    ``d^2 x d^2`` matrix, and no ``d^2 x d^2`` array is allocated.
     """
-    BX = _hermitian_operators(X.T, d).reshape(X.shape[1], -1)  # rows of (B X)^T
-    rows = _coordinate_rows((BX.conj() @ gamma_phi).conj(), d)  # rows of (B^dag gamma_phi^dag B X)^T
-    return float(np.linalg.norm(X.T @ G - rows, 2))
+    BX = _hermitian_operators(X.T, d).reshape(X.shape[1], -1).conj()  # conjugated rows of (B X)^T
+    XG = X.T @ G
+
+    def bound(gamma_phi: np.ndarray) -> float:
+        rows = _coordinate_rows((BX @ gamma_phi).conj(), d)  # rows of (B^dag gamma_phi^dag B X)^T
+        return float(np.linalg.norm(XG - rows, 2))
+
+    return bound
 
 
 def _guess_family(gps: Sequence[GuessPair], rel_tol: float) -> ObservableFamily:
     """Certified family of pairs sharing one guess: the one route behind every family constructor.
 
     ``W`` is the Hermitian null space of the stacked ``D_k`` and the family is
-    the QR orthonormalization ``Q R = G^T W``, with ``G`` the guess's real
-    coordinates (``G^T`` is ``gamma_g^dag``).  Each complex ``D_k`` is built
-    in place in its coordinate buffer and dropped once
-    :func:`_null_coordinates` has taken its real halves.  Since
-    ``F_k G^T = D_k``, the certificate ``||D_k W R^-1||_2`` equals
-    ``||F_k Q||_2`` and bounds the recovery error of every unit-norm member
-    on every state; :func:`_recovery_bound` computes it from ``G``,
-    ``gamma_phi_k`` and ``W R^-1``.  Above 1e-9,
-    :class:`FamilyVerificationError` names pair k.
+    the guess's image ``G^T W`` of it, with ``G`` the guess's real
+    coordinates (``G^T`` is ``gamma_g^dag``): a preimage, so the guess need
+    not be invertible.  Each complex ``D_k`` is built in place in its
+    coordinate buffer and dropped once :func:`_null_coordinates` has taken
+    its real halves.  The basis ``Q`` comes from the QR factorization ``Q R =
+    G^T W`` when :func:`~qdeconv.channels._gram_certificate` proves ``R``
+    well conditioned at the first pair's ``sv_cutoff``; otherwise from the
+    thin SVD ``U s V^T = G^T W``, keeping the directions with ``s`` above
+    ``sv_cutoff`` times the largest, which drops those a singular guess maps
+    to zero.  ``X`` (``W R^-1``, or ``W V s^-1`` on the kept part) holds the
+    members' modified observables, ``G^T X = Q``, and ``||D_k X||_2`` bounds
+    the recovery error of every unit-norm member on every state (it equals
+    ``||F_k Q||_2`` when the guess is invertible, as ``F_k G^T = D_k``);
+    :func:`_recovery_bounds` computes it from ``G``, ``gamma_phi_k`` and
+    ``X``.  Above 1e-9, :class:`FamilyVerificationError` names pair k.
     """
     d = gps[0].dim
     G = gps[0]._guess_coordinates
@@ -903,14 +1018,24 @@ def _guess_family(gps: Sequence[GuessPair], rel_tol: float) -> ObservableFamily:
     )
     if not W.shape[1]:
         return ObservableFamily.from_basis(d, [])
-    Q, R = np.linalg.qr(G.T @ W)
-    X = np.linalg.solve(R.T, W.T).T  # W R^-1
+    image = G.T @ W
+    Q, R = np.linalg.qr(image)
+    cutoff = gps[0].sv_cutoff
+    if _gram_certificate(R, cutoff):
+        X = np.linalg.solve(R.T, W.T).T  # W R^-1
+    else:
+        U, s, vt = np.linalg.svd(image, full_matrices=False)
+        kept = s > cutoff * s[0]
+        Q, X = U[:, kept], W @ (vt[kept].T / s[kept])
+        if not Q.shape[1]:
+            return ObservableFamily.from_basis(d, [])
+    bound = _recovery_bounds(G, X, d)
     for k, gp in enumerate(gps):
-        bound = 0.0 if gp.phi is gp.phi_g else _recovery_bound(G, gp.phi.gamma, X, d)
+        value = 0.0 if gp.phi is gp.phi_g else bound(gp.phi.gamma)
         # written so that a NaN bound fails too
-        if not bound <= _RECOVERY_TOL:
+        if not value <= _RECOVERY_TOL:
             raise FamilyVerificationError(
-                f"recovery certificate failed on pair {k}: bound {bound:.3e} > {_RECOVERY_TOL:g}; "
+                f"recovery certificate failed on pair {k}: bound {value:.3e} > {_RECOVERY_TOL:g}; "
                 "consider a tighter kernel tolerance"
             )
     return _from_coordinates(Q.T, d)
@@ -932,6 +1057,7 @@ def guess_sweep(
     for idx, cand in enumerate(candidates):
         try:
             gp = GuessPair.from_transfers(phi, cand)
+            gp.require_invertible()
         except SingularChannelError:
             results.append((idx, -1))
             continue

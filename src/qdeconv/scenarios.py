@@ -416,7 +416,7 @@ def _scenario_bitflip_memory(params: dict, kernel_tol: float, expected: int) -> 
         fwd_res = max(fwd_res, np.linalg.norm(devectorize(fwd_gamma @ vectorize(P), 4) - f * P))
 
     try:
-        GuessPair.from_transfers(gps[0].phi, transfer_from_kraus(bitflip_correlated(0.5)))
+        GuessPair.from_transfers(gps[0].phi, transfer_from_kraus(bitflip_correlated(0.5))).require_invertible()
         singular_ok = False
     except SingularChannelError:
         singular_ok = True

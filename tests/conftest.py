@@ -6,6 +6,8 @@ code paths so that tests compare two independent computations.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -111,6 +113,61 @@ def null_coordinates_oracle(blocks, d2: int, rel_tol: float) -> np.ndarray:
         return np.eye(d2)
     _, s, vt = np.linalg.svd(np.vstack(halves), full_matrices=False)
     return vt[s <= max(rel_tol * s[0], 1e-14)].T
+
+
+def _rational(x: float, max_denominator: int) -> Fraction:
+    """The fraction with denominator at most ``max_denominator`` nearest ``x``, which must lie within 1e-12 of it."""
+    r = Fraction(x).limit_denominator(max_denominator)
+    if abs(float(r) - x) > 1e-12:
+        raise ValueError(f"{x!r} is not within 1e-12 of a fraction with denominator at most {max_denominator}")
+    return r
+
+
+def exact_rank(M: np.ndarray, max_denominator: int = 10**6) -> int:
+    """Exact complex rank of a matrix whose entries are Gaussian rationals to rounding.
+
+    Each real and imaginary part is replaced by the nearest fraction with a
+    small denominator (:func:`_rational`), so the floats only name the exact
+    matrix; the rank is then found by Gaussian elimination over
+    ``fractions.Fraction``.  A complex matrix ``R + iI`` is realified as
+    ``[[R, -I], [I, R]]``, whose rank is twice the complex rank.
+    """
+    M = np.asarray(M, dtype=complex)
+    re = [[_rational(float(x), max_denominator) for x in row] for row in M.real]
+    if np.any(M.imag):
+        im = [[_rational(float(x), max_denominator) for x in row] for row in M.imag]
+        rows = [r + [-x for x in i] for r, i in zip(re, im)] + [i + r for r, i in zip(re, im)]
+        return _fraction_rank(rows) // 2
+    return _fraction_rank(re)
+
+
+def _fraction_rank(rows: list[list[Fraction]]) -> int:
+    """Rank over Q, one row at a time: each row is reduced by the stored pivot
+    rows, in the order they were stored, and stored if anything is left."""
+    pivots: list[tuple[int, list[Fraction]]] = []
+    for row in rows:
+        for col, pivot in pivots:
+            if row[col]:
+                f = row[col]
+                row = [a - f * b for a, b in zip(row, pivot)]
+        lead = next((j for j, a in enumerate(row) if a), None)
+        if lead is not None:
+            pivots.append((lead, [a / row[lead] for a in row]))
+    return len(pivots)
+
+
+def exact_family_size(trues, guess: np.ndarray) -> int:
+    """Exact size of the family correctable for every true transfer matrix in ``trues`` under ``guess``.
+
+    With ``D_k = (gamma_g - gamma_k)^dag`` stacked into ``D``, the family is
+    the guess's image ``gamma_g^dag ker D``, whose dimension is ``dim ker D``
+    less ``dim (ker D cap ker gamma_g^dag)``: ``rank [D; gamma_g^dag] - rank
+    D``.  The kernels are closed under ``A -> A^dag``, so their complex
+    dimensions are the real dimensions of the Hermitian families.  The
+    entries must be Gaussian rationals to rounding (:func:`exact_rank`).
+    """
+    D = np.vstack([(guess - gamma).conj().T for gamma in trues])
+    return exact_rank(np.vstack([D, guess.conj().T])) - exact_rank(D)
 
 
 def membership_oracle(basis, A: np.ndarray) -> float:

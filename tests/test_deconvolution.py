@@ -12,7 +12,7 @@ from qdeconv.deconvolution import (
     _hermitian_operators,
     _modified_observables,
     _null_coordinates,
-    _recovery_bound,
+    _recovery_bounds,
 )
 from qdeconv.serialization import emit_family
 from qdeconv.scenarios import (
@@ -122,8 +122,65 @@ def test_guess_pair_rejects_guess_that_breaks_hermiticity():
 
 def test_guess_pair_rejects_singular_guess():
     phi = q.transfer_from_kraus(bitflip_with_memory(0.5, 0.3))
+    gp = q.GuessPair.from_transfers(phi, q.transfer_from_kraus(bitflip_correlated(0.5)))
     with pytest.raises(q.SingularChannelError):
-        q.GuessPair.from_transfers(phi, q.transfer_from_kraus(bitflip_correlated(0.5)))
+        gp.require_invertible()
+
+
+def test_the_guess_check_runs_once_per_pair_and_never_for_a_family(monkeypatch, bitflip_pair, rng):
+    calls = []
+    check = q.deconvolution._require_invertible
+    monkeypatch.setattr(q.deconvolution, "_require_invertible", lambda M, cutoff: calls.append(cutoff) or check(M, cutoff))
+    gp = q.GuessPair.from_transfers(bitflip_pair.phi, bitflip_pair.phi_g, 1e-6)
+    q.correctable_family(gp)
+    assert calls == []
+    for _ in range(2):
+        q.modified_observable(gp, random_hermitian(4, rng))
+    assert calls == [1e-6]
+    singular = q.GuessPair.from_transfers(bitflip_pair.phi, q.transfer_from_kraus(bitflip_correlated(0.5)))
+    for _ in range(2):
+        with pytest.raises(q.SingularChannelError, match="is below cutoff 1e-08$"):
+            singular.require_invertible()
+    assert calls == [1e-6, 1e-8]
+
+
+def test_a_singular_guess_gives_its_image_of_the_kernel():
+    # the correlated guess at p = 1/2 has rank 8 of 16: the probes' common
+    # kernel has 12 dimensions, and the guess maps 8 of them to zero.  The
+    # family is certified; a modified observable needs the inverse and fails
+    guess = q.transfer_from_kraus(bitflip_correlated(0.5))
+    gps = [q.GuessPair.from_transfers(q.transfer_from_kraus(bitflip_with_memory(0.5, mu)), guess) for mu in (0.1, 0.5, 0.9)]
+    fam = q.common_correctable_family(gps)
+    x_strings = q.ObservableFamily.from_basis(4, [kron(SIGMA[i], SIGMA[j]) / 2 for i in (0, 1) for j in (0, 1)])
+    assert fam.n_params == 4 and q.spans_coincide(fam, x_strings)
+    message = (
+        "^transfer matrix is singular: smallest/largest singular value "
+        "0.000e\\+00/1.000e\\+00 is below cutoff 1e-08$"
+    )
+    with pytest.raises(q.SingularChannelError, match=message):
+        q.modified_observable(gps[0], fam.basis[0])
+
+
+@settings(deadline=None, max_examples=40)
+@given(vertex_set=st.sampled_from(["pauli", 2, 3, 4]), k=st.integers(2, 3), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_a_guess_in_the_hull_gives_the_vertex_family(vertex_set, k, seed, data):
+    # noise with unknown convex weights over unitary vertices U_i: if
+    # U_i^dag M U_i = A at every vertex, a guess sum_i c_i U_i . U_i^dag in
+    # their hull maps M to A too.  So every such guess, singular or not, gives
+    # the family of a vertex guess; the guess only picks the preimage M.
+    # Pauli vertices with small integer weights make singular guesses
+    rng = np.random.default_rng(seed)
+    if vertex_set == "pauli":
+        Us = list(SIGMA[: k + 1])
+        counts = data.draw(st.lists(st.integers(0, 2), min_size=k + 1, max_size=k + 1).filter(any), label="counts")
+        weights = np.array(counts) / sum(counts)
+    else:
+        Us = [q.haar_random_unitary(vertex_set, rng) for _ in range(k)]
+        weights = rng.dirichlet(np.ones(k))
+    guess = q.transfer_from_kraus(q.random_unitary_channel(weights, Us))
+    vertices = [q.transfer_from_kraus(q.unitary_channel(U)) for U in Us]
+    hull = q.common_correctable_family([q.GuessPair.from_transfers(phi, guess) for phi in vertices])
+    assert q.spans_coincide(hull, q.ru_correctable_family(q.UnitaryErrorSet.from_unitaries(Us)))
 
 
 # ---------------------------------------------------------------------------
@@ -174,11 +231,11 @@ def test_guess_check_decides_as_the_singular_value_rule(svd_calls, scale):
     outcomes = set()
     for k, T in enumerate(_parity_guesses()):
         T = q.TransferMatrix(T.dim, scale * T.gamma)
-        # each caller decides on its own matrix: from_transfers on G^T, the
+        # each caller decides on its own matrix: require_invertible on G^T, the
         # matrix modified observables solve against, inverse_transfer on gamma;
         # near 1e-17 their computed ratios differ by more than the factors 0.999 and 1.001
         callers = (
-            (lambda c: q.GuessPair.from_transfers(T, T, c), q.GuessPair(T, T)._guess_coordinates.T),
+            (lambda c: q.GuessPair.from_transfers(T, T, c).require_invertible(), q.GuessPair(T, T)._guess_coordinates.T),
             (lambda c: q.inverse_transfer(T, c).gamma, T.gamma),
         )
         for call, M in callers:
@@ -219,7 +276,7 @@ def test_zero_pivot_guess_is_rejected_by_both_callers():
     assert not _has_finite_lu_inverse(T.gamma)
     assert not _has_finite_lu_inverse(G) and not _has_finite_lu_inverse(G.T)
     assert np.linalg.svd(T.gamma, compute_uv=False)[-1] > 0
-    for build in (q.inverse_transfer, lambda T, cutoff: q.GuessPair.from_transfers(T, T, cutoff)):
+    for build in (q.inverse_transfer, lambda T, cutoff: q.GuessPair.from_transfers(T, T, cutoff).require_invertible()):
         with pytest.raises(q.SingularChannelError, match="^transfer matrix passes cutoff 0 but has no finite LU inverse$"):
             build(T, 0.0)
         with pytest.raises(q.SingularChannelError, match="is below cutoff 1e-08$"):
@@ -248,8 +305,9 @@ def test_an_accepted_guess_gives_finite_hermitian_modified_observables(seed, d, 
     replacement = np.outer(q.random_density_matrix(d, rng).reshape(-1), np.eye(d).reshape(-1))
     weight = 10.0**log_weight
     T = q.TransferMatrix(d, (1 - weight) * replacement + weight * guess)
+    gp = q.GuessPair.from_transfers(T, T, 10.0**log_cutoff)
     try:
-        gp = q.GuessPair.from_transfers(T, T, 10.0**log_cutoff)
+        gp.require_invertible()
     except q.SingularChannelError:
         return
     M = q.modified_observable(gp, random_hermitian(d, rng))
@@ -259,8 +317,8 @@ def test_an_accepted_guess_gives_finite_hermitian_modified_observables(seed, d, 
 
 def test_clearly_invertible_guess_takes_no_svd(svd_calls):
     T = q.transfer_from_kraus(q.random_cptp_channel(3, 2, np.random.default_rng(7)))
-    q.GuessPair.from_transfers(T, T)
-    q.GuessPair.from_transfers(T, q.TransferMatrix(3, 1e-200 * T.gamma))
+    q.GuessPair.from_transfers(T, T).require_invertible()
+    q.GuessPair.from_transfers(T, q.TransferMatrix(3, 1e-200 * T.gamma)).require_invertible()
     assert svd_calls == []
 
 
@@ -269,7 +327,7 @@ def test_straddling_certificate_takes_one_values_only_svd(svd_calls):
     s = np.linalg.svd(q.GuessPair(T, T)._guess_coordinates, compute_uv=False)
     cutoff = 0.999 * s[-1] / s[0]
     svd_calls.clear()
-    q.GuessPair.from_transfers(T, T, cutoff)
+    q.GuessPair.from_transfers(T, T, cutoff).require_invertible()
     assert svd_calls == [{"compute_uv": False}]
 
 
@@ -319,15 +377,16 @@ def test_an_extract_dense_guess_takes_no_svd_and_no_inverse(svd_calls, monkeypat
     rng = np.random.default_rng(32)
     phi, phi_g = (q.transfer_from_kraus(q.random_cptp_channel(32, k, rng)) for k in (3, 2))
     monkeypatch.setattr(np.linalg, "inv", lambda a: pytest.fail("the guess check took an inverse"))
-    q.GuessPair.from_transfers(phi, phi_g)
+    q.GuessPair.from_transfers(phi, phi_g).require_invertible()
     assert svd_calls == []
 
 
 def test_singular_guess_errors_are_unchanged():
     phi = q.transfer_from_kraus(q.random_cptp_channel(2, 2, np.random.default_rng(1)))
     singular = q.TransferMatrix(2, np.diag([1.0, 0.0, 0.0, 1.0]))
+    gp = q.GuessPair.from_transfers(phi, singular)
     with pytest.raises(q.SingularChannelError) as err:
-        q.GuessPair.from_transfers(phi, singular)
+        gp.require_invertible()
     assert str(err.value) == (
         "transfer matrix is singular: smallest/largest singular value "
         "0.000e+00/1.000e+00 is below cutoff 1e-08"
@@ -420,12 +479,13 @@ def test_recovery_bound_equals_the_dense_product(gps):
     R = np.linalg.qr(G.T @ W)[1]
     family_X = np.linalg.solve(R.T, W.T).T
     arbitrary_X = np.random.default_rng(d).normal(size=(d * d, 3))
+    bounds = {id(X): _recovery_bounds(G, X, d) for X in (family_X, arbitrary_X)}
     for gp, D in zip(gps, Ds):
         for X in (family_X, arbitrary_X):
             want = np.linalg.norm(D @ X, 2)
             scale = np.linalg.norm(D, 2) * np.linalg.norm(X, 2)
-            assert _recovery_bound(G, gp.phi.gamma, X, d) == pytest.approx(want, rel=1e-12, abs=1e-12 * scale)
-        assert _recovery_bound(G, gp.phi.gamma, family_X, d) <= 1e-9
+            assert bounds[id(X)](gp.phi.gamma) == pytest.approx(want, rel=1e-12, abs=1e-12 * scale)
+        assert bounds[id(family_X)](gp.phi.gamma) <= 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -1245,18 +1305,23 @@ def _span_gap(W, O):
     n_blocks=st.integers(1, 3),
     complex_blocks=st.booleans(),
     rel_tol=st.sampled_from([q.DEFAULT_KERNEL_RTOL, 0.0, 1e-12, 1e-4]),
+    holds_identity=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
     data=st.data(),
 )
-def test_null_coordinates_match_the_svd_oracle(d, n_blocks, complex_blocks, rel_tol, seed, data):
+def test_null_coordinates_match_the_svd_oracle(d, n_blocks, complex_blocks, rel_tol, holds_identity, seed, data):
     # a planted kernel K of every dimension, from empty (full-rank blocks) to
     # everything (blocks that are rounding and constrain nothing); at the
     # default cutoff the oracle finds exactly K.  From d = 7 on, kernels
-    # smaller and larger than the start block take the block iteration
+    # smaller and larger than the start block take the block iteration, and
+    # a K that holds the identity is tried as the seed first
     d2 = d * d
     k = data.draw(st.integers(0, d2), label="kernel dimension")
     rng = np.random.default_rng(seed)
-    K = np.linalg.qr(rng.normal(size=(d2, d2)))[0][:, :k]
+    M = rng.normal(size=(d2, d2))
+    if holds_identity:
+        M[:, 0] = _identity_coordinates(d)
+    K = np.linalg.qr(M)[0][:, :k]
     P = np.eye(d2) - K @ K.T
     blocks = []
     for _ in range(n_blocks):
@@ -1393,6 +1458,68 @@ def test_correctable_family_takes_no_eigendecomposition_and_no_full_svd(linalg_c
     assert fam.n_params == 1
     assert [name for name, _ in linalg_calls if name != "svd"] == []
     assert linalg_calls and all(shape[-1] < d2 for _, shape in linalg_calls), linalg_calls
+
+
+@pytest.fixture
+def factorizations(monkeypatch):
+    """Names of the ``np.linalg.solve`` and ``cholesky`` calls made while the test runs."""
+    calls = []
+    for name in ("solve", "cholesky"):
+        f = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda *args, f=f, name=name: calls.append(name) or f(*args))
+    return calls
+
+
+def _identity_coordinates(d):
+    e = np.zeros(d * d)
+    e[:d] = 1 / np.sqrt(d)
+    return e
+
+
+@pytest.mark.parametrize("d", [8, 16, 32])
+def test_random_cptp_pairs_take_the_identity_seed(factorizations, d):
+    # the identity is correctable for every pair of trace-preserving maps and
+    # is all of a random pair's family: one Cholesky factorization certifies
+    # it, and nothing is solved
+    rng = np.random.default_rng(400 + d)
+    gp = guess_pair(q.random_cptp_channel(d, 3, rng), q.random_cptp_channel(d, 2, rng))
+    block = deviation_coordinates_oracle(gp)
+    factorizations.clear()
+    W = _null_coordinates([block], d * d, q.DEFAULT_KERNEL_RTOL)
+    assert factorizations == ["cholesky"]
+    assert W.shape == (d * d, 1) and np.array_equal(np.abs(W[:, 0]), _identity_coordinates(d))
+    fam = q.correctable_family(gp)
+    assert fam.n_params == 1 and np.linalg.norm(fam.basis[0] - np.eye(d) / np.sqrt(d)) <= 1e-12
+
+
+def _fallback_cases():
+    rng = np.random.default_rng(500)
+    for d in (7, 12, 16):
+        Us = [q.haar_random_unitary(d, rng) for _ in range(2)]
+        gp = guess_pair(q.random_unitary_channel([0.7, 0.3], Us), q.unitary_channel(Us[1]))
+        yield pytest.param([deviation_coordinates_oracle(gp)], d, True, id=f"two-unitary-d{d}")
+    # III, XII and IZZ mixed, against the identity: the strings that commute with XII and IZZ
+    paulis = [kron(SIGMA[0], SIGMA[0], SIGMA[0]), kron(SIGMA[1], SIGMA[0], SIGMA[0]), kron(SIGMA[0], SIGMA[3], SIGMA[3])]
+    gp = guess_pair(q.random_unitary_channel([0.5, 0.3, 0.2], paulis), q.unitary_channel(np.eye(8)))
+    yield pytest.param([deviation_coordinates_oracle(gp)], 8, True, id="pauli-mixture-d8")
+    # a planted five-dimensional kernel orthogonal to the identity
+    d2 = 81
+    K = np.linalg.qr(np.column_stack([_identity_coordinates(9), rng.normal(size=(d2, 5))]))[0][:, 1:]
+    blocks = [rng.normal(size=(d2, d2)) @ (np.eye(d2) - K @ K.T) for _ in range(2)]
+    yield pytest.param(blocks, 9, False, id="no-identity-d9")
+
+
+@pytest.mark.parametrize("blocks, d, holds_identity", list(_fallback_cases()))
+def test_larger_families_take_the_block_iteration(factorizations, blocks, d, holds_identity):
+    # a failed seed costs one Cholesky factorization, and a kernel without the
+    # identity none; then the block iteration solves and decides
+    W = _null_coordinates(blocks, d * d, q.DEFAULT_KERNEL_RTOL)
+    O = null_coordinates_oracle(blocks, d * d, q.DEFAULT_KERNEL_RTOL)
+    assert factorizations[0] == ("cholesky" if holds_identity else "solve") and "solve" in factorizations
+    assert W.shape == O.shape and W.shape[1] > 1
+    assert np.linalg.norm(W.T @ W - np.eye(W.shape[1])) <= 1e-12 and _span_gap(W, O) <= 1e-12
+    e = _identity_coordinates(d)
+    assert np.linalg.norm(e - W @ (W.T @ e)) <= 1e-12 if holds_identity else np.linalg.norm(W.T @ e) <= 1e-12
 
 
 def test_every_family_constructor_takes_the_one_certified_route(monkeypatch, qutrit_pair, bitflip_pair):
