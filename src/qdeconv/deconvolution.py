@@ -75,43 +75,80 @@ def _hermitian_basis(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nda
     return i1, i2, w1, w2
 
 
-#: Entries per row chunk of :func:`_coordinates`' gathers; bounds its
-#: scratch space at any ``d``.
-_COORDINATE_CHUNK = 1 << 16
+#: Entries per row chunk of :func:`_coordinate_chunks`; bounds its scratch space at any ``d``.
+_COORDINATE_CHUNK = 1 << 13
 
 
-def _coordinates(M: np.ndarray, d: int) -> np.ndarray:
-    """``B^dag M B``: a superoperator in Hermitian coordinates on both sides.
+def _coordinate_chunks(M: np.ndarray, d: int, minus: np.ndarray | None = None) -> Iterator[tuple[slice, np.ndarray]]:
+    """Row chunks of ``B^dag (M - minus) B``, a superoperator in Hermitian coordinates on both sides.
 
-    Real (to rounding) when ``M`` maps Hermitian operators to Hermitian ones.
-    The rows of ``M`` are gathered, scaled and added into the row-mixed
-    matrix ``B^dag M``, then its columns into the output, a fixed number of
-    entries at a time, so the only ``d^2 x d^2`` buffers are those two.
+    Yields ``(rows, chunk)`` with ``chunk`` in one reused complex buffer of
+    about ``_COORDINATE_CHUNK`` entries: the gathered rows of ``M`` (less
+    those of ``minus``) are scaled and added into rows of ``B^dag (M -
+    minus)``, whose columns are then gathered, scaled and added the same
+    way.  Real (to rounding) when the difference maps Hermitian operators
+    to Hermitian ones.  No ``d^2 x d^2`` buffer is allocated.
+
+    The buffers are allocated when this is called, so callers allocate their
+    ``d^2 x d^2`` output after it: in the other order the ``extract-dense``
+    benchmark's peak RSS read 108.4 MB instead of 100.7 MB (2 vCPUs, one
+    BLAS thread), one 8 MiB heap step, as the freed buffers split the space
+    a later solve needed.
     """
     i1, i2, w1, w2 = _hermitian_basis(d)
     d2 = d * d
     rows = max(1, _COORDINATE_CHUNK // d2)
     c1, c2 = w1.conj()[:, None], w2.conj()[:, None]
-    X = np.empty((d2, d2), dtype=complex)
-    out = np.empty((d2, d2), dtype=complex)
-    buf = np.empty((min(rows, d2), d2), dtype=complex)
-    chunks = [slice(start, min(start + rows, d2)) for start in range(0, d2, rows)]
-    # the indices are in range; mode="clip" only stops np.take from buffering its output
-    for r in chunks:
-        x, b = X[r], buf[: r.stop - r.start]
-        np.take(M, i1[r], axis=0, out=x, mode="clip")
-        x *= c1[r]
-        np.take(M, i2[r], axis=0, out=b, mode="clip")
-        b *= c2[r]
-        x += b
-    for r in chunks:
-        o, b = out[r], buf[: r.stop - r.start]
-        np.take(X[r], i1, axis=1, out=o, mode="clip")
-        o *= w1
-        np.take(X[r], i2, axis=1, out=b, mode="clip")
-        b *= w2
-        o += b
+    x, y, out = (np.empty((min(rows, d2), d2), dtype=complex) for _ in range(3))
+
+    def chunks() -> Iterator[tuple[slice, np.ndarray]]:
+        # the indices are in range; mode="clip" only stops take from buffering its output
+        for start in range(0, d2, rows):
+            r = slice(start, min(start + rows, d2))
+            xs, ys, o = x[: r.stop - start], y[: r.stop - start], out[: r.stop - start]
+            for idx, c, buf in ((i1[r], c1[r], xs), (i2[r], c2[r], ys)):
+                M.take(idx, axis=0, out=buf, mode="clip")
+                if minus is not None:
+                    minus.take(idx, axis=0, out=o, mode="clip")
+                    buf -= o
+                buf *= c
+            xs += ys
+            xs.take(i1, axis=1, out=o, mode="clip")
+            o *= w1
+            xs.take(i2, axis=1, out=ys, mode="clip")
+            ys *= w2
+            o += ys
+            yield r, o
+
+    return chunks()
+
+
+def _coordinates(M: np.ndarray, d: int) -> np.ndarray:
+    """``B^dag M B``, complex, from :func:`_coordinate_chunks`; the output is its only ``d^2 x d^2`` array."""
+    chunks = _coordinate_chunks(M, d)
+    out = np.empty((d * d, d * d), dtype=complex)
+    for r, chunk in chunks:
+        out[r] = chunk
     return out
+
+
+def _deviation_coordinates(
+    gamma_g: np.ndarray, gamma_phi: np.ndarray, d: int, imag: bool = False
+) -> tuple[np.ndarray, float]:
+    """One half of ``C = B^dag (gamma_g - gamma_phi) B`` and the Frobenius norm of the other.
+
+    ``Re C`` (``Im C`` when ``imag``) as a real ``d^2 x d^2`` array, written
+    by one chunked pass over the two transfer matrices; of the other half
+    only the norm is kept.
+    """
+    chunks = _coordinate_chunks(gamma_g, d, gamma_phi)
+    out = np.empty((d * d, d * d))
+    other = 0.0
+    for r, chunk in chunks:
+        half, rest = (chunk.imag, chunk.real) if imag else (chunk.real, chunk.imag)
+        out[r] = half
+        other += float(np.einsum("ij,ij->", rest, rest))
+    return out, math.sqrt(other)
 
 
 def _coordinate_rows(V: np.ndarray, d: int) -> np.ndarray:
@@ -129,6 +166,17 @@ def _hermitian_operators(coeffs: np.ndarray, d: int) -> np.ndarray:
     return vecs.reshape(-1, d, d)
 
 
+def _adjoint_products(X: np.ndarray, d: int) -> Callable[[np.ndarray], np.ndarray]:
+    """``gamma ->`` rows of ``(C^dag X)^T = conj(X^T C)``, ``C = B^dag gamma B``, for real coordinate columns ``X``.
+
+    ``(B X)^dag`` is gathered once, for every ``gamma``; each transfer matrix
+    then enters one product of ``k`` rows with a ``d^2 x d^2`` matrix, at
+    ``O(d^4 k)``, and no ``d^2 x d^2`` array is allocated.
+    """
+    BX = _hermitian_operators(X.T, d).reshape(X.shape[1], -1).conj()  # rows of (B X)^dag
+    return lambda gamma: _coordinate_rows((BX @ gamma).conj(), d)
+
+
 def _from_coordinates(coeffs: np.ndarray, d: int) -> ObservableFamily:
     """Family whose basis elements have the real Hermitian coordinates ``coeffs`` (rows), sign-fixed."""
     return ObservableFamily.from_basis(d, [_fix_matrix_sign(M) for M in _hermitian_operators(coeffs, d)])
@@ -140,14 +188,17 @@ def _from_coordinates(coeffs: np.ndarray, d: int) -> ObservableFamily:
 
 @dataclass(frozen=True, eq=False)
 class GuessPair:
-    """True channel and guessed channel; the guess's real Hermitian coordinates are cached.
+    """True channel and guessed channel; the guess's real Hermitian coordinates are cached once formed.
 
     Build pairs with :meth:`from_transfers`, which checks that both channels
     are finite and that the guess preserves Hermiticity; the constructor
-    checks dimensions and ``sv_cutoff`` only.  Whether the guess is
-    invertible at ``sv_cutoff`` is decided once, by :meth:`require_invertible`,
-    when the first modified observable needs it: a correctable family is a
-    preimage under the guess and needs no inverse.
+    checks dimensions and ``sv_cutoff`` only, and leaves the Hermiticity
+    check to the pair's first family or modified observable.  Whether the
+    guess is invertible at ``sv_cutoff`` is decided once, by
+    :meth:`require_invertible`, when the first modified observable needs
+    it: a correctable family is a
+    preimage under the guess and needs no inverse, and it works with the
+    transfer matrices, so only modified observables form the coordinates.
     """
 
     phi: TransferMatrix
@@ -165,20 +216,34 @@ class GuessPair:
         return self.phi.dim
 
     @cached_property
-    def _guess_coordinates(self) -> np.ndarray:
-        """The guess in real Hermitian coordinates, ``B^dag gamma_g B``.
+    def _hermiticity_leak(self) -> float:
+        """``||Im(B^dag gamma_g B)||_F``, how far the guess is from preserving Hermiticity, measured once.
 
-        Raises ``ValueError`` when its imaginary part exceeds
-        ``1e-10 * max(1, norm)``: the guess does not preserve Hermiticity.
+        One chunked pass (:func:`_coordinate_chunks`) that forms no ``d^2 x
+        d^2`` array.  Raises ``ValueError`` when it exceeds ``1e-10 * max(1,
+        ||gamma_g||_F)``: the guess does not preserve Hermiticity.  Every path
+        that uses the guess reads it first, so a pair built by the
+        constructor is checked too.
         """
-        G = _coordinates(self.phi_g.gamma, self.dim)
-        # the squares of the strided imaginary view, summed without copying it
-        leak = math.sqrt(np.einsum("ij,ij->", G.imag, G.imag))
-        if leak > 1e-10 * max(1.0, np.linalg.norm(G)):
-            raise ValueError(
-                f"guess does not preserve Hermiticity (imaginary part {leak:.3e} in Hermitian coordinates)"
-            )
-        G = G.real.copy()
+        leak2 = norm2 = 0.0
+        for _, chunk in _coordinate_chunks(self.phi_g.gamma, self.dim):
+            leak2 += float(np.einsum("ij,ij->", chunk.imag, chunk.imag))
+            norm2 += float(np.vdot(chunk, chunk).real)
+        # B is unitary, so the coordinates have the norm of gamma_g
+        leak = math.sqrt(leak2)
+        if leak > 1e-10 * max(1.0, math.sqrt(norm2)):
+            raise ValueError(f"guess does not preserve Hermiticity (imaginary part {leak:.3e} in Hermitian coordinates)")
+        return leak
+
+    @cached_property
+    def _guess_coordinates(self) -> np.ndarray:
+        """The guess in real Hermitian coordinates, the real part of ``B^dag gamma_g B``.
+
+        Formed by the first modified observable.  Its imaginary part, which
+        :attr:`_hermiticity_leak` bounds, is dropped.
+        """
+        self._hermiticity_leak  # raises first when the guess breaks Hermiticity
+        G = _coordinates(self.phi_g.gamma, self.dim).real.copy()
         G.setflags(write=False)
         return G
 
@@ -220,7 +285,11 @@ class GuessPair:
         """Build a pair from transfer matrices, checking the inputs but not the guess's invertibility.
 
         ``sv_cutoff`` is stored for :meth:`require_invertible`, which every
-        modified observable calls first.
+        modified observable calls first.  The guess preserves Hermiticity
+        when the imaginary part of its Hermitian coordinates is at most
+        ``1e-10 * max(1, ||gamma_g||_F)``; that part is measured by
+        :attr:`_hermiticity_leak`, one chunked pass that forms no ``d^2 x
+        d^2`` array.
 
         Raises
         ------
@@ -233,7 +302,7 @@ class GuessPair:
             if not np.isfinite(t.gamma).all():
                 raise ValueError(f"{name} transfer matrix has non-finite entries")
         pair = cls(phi=phi, phi_g=phi_g, sv_cutoff=sv_cutoff)
-        pair._guess_coordinates  # formed now, so that a guess that breaks Hermiticity raises here
+        pair._hermiticity_leak  # measured now, so that a guess that breaks Hermiticity raises here
         return pair
 
 
@@ -455,24 +524,29 @@ def _start_block(n: int, b: int) -> np.ndarray:
     return X
 
 
-def _null_coordinates(blocks: Iterable[np.ndarray], d2: int, rel_tol: float) -> np.ndarray:
+def _null_coordinates(blocks: Iterable[np.ndarray | _Constraint], d2: int, rel_tol: float) -> np.ndarray:
     """Real Hermitian coordinates (columns) of the common null space of ``blocks``.
 
-    Each block is a constraint already in Hermitian coordinates and is
+    Each block is a constraint: a complex ``d^2 x d^2`` array already in
+    Hermitian coordinates, or a :class:`_Constraint` such as a pair's
+    :class:`_PairConstraint`, which builds its halves on demand.  Each is
     divided by its Frobenius norm; blocks of norm at most 1e-12 constrain
     nothing, and so does a scaled real or imaginary half of norm at most
     1e-12 (the imaginary half of a map that preserves Hermiticity is
-    rounding).  The blocks are read once, in order, and only the halves are
-    kept, so an iterator that builds each complex block on demand holds one
-    at a time.  The null space is that of the remaining halves ``h`` stacked
-    into ``A``: the right-singular vectors of ``A`` with singular value at
-    most ``max(rel_tol * sigma_max, 1e-14)``, returned orthonormal, smallest
-    singular value first; with no effective constraint every coordinate
-    direction is returned.  A NaN or negative ``rel_tol`` raises
+    rounding).  The null space is that of the remaining halves ``h``
+    stacked into ``A``: the right-singular vectors of ``A`` with singular
+    value at most ``max(rel_tol * sigma_max, 1e-14)``, returned orthonormal,
+    smallest singular value first; with no effective constraint every
+    coordinate direction is returned.  A NaN or negative ``rel_tol`` raises
     ``ValueError``.
 
     It is found without every singular vector of ``A``, on ``b`` orthonormal
-    columns ``S`` that are certified to hold the null space:
+    columns ``S`` that are certified to hold the null space.  The halves are
+    read once to form ``A^T A`` and ``A e``; after that, a pair's halves are
+    rebuilt, one at a time, for the solves of step 1, the products ``A S``
+    and ``A^T (A S)`` and the full SVD, and dropped before any Cholesky
+    factorization.  When there is one half, the square factor of step 1 is
+    that half and gives the products of its block.
 
     0. Identity seed.  ``S`` is first the coordinates ``e`` of ``I/sqrt(d)``,
        which every pair of trace-preserving channels leaves in the kernel,
@@ -489,8 +563,9 @@ def _null_coordinates(blocks: Iterable[np.ndarray], d2: int, rel_tol: float) -> 
        matrix ``A^T A`` squares the condition number, so the iteration never
        solves against it, and a second solve would only add rounding.
     2. When ``||A S||_F^2 <= t``, the candidate threshold below, every
-       direction of the block is a candidate and the kernel may not fit: the
-       block grows to ``max(4 b, 2 d)`` and step 1 starts again.
+       direction of the block is a candidate: the certificate of step 4 runs
+       on the block, and if it fails the kernel does not fit, so the block
+       grows to ``max(4 b, 2 d)`` and step 1 starts again.
     3. One correction step ``S - solve(A^T A + ||A||_F^2 S S^T, A^T (A S))``
        against the Gram matrix deflated by the block, then re-orthonormalized,
        restores the SVD's accuracy.
@@ -515,25 +590,99 @@ def _null_coordinates(blocks: Iterable[np.ndarray], d2: int, rel_tol: float) -> 
     cheaper route), the full SVD of ``A`` decides instead.
     """
     _require_non_negative(rel_tol, "kernel threshold")
-    halves = _scaled_halves(blocks)
-    if not halves:
-        return np.eye(d2)
-    # up to d = 6 one SVD of A costs less than the block iteration's dozen small calls
-    W = _block_null_coordinates(halves, rel_tol) if d2 > 36 else None
-    return _svd_null_coordinates(halves, rel_tol) if W is None else W
+    constraints = [c if isinstance(c, _Constraint) else _Constraint(c) for c in blocks]
+    if d2 <= 36:
+        # up to d = 6 one SVD of A costs less than the block iteration's dozen small calls
+        halves = [h for c in constraints for h in c.halves()]
+        return _svd_null_coordinates(halves, rel_tol) if halves else np.eye(d2)
+    W = _block_null_coordinates(constraints, d2, rel_tol)
+    return _svd_null_coordinates([h for c in constraints for h in c.halves()], rel_tol) if W is None else W
 
 
-def _scaled_halves(blocks: Iterable[np.ndarray]) -> list[np.ndarray]:
-    """The real and imaginary halves of each block over its Frobenius norm, those of norm at most 1e-12 dropped."""
-    halves = []
-    for M in blocks:
-        scale = np.linalg.norm(M)
-        if scale > 1e-12:
-            halves += [h for h in (M.real / scale, M.imag / scale) if np.linalg.norm(h) > 1e-12]
-    return halves
+class _Constraint:
+    """A complex constraint block ``M`` in Hermitian coordinates, read through its scaled halves.
+
+    The halves are ``Re M`` and ``Im M`` over ``||M||_F``, made once and
+    kept, those that constrain nothing dropped (see :func:`_null_coordinates`).
+    :func:`_null_coordinates` reads a constraint only through :meth:`halves`
+    and its length, which :class:`_PairConstraint` implements without
+    keeping halves.
+    """
+
+    def __init__(self, block: np.ndarray) -> None:
+        scale = np.linalg.norm(block)
+        halves = (block.real / scale, block.imag / scale) if scale > 1e-12 else ()
+        self._halves = [h for h in halves if np.linalg.norm(h) > 1e-12]
+
+    def __len__(self) -> int:
+        """The number of halves."""
+        return len(self._halves)
+
+    def halves(self) -> Iterator[np.ndarray]:
+        """The real ``d^2 x d^2`` halves, one at a time."""
+        return iter(self._halves)
 
 
-def _block_null_coordinates(halves: Sequence[np.ndarray], rel_tol: float) -> np.ndarray | None:
+class _PairConstraint(_Constraint):
+    """A pair's constraint ``D = C^dag``, ``C = B^dag (gamma_g - gamma_phi) B``, never held complex.
+
+    Its halves, ``Re(C)^T`` and ``Im(C)^T`` over ``||C||_F``, are real
+    ``d^2 x d^2`` arrays that :func:`_deviation_coordinates` builds on
+    demand, one at a time, for the caller to drop.  The first read builds
+    the real half and only the norm of the imaginary one, which alone
+    decides whether an imaginary half exists; later reads rebuild.  The
+    number of halves is known once :meth:`halves` has been read; a pair
+    whose true channel equals the guess has none.
+    """
+
+    def __init__(self, gamma_g: np.ndarray, gamma_phi: np.ndarray, d: int) -> None:
+        self._gammas = (gamma_g, gamma_phi)
+        self._d = d
+        self._parts: tuple[int, ...] | None = None  # 0 for the real half, 1 for the imaginary one
+        self._scale = 0.0
+
+    def __len__(self) -> int:
+        return len(self._parts)
+
+    def _scaled(self, half: np.ndarray) -> np.ndarray:
+        half /= self._scale
+        return half.T
+
+    def halves(self) -> Iterator[np.ndarray]:
+        if self._parts is None:
+            real, imag_norm = _deviation_coordinates(*self._gammas, self._d)
+            norms = (float(np.linalg.norm(real)), imag_norm)
+            self._scale = math.hypot(*norms)
+            self._parts = tuple(p for p in (0, 1) if self._scale > 1e-12 and norms[p] / self._scale > 1e-12)
+            if 0 in self._parts:
+                yield self._scaled(real)
+            del real
+            parts = self._parts[1:] if 0 in self._parts else self._parts
+        else:
+            parts = self._parts
+        for p in parts:
+            yield self._scaled(_deviation_coordinates(*self._gammas, self._d, imag=p == 1)[0])
+
+
+def _gram(constraints: Sequence[_Constraint], d: int) -> tuple[np.ndarray | None, list[np.ndarray]]:
+    """``A^T A`` and the blocks ``h e`` of ``A e``, from one read of the halves; ``None`` when there is none.
+
+    ``e`` holds the coordinates of ``I / sqrt(d)``: ``1 / sqrt(d)`` on the
+    ``d`` diagonal coordinates, which come first.  Each half is dropped once
+    read.
+    """
+    gram, Ae = None, []
+    for c in constraints:
+        for h in c.halves():
+            Ae.append(h[:, :d].sum(axis=1, keepdims=True) / math.sqrt(d))
+            if gram is None:
+                gram = h.T @ h
+            else:
+                gram += h.T @ h
+    return gram, Ae
+
+
+def _block_null_coordinates(constraints: Sequence[_Constraint], d2: int, rel_tol: float) -> np.ndarray | None:
     """Steps 0-5 of :func:`_null_coordinates`: the null space, or ``None`` when the full SVD must decide.
 
     ``A^T A`` is formed once, in one ``d^2 x d^2`` buffer that every
@@ -542,20 +691,17 @@ def _block_null_coordinates(halves: Sequence[np.ndarray], rel_tol: float) -> np.
     to rounding of order ``eps ||A||_F^2``, far inside the candidate
     threshold's floor, after a rank-b update.
     """
-    d2 = halves[0].shape[1]
-    # the squared column norms of A are the diagonal of A^T A
-    col2 = sum(np.einsum("ij,ij->j", h, h) for h in halves)
-    fro2 = float(col2.sum())
-    cutoff = _kernel_cutoff(rel_tol, math.sqrt(col2.max()))
+    d = math.isqrt(d2)
+    gram, Ae = _gram(constraints, d)
+    if gram is None:
+        return np.eye(d2)
+    # the diagonal of A^T A holds the squared column norms of A
+    fro2 = float(np.trace(gram))
+    cutoff = _kernel_cutoff(rel_tol, math.sqrt(gram.diagonal().max()))
     keep = cutoff / _DECISION_MARGIN
     drop = max(_DECISION_MARGIN * cutoff, _kernel_cutoff(rel_tol, math.sqrt(fro2)))
     t = max(_CANDIDATE_FLOOR * fro2, drop**2)
-    gram = halves[0].T @ halves[0]
-    for h in halves[1:]:
-        gram += h.T @ h
-    # e, the coordinates of I / sqrt(d), is 1 / sqrt(d) on the d diagonal coordinates, which come first
-    d = math.isqrt(d2)
-    if math.sqrt(sum(float(np.sum(h[:, :d].sum(axis=1) ** 2)) for h in halves) / d) <= keep:
+    if math.sqrt(sum(float(np.sum(x**2)) for x in Ae)) <= keep:
         lead = gram[:d, :d]
         saved = lead.copy()
         lead += fro2 / d  # ||A||_F^2 e e^T
@@ -564,27 +710,32 @@ def _block_null_coordinates(halves: Sequence[np.ndarray], rel_tol: float) -> np.
         if seeded:
             e = np.zeros((d2, 1))
             e[:d] = 1 / math.sqrt(d)
-            return _decided_null_coordinates(halves, e, keep, drop)
-    b = _START_BLOCK
+            return _decided_null_coordinates(Ae, e, keep, drop)
+    b, n = _START_BLOCK, sum(len(c) for c in constraints)
     while 2 * b <= d2:
+        F = _square_factor(constraints)
         try:
-            S = np.linalg.qr(np.linalg.solve(_square_factor(halves), _start_block(d2, b)))[0]
+            S = np.linalg.qr(np.linalg.solve(F, _start_block(d2, b)))[0]
         except np.linalg.LinAlgError:
             return None
-        HS = [h @ S for h in halves]
-        if sum(np.linalg.norm(x) ** 2 for x in HS) <= t:
+        # the square factor is the half when there is one; otherwise it is dropped and the halves rebuilt
+        halves = [F] if n == 1 else (h for c in constraints for h in c.halves())
+        del F
+        AS, rhs = _block_products(halves, S)
+        del halves  # before any Cholesky factorization
+        if sum(np.linalg.norm(x) ** 2 for x in AS) <= t and not _deflated_certificate(gram, S, fro2, t):
             b = max(4 * b, 2 * d)
             continue
-        S = _certified_correction(gram, halves, S, HS, fro2, t)
+        S = _certified_correction(gram, rhs, S, fro2, t)
         if S is None:
             b *= 2
             continue
-        return _decided_null_coordinates(halves, S, keep, drop)
+        return _decided_null_coordinates([h @ S for c in constraints for h in c.halves()], S, keep, drop)
     return None
 
 
-def _square_factor(halves: Sequence[np.ndarray]) -> np.ndarray:
-    """Square matrix whose kernel holds every common kernel direction of ``halves``.
+def _square_factor(constraints: Sequence[_Constraint]) -> np.ndarray:
+    """Square matrix whose kernel holds every common kernel direction of the halves.
 
     The half itself when there is one; otherwise the combination ``sum c_i h_i``
     with fixed weights ``c_i`` in [0.5, 1.5) from the start block's hash,
@@ -593,9 +744,26 @@ def _square_factor(halves: Sequence[np.ndarray]) -> np.ndarray:
     meet an eigenvalue of the halves' pencil); they only take columns of the
     block, since the certificate and the decision look at ``A`` itself.
     """
-    if len(halves) == 1:
-        return halves[0]
-    return sum(c * h for c, h in zip(1.0 + _start_block(len(halves), 1)[:, 0], halves))
+    n = sum(len(c) for c in constraints)
+    halves = (h for c in constraints for h in c.halves())
+    if n == 1:
+        return next(halves)
+    F = None
+    for w, h in zip(1.0 + _start_block(n, 1)[:, 0], halves):
+        if F is None:
+            F = w * h
+        else:
+            F += w * h
+    return F
+
+
+def _block_products(halves: Iterable[np.ndarray], S: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """The blocks ``h S`` of ``A S``, and ``A^T (A S)``, reading the halves ``h`` one at a time."""
+    AS, rhs = [], 0.0
+    for h in halves:
+        AS.append(h @ S)
+        rhs = rhs + h.T @ AS[-1]
+    return AS, rhs
 
 
 def _shifted_cholesky(gram: np.ndarray, t: float) -> bool:
@@ -617,19 +785,24 @@ def _shifted_cholesky(gram: np.ndarray, t: float) -> bool:
     return True
 
 
-def _certified_correction(
-    gram: np.ndarray, halves: Sequence[np.ndarray], S: np.ndarray, HS: Sequence[np.ndarray], fro2: float, t: float
-) -> np.ndarray | None:
+def _deflated_certificate(gram: np.ndarray, S: np.ndarray, fro2: float, t: float) -> bool:
+    """Step 4 on the block ``S``: :func:`_shifted_cholesky` of ``gram`` deflated by ``fro2 S S^T``, restored after."""
+    U = math.sqrt(fro2) * S
+    gram += U @ U.T
+    certified = _shifted_cholesky(gram, t)
+    gram -= U @ U.T
+    return certified
+
+
+def _certified_correction(gram: np.ndarray, rhs: np.ndarray, S: np.ndarray, fro2: float, t: float) -> np.ndarray | None:
     """Steps 3 and 4 of :func:`_null_coordinates`: the corrected block, or ``None`` when the certificate fails.
 
-    ``gram`` holds ``A^T A``, ``HS`` the products ``h @ S`` and ``fro2``
+    ``gram`` holds ``A^T A``, ``rhs`` ``A^T (A S)`` and ``fro2``
     ``||A||_F^2``.  The Gram matrix is deflated by the block, ``U U^T`` with
     ``U = sqrt(fro2) S``, for the solve, and by the corrected block for the
     certificate, and restored after each.
     """
-    rhs = sum(h.T @ x for h, x in zip(halves, HS))
-    root = math.sqrt(fro2)
-    U = root * S
+    U = math.sqrt(fro2) * S
     gram += U @ U.T
     try:
         correction = np.linalg.solve(gram.T, rhs)
@@ -639,22 +812,16 @@ def _certified_correction(
     if correction is None:
         return None
     S = np.linalg.qr(S - correction)[0]
-    U = root * S
-    gram += U @ U.T
-    certified = _shifted_cholesky(gram, t)
-    gram -= U @ U.T
-    return S if certified else None
+    return S if _deflated_certificate(gram, S, fro2, t) else None
 
 
-def _decided_null_coordinates(
-    halves: Sequence[np.ndarray], S: np.ndarray, keep: float, drop: float
-) -> np.ndarray | None:
-    """Step 5 of :func:`_null_coordinates` on a certified block ``S``.
+def _decided_null_coordinates(AS: Sequence[np.ndarray], S: np.ndarray, keep: float, drop: float) -> np.ndarray | None:
+    """Step 5 of :func:`_null_coordinates` on a certified block ``S``, from the blocks ``AS`` of ``A S``.
 
     ``None`` when a singular value of ``A S`` lies between the two bounds.
     """
     b = S.shape[1]
-    _, s, vt = np.linalg.svd(np.vstack([h @ S for h in halves]), full_matrices=False)
+    _, s, vt = np.linalg.svd(np.vstack(AS), full_matrices=False)
     k = int(np.count_nonzero(s <= keep))  # the last k of the descending s
     if k < b and s[-k - 1] <= drop:
         return None
@@ -663,7 +830,7 @@ def _decided_null_coordinates(
 
 def _svd_null_coordinates(halves: Sequence[np.ndarray], rel_tol: float) -> np.ndarray:
     """:func:`_null_coordinates` of the stacked ``halves`` from their full SVD."""
-    _, s, vt = np.linalg.svd(np.vstack(halves), full_matrices=False)
+    _, s, vt = np.linalg.svd(halves[0] if len(halves) == 1 else np.vstack(halves), full_matrices=False)
     return vt[s <= _kernel_cutoff(rel_tol, s[0])][::-1].T
 
 
@@ -965,27 +1132,21 @@ def common_correctable_family(gps: Sequence[GuessPair], rel_tol: float = DEFAULT
     return _guess_family(gps, rel_tol)
 
 
-def _deviation_coordinates(G: np.ndarray, gamma_phi: np.ndarray, d: int) -> np.ndarray:
-    """``D = (G - B^dag gamma_phi B)^dag``, built in place in the buffer of the true channel's coordinates."""
-    D = _coordinates(gamma_phi, d)
-    np.subtract(G, D, out=D)
-    return np.conjugate(D, out=D).T
+def _recovery_bounds(gamma_g: np.ndarray, X: np.ndarray, d: int) -> Callable[[np.ndarray], float]:
+    """``gamma_phi -> ||D X||_2`` for a pair's ``D = (G - B^dag gamma_phi B)^dag``, forming neither ``D`` nor ``G``.
 
-
-def _recovery_bounds(G: np.ndarray, X: np.ndarray, d: int) -> Callable[[np.ndarray], float]:
-    """``gamma_phi -> ||D X||_2`` for :func:`_deviation_coordinates`' ``D``, without forming ``D``.
-
+    ``G`` is the real part of the guess's coordinates ``B^dag gamma_g B``, so
     ``D X = G^T X - B^dag (gamma_phi^dag (B X))`` for the ``k`` columns of
-    ``X``.  ``B X`` and ``X^T G`` are formed once, for every pair of a
-    family; each bound then takes one product of ``k`` rows with a
-    ``d^2 x d^2`` matrix, and no ``d^2 x d^2`` array is allocated.
+    ``X``, and ``G^T X`` is the real part of ``B^dag (gamma_g^dag (B X))``.
+    ``B X`` and ``X^T G`` are formed once, for every pair of a family; each
+    bound then takes one product of ``k`` rows with a ``d^2 x d^2`` matrix
+    (:func:`_adjoint_products`), and no ``d^2 x d^2`` array is allocated.
     """
-    BX = _hermitian_operators(X.T, d).reshape(X.shape[1], -1).conj()  # conjugated rows of (B X)^T
-    XG = X.T @ G
+    rows = _adjoint_products(X, d)
+    XG = rows(gamma_g).real
 
     def bound(gamma_phi: np.ndarray) -> float:
-        rows = _coordinate_rows((BX @ gamma_phi).conj(), d)  # rows of (B^dag gamma_phi^dag B X)^T
-        return float(np.linalg.norm(XG - rows, 2))
+        return float(np.linalg.norm(XG - rows(gamma_phi), 2))
 
     return bound
 
@@ -996,29 +1157,32 @@ def _guess_family(gps: Sequence[GuessPair], rel_tol: float) -> ObservableFamily:
     ``W`` is the Hermitian null space of the stacked ``D_k`` and the family is
     the guess's image ``G^T W`` of it, with ``G`` the guess's real
     coordinates (``G^T`` is ``gamma_g^dag``): a preimage, so the guess need
-    not be invertible.  Each complex ``D_k`` is built in place in its
-    coordinate buffer and dropped once :func:`_null_coordinates` has taken
-    its real halves.  The basis ``Q`` comes from the QR factorization ``Q R =
-    G^T W`` when :func:`~qdeconv.channels._gram_certificate` proves ``R``
-    well conditioned at the first pair's ``sv_cutoff``; otherwise from the
-    thin SVD ``U s V^T = G^T W``, keeping the directions with ``s`` above
+    not be invertible.  Each ``D_k`` is a :class:`_PairConstraint`, read
+    from the two transfer matrices, so neither ``G`` nor a complex ``D_k``
+    is formed: ``G^T W`` and ``X^T G`` are products of ``k`` columns with
+    ``gamma_g`` (:func:`_adjoint_products`).  The basis ``Q`` comes from the QR
+    factorization ``Q R = G^T W`` when
+    :func:`~qdeconv.channels._gram_certificate` proves ``R`` well
+    conditioned at the first pair's ``sv_cutoff``; otherwise from the thin
+    SVD ``U s V^T = G^T W``, keeping the directions with ``s`` above
     ``sv_cutoff`` times the largest, which drops those a singular guess maps
     to zero.  ``X`` (``W R^-1``, or ``W V s^-1`` on the kept part) holds the
     members' modified observables, ``G^T X = Q``, and ``||D_k X||_2`` bounds
     the recovery error of every unit-norm member on every state (it equals
     ``||F_k Q||_2`` when the guess is invertible, as ``F_k G^T = D_k``);
-    :func:`_recovery_bounds` computes it from ``G``, ``gamma_phi_k`` and
-    ``X``.  Above 1e-9, :class:`FamilyVerificationError` names pair k.
+    :func:`_recovery_bounds` computes it from ``gamma_g``, ``gamma_phi_k``
+    and ``X``.  Above 1e-9, :class:`FamilyVerificationError` names pair k.
     """
     d = gps[0].dim
-    G = gps[0]._guess_coordinates
+    gamma_g = gps[0].phi_g.gamma
+    gps[0]._hermiticity_leak  # a guess that breaks Hermiticity raises here
     # the guess's own pair constrains nothing: its D_k is zero
     W = _null_coordinates(
-        (_deviation_coordinates(G, gp.phi.gamma, d) for gp in gps if gp.phi is not gp.phi_g), d * d, rel_tol
+        (_PairConstraint(gamma_g, gp.phi.gamma, d) for gp in gps if gp.phi is not gp.phi_g), d * d, rel_tol
     )
     if not W.shape[1]:
         return ObservableFamily.from_basis(d, [])
-    image = G.T @ W
+    image = _adjoint_products(W, d)(gamma_g).real.T  # G^T W
     Q, R = np.linalg.qr(image)
     cutoff = gps[0].sv_cutoff
     if _gram_certificate(R, cutoff):
@@ -1029,7 +1193,7 @@ def _guess_family(gps: Sequence[GuessPair], rel_tol: float) -> ObservableFamily:
         Q, X = U[:, kept], W @ (vt[kept].T / s[kept])
         if not Q.shape[1]:
             return ObservableFamily.from_basis(d, [])
-    bound = _recovery_bounds(G, X, d)
+    bound = _recovery_bounds(gamma_g, X, d)
     for k, gp in enumerate(gps):
         value = 0.0 if gp.phi is gp.phi_g else bound(gp.phi.gamma)
         # written so that a NaN bound fails too

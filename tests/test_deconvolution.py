@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import qdeconv as q
+import qdeconv.deconvolution as dc
 from qdeconv.channels import _gram_certificate, random_hermitian
 from qdeconv.deconvolution import (
     MEMBERSHIP_RTOL,
@@ -430,32 +431,157 @@ def test_coordinates_match_the_whole_array_form(d):
         assert np.array_equal(_coordinates(M, d), coordinates_oracle(M, d))
 
 
-def test_dense_path_keeps_at_most_two_and_a_half_complex_arrays():
-    # d = 32: one complex d^2 x d^2 array is 16 MiB.  The coordinates keep the
-    # row-mixed matrix and the output; the family keeps no complex constraint
-    # once its real halves exist, and its certificate allocates no d^4 array
+def _basis_matrix(d):
+    """The orthonormal Hermitian basis ``B`` as a dense ``d^2 x d^2`` matrix, column k the vectorized element k."""
+    return _hermitian_operators(np.eye(d * d), d).reshape(d * d, d * d).T
+
+
+def _phase_pair(d, rng):
+    # Phi(rho) = exp(0.3i) rho breaks Hermiticity, so its constraint has an imaginary half
+    return q.GuessPair.from_transfers(
+        q.TransferMatrix(d, np.exp(0.3j) * np.eye(d * d)), q.transfer_from_kraus(q.random_cptp_channel(d, 2, rng))
+    )
+
+
+@pytest.mark.parametrize("phase", [False, True], ids=["cptp", "phase"])
+@pytest.mark.parametrize("d", [2, 3, 4, 7, 16])
+def test_deviation_coordinates_match_the_oracle(d, phase):
+    # one chunked pass writes Re C, C = B^dag (gamma_g - gamma_phi) B, and the
+    # norm of Im C; the oracle's complex D is C^dag
+    rng = np.random.default_rng(600 + d)
+    if phase:
+        gp = _phase_pair(d, rng)
+    else:
+        gp = guess_pair(q.random_cptp_channel(d, 3, rng), q.random_cptp_channel(d, 2, rng))
+    D = deviation_coordinates_oracle(gp)
+    scale = np.linalg.norm(D)
+    real, imag_norm = dc._deviation_coordinates(gp.phi_g.gamma, gp.phi.gamma, d)
+    assert_allclose(real, D.real.T, rtol=0, atol=1e-14 * scale)
+    assert imag_norm == pytest.approx(np.linalg.norm(D.imag), rel=1e-12, abs=1e-14 * scale)
+    imag, real_norm = dc._deviation_coordinates(gp.phi_g.gamma, gp.phi.gamma, d, imag=True)
+    assert_allclose(imag, -D.imag.T, rtol=0, atol=1e-14 * scale)
+    assert real_norm == pytest.approx(np.linalg.norm(D.real), rel=1e-12)
+    # the imaginary norm alone decides whether the pair's constraint has an imaginary half
+    constraint = dc._PairConstraint(gp.phi_g.gamma, gp.phi.gamma, d)
+    halves = list(constraint.halves())
+    assert len(halves) == len(constraint) == (2 if phase else 1)
+    for h, want in zip(halves, (D.real, D.imag)):
+        assert_allclose(np.abs(h), np.abs(want) / scale, rtol=0, atol=1e-14)
+    W = _null_coordinates([dc._PairConstraint(gp.phi_g.gamma, gp.phi.gamma, d)], d * d, q.DEFAULT_KERNEL_RTOL)
+    O = null_coordinates_oracle([D], d * d, q.DEFAULT_KERNEL_RTOL)
+    assert W.shape == O.shape and _span_gap(W, O) <= 1e-12
+
+
+@pytest.mark.parametrize("d", [3, 7])
+def test_an_imaginary_half_alone_decides_the_family(d):
+    # gamma_phi = I - i B M B^dag: the constraint is i M, so its real half is
+    # rounding and dropped, and the family is the kernel of M^T, which a pair
+    # read through its real half alone would miss
+    rng = np.random.default_rng(700 + d)
+    d2, k = d * d, 3
+    K = np.linalg.qr(rng.normal(size=(d2, k)))[0]
+    M = (np.eye(d2) - K @ K.T) @ rng.normal(size=(d2, d2))
+    B = _basis_matrix(d)
+    gp = q.GuessPair.from_transfers(q.TransferMatrix(d, np.eye(d2) - 1j * (B @ M @ B.conj().T)), q.TransferMatrix(d, np.eye(d2)))
+    constraint = dc._PairConstraint(gp.phi_g.gamma, gp.phi.gamma, d)
+    assert len(list(constraint.halves())) == len(constraint) == 1
+    fam = q.correctable_family(gp)
+    assert fam.n_params == k
+    members = np.array([_coordinates_of(A, d) for A in fam.basis]).T
+    assert _span_gap(np.linalg.qr(members)[0], K) <= 1e-12
+
+
+def _coordinates_of(A, d):
+    """Real Hermitian coordinates ``B^dag vec(A)`` of a Hermitian ``A``."""
+    return (_basis_matrix(d).conj().T @ A.reshape(-1)).real
+
+
+@pytest.mark.parametrize("d", [2, 3, 16])
+def test_hermiticity_leak_is_the_imaginary_part_of_the_coordinates(d):
+    # a guess that breaks Hermiticity by about 1e-12 passes the check, and the
+    # leak it reports is ||Im(B^dag gamma_g B)||_F
+    rng = np.random.default_rng(800 + d)
+    phi = q.transfer_from_kraus(q.random_cptp_channel(d, 2, rng))
+    gamma = phi.gamma + 1e-12 * (rng.normal(size=phi.gamma.shape) + 1j * rng.normal(size=phi.gamma.shape))
+    gp = q.GuessPair.from_transfers(phi, q.TransferMatrix(d, gamma))
+    assert gp._hermiticity_leak == pytest.approx(np.linalg.norm(coordinates_oracle(gamma, d).imag), rel=1e-12)
+
+
+def test_a_constructed_pair_whose_guess_breaks_hermiticity_raises_on_first_use():
+    # the constructor checks dimensions only; each family constructor and the
+    # first modified observable measure the guess's leak, ||Im(exp(0.3i) I)||_F
+    # = 2 sin(0.3), and raise from_transfers' error
+    T = q.TransferMatrix(2, np.eye(4))
+    phase = q.TransferMatrix(2, np.exp(0.3j) * np.eye(4))
+    uses = [
+        q.correctable_family,
+        lambda gp: q.common_correctable_family([gp, gp]),
+        lambda gp: q.modified_observable(gp, np.eye(2)),
+        lambda gp: gp.require_invertible(),
+    ]
+    message = r"^guess does not preserve Hermiticity \(imaginary part 5\.910e-01 in Hermitian coordinates\)$"
+    for use in uses:
+        with pytest.raises(ValueError, match=message):
+            use(q.GuessPair(phi=T, phi_g=phase))
+    with pytest.raises(ValueError, match=message):
+        q.GuessPair.from_transfers(T, phase)
+
+
+def test_family_constructors_leave_the_guess_coordinates_unformed(qutrit_pair, bitflip_pair):
+    # the family path works with the transfer matrices; the first modified
+    # observable forms the guess's coordinates, once
+    q.correctable_family(qutrit_pair)
+    q.common_correctable_family([bitflip_pair, bitflip_pair])
+    for gp in (qutrit_pair, bitflip_pair):
+        assert "_guess_coordinates" not in gp.__dict__
+    q.modified_observable(bitflip_pair, np.eye(bitflip_pair.dim))
+    assert "_guess_coordinates" in bitflip_pair.__dict__
+    assert "_guess_coordinates" not in qutrit_pair.__dict__
+
+
+def _traced_peak(f):
+    """The traced peak allocation of ``f()`` in bytes, and its result."""
     import tracemalloc
 
+    tracemalloc.start()
+    try:
+        result = f()
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
+def test_dense_path_keeps_no_complex_array_and_one_real_constraint():
+    # d = 32: one complex d^2 x d^2 array is 16 MiB, one real one 8 MiB.  The
+    # guess check and the coordinates keep chunk buffers only; the family
+    # holds the real constraint and then the Gram matrix, whose Cholesky
+    # factor is the other 8 MiB, and never the two together with that factor
     d = 32
     rng = np.random.default_rng(32)
     phi = q.transfer_from_kraus(q.random_cptp_channel(d, 3, rng))
     guess = q.transfer_from_kraus(q.random_cptp_channel(d, 2, rng))
     q.correctable_family(q.GuessPair.from_transfers(phi, guess))  # warm caches before tracing
 
-    def peak(f):
-        tracemalloc.start()
-        try:
-            result = f()
-            return tracemalloc.get_traced_memory()[1], result
-        finally:
-            tracemalloc.stop()
+    complex_array = (d * d) ** 2 * 16
+    assert _traced_peak(lambda: _coordinates(phi.gamma, d))[0] <= 1.25 * complex_array
+    traced, gp = _traced_peak(lambda: q.GuessPair.from_transfers(phi, guess))
+    assert traced <= 4 * 2**20
+    traced, fam = _traced_peak(lambda: q.correctable_family(gp))
+    assert traced <= 17 * 2**20 and fam.n_params == 1
 
-    limit = 2.5 * (d * d) ** 2 * 16
-    assert peak(lambda: _coordinates(phi.gamma, d))[0] <= limit
-    traced, gp = peak(lambda: q.GuessPair.from_transfers(phi, guess))
-    assert traced <= limit
-    traced, fam = peak(lambda: q.correctable_family(gp))
-    assert traced <= limit and fam.n_params == 1
+
+def test_block_route_keeps_at_most_four_real_constraint_arrays():
+    # d = 16, a pair of unitaries: the identity seed fails and the block
+    # iteration rebuilds the constraint for its solves; one real d^2 x d^2
+    # array is 0.5 MiB, and the Gram matrix, the rebuilt constraint, the
+    # Cholesky factor and the thin columns stay within four of them
+    d = 16
+    rng = np.random.default_rng(516)
+    Us = [q.haar_random_unitary(d, rng) for _ in range(2)]
+    gp = guess_pair(q.random_unitary_channel([0.7, 0.3], Us), q.unitary_channel(Us[1]))
+    q.correctable_family(gp)  # warm caches before tracing
+    traced, fam = _traced_peak(lambda: q.correctable_family(gp))
+    assert traced <= 4 * (d * d) ** 2 * 8 and fam.n_params == d
 
 
 def _certificate_cases():
@@ -469,8 +595,8 @@ def _certificate_cases():
 
 @pytest.mark.parametrize("gps", list(_certificate_cases()))
 def test_recovery_bound_equals_the_dense_product(gps):
-    # ||D_k X||_2 from G, gamma_phi and X equals the product with the whole
-    # complex D_k, for the family's own X = W R^-1 and for arbitrary columns
+    # ||D_k X||_2 from gamma_g, gamma_phi and X equals the product with the
+    # whole complex D_k, for the family's own X = W R^-1 and for arbitrary columns
     d = gps[0].dim
     G = gps[0]._guess_coordinates
     Ds = [deviation_coordinates_oracle(gp) for gp in gps]
@@ -479,7 +605,7 @@ def test_recovery_bound_equals_the_dense_product(gps):
     R = np.linalg.qr(G.T @ W)[1]
     family_X = np.linalg.solve(R.T, W.T).T
     arbitrary_X = np.random.default_rng(d).normal(size=(d * d, 3))
-    bounds = {id(X): _recovery_bounds(G, X, d) for X in (family_X, arbitrary_X)}
+    bounds = {id(X): _recovery_bounds(gps[0].phi_g.gamma, X, d) for X in (family_X, arbitrary_X)}
     for gp, D in zip(gps, Ds):
         for X in (family_X, arbitrary_X):
             want = np.linalg.norm(D @ X, 2)
@@ -1412,8 +1538,8 @@ def test_only_kernels_up_to_d_6_take_one_svd(linalg_calls, monkeypatch, d):
 
 def test_a_block_made_only_of_kernel_grows_to_twice_d(linalg_calls, monkeypatch):
     # d = 16 and a kernel of d directions, as for a pair of unitaries: the
-    # first block is all kernel and grows once, to 2d columns, without the
-    # correction or the certificate
+    # first block is all kernel, fails the certificate, since the kernel does
+    # not fit, and grows once, to 2d columns, without the correction
     rng = np.random.default_rng(4)
     K = np.linalg.qr(rng.normal(size=(256, 16)))[0]
     block = rng.normal(size=(256, 256)) @ (np.eye(256) - K @ K.T)
@@ -1428,6 +1554,29 @@ def test_a_block_made_only_of_kernel_grows_to_twice_d(linalg_calls, monkeypatch)
     W = _null_coordinates([block], 256, q.DEFAULT_KERNEL_RTOL)
     assert widths == [8, 32, 32] and linalg_calls == [("svd", (256, 32))]
     assert W.shape == (256, 16) and _span_gap(W, K) <= 1e-12
+
+
+def test_a_kernel_that_fills_the_first_block_is_certified_there(linalg_calls, factorizations, monkeypatch):
+    # d = 8 and a kernel of exactly the 8 columns of the first block: every
+    # direction of the block is a candidate, and the certificate proves that
+    # the kernel fits, so the block does not grow to 32 columns: one solve
+    # makes the block, a Cholesky factorization certifies it, one solve
+    # corrects it and another factorization certifies the corrected block
+    rng = np.random.default_rng(8)
+    K = np.linalg.qr(rng.normal(size=(64, 8)))[0]
+    block = rng.normal(size=(64, 64)) @ (np.eye(64) - K @ K.T)
+    widths = []
+    solve = np.linalg.solve
+
+    def recorded(a, b):
+        widths.append(np.shape(b)[1])
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", recorded)
+    W = _null_coordinates([block], 64, q.DEFAULT_KERNEL_RTOL)
+    assert widths == [8, 8] and factorizations == ["solve", "cholesky", "solve", "cholesky"]
+    assert linalg_calls == [("svd", (64, 8))]
+    assert W.shape == (64, 8) and _span_gap(W, K) <= 1e-12
 
 
 def test_candidates_outside_the_block_fail_the_certificate_and_double(linalg_calls):

@@ -171,21 +171,48 @@ def test_ru_family_ignores_rounding_in_the_guess():
 
 
 def test_ru_family_skips_the_coordinates_of_the_guess_own_pair(qutrit_set, monkeypatch):
+    # one pass over the transfer matrices per constraining pair; the guess's
+    # own coordinates are never formed
     import qdeconv.deconvolution as dc
 
     calls = []
-    coordinates = dc._coordinates
-    monkeypatch.setattr(dc, "_coordinates", lambda M, d: calls.append(d) or coordinates(M, d))
+    for name in ("_coordinates", "_deviation_coordinates"):
+        f = getattr(dc, name)
+        monkeypatch.setattr(dc, name, lambda *args, f=f, name=name: calls.append(name) or f(*args))
     transfers = [q.TransferMatrix(dim=3, gamma=kron(U, U.conj())) for U in qutrit_set.unitaries]
     # every true channel an equal copy, so the guess's own pair takes the general route
     copied = q.common_correctable_family(
         [q.GuessPair(phi=q.TransferMatrix(dim=3, gamma=t.gamma.copy()), phi_g=transfers[0]) for t in transfers]
     )
-    assert len(calls) == 4
+    assert calls == ["_deviation_coordinates"] * 3
     calls.clear()
     fam = q.ru_correctable_family(qutrit_set)
-    assert len(calls) == 3
+    assert calls == ["_deviation_coordinates"] * 2
     assert np.array_equal(fam._stacked, copied._stacked)
+
+
+@pytest.mark.parametrize("route", ["repeated", "copied"])
+def test_a_pair_without_halves_leaves_the_block_route_working(route, monkeypatch):
+    # d = 8: the identity twice and two commuting unitaries.  The second
+    # identity's pair (or, copied, every true channel an equal copy, so the
+    # guess's own pair too) is exactly zero and has no half; the 8-member
+    # family fails the identity seed, and the block route reads the other two
+    import qdeconv.deconvolution as dc
+
+    monkeypatch.setattr(dc, "_svd_null_coordinates", lambda *args: pytest.fail("the full SVD decided"))
+    rng = np.random.default_rng(8)
+    V = q.haar_random_unitary(8, rng)
+    Us = [np.eye(8), np.eye(8)] + [V @ np.diag(np.exp(2j * np.pi * rng.random(8))) @ V.conj().T for _ in range(2)]
+    if route == "repeated":
+        fam = q.ru_correctable_family(q.UnitaryErrorSet.from_unitaries(Us))
+    else:
+        transfers = [q.TransferMatrix(dim=8, gamma=kron(U, U.conj())) for U in Us]
+        fam = q.common_correctable_family(
+            [q.GuessPair(phi=q.TransferMatrix(dim=8, gamma=t.gamma.copy()), phi_g=transfers[0]) for t in transfers]
+        )
+    # the operators diagonal in V's eigenbasis
+    want = q.ObservableFamily.from_basis(8, [np.outer(v, v.conj()) for v in V.T])
+    assert fam.n_params == 8 and q.spans_coincide(fam, want)
 
 
 def test_ru_family_singleton_is_unconstrained(rng):
