@@ -9,8 +9,10 @@ inverse, Born-rule sampling, and the end-to-end estimator.
 
 A quorum is held as one read-only ``(d*d, d, d)`` array, so decomposition,
 eigenbases, Born probabilities and exact traces are one batched product
-each.  Shots are not drawn one by one: each element's outcomes are counted
-from the uniform draws ``Generator.choice`` would make with the same seed.
+each.  Shots are counted per distinct eigenvalue, neither drawn one by one
+nor sorted: each element's uniform draws, the ones ``Generator.choice`` would
+make with the same seed, are counted below each cut between its distinct
+eigenvalues.
 """
 
 from __future__ import annotations
@@ -25,6 +27,14 @@ from .deconvolution import GuessPair, ObservableFamily, _modified_observables, _
 #: Born probabilities may dip below zero by at most this much before the
 #: state is rejected as invalid.
 PROBABILITY_FLOOR = -1e-8
+
+#: Sorted eigenvalues of one observable closer than this times its largest
+#: eigenvalue magnitude are one measurement outcome.
+EIGENVALUE_MERGE_RTOL = 1e-12
+
+#: Uniform draws per block when counting shots: the memory one element's
+#: counting needs, whatever the shot count.
+_SHOT_BLOCK = 2**16
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,19 +159,40 @@ def _born_probabilities(rho: np.ndarray, eigvecs: np.ndarray) -> np.ndarray:
     return probs / total
 
 
-def _outcome_counts(probs: np.ndarray, shots: int, seed: int) -> np.ndarray:
-    """How often each outcome occurs in ``Generator.choice``'s draws for ``seed``.
+def _counts_per_eigenvalue(eigvals: np.ndarray, probs: np.ndarray, shots: int, seeds: list[int]) -> np.ndarray:
+    """Outcome counts of ``shots`` Born-rule shots per distinct eigenvalue.
 
-    ``choice(len(probs), shots, p=probs)`` draws ``u = random(shots)`` and
-    returns, per shot, the number of ``cdf`` entries at most u, so outcome i
-    takes the u with ``cdf[i-1] <= u < cdf[i]``.  Counting those in the sorted
-    draws gives the bincount of its indices without a per-shot search.
+    Row n of ``eigvals`` is ascending and row n of ``probs`` holds its outcome
+    probabilities.  Eigenvalues within ``EIGENVALUE_MERGE_RTOL * max|lambda|``
+    of their neighbour are one outcome, whose count sits on its last index;
+    the other entries are zero.  ``Generator.choice`` on ``default_rng(seeds[n])``
+    draws ``u = random(shots)`` and puts u in outcome i when ``cdf[i-1] <= u <
+    cdf[i]``, so the shots below the cut closing a group are ``#{u < cdf}``.
+    Each element's draws are counted against its cuts in blocks of
+    ``_SHOT_BLOCK``, which keeps the stream and bounds the memory; an element
+    with one distinct eigenvalue draws nothing.
     """
-    u = np.random.default_rng(seed).random(shots)
-    u.sort()
-    cdf = np.cumsum(probs)
-    cdf /= cdf[-1]
-    return np.diff(np.searchsorted(u, cdf, side="left"), prepend=0)
+    n, d = eigvals.shape
+    # closes[n, i]: eigenvalue i is the last of its group
+    closes = np.ones((n, d), dtype=bool)
+    merge_tol = EIGENVALUE_MERGE_RTOL * np.abs(eigvals).max(axis=1, keepdims=True)
+    closes[:, :-1] = np.diff(eigvals, axis=1) > merge_tol
+    cdf = np.cumsum(probs, axis=1)
+    cdf /= cdf[:, -1:]
+    # shots below each closing cut; every draw is below the last cut, 1.0
+    below = np.zeros((n, d), dtype=np.int64)
+    below[:, -1] = shots
+    buf = np.empty(min(shots, _SHOT_BLOCK))
+    for k in np.flatnonzero(closes[:, :-1].any(axis=1)):
+        cut_at = np.flatnonzero(closes[k, :-1])
+        cuts = cdf[k, cut_at]
+        rng = np.random.default_rng(seeds[k])
+        for start in range(0, shots, buf.size):
+            u = buf[: min(buf.size, shots - start)]
+            rng.random(out=u)
+            below[k, cut_at] += [np.count_nonzero(u < c) for c in cuts]
+    # carry each group's cumulative count over its non-closing entries, then difference
+    return np.diff(np.maximum.accumulate(below, axis=1), axis=1, prepend=0)
 
 
 def _shot_estimates(
@@ -169,13 +200,13 @@ def _shot_estimates(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sample means and standard errors of stacked Hermitian observables.
 
-    Observable n is measured ``shots`` times in its eigenbasis with the
-    outcome counts ``Generator.choice`` would draw from ``default_rng(seeds[n])``;
-    no per-shot array is built.
+    Observable n is measured ``shots`` times in its eigenbasis on the stream
+    ``default_rng(seeds[n])``.  Shots are counted per distinct eigenvalue
+    (:func:`_counts_per_eigenvalue`), neither drawn one by one nor sorted, and
+    each group counts at its largest eigenvalue.
     """
     eigvals, eigvecs = np.linalg.eigh(observables)
-    probs = _born_probabilities(rho, eigvecs)
-    counts = np.array([_outcome_counts(p, shots, s) for p, s in zip(probs, seeds)])
+    counts = _counts_per_eigenvalue(eigvals, _born_probabilities(rho, eigvecs), shots, seeds)
     means = (counts * eigvals).sum(axis=1) / shots
     # one shot: its outcome is the mean, so the sum is exactly zero
     var = (counts * (eigvals - means[:, None]) ** 2).sum(axis=1) / max(shots - 1, 1)
@@ -185,12 +216,13 @@ def _shot_estimates(
 def sample_expectation(rho: np.ndarray, Q: np.ndarray, shots: int, seed: int) -> ShotEstimate:
     """Estimate ``Tr(Q rho)`` from projective shots in Q's eigenbasis.
 
-    Deterministic given ``seed``.  Outcomes are counted from the same
-    uniform draws as ``Generator.choice`` with that seed, so seeded estimates
-    equal those of earlier releases, which drew every shot with ``choice``,
-    to rounding.  The standard error is the sample standard deviation
-    (ddof 1) over ``sqrt(shots)`` (zero for a single shot or a deterministic
-    outcome).
+    Deterministic given ``seed``.  Shots are counted per distinct eigenvalue
+    from the same uniform draws as ``Generator.choice`` with that seed, with
+    no sort, so seeded estimates equal those of earlier releases, which drew
+    every shot with ``choice``, to rounding (to ``(d-1) * 1e-12 * ||Q||``
+    where eigenvalues merge).  The standard error is the sample standard
+    deviation (ddof 1) over ``sqrt(shots)`` (zero for a single shot or a
+    deterministic outcome).
     """
     rho = np.asarray(rho, dtype=complex)
     Q = np.asarray(Q, dtype=complex)
@@ -229,10 +261,12 @@ def deconvolved_estimate(
     ``(seed, element index)``, and recombines with the weights
     ``decompose(modified_observable(gp, A))`` (by linearity, ``chi @
     decompose(A)``).  All elements are diagonalized in one batch, and each
-    element's outcomes are counted from the uniform draws
-    ``Generator.choice`` would make on its stream, so seeded estimates equal
-    earlier releases' to rounding.  Errors propagate as the root sum of
-    squares of the weighted per-element errors.  ``shots_per_element == 0``
+    element's shots are counted per distinct eigenvalue, with no sort, from
+    the uniform draws ``Generator.choice`` would make on its stream, so
+    seeded estimates equal earlier releases' to rounding.  A Pauli product
+    has two distinct eigenvalues and the identity one, which draws nothing.
+    Errors propagate as the root sum of squares of the weighted per-element
+    errors.  ``shots_per_element == 0``
     is the exact mode: quorum expectations are taken as exact traces,
     reproducing the deconvolved value of
     :func:`qdeconv.deconvolution.evaluate`.  Quorums, like channels, stop at

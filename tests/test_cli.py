@@ -179,6 +179,33 @@ def test_estimate_with_shots_and_pauli_quorum(runner, tmp_path):
     assert abs(doc["mean"] - doc["exact_deconvolved"]) <= 5 * max(doc["std_error"], 1e-12)
 
 
+ESTIMATE_D4 = Path(__file__).parent / "data" / "estimate-d4"
+
+
+@pytest.mark.parametrize(
+    "quorum_args, shots, mean, std_error",
+    [
+        (["--quorum-dim", "2"], 10000, -1.9993519958018666, 0.16384725296492875),
+        (["--quorum-dim", "2"], 37, 4.497314052162648, 2.684104061253133),
+        ([], 10000, -2.452264142451695, 0.16490916992676002),
+        ([], 37, -1.3946216215388234, 2.878992396540503),
+    ],
+    ids=["pauli-10000", "pauli-37", "gell-mann-10000", "gell-mann-37"],
+)
+def test_seeded_estimate_matches_recorded_output(runner, quorum_args, shots, mean, std_error):
+    # Recorded before shots were counted per distinct eigenvalue, from the
+    # per-outcome counts of the same draws; CI runs this on the NumPy floor
+    # too, so a change in NumPy's seeded streams fails here.
+    files = [str(ESTIMATE_D4 / f"{name}.json") for name in ("observable", "state", "true", "guess")]
+    result = runner.invoke(
+        main, ["--format", "json", "--seed", "7", "estimate", *files, "--shots", str(shots), *quorum_args]
+    )
+    assert result.exit_code == 0, result.output
+    doc = json.loads(result.output)
+    assert abs(doc["mean"] - mean) <= 1e-12
+    assert abs(doc["std_error"] - std_error) <= 1e-12
+
+
 def test_estimate_rejects_bad_quorum_dim(runner, spec_files, tmp_path):
     true_path, guess_path = spec_files
     obs_path = tmp_path / "obs.json"

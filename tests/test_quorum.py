@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from itertools import product
 from types import SimpleNamespace
 
@@ -10,7 +11,8 @@ from numpy.testing import assert_allclose
 
 import qdeconv as q
 from qdeconv.channels import MAX_DIM, random_hermitian
-from qdeconv.quorum import _element_seeds, _outcome_counts
+from qdeconv import quorum
+from qdeconv.quorum import EIGENVALUE_MERGE_RTOL, _counts_per_eigenvalue, _element_seeds
 from qdeconv.scenarios import (
     bitflip_correlated,
     bitflip_with_memory,
@@ -333,22 +335,69 @@ def test_counted_estimate_equals_per_shot_sampler(case, shots):
 
 @settings(max_examples=200, deadline=None)
 @given(
-    weights=st.lists(
-        st.sampled_from([0.0, 0.25, 1.0, 3.0]) | st.floats(0.0, 1.0, allow_subnormal=False),
+    outcomes=st.lists(
+        st.tuples(
+            st.sampled_from([-2.0, -0.25, 0.0, 0.25, 1.0, 1.0 + 1e-14, 3.0]),
+            st.sampled_from([0.0, 0.25, 1.0, 3.0]) | st.floats(0.0, 1.0, allow_subnormal=False),
+        ),
         min_size=1,
         max_size=12,
-    ).filter(lambda w: sum(w) > 0),
+    ).filter(lambda o: sum(w for _, w in o) > 0),
     shots=st.integers(1, 500),
     seed=st.integers(0, 2**64 - 1),
 )
-def test_outcome_counts_equal_bincount_of_choice(weights, shots, seed):
-    p = np.array(weights) / sum(weights)
+def test_counts_per_eigenvalue_equal_grouped_bincount_of_choice(outcomes, shots, seed):
+    outcomes.sort(key=lambda o: o[0])
+    eigvals = np.array([v for v, _ in outcomes])
+    p = np.array([w for _, w in outcomes]) / sum(w for _, w in outcomes)
     indices = np.random.default_rng(seed).choice(len(p), size=shots, p=p)
-    assert np.array_equal(_outcome_counts(p, shots, seed), np.bincount(indices, minlength=len(p)))
+    per_outcome = np.bincount(indices, minlength=len(p))
+    # a group of equal eigenvalues ends where the next one is further than the merge tolerance
+    closes = np.append(np.diff(eigvals) > EIGENVALUE_MERGE_RTOL * np.abs(eigvals).max(), True)
+    expected = np.zeros(len(p), dtype=np.int64)
+    start = 0
+    for end in np.flatnonzero(closes):
+        expected[end] = per_outcome[start : end + 1].sum()
+        start = end + 1
+    counts = _counts_per_eigenvalue(eigvals[None], p[None], shots, [seed])
+    assert np.array_equal(counts[0], expected)
+
+
+def test_counting_in_small_blocks_keeps_the_streams(monkeypatch):
+    monkeypatch.setattr(quorum, "_SHOT_BLOCK", 7)
+    for case in ("mixed-d4", "degenerate-d3", "pauli-product-d16"):
+        rho, Q = ORACLE_CASES[case]
+        for shots in (1, 7, 50, 1000):
+            est = q.sample_expectation(rho, Q, shots, seed=5)
+            mean, std_error = choice_estimate(rho, Q, shots, seed=5)
+            assert abs(est.mean - mean) <= 1e-12
+            assert abs(est.std_error - std_error) <= 1e-12
+
+
+def test_sampling_memory_is_bounded_at_any_shot_count(rng):
+    rho, Q = q.random_density_matrix(2, rng), random_hermitian(2, rng)
+    tracemalloc.start()
+    try:
+        est = q.sample_expectation(rho, Q, 10**7, seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert abs(est.mean - q.expectation(Q, rho)) <= 5 * est.std_error
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 16])
+@pytest.mark.parametrize("shots", [1, 2, 10**4])
+def test_scalar_observable_estimate_is_exact(d, shots, rng):
+    est = q.sample_expectation(q.random_density_matrix(d, rng), 2 * np.eye(d), shots, seed=9)
+    assert est.mean == 2.0
+    assert est.std_error == 0.0
 
 
 @pytest.mark.parametrize(
-    "qb", [q.quorum_basis(3), q.pauli_product_quorum(2)], ids=["gell-mann-3", "pauli-product-2"]
+    "qb",
+    [q.quorum_basis(3), q.pauli_product_quorum(2), q.pauli_product_quorum(4)],
+    ids=["gell-mann-3", "pauli-product-2", "pauli-product-4"],
 )
 def test_deconvolved_estimate_equals_per_shot_recombination(qb, rng):
     d = qb.dim
