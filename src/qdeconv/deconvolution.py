@@ -306,6 +306,21 @@ class GuessPair:
         return pair
 
 
+def _check_hermitian(stack: np.ndarray) -> None:
+    """``ValueError`` naming the first element of a ``(k, d, d)`` stack that is
+    not Hermitian within 1e-10 (Frobenius)."""
+    # in blocks of about 2^13 entries, so each temporary stays near 128 KiB
+    # whatever the stack's size (faster than one stack-sized pass at d >= 16)
+    step = max(1, 2**13 // max(1, stack.shape[1] * stack.shape[2]))
+    for start in range(0, len(stack), step):
+        block = stack[start : start + step]
+        skew = np.linalg.norm(block - block.conj().transpose(0, 2, 1), axis=(1, 2))
+        # written so that NaN fails too
+        bad = np.flatnonzero(~(skew <= 1e-10))
+        if bad.size:
+            raise ValueError(f"element {start + bad[0]} is not Hermitian within 1e-10")
+
+
 def _hermitian_stack(elements: Sequence[np.ndarray], d: int) -> np.ndarray:
     """Owned, read-only ``(k, d, d)`` stack of orthonormal Hermitian ``elements``.
 
@@ -318,11 +333,7 @@ def _hermitian_stack(elements: Sequence[np.ndarray], d: int) -> np.ndarray:
             raise ValueError(f"element {k} has shape {np.shape(A)}, expected ({d}, {d})")
     # an owned array, so no element view can be made writeable again
     stack = np.array(elements, dtype=complex) if len(elements) else np.zeros((0, d, d), dtype=complex)
-    skew = np.linalg.norm(stack - stack.conj().transpose(0, 2, 1), axis=(1, 2))
-    # written so that NaN fails too
-    bad = np.flatnonzero(~(skew <= 1e-10))
-    if bad.size:
-        raise ValueError(f"element {bad[0]} is not Hermitian within 1e-10")
+    _check_hermitian(stack)
     V = stack.reshape(len(stack), d * d)
     gram = V.conj() @ V.T
     off = np.argwhere(np.triu(np.abs(gram), 1) > 1e-10)
@@ -358,6 +369,16 @@ class ObservableFamily:
     @classmethod
     def from_basis(cls, dim: int, basis: Sequence[np.ndarray]) -> "ObservableFamily":
         return cls(dim=dim, basis=tuple(basis))
+
+    @classmethod
+    def _from_certified(cls, dim: int, stack: np.ndarray, **fields: object) -> "ObservableFamily":
+        """Family over ``stack``, an owned, read-only ``(k, dim, dim)`` array that
+        already passes what :func:`_hermitian_stack` checks; nothing is checked
+        or copied again.  ``fields`` sets the subclass's private fields."""
+        family = object.__new__(cls)
+        for name, value in {"dim": dim, "basis": tuple(stack), "_stacked": stack, **fields}.items():
+            object.__setattr__(family, name, value)
+        return family
 
     @property
     def n_params(self) -> int:

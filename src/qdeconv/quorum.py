@@ -8,21 +8,31 @@ multi-qubit dimensions), the change-of-basis matrix induced by the guess
 inverse, Born-rule sampling, and the end-to-end estimator.
 
 A quorum is held as one read-only ``(d*d, d, d)`` array, so decomposition,
-eigenbases, Born probabilities and exact traces are one batched product
-each.  Shots are counted per distinct eigenvalue, neither drawn one by one
-nor sorted: each element's uniform draws, the ones ``Generator.choice`` would
-make with the same seed, are counted below each cut between its distinct
-eigenvalues.
+Born probabilities and exact traces are one batched product each.  Its
+eigendecomposition is computed once, on first use: a tensor-product quorum
+takes it from its base's, any other quorum from one batched ``eigh``.  Shots
+are counted per distinct eigenvalue, neither drawn one by one nor sorted:
+each element's uniform draws, the ones ``Generator.choice`` would make with
+the same seed, are counted below each cut between its distinct eigenvalues.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .channels import MAX_DIM, apply_channel, is_hermitian
-from .deconvolution import GuessPair, ObservableFamily, _modified_observables, _overflow_raises, modified_observable
+from .deconvolution import (
+    GuessPair,
+    ObservableFamily,
+    _check_hermitian,
+    _hermitian_stack,
+    _modified_observables,
+    _overflow_raises,
+    modified_observable,
+)
 
 #: Born probabilities may dip below zero by at most this much before the
 #: state is rejected as invalid.
@@ -39,13 +49,54 @@ _SHOT_BLOCK = 2**16
 
 @dataclass(frozen=True, eq=False)
 class QuorumBasis(ObservableFamily):
-    """A complete observable family: ``d*d`` orthonormal Hermitian operators."""
+    """A complete observable family: ``d*d`` orthonormal Hermitian operators.
+
+    A quorum built by :func:`tensor_product_quorum` is certified from its base's
+    Gram matrix and diagonalized from its base's eigendecomposition; any other
+    is validated like any family's basis and diagonalized in one batch.
+    """
+
+    #: ``(base, n)`` for the n-fold tensor products of ``base``'s elements.
+    _factors: tuple[QuorumBasis, int] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         d = self.dim
         if len(self.basis) != d * d:
             raise ValueError(f"a dim-{d} quorum needs {d*d} elements, got {len(self.basis)}")
         super().__post_init__()
+
+    @cached_property
+    def _spectra(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only ascending eigenvalues ``(d*d, d)`` of every element and
+        their eigenvectors ``(d*d, d, d)``, in columns, computed on first use.
+
+        The eigenvalues of ``kron(P, B)`` are the products of P's and B's and
+        its eigenvectors the Kronecker products of theirs (Horn & Johnson,
+        *Topics in Matrix Analysis*, Thm 4.2.12), so a tensor-product quorum
+        sorts those of its base's per element and diagonalizes nothing larger.
+        """
+        if self._factors is None:
+            eigvals, eigvecs = np.linalg.eigh(self._stacked)
+        else:
+            base, n = self._factors
+            base_vals, base_vecs = base._spectra
+            (k_b, d_b), k, d = base_vals.shape, self.n_params, self.dim
+            eigvals = _kron_power(base_vals, n)
+            order = np.argsort(eigvals, axis=1, kind="stable")
+            eigvals = np.take_along_axis(eigvals, order, axis=1)
+            # factor t of element a is base element elements[t][a], and of its
+            # sorted eigenvector c the base eigenvector columns[t][a, c]; the
+            # vectors are built in sorted order, so no unsorted copy is made
+            elements = np.unravel_index(np.arange(k), (k_b,) * n)
+            columns = np.unravel_index(order, (d_b,) * n)
+            rows = np.arange(d_b)[None, :, None]
+            eigvecs = np.ones((k, 1, d))
+            for a_t, c_t in zip(elements, columns):
+                factor = base_vecs[a_t[:, None, None], rows, c_t[:, None, :]]
+                eigvecs = (eigvecs[:, :, None, :] * factor[:, None, :, :]).reshape(k, -1, d)
+        eigvals.setflags(write=False)
+        eigvecs.setflags(write=False)
+        return eigvals, eigvecs
 
 
 @dataclass(frozen=True)
@@ -94,21 +145,64 @@ def tensor_product_quorum(base: QuorumBasis, n_factors: int) -> QuorumBasis:
     """Quorum of n-fold tensor products of a base quorum's elements.
 
     Element order is lexicographic in the factor indices, so the all-identity
-    product comes first.  Products of orthonormal Hermitians stay orthonormal
-    Hermitian.  The product dimension may not exceed ``MAX_DIM``, the largest
-    a channel supports.
+    product comes first.  Each product is checked Hermitian within 1e-10;
+    orthonormality is certified from the base, since the products' Gram
+    matrix is the n-th Kronecker power of the base's (see
+    :func:`_product_gram_is_identity`), and only products that fail that
+    certificate get the full check, which names the first bad element or
+    pair as :class:`QuorumBasis` does.  The product dimension may not exceed
+    ``MAX_DIM``, the largest a channel supports.
     """
     if n_factors < 1:
         raise ValueError("need at least one factor")
     dim = base.dim**n_factors
     if dim > MAX_DIM:  # checked before allocating dim**2 elements of dim x dim
         raise ValueError(f"product dimension {dim} exceeds supported maximum {MAX_DIM}")
-    B = elements = base._stacked
-    for _ in range(n_factors - 1):
-        # entry (a, j, i, k, l, m) is P_a[i, l] * B_j[k, m], i.e. kron(P_a, B_j)[i*d+k, l*d+m]
-        D = elements.shape[1] * base.dim
-        elements = (elements[:, None, :, None, :, None] * B[None, :, None, :, None, :]).reshape(-1, D, D)
-    return QuorumBasis(dim=dim, basis=tuple(elements))
+    stack = _kron_power(base._stacked, n_factors)
+    _check_hermitian(stack)
+    if not _product_gram_is_identity(base, n_factors):
+        stack = _hermitian_stack(stack, dim)
+    stack.setflags(write=False)
+    return QuorumBasis._from_certified(dim, stack, _factors=(base, n_factors))
+
+
+def _kron_power(stack: np.ndarray, n: int) -> np.ndarray:
+    """New array of the Kronecker products of every n-tuple of ``stack``'s entries.
+
+    ``stack`` holds k scalars, vectors or square matrices along its first
+    axis; row ``a_1 k^(n-1) + ... + a_n`` of the result is ``kron(stack[a_1],
+    ..., stack[a_n])``, so the order is lexicographic in the tuple.
+    """
+    out = np.array(stack)
+    for _ in range(n - 1):
+        # for matrices, entry (a, j, i, k, l, m) is P_a[i, l] * B_j[k, m], i.e. kron(P_a, B_j)[i*d+k, l*d+m]
+        left = out.reshape(len(out), 1, *(s for t in out.shape[1:] for s in (t, 1)))
+        right = stack.reshape(1, len(stack), *(s for t in stack.shape[1:] for s in (1, t)))
+        shape = tuple(a * b for a, b in zip(out.shape[1:], stack.shape[1:]))
+        out = (left * right).reshape(len(out) * len(stack), *shape)
+    return out
+
+
+def _product_gram_is_identity(base: QuorumBasis, n_factors: int) -> bool:
+    """Whether the Gram matrix of the n-fold products of ``base``'s elements is
+    the identity within 1e-10, as :func:`~qdeconv.deconvolution._hermitian_stack`
+    requires, without forming it.
+
+    That matrix is ``G^(x)n`` for the base's Gram matrix ``G``.  Its diagonal
+    is the Kronecker power of G's diagonal, and its largest off-diagonal
+    magnitude is the largest ``off**s * diag**(n - s)`` over ``1 <= s <= n``,
+    where ``off`` and ``diag`` are G's largest off-diagonal and diagonal
+    magnitudes: the entries in the s factors whose indices differ come from
+    G's off-diagonal, the others from its diagonal.
+    """
+    V = base._stacked.reshape(base.n_params, -1)
+    gram = V.conj() @ V.T
+    norms = gram.diagonal().real
+    off = np.abs(gram - np.diag(gram.diagonal())).max()
+    diag = np.abs(gram.diagonal()).max()
+    largest_off = max(off**s * diag ** (n_factors - s) for s in range(1, n_factors + 1))
+    # written so that NaN fails too
+    return bool(largest_off <= 1e-10 and np.all(np.abs(_kron_power(norms, n_factors) - 1) <= 1e-10))
 
 
 def pauli_product_quorum(n_qubits: int) -> QuorumBasis:
@@ -196,16 +290,17 @@ def _counts_per_eigenvalue(eigvals: np.ndarray, probs: np.ndarray, shots: int, s
 
 
 def _shot_estimates(
-    rho: np.ndarray, observables: np.ndarray, shots: int, seeds: list[int]
+    rho: np.ndarray, eigvals: np.ndarray, eigvecs: np.ndarray, shots: int, seeds: list[int]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Sample means and standard errors of stacked Hermitian observables.
+    """Sample means and standard errors of Hermitian observables given by their spectra.
 
-    Observable n is measured ``shots`` times in its eigenbasis on the stream
-    ``default_rng(seeds[n])``.  Shots are counted per distinct eigenvalue
-    (:func:`_counts_per_eigenvalue`), neither drawn one by one nor sorted, and
-    each group counts at its largest eigenvalue.
+    Row n of ``eigvals`` holds observable n's eigenvalues in ascending order
+    and the columns of ``eigvecs[n]`` its eigenvectors; it is measured
+    ``shots`` times in that eigenbasis on the stream ``default_rng(seeds[n])``.
+    Shots are counted per distinct eigenvalue (:func:`_counts_per_eigenvalue`),
+    neither drawn one by one nor sorted, and each group counts at its largest
+    eigenvalue.
     """
-    eigvals, eigvecs = np.linalg.eigh(observables)
     counts = _counts_per_eigenvalue(eigvals, _born_probabilities(rho, eigvecs), shots, seeds)
     means = (counts * eigvals).sum(axis=1) / shots
     # one shot: its outcome is the mean, so the sum is exactly zero
@@ -232,7 +327,8 @@ def sample_expectation(rho: np.ndarray, Q: np.ndarray, shots: int, seed: int) ->
         raise ValueError("observable must be Hermitian")
     if shots < 1:
         raise ValueError("shots must be at least 1")
-    means, errs = _shot_estimates(rho, Q[None], shots, [seed])
+    eigvals, eigvecs = np.linalg.eigh(Q)
+    means, errs = _shot_estimates(rho, eigvals[None], eigvecs[None], shots, [seed])
     return ShotEstimate(mean=float(means[0]), shots=shots, std_error=float(errs[0]), seed=seed)
 
 
@@ -260,7 +356,8 @@ def deconvolved_estimate(
     equal shot budget and an independent RNG stream derived from
     ``(seed, element index)``, and recombines with the weights
     ``decompose(modified_observable(gp, A))`` (by linearity, ``chi @
-    decompose(A)``).  All elements are diagonalized in one batch, and each
+    decompose(A)``).  The eigendecompositions are the quorum's own, computed
+    once per quorum (from the base's for a tensor-product quorum), and each
     element's shots are counted per distinct eigenvalue, with no sort, from
     the uniform draws ``Generator.choice`` would make on its stream, so
     seeded estimates equal earlier releases' to rounding.  A Pauli product
@@ -285,7 +382,8 @@ def deconvolved_estimate(
         return ShotEstimate(mean=float(weights @ exact), shots=0, std_error=0.0, seed=seed)
 
     seeds = _element_seeds(seed, qb.n_params)
-    means, errs = _shot_estimates(noisy, qb._stacked, shots_per_element, seeds)
+    eigvals, eigvecs = qb._spectra
+    means, errs = _shot_estimates(noisy, eigvals, eigvecs, shots_per_element, seeds)
     mean = float(weights @ means)
     std_error = float(np.sqrt(np.sum((weights * errs) ** 2)))
     return ShotEstimate(mean=mean, shots=shots_per_element, std_error=std_error, seed=seed)

@@ -12,6 +12,7 @@ from numpy.testing import assert_allclose
 import qdeconv as q
 from qdeconv.channels import MAX_DIM, random_hermitian
 from qdeconv import quorum
+from qdeconv.deconvolution import _hermitian_stack
 from qdeconv.quorum import EIGENVALUE_MERGE_RTOL, _counts_per_eigenvalue, _element_seeds
 from qdeconv.scenarios import (
     bitflip_correlated,
@@ -129,6 +130,120 @@ def test_quorum_basis_names_the_first_bad_element():
     for elements, message in cases:
         with pytest.raises(ValueError, match=message):
             q.QuorumBasis(dim=2, basis=tuple(elements))
+
+
+def _certificate_cases():
+    """Pauli bases perturbed to within 1e-10 of orthonormal Hermitian, so each
+    passes alone, with the fewest factors whose products fail and the start
+    of the full check's message for them (None: every product passes)."""
+    P = [np.array(Q) for Q in q.quorum_basis(2).basis]
+
+    def with_element_1(Q):
+        return tuple(P[:1] + [Q] + P[2:])
+
+    return {
+        "exact": (tuple(P), None),
+        # element (1, 1, 1) = 21 has <Q, Q> = (1 + 0.2e-10)^6, about 1 + 1.2e-10
+        "scaled-by-1+0.2e-10": (with_element_1((1 + 0.2e-10) * P[1]), (3, "element 21 has <Q_21, Q_21> = 1")),
+        # element (1, 1) = 5 has <Q, Q> = (1 + 0.4e-10)^4, about 1 + 1.6e-10; with
+        # three factors the first such element is (0, 1, 1) = 5 too
+        "scaled-by-1+0.4e-10": (with_element_1((1 + 0.4e-10) * P[1]), (2, "element 5 has <Q_5, Q_5> = 1")),
+        "scaled-by-1-0.4e-10": (with_element_1((1 - 0.4e-10) * P[1]), (2, "element 5 has <Q_5, Q_5> = 1")),
+        # off-diagonal Gram entries of 0.9e-10 stay 0.9e-10 in every product
+        "mixed-by-0.9e-10": (with_element_1(P[1] + 0.9e-10 * P[2]), None),
+        "mixed-and-scaled": (
+            with_element_1((1 + 0.45e-10) * (P[1] + 0.9e-10 * P[2])),
+            (2, "element 5 has <Q_5, Q_5> = 1"),
+        ),
+        # P_1 - P_1^dag is 0.9e-10 in norm; in element 5 it is sqrt 2 times that
+        "skewed-by-0.45e-10": (with_element_1(P[1] + 0.45e-10j * P[2]), (2, "element 5 is not Hermitian")),
+    }
+
+
+CERTIFICATE_CASES = _certificate_cases()
+
+
+@pytest.mark.parametrize("n_factors", [1, 2, 3])
+@pytest.mark.parametrize("case", sorted(CERTIFICATE_CASES))
+def test_product_certificate_matches_the_full_check(case, n_factors):
+    elements, failure = CERTIFICATE_CASES[case]
+    base = q.QuorumBasis(dim=2, basis=elements)
+    products = _kron_quorum(base, n_factors)
+    fails = failure is not None and n_factors >= failure[0]
+    try:
+        _hermitian_stack(products, 2**n_factors)
+    except ValueError as full:
+        assert fails and str(full).startswith(failure[1])
+        with pytest.raises(ValueError, match=f"^{re.escape(str(full))}$"):
+            q.tensor_product_quorum(base, n_factors)
+    else:
+        assert not fails
+        qb = q.tensor_product_quorum(base, n_factors)
+        assert np.array_equal(np.array(qb.basis), products)
+
+
+@pytest.mark.parametrize(
+    "base, n_factors",
+    [(q.quorum_basis(2), n) for n in (1, 2, 3, 4)]
+    + [(q.quorum_basis(3), 2), (q.quorum_basis(3), 3), (q.quorum_basis(4), 2), (q.pauli_product_quorum(2), 2)],
+    ids=[f"pauli-product-{n}" for n in (1, 2, 3, 4)]
+    + ["gell-mann-3-squared", "gell-mann-3-cubed", "gell-mann-4-squared", "pauli-product-2-squared"],
+)
+def test_product_spectra_match_the_batched_eigh_oracle(base, n_factors):
+    qb = q.tensor_product_quorum(base, n_factors)
+    eigvals, eigvecs = qb._spectra
+    assert qb._spectra[0] is eigvals
+    assert not eigvals.flags.writeable and not eigvecs.flags.writeable
+    oracle_vals, oracle_vecs = np.linalg.eigh(np.array(qb.basis))
+    largest = np.abs(oracle_vals).max(axis=1, keepdims=True)
+    assert np.all(np.abs(eigvals - oracle_vals) <= 1e-14 * largest)
+    # within a group of eigenvalues equal to the merge tolerance the eigenbasis
+    # is free, but the group's spectral projector is not
+    for vals, vecs, oracle in zip(oracle_vals, eigvecs, oracle_vecs):
+        closes = np.append(np.diff(vals) > EIGENVALUE_MERGE_RTOL * np.abs(vals).max(), True)
+        start = 0
+        for end in np.flatnonzero(closes) + 1:
+            V, W = vecs[:, start:end], oracle[:, start:end]
+            assert np.abs(V @ V.conj().T - W @ W.conj().T).max() <= 1e-12
+            start = end
+
+
+def test_five_qubit_estimate_diagonalizes_nothing_larger_than_the_base(rng, monkeypatch):
+    d = 32
+    gp = guess_pair(q.random_cptp_channel(d, 2, rng), q.random_cptp_channel(d, 2, rng))
+    A = random_hermitian(d, rng)
+    rho = q.random_density_matrix(d, rng)
+    eigh = np.linalg.eigh
+    shapes = []
+
+    def recording_eigh(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+    qb = q.pauli_product_quorum(5)
+    est = q.deconvolved_estimate(gp, A, rho, qb, 100, seed=3)
+    assert shapes == [(4, 2, 2)]
+    monkeypatch.undo()
+    # the same elements, diagonalized in one batch
+    batched = q.deconvolved_estimate(gp, A, rho, q.QuorumBasis(dim=d, basis=qb.basis), 100, seed=3)
+    scale = np.abs(q.decompose(q.modified_observable(gp, A), qb)).sum()
+    assert abs(est.mean - batched.mean) <= 1e-12 * scale
+    assert abs(est.std_error - batched.std_error) <= 1e-12 * scale
+
+
+def test_five_qubit_quorum_and_its_spectra_need_no_gram_sized_memory():
+    # the 1024 products take 16 MiB and their eigenvectors as much again:
+    # about 43 MiB at the peak.  Validating the same products as a family,
+    # with a copy, the conjugate rows and the 1024 x 1024 Gram matrix, and
+    # diagonalizing them in one batch peaks at about 65 MiB.
+    tracemalloc.start()
+    try:
+        q.pauli_product_quorum(5)._spectra
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 54 * 2**20
 
 
 QUORUM_CASES = [("gell-mann", d) for d in (2, 3, 4)] + [("pauli-product", n) for n in (1, 2)]
@@ -396,8 +511,14 @@ def test_scalar_observable_estimate_is_exact(d, shots, rng):
 
 @pytest.mark.parametrize(
     "qb",
-    [q.quorum_basis(3), q.pauli_product_quorum(2), q.pauli_product_quorum(4)],
-    ids=["gell-mann-3", "pauli-product-2", "pauli-product-4"],
+    [
+        q.quorum_basis(3),
+        q.pauli_product_quorum(2),
+        q.pauli_product_quorum(4),
+        # three distinct eigenvalues per base element: products tie exactly at 0 and to the ulp elsewhere
+        q.tensor_product_quorum(q.quorum_basis(3), 2),
+    ],
+    ids=["gell-mann-3", "pauli-product-2", "pauli-product-4", "gell-mann-3-squared"],
 )
 def test_deconvolved_estimate_equals_per_shot_recombination(qb, rng):
     d = qb.dim
