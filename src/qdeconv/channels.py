@@ -274,17 +274,59 @@ def adjoint_transfer(T: TransferMatrix) -> TransferMatrix:
     return TransferMatrix(dim=T.dim, gamma=T.gamma.conj().T)
 
 
+def _rounding_floor(trace: float, terms: int, n: int, b: int = 0, deflation: float = 0.0) -> float:
+    """``delta`` of :func:`_cholesky_certificate`: how far rounding can move the eigenvalues it tests.
+
+    In units of ``u = eps / 2`` (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., section 3.5, Thm 10.3; Demmel, 1989), forming an
+    ``n x n`` Gram matrix of trace ``trace`` from ``terms``-term products
+    moves it by ``terms trace`` in the 2-norm, forming ``U U^T`` of a
+    ``b``-column ``U`` of squared norm ``deflation`` by ``b deflation``,
+    adding it and the shift by one rounding of the sum each, and factoring
+    by ``n + 1`` times the sum's trace.  Counting in ``eps`` leaves a factor
+    2 for second-order terms and complex arithmetic.
+    """
+    eps = np.finfo(float).eps
+    return (terms + n + 2) * eps * trace + (b + n + 2) * eps * deflation
+
+
+def _cholesky_certificate(H: np.ndarray, bound: float, terms: int, U: np.ndarray | None = None) -> bool:
+    """Whether one Cholesky factorization proves every eigenvalue of the exact Gram matrix behind ``H``, plus ``U U^T``, above ``bound``.
+
+    ``H`` is an exactly Hermitian ``n x n`` Gram matrix of ``terms``-term
+    products; the real ``k x b`` block ``U`` deflates its leading ``k x k``
+    entries.  The factorization of ``H + U U^T - 2 max(bound, delta) I``,
+    ``delta`` the :func:`_rounding_floor` of the call, must succeed, which
+    proves every eigenvalue above ``max(bound, delta)``.  ``False`` decides
+    nothing.  ``H`` is updated in place and restored exactly.
+    """
+    n, (k, b) = len(H), (0, 0) if U is None else U.shape
+    deflation = 0.0 if U is None else float(np.vdot(U, U))
+    shift = 2.0 * max(bound, _rounding_floor(float(np.trace(H).real), terms, n, b, deflation))
+    lead = H[:k, :k]
+    saved, diagonal = lead.copy(), H.diagonal().copy()
+    if k:
+        lead += U @ U.T
+    H.flat[:: n + 1] -= shift
+    try:
+        # the F-ordered view spares LAPACK a strided copy; H^T = conj(H) is
+        # positive definite exactly when H is
+        np.linalg.cholesky(H.T)
+    except np.linalg.LinAlgError:
+        return False
+    finally:
+        lead[...] = saved
+        H.flat[:: n + 1] = diagonal
+    return True
+
+
 def _gram_certificate(M: np.ndarray, cutoff: float) -> bool:
     """Whether one Cholesky factorization proves ``s_min > cutoff * s_max`` for the finite square ``M``.
 
-    With ``X = M / max|M_ij|`` and ``H = X X^dag``, the factorization of
-    ``H - tau I``, ``tau = max(4 cutoff^2 ||H||_inf, 4 (n + 1) eps ||X||_F^2)``,
-    must succeed.  Forming and factoring ``H`` perturbs it by at most about
-    ``2 (n + 1) eps ||X||_F^2 <= tau / 2`` (Higham, Accuracy and Stability of
-    Numerical Algorithms, 2nd ed., ch. 10; Demmel, 1989), so success proves
-    ``s_min^2 > tau / 2 >= 2 cutoff^2 s_max^2``, since ``||H||_inf >=
-    s_max^2``.  The scaling keeps ``H`` from overflowing at any entry size.
-    ``False`` decides nothing.
+    With ``X = M / max|M_ij|`` and ``H = X X^dag``, :func:`_cholesky_certificate`
+    must prove every eigenvalue of ``H`` above ``2 cutoff^2 ||H||_inf``, which
+    is at least ``2 cutoff^2 s_max^2``.  The scaling keeps ``H`` from
+    overflowing at any entry size.  ``False`` decides nothing.
     """
     top = np.abs(M).max()
     if top == 0.0:
@@ -295,20 +337,9 @@ def _gram_certificate(M: np.ndarray, cutoff: float) -> bool:
     H = X @ Xh
     # the scaled copy is not needed past here; free it before LAPACK's own copy of H
     del X, Xh
-    n = len(H)
     # a cutoff of 1 already exceeds every ratio; the min keeps its square finite
-    tau = max(
-        4.0 * min(cutoff, 1.0) ** 2 * float(np.abs(H).sum(axis=1).max()),
-        4.0 * (n + 1) * np.finfo(float).eps * float(np.trace(H).real),
-    )
-    H.flat[:: n + 1] -= tau
-    try:
-        # the F-ordered view spares LAPACK a strided copy; H^T = conj(H) is
-        # positive definite exactly when H is
-        np.linalg.cholesky(H.T)
-    except np.linalg.LinAlgError:
-        return False
-    return True
+    bound = 2.0 * min(cutoff, 1.0) ** 2 * float(np.abs(H).sum(axis=1).max())
+    return _cholesky_certificate(H, bound, len(H))
 
 
 def _lu_inverse(M: np.ndarray, cutoff: float) -> np.ndarray:

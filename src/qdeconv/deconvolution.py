@@ -31,10 +31,12 @@ import numpy as np
 from .channels import (
     DEFAULT_SV_CUTOFF,
     TransferMatrix,
+    _cholesky_certificate,
     _ginibre_states,
     _gram_certificate,
     _require_invertible,
     _require_non_negative,
+    _rounding_floor,
     apply_channel,
 )
 from .errors import FamilyVerificationError, NumericalOverflowError, SingularChannelError
@@ -190,10 +192,10 @@ def _from_coordinates(coeffs: np.ndarray, d: int) -> ObservableFamily:
 class GuessPair:
     """True channel and guessed channel; the guess's real Hermitian coordinates are cached once formed.
 
-    Build pairs with :meth:`from_transfers`, which checks that both channels
-    are finite and that the guess preserves Hermiticity; the constructor
-    checks dimensions and ``sv_cutoff`` only, and leaves the Hermiticity
-    check to the pair's first family or modified observable.  Whether the
+    The constructor checks that both channels are finite, their dimensions
+    and ``sv_cutoff``; :meth:`from_transfers` also checks at once that the
+    guess preserves Hermiticity, which a pair built by the constructor
+    leaves to its first family or modified observable.  Whether the
     guess is invertible at ``sv_cutoff`` is decided once, by
     :meth:`require_invertible`, when the first modified observable needs
     it: a correctable family is a
@@ -207,6 +209,9 @@ class GuessPair:
     sv_cutoff: float = DEFAULT_SV_CUTOFF
 
     def __post_init__(self) -> None:
+        for name, t in (("true channel", self.phi), ("guess", self.phi_g)):
+            if not np.isfinite(t.gamma).all():
+                raise ValueError(f"{name} transfer matrix has non-finite entries")
         if self.phi.dim != self.phi_g.dim:
             raise ValueError("all transfer matrices must share one dimension")
         _require_non_negative(self.sv_cutoff, "singular-value cutoff")
@@ -231,7 +236,8 @@ class GuessPair:
             norm2 += float(np.vdot(chunk, chunk).real)
         # B is unitary, so the coordinates have the norm of gamma_g
         leak = math.sqrt(leak2)
-        if leak > 1e-10 * max(1.0, math.sqrt(norm2)):
+        # written so that NaN fails too
+        if not leak <= 1e-10 * max(1.0, math.sqrt(norm2)):
             raise ValueError(f"guess does not preserve Hermiticity (imaginary part {leak:.3e} in Hermitian coordinates)")
         return leak
 
@@ -298,9 +304,6 @@ class GuessPair:
             guess does not preserve Hermiticity, or ``sv_cutoff`` is NaN or
             negative.
         """
-        for name, t in (("true channel", phi), ("guess", phi_g)):
-            if not np.isfinite(t.gamma).all():
-                raise ValueError(f"{name} transfer matrix has non-finite entries")
         pair = cls(phi=phi, phi_g=phi_g, sv_cutoff=sv_cutoff)
         pair._hermiticity_leak  # measured now, so that a guess that breaks Hermiticity raises here
         return pair
@@ -518,11 +521,6 @@ def _fix_matrix_sign(A: np.ndarray) -> np.ndarray:
 #: Columns of the first block of :func:`_null_coordinates`.
 _START_BLOCK = 8
 
-#: Gram eigenvalues up to this fraction of ``||A||_F^2`` are kernel candidates
-#: at any cutoff: the Gram matrix and its Cholesky factor resolve eigenvalues
-#: only to about ``eps * ||A||_F^2``, so no certificate can tell them from zero.
-_CANDIDATE_FLOOR = 1e-10
-
 #: Singular values within this factor of the cutoff send the decision to the
 #: full SVD.
 _DECISION_MARGIN = 100.0
@@ -576,35 +574,37 @@ def _null_coordinates(blocks: Iterable[np.ndarray | _Constraint], d2: int, rel_t
        correction step refines ``e``: it lies within about ``||A e|| /
        sigma`` of the SVD's singular vector, ``sigma`` the next singular
        value, and for trace-preserving pairs it is the exact kernel, with
-       ``||A e||`` the rounding of ``A``.
+       ``||A e||`` the rounding of ``A``.  As ``e`` is zero past its first
+       ``d`` coordinates, its deflation touches only the leading ``d x d``
+       entries of ``A^T A``.
     1. ``S`` is the orthonormalized solve of a fixed start block of ``b = 8``
        columns against a square matrix whose kernel holds that of ``A``
        (:func:`_square_factor`), the half itself when there is one, so the
        kernel comes out amplified by the inverse of the rounding.  The Gram
        matrix ``A^T A`` squares the condition number, so the iteration never
        solves against it, and a second solve would only add rounding.
-    2. When ``||A S||_F^2 <= t``, the candidate threshold below, every
-       direction of the block is a candidate: the certificate of step 4 runs
+    2. When ``||A S||_F^2 <= t``, the shift of step 4, every direction of
+       the block is a candidate: the certificate of step 4 runs
        on the block, and if it fails the kernel does not fit, so the block
        grows to ``max(4 b, 2 d)`` and step 1 starts again.
     3. One correction step ``S - solve(A^T A + ||A||_F^2 S S^T, A^T (A S))``
        against the Gram matrix deflated by the block, then re-orthonormalized,
        restores the SVD's accuracy.
-    4. Certificate: the Cholesky factorization of ``A^T A + ||A||_F^2 S S^T -
-       t I`` must succeed.  That proves (Courant-Fischer) that every ``x``
-       orthogonal to the block has ``||A x||^2 > t ||x||^2``: no kernel
-       direction and no candidate lies outside it.  If it fails, the block
-       doubles and step 1 starts again.
+    4. Certificate: :func:`~qdeconv.channels._cholesky_certificate` of
+       ``A^T A + ||A||_F^2 S S^T`` at the bound ``drop^2``, with the shift
+       ``t = 2 max(drop^2, delta)``.  A pass proves (Courant-Fischer) that
+       every ``x`` orthogonal to the block has ``||A x|| > drop ||x||``: no
+       kernel direction and no direction at or below the drop bound lies
+       outside it.  If it fails, the block doubles and step 1 starts again.
     5. Decision: the thin SVD of ``A S`` keeps the directions with singular
-       value at most ``c / 100`` and drops those above ``max(100 c, c_F)``.
+       value at most ``c / 100`` and drops those above ``drop = max(100 c,
+       c_F)``.
 
     ``sigma_max`` itself is not computed.  It lies in ``[sqrt(max diag A^T A),
     ||A||_F]``; ``c`` is the cutoff at the lower end and ``c_F`` the one at
     the upper end, at most ``d`` times larger.  Every cutoff the bracket
     allows therefore lies between a kept and a dropped value, so the decision
-    is the full SVD's.  The candidate threshold is ``t = max(1e-10
-    ||A||_F^2, max(100 c, c_F)^2)``, so the certificate also places every
-    direction outside the block above the cutoff.  When a singular value of
+    is the full SVD's, and ``n_params`` with it.  When a singular value of
     ``A S`` lies between the two bounds, when the square factor is exactly
     singular, when the block would hold more than half of the coordinates,
     or when ``d^2 <= 36`` (every kernel with ``d <= 6``, where one SVD is the
@@ -707,32 +707,24 @@ def _block_null_coordinates(constraints: Sequence[_Constraint], d2: int, rel_tol
     """Steps 0-5 of :func:`_null_coordinates`: the null space, or ``None`` when the full SVD must decide.
 
     ``A^T A`` is formed once, in one ``d^2 x d^2`` buffer that every
-    certificate and correction updates in place and then restores: exactly
-    after the seed, whose update touches only the leading ``d x d`` block, and
-    to rounding of order ``eps ||A||_F^2``, far inside the candidate
-    threshold's floor, after a rank-b update.
+    certificate updates in place and restores exactly.
     """
     d = math.isqrt(d2)
     gram, Ae = _gram(constraints, d)
     if gram is None:
         return np.eye(d2)
+    n = sum(len(c) for c in constraints)
+    terms = n * d2  # the rows of A, which every entry of A^T A sums over
     # the diagonal of A^T A holds the squared column norms of A
     fro2 = float(np.trace(gram))
     cutoff = _kernel_cutoff(rel_tol, math.sqrt(gram.diagonal().max()))
     keep = cutoff / _DECISION_MARGIN
     drop = max(_DECISION_MARGIN * cutoff, _kernel_cutoff(rel_tol, math.sqrt(fro2)))
-    t = max(_CANDIDATE_FLOOR * fro2, drop**2)
-    if math.sqrt(sum(float(np.sum(x**2)) for x in Ae)) <= keep:
-        lead = gram[:d, :d]
-        saved = lead.copy()
-        lead += fro2 / d  # ||A||_F^2 e e^T
-        seeded = _shifted_cholesky(gram, t)
-        lead[...] = saved
-        if seeded:
-            e = np.zeros((d2, 1))
-            e[:d] = 1 / math.sqrt(d)
-            return _decided_null_coordinates(Ae, e, keep, drop)
-    b, n = _START_BLOCK, sum(len(c) for c in constraints)
+    e = np.zeros((d2, 1))
+    e[:d] = 1 / math.sqrt(d)
+    if math.sqrt(sum(float(np.sum(x**2)) for x in Ae)) <= keep and _deflated_certificate(gram, e[:d], fro2, drop**2, terms):
+        return _decided_null_coordinates(Ae, e, keep, drop)
+    b = _START_BLOCK
     while 2 * b <= d2:
         F = _square_factor(constraints)
         try:
@@ -742,12 +734,14 @@ def _block_null_coordinates(constraints: Sequence[_Constraint], d2: int, rel_tol
         # the square factor is the half when there is one; otherwise it is dropped and the halves rebuilt
         halves = [F] if n == 1 else (h for c in constraints for h in c.halves())
         del F
-        AS, rhs = _block_products(halves, S)
+        AS2, rhs = _block_products(halves, S)
         del halves  # before any Cholesky factorization
-        if sum(np.linalg.norm(x) ** 2 for x in AS) <= t and not _deflated_certificate(gram, S, fro2, t):
+        # the certificate's shift t; the deflation fro2 S S^T has squared norm b fro2
+        t = 2 * max(drop**2, _rounding_floor(fro2, terms, d2, b, b * fro2))
+        if AS2 <= t and not _deflated_certificate(gram, S, fro2, drop**2, terms):
             b = max(4 * b, 2 * d)
             continue
-        S = _certified_correction(gram, rhs, S, fro2, t)
+        S = _certified_correction(gram, rhs, S, fro2, drop**2, terms)
         if S is None:
             b *= 2
             continue
@@ -778,62 +772,36 @@ def _square_factor(constraints: Sequence[_Constraint]) -> np.ndarray:
     return F
 
 
-def _block_products(halves: Iterable[np.ndarray], S: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-    """The blocks ``h S`` of ``A S``, and ``A^T (A S)``, reading the halves ``h`` one at a time."""
-    AS, rhs = [], 0.0
+def _block_products(halves: Iterable[np.ndarray], S: np.ndarray) -> tuple[float, np.ndarray]:
+    """``||A S||_F^2`` and ``A^T (A S)``, reading the halves ``h`` of ``A`` one at a time."""
+    AS2, rhs = 0.0, 0.0
     for h in halves:
-        AS.append(h @ S)
-        rhs = rhs + h.T @ AS[-1]
-    return AS, rhs
+        hS = h @ S
+        AS2 += float(np.vdot(hS, hS))
+        rhs = rhs + h.T @ hS
+    return AS2, rhs
 
 
-def _shifted_cholesky(gram: np.ndarray, t: float) -> bool:
-    """Step 4's test: whether ``gram - t I`` has a Cholesky factorization; the diagonal is restored exactly.
-
-    ``gram`` must be exactly symmetric, as every sum of symmetric products
-    is, so LAPACK reads it through its F-ordered transpose without a strided
-    copy.
-    """
-    n = len(gram)
-    diagonal = gram.diagonal().copy()
-    gram.flat[:: n + 1] -= t
-    try:
-        np.linalg.cholesky(gram.T)
-    except np.linalg.LinAlgError:
-        return False
-    finally:
-        gram.flat[:: n + 1] = diagonal
-    return True
+def _deflated_certificate(gram: np.ndarray, S: np.ndarray, fro2: float, bound: float, terms: int) -> bool:
+    """Step 4 on the block ``S``: :func:`~qdeconv.channels._cholesky_certificate` of ``gram`` deflated by ``fro2 S S^T``."""
+    return _cholesky_certificate(gram, bound, terms, math.sqrt(fro2) * S)
 
 
-def _deflated_certificate(gram: np.ndarray, S: np.ndarray, fro2: float, t: float) -> bool:
-    """Step 4 on the block ``S``: :func:`_shifted_cholesky` of ``gram`` deflated by ``fro2 S S^T``, restored after."""
-    U = math.sqrt(fro2) * S
-    gram += U @ U.T
-    certified = _shifted_cholesky(gram, t)
-    gram -= U @ U.T
-    return certified
-
-
-def _certified_correction(gram: np.ndarray, rhs: np.ndarray, S: np.ndarray, fro2: float, t: float) -> np.ndarray | None:
+def _certified_correction(gram: np.ndarray, rhs: np.ndarray, S: np.ndarray, fro2: float, bound: float, terms: int) -> np.ndarray | None:
     """Steps 3 and 4 of :func:`_null_coordinates`: the corrected block, or ``None`` when the certificate fails.
 
     ``gram`` holds ``A^T A``, ``rhs`` ``A^T (A S)`` and ``fro2``
-    ``||A||_F^2``.  The Gram matrix is deflated by the block, ``U U^T`` with
-    ``U = sqrt(fro2) S``, for the solve, and by the corrected block for the
-    certificate, and restored after each.
+    ``||A||_F^2``.  The solve runs against ``gram`` deflated by the block,
+    ``U U^T`` with ``U = sqrt(fro2) S``, formed as a new array, and the
+    certificate on ``gram`` deflated by the corrected block.
     """
     U = math.sqrt(fro2) * S
-    gram += U @ U.T
     try:
-        correction = np.linalg.solve(gram.T, rhs)
+        correction = np.linalg.solve((gram + U @ U.T).T, rhs)
     except np.linalg.LinAlgError:
-        correction = None
-    gram -= U @ U.T
-    if correction is None:
         return None
     S = np.linalg.qr(S - correction)[0]
-    return S if _deflated_certificate(gram, S, fro2, t) else None
+    return S if _deflated_certificate(gram, S, fro2, bound, terms) else None
 
 
 def _decided_null_coordinates(AS: Sequence[np.ndarray], S: np.ndarray, keep: float, drop: float) -> np.ndarray | None:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -6,7 +8,7 @@ from numpy.testing import assert_allclose
 
 import qdeconv as q
 import qdeconv.deconvolution as dc
-from qdeconv.channels import _gram_certificate, random_hermitian
+from qdeconv.channels import _cholesky_certificate, _gram_certificate, _rounding_floor, random_hermitian
 from qdeconv.deconvolution import (
     MEMBERSHIP_RTOL,
     _coordinates,
@@ -373,6 +375,63 @@ def test_gram_certificate_accepts_only_above_the_cutoff(
         assert accepted
 
 
+@pytest.mark.parametrize("complex_entries", [False, True])
+@pytest.mark.parametrize("cutoff", [0.0, 1e-8, 1e-3, 2.0])
+def test_gram_certificate_shifts_by_max_of_its_two_bounds(monkeypatch, complex_entries, cutoff):
+    # the matrix factored is H - tau I, tau = max(4 c^2 ||H||_inf, 4 (n + 1) eps tr H), to the bit
+    rng = np.random.default_rng(7)
+    M = rng.normal(size=(40, 40)) + (1j * rng.normal(size=(40, 40)) if complex_entries else 0)
+    factored = []
+    cholesky = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: factored.append(a.diagonal().copy()) or cholesky(a))
+    _gram_certificate(M, cutoff)
+    X = M / np.abs(M).max()
+    H = X @ (X.conj().T if complex_entries else X.T)
+    tau = max(
+        4.0 * min(cutoff, 1.0) ** 2 * float(np.abs(H).sum(axis=1).max()),
+        4.0 * 41 * np.finfo(float).eps * float(np.trace(H).real),
+    )
+    assert len(factored) == 1 and np.array_equal(factored[0], H.diagonal() - tau)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    n=st.sampled_from([4, 64, 256]),
+    deflation=st.sampled_from([None, "leading", "full"]),
+    log_bound=st.one_of(st.none(), st.floats(-16, -1)),
+    below=st.floats(0, 1),
+    log_spread=st.floats(-16, 0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_cholesky_certificate_never_passes_at_or_below_its_bound(n, deflation, log_bound, below, log_spread, seed):
+    # H = X X^T with X = Q diag(sqrt(lambda)), so H is formed from n - b term
+    # products; b planted kernel directions K are deflated by U = sqrt(tr H) K,
+    # either through the whole matrix or, with K zero past its first k rows,
+    # through its leading k x k entries only.  The smallest other eigenvalue is
+    # planted at a fraction of the bound the certificate claims, max(bound,
+    # delta), and must fail it; four times above, it passes
+    rng = np.random.default_rng(seed)
+    b = {None: 0, "leading": 1, "full": max(1, n // 8)}[deflation]
+    k = math.isqrt(n) if deflation == "leading" else n
+    lead = np.zeros((n, b))
+    lead[:k] = rng.normal(size=(k, b))
+    Q = np.linalg.qr(np.column_stack([lead, rng.normal(size=(n, n - b))]))[0]
+    spread = np.concatenate([[1.0], 10.0 ** rng.uniform(log_spread, 0, n - b - 2)])
+    trace = float(np.sum(spread))
+    U = None if b == 0 else np.sqrt(trace) * Q[:k, :b]
+    bound = 0.0 if log_bound is None else 10.0**log_bound * trace
+    delta = _rounding_floor(trace, n - b, n, b, 0.0 if U is None else float(np.sum(U**2)))
+    claimed = max(bound, delta)
+    for lam_min, passes in ((below * claimed, False), (4 * claimed, True)):
+        if passes and lam_min > spread.min():
+            continue  # the planted value would not be the smallest
+        X = Q[:, b:] * np.sqrt(np.append(spread, lam_min))
+        H = X @ X.T
+        before = H.copy()
+        assert _cholesky_certificate(H, bound, n - b, U) == passes
+        assert np.array_equal(H, before)
+
+
 def test_an_extract_dense_guess_takes_no_svd_and_no_inverse(svd_calls, monkeypatch):
     # d = 32, random CPTP channels of 3 (true) and 2 (guess) Kraus operators
     rng = np.random.default_rng(32)
@@ -398,6 +457,33 @@ def test_singular_guess_errors_are_unchanged():
         q.GuessPair.from_transfers(phi, q.TransferMatrix(2, gamma))
     with pytest.raises(ValueError, match="^true channel transfer matrix has non-finite entries$"):
         q.GuessPair.from_transfers(q.TransferMatrix(2, gamma), phi)
+
+
+@pytest.mark.parametrize("d", [2, 8])
+@pytest.mark.parametrize("entry", [np.nan, np.inf])
+@pytest.mark.parametrize("channel", ["phi", "phi_g"])
+@pytest.mark.parametrize("build", [q.GuessPair, q.GuessPair.from_transfers], ids=["constructor", "from_transfers"])
+def test_a_non_finite_channel_fails_either_construction_path(d, entry, channel, build):
+    # the constructor checks as from_transfers does, so a NaN cannot reach a
+    # family's SVD, where it raised numpy.linalg.LinAlgError
+    rng = np.random.default_rng(d)
+    channels = {name: q.transfer_from_kraus(q.random_cptp_channel(d, 2, rng)) for name in ("phi", "phi_g")}
+    gamma = channels[channel].gamma.copy()
+    gamma[1, 2] = entry
+    channels[channel] = q.TransferMatrix(d, gamma)
+    name = "true channel" if channel == "phi" else "guess"
+    with pytest.raises(ValueError, match=f"^{name} transfer matrix has non-finite entries$"):
+        build(channels["phi"], channels["phi_g"])
+
+
+def test_the_hermiticity_check_fails_a_nan_leak():
+    # finite entries whose coordinates overflow: inf times an imaginary basis
+    # weight gives a NaN leak, which fails the check instead of passing it
+    T = q.transfer_from_kraus(q.unitary_channel(np.eye(2)))
+    huge = q.TransferMatrix(2, np.full((4, 4), 1.5e308))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="^guess does not preserve Hermiticity .imaginary part nan"):
+            q.GuessPair.from_transfers(T, huge)
 
 
 @pytest.mark.parametrize("cutoff", [float("nan"), -1.0])
@@ -1151,10 +1237,12 @@ def test_verify_family_rejects_channel_that_breaks_hermiticity():
 
 
 def test_verify_family_propagates_a_nan_deviation():
-    # a plain pair is unchecked, so its true channel may hold a NaN
+    # both construction paths reject a NaN channel, so the NaN is set past
+    # the check, into a finite pair's frozen field
     gamma = np.eye(4, dtype=complex)
     gamma[np.diag_indices(4)] = np.nan
-    gp = q.GuessPair(q.TransferMatrix(2, gamma), q.TransferMatrix(2, np.eye(4)))
+    gp = q.GuessPair(q.TransferMatrix(2, np.eye(4)), q.TransferMatrix(2, np.eye(4)))
+    object.__setattr__(gp, "phi", q.TransferMatrix(2, gamma))
     fam = q.ObservableFamily.from_basis(2, [np.eye(2) / np.sqrt(2)])
     worst = q.verify_family(gp, fam, 5, seed=0)
     assert np.isnan(worst)
@@ -1580,19 +1668,23 @@ def test_a_kernel_that_fills_the_first_block_is_certified_there(linalg_calls, fa
 
 
 def test_candidates_outside_the_block_fail_the_certificate_and_double(linalg_calls):
-    # singular values 1 (51), 8e-6 of ||A||_F (twelve) and 0: the twelve are
-    # candidates (below 1e-5 of ||A||_F) but lie far above the cutoff.  The
-    # first block holds the kernel and seven of them; the five left outside
-    # fail the certificate, and the doubled block holds all thirteen
+    # singular values 1 (51), 2e-6 (twelve) and 0: the twelve lie above the
+    # drop bound, at most 100 * 1e-8 * ||A||_2 = 1e-6, but below sqrt(delta),
+    # the rounding floor of an 8-column certificate, so they are candidates
+    # that no certificate can place above the drop bound.  The first block
+    # holds the kernel and seven of them; the five left outside fail the
+    # certificate, and the doubled block holds all thirteen
     rng = np.random.default_rng(9)
     U, V = (np.linalg.qr(rng.normal(size=(64, 64)))[0] for _ in range(2))
-    s = np.array([1.0] * 51 + [8e-6 * np.sqrt(51)] * 12 + [0.0])
+    s = np.array([1.0] * 51 + [2e-6] * 12 + [0.0])
+    fro2 = float(np.sum(s**2))
+    assert 2e-6 < np.sqrt(_rounding_floor(fro2, 64, 64, 8, 8 * fro2))
     block = (U * s) @ V.T
     W = _null_coordinates([block], 64, q.DEFAULT_KERNEL_RTOL)
     assert linalg_calls == [("svd", (64, 16))]
     # the kernel is determined to about eps over its gap
     O = null_coordinates_oracle([block], 64, q.DEFAULT_KERNEL_RTOL)
-    tol = 10 * np.finfo(float).eps / 8e-6
+    tol = 10 * np.finfo(float).eps / 2e-6
     assert W.shape == O.shape == (64, 1) and _span_gap(W, V[:, 63:]) <= tol and _span_gap(O, V[:, 63:]) <= tol
 
 
@@ -1639,6 +1731,24 @@ def test_random_cptp_pairs_take_the_identity_seed(factorizations, d):
     assert W.shape == (d * d, 1) and np.array_equal(np.abs(W[:, 0]), _identity_coordinates(d))
     fam = q.correctable_family(gp)
     assert fam.n_params == 1 and np.linalg.norm(fam.basis[0] - np.eye(d) / np.sqrt(d)) <= 1e-12
+
+
+@pytest.mark.parametrize("d", [8, 16])
+def test_a_second_singular_value_above_the_rounding_floor_leaves_the_seed_alone(factorizations, d):
+    # the identity is the kernel, and the next singular value is 3e-6 of
+    # ||A||_F: far above the drop bound and the root of the certificate's
+    # rounding floor, so one Cholesky factorization decides
+    d2 = d * d
+    rng = np.random.default_rng(d)
+    e = _identity_coordinates(d)
+    V = np.linalg.qr(np.column_stack([e, rng.normal(size=(d2, d2 - 1))]))[0][:, ::-1]
+    U = np.linalg.qr(rng.normal(size=(d2, d2)))[0]
+    s = np.array([1.0] * (d2 - 2) + [0.0, 0.0])
+    s[-2] = 3e-6 * np.linalg.norm(s)
+    block = (U * s) @ V.T
+    W = _null_coordinates([block], d2, q.DEFAULT_KERNEL_RTOL)
+    assert factorizations == ["cholesky"]
+    assert W.shape == (d2, 1) and np.array_equal(np.abs(W[:, 0]), e)
 
 
 def _fallback_cases():
