@@ -518,29 +518,9 @@ def _fix_matrix_sign(A: np.ndarray) -> np.ndarray:
     return -A if lead < 0 else A
 
 
-#: Columns of the first block of :func:`_null_coordinates`.
-_START_BLOCK = 8
-
 #: Singular values within this factor of the cutoff send the decision to the
 #: full SVD.
 _DECISION_MARGIN = 100.0
-
-
-@lru_cache(maxsize=None)
-def _start_block(n: int, b: int) -> np.ndarray:
-    """Fixed, read-only ``n x b`` start block of :func:`_null_coordinates`, entries in [-0.5, 0.5).
-
-    Entry ``k`` (row-major) is the splitmix64 hash of ``k + 1``: the same on
-    every platform, without structure along the coordinates, and drawn
-    without ``numpy.random``.
-    """
-    z = np.arange(1, n * b + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-    for shift, factor in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
-        z = (z ^ (z >> np.uint64(shift))) * np.uint64(factor)
-    z ^= z >> np.uint64(31)
-    X = (z >> np.uint64(11)).astype(float).reshape(n, b) * 2.0**-53 - 0.5
-    X.setflags(write=False)
-    return X
 
 
 def _null_coordinates(blocks: Iterable[np.ndarray | _Constraint], d2: int, rel_tol: float) -> np.ndarray:
@@ -560,43 +540,38 @@ def _null_coordinates(blocks: Iterable[np.ndarray | _Constraint], d2: int, rel_t
     ``ValueError``.
 
     It is found without every singular vector of ``A``, on ``b`` orthonormal
-    columns ``S`` that are certified to hold the null space.  The halves are
-    read once to form ``A^T A`` and ``A e``; after that, a pair's halves are
-    rebuilt, one at a time, for the solves of step 1, the products ``A S``
-    and ``A^T (A S)`` and the full SVD, and dropped before any Cholesky
-    factorization.  When there is one half, the square factor of step 1 is
-    that half and gives the products of its block.
+    candidate columns ``S`` that are certified to hold the null space.  The
+    halves are read once to form ``A^T A`` and ``A e``; after that, a pair's
+    halves are rebuilt, one at a time, for the products ``A^T (A S)`` and
+    ``A S`` and the full SVD, and dropped before any factorization.
 
     0. Identity seed.  ``S`` is first the coordinates ``e`` of ``I/sqrt(d)``,
        which every pair of trace-preserving channels leaves in the kernel,
-       when ``||A e||`` is at most the keep bound of step 5.  Steps 4 and 5
-       decide it; only when the certificate fails do steps 1-5 follow.  No
+       when ``||A e||`` is at most the keep bound of step 4.  Steps 3 and 4
+       decide it; only when the certificate fails do steps 1-4 follow.  No
        correction step refines ``e``: it lies within about ``||A e|| /
        sigma`` of the SVD's singular vector, ``sigma`` the next singular
        value, and for trace-preserving pairs it is the exact kernel, with
        ``||A e||`` the rounding of ``A``.  As ``e`` is zero past its first
        ``d`` coordinates, its deflation touches only the leading ``d x d``
        entries of ``A^T A``.
-    1. ``S`` is the orthonormalized solve of a fixed start block of ``b = 8``
-       columns against a square matrix whose kernel holds that of ``A``
-       (:func:`_square_factor`), the half itself when there is one, so the
-       kernel comes out amplified by the inverse of the rounding.  The Gram
-       matrix ``A^T A`` squares the condition number, so the iteration never
-       solves against it, and a second solve would only add rounding.
-    2. When ``||A S||_F^2 <= t``, the shift of step 4, every direction of
-       the block is a candidate: the certificate of step 4 runs
-       on the block, and if it fails the kernel does not fit, so the block
-       grows to ``max(4 b, 2 d)`` and step 1 starts again.
-    3. One correction step ``S - solve(A^T A + ||A||_F^2 S S^T, A^T (A S))``
-       against the Gram matrix deflated by the block, then re-orthonormalized,
-       restores the SVD's accuracy.
-    4. Certificate: :func:`~qdeconv.channels._cholesky_certificate` of
+    1. Otherwise the candidates ``S`` are the eigenvectors of ``A^T A`` with
+       eigenvalue at most ``4 max(drop^2, delta)``, ``delta`` the rounding
+       floor of ``A^T A``: every direction the certificate of step 3 could
+       not place above the drop bound.  More candidates than half of the
+       coordinates leave the decision to the full SVD.
+    2. One correction step ``S - solve(A^T A + ||A||_F^2 S S^T, A^T (A S))``
+       against the Gram matrix deflated by the candidates, then
+       re-orthonormalized, restores the SVD's accuracy, which the Gram
+       matrix's squared condition number costs the eigenvectors.
+    3. Certificate: :func:`~qdeconv.channels._cholesky_certificate` of
        ``A^T A + ||A||_F^2 S S^T`` at the bound ``drop^2``, with the shift
-       ``t = 2 max(drop^2, delta)``.  A pass proves (Courant-Fischer) that
-       every ``x`` orthogonal to the block has ``||A x|| > drop ||x||``: no
-       kernel direction and no direction at or below the drop bound lies
-       outside it.  If it fails, the block doubles and step 1 starts again.
-    5. Decision: the thin SVD of ``A S`` keeps the directions with singular
+       ``2 max(drop^2, delta)``.  A pass proves (Courant-Fischer) that every
+       ``x`` orthogonal to ``S`` has ``||A x|| > drop ||x||``: no kernel
+       direction and no direction at or below the drop bound lies outside
+       it.  If the certificate of the corrected candidates fails, the full
+       SVD decides.
+    4. Decision: the thin SVD of ``A S`` keeps the directions with singular
        value at most ``c / 100`` and drops those above ``drop = max(100 c,
        c_F)``.
 
@@ -605,15 +580,15 @@ def _null_coordinates(blocks: Iterable[np.ndarray | _Constraint], d2: int, rel_t
     the upper end, at most ``d`` times larger.  Every cutoff the bracket
     allows therefore lies between a kept and a dropped value, so the decision
     is the full SVD's, and ``n_params`` with it.  When a singular value of
-    ``A S`` lies between the two bounds, when the square factor is exactly
-    singular, when the block would hold more than half of the coordinates,
-    or when ``d^2 <= 36`` (every kernel with ``d <= 6``, where one SVD is the
-    cheaper route), the full SVD of ``A`` decides instead.
+    ``A S`` lies between the two bounds, when the correction's solve meets an
+    exactly singular matrix, or when ``d^2 <= 36`` (every kernel with ``d <=
+    6``, where one SVD is the cheaper route), the full SVD of ``A`` decides
+    instead.
     """
     _require_non_negative(rel_tol, "kernel threshold")
     constraints = [c if isinstance(c, _Constraint) else _Constraint(c) for c in blocks]
     if d2 <= 36:
-        # up to d = 6 one SVD of A costs less than the block iteration's dozen small calls
+        # up to d = 6 one SVD of A costs less than a failed seed and only slightly more than a passing one
         halves = [h for c in constraints for h in c.halves()]
         return _svd_null_coordinates(halves, rel_tol) if halves else np.eye(d2)
     W = _block_null_coordinates(constraints, d2, rel_tol)
@@ -651,9 +626,12 @@ class _PairConstraint(_Constraint):
     ``d^2 x d^2`` arrays that :func:`_deviation_coordinates` builds on
     demand, one at a time, for the caller to drop.  The first read builds
     the real half and only the norm of the imaginary one, which alone
-    decides whether an imaginary half exists; later reads rebuild.  The
-    number of halves is known once :meth:`halves` has been read; a pair
-    whose true channel equals the guess has none.
+    decides whether an imaginary half exists; later reads rebuild.
+    :func:`_null_coordinates` reads a pair once for the Gram matrix; only
+    when the identity seed fails does it read it twice more, for the
+    products with the candidates, and the full SVD once.  The number of
+    halves is known once :meth:`halves` has been read; a pair whose true
+    channel equals the guess has none.
     """
 
     def __init__(self, gamma_g: np.ndarray, gamma_phi: np.ndarray, d: int) -> None:
@@ -704,17 +682,17 @@ def _gram(constraints: Sequence[_Constraint], d: int) -> tuple[np.ndarray | None
 
 
 def _block_null_coordinates(constraints: Sequence[_Constraint], d2: int, rel_tol: float) -> np.ndarray | None:
-    """Steps 0-5 of :func:`_null_coordinates`: the null space, or ``None`` when the full SVD must decide.
+    """Steps 0-4 of :func:`_null_coordinates`: the null space, or ``None`` when the full SVD must decide.
 
     ``A^T A`` is formed once, in one ``d^2 x d^2`` buffer that every
-    certificate updates in place and restores exactly.
+    certificate updates in place and restores exactly, and serves both
+    candidate sources: the seed's certificate and the eigendecomposition.
     """
     d = math.isqrt(d2)
     gram, Ae = _gram(constraints, d)
     if gram is None:
         return np.eye(d2)
-    n = sum(len(c) for c in constraints)
-    terms = n * d2  # the rows of A, which every entry of A^T A sums over
+    terms = sum(len(c) for c in constraints) * d2  # the rows of A, which every entry of A^T A sums over
     # the diagonal of A^T A holds the squared column norms of A
     fro2 = float(np.trace(gram))
     cutoff = _kernel_cutoff(rel_tol, math.sqrt(gram.diagonal().max()))
@@ -724,71 +702,25 @@ def _block_null_coordinates(constraints: Sequence[_Constraint], d2: int, rel_tol
     e[:d] = 1 / math.sqrt(d)
     if math.sqrt(sum(float(np.sum(x**2)) for x in Ae)) <= keep and _deflated_certificate(gram, e[:d], fro2, drop**2, terms):
         return _decided_null_coordinates(Ae, e, keep, drop)
-    b = _START_BLOCK
-    while 2 * b <= d2:
-        F = _square_factor(constraints)
-        try:
-            S = np.linalg.qr(np.linalg.solve(F, _start_block(d2, b)))[0]
-        except np.linalg.LinAlgError:
-            return None
-        # the square factor is the half when there is one; otherwise it is dropped and the halves rebuilt
-        halves = [F] if n == 1 else (h for c in constraints for h in c.halves())
-        del F
-        AS2, rhs = _block_products(halves, S)
-        del halves  # before any Cholesky factorization
-        # the certificate's shift t; the deflation fro2 S S^T has squared norm b fro2
-        t = 2 * max(drop**2, _rounding_floor(fro2, terms, d2, b, b * fro2))
-        if AS2 <= t and not _deflated_certificate(gram, S, fro2, drop**2, terms):
-            b = max(4 * b, 2 * d)
-            continue
-        S = _certified_correction(gram, rhs, S, fro2, drop**2, terms)
-        if S is None:
-            b *= 2
-            continue
-        return _decided_null_coordinates([h @ S for c in constraints for h in c.halves()], S, keep, drop)
-    return None
-
-
-def _square_factor(constraints: Sequence[_Constraint]) -> np.ndarray:
-    """Square matrix whose kernel holds every common kernel direction of the halves.
-
-    The half itself when there is one; otherwise the combination ``sum c_i h_i``
-    with fixed weights ``c_i`` in [0.5, 1.5) from the start block's hash,
-    which costs ``d^4`` adds where the QR of the stacked halves costs ``d^6``.
-    The combination can have kernel directions of its own (where the weights
-    meet an eigenvalue of the halves' pencil); they only take columns of the
-    block, since the certificate and the decision look at ``A`` itself.
-    """
-    n = sum(len(c) for c in constraints)
-    halves = (h for c in constraints for h in c.halves())
-    if n == 1:
-        return next(halves)
-    F = None
-    for w, h in zip(1.0 + _start_block(n, 1)[:, 0], halves):
-        if F is None:
-            F = w * h
-        else:
-            F += w * h
-    return F
-
-
-def _block_products(halves: Iterable[np.ndarray], S: np.ndarray) -> tuple[float, np.ndarray]:
-    """``||A S||_F^2`` and ``A^T (A S)``, reading the halves ``h`` of ``A`` one at a time."""
-    AS2, rhs = 0.0, 0.0
-    for h in halves:
-        hS = h @ S
-        AS2 += float(np.vdot(hS, hS))
-        rhs = rhs + h.T @ hS
-    return AS2, rhs
+    eigenvalues, V = np.linalg.eigh(gram)
+    # twice the certificate's shift 2 max(drop^2, delta): a direction left out
+    # clears it with room for the rounding the deflation by S adds to delta
+    S = V[:, eigenvalues <= 4 * max(drop**2, _rounding_floor(fro2, terms, d2))]
+    del V
+    if 2 * S.shape[1] > d2:
+        return None
+    rhs = sum(h.T @ (h @ S) for c in constraints for h in c.halves())  # A^T (A S), one half at a time
+    S = _certified_correction(gram, rhs, S, fro2, drop**2, terms)
+    return None if S is None else _decided_null_coordinates([h @ S for c in constraints for h in c.halves()], S, keep, drop)
 
 
 def _deflated_certificate(gram: np.ndarray, S: np.ndarray, fro2: float, bound: float, terms: int) -> bool:
-    """Step 4 on the block ``S``: :func:`~qdeconv.channels._cholesky_certificate` of ``gram`` deflated by ``fro2 S S^T``."""
+    """Step 3 on the block ``S``: :func:`~qdeconv.channels._cholesky_certificate` of ``gram`` deflated by ``fro2 S S^T``."""
     return _cholesky_certificate(gram, bound, terms, math.sqrt(fro2) * S)
 
 
 def _certified_correction(gram: np.ndarray, rhs: np.ndarray, S: np.ndarray, fro2: float, bound: float, terms: int) -> np.ndarray | None:
-    """Steps 3 and 4 of :func:`_null_coordinates`: the corrected block, or ``None`` when the certificate fails.
+    """Steps 2 and 3 of :func:`_null_coordinates`: the corrected block, or ``None`` when the certificate fails.
 
     ``gram`` holds ``A^T A``, ``rhs`` ``A^T (A S)`` and ``fro2``
     ``||A||_F^2``.  The solve runs against ``gram`` deflated by the block,
@@ -805,7 +737,7 @@ def _certified_correction(gram: np.ndarray, rhs: np.ndarray, S: np.ndarray, fro2
 
 
 def _decided_null_coordinates(AS: Sequence[np.ndarray], S: np.ndarray, keep: float, drop: float) -> np.ndarray | None:
-    """Step 5 of :func:`_null_coordinates` on a certified block ``S``, from the blocks ``AS`` of ``A S``.
+    """Step 4 of :func:`_null_coordinates` on a certified block ``S``, from the blocks ``AS`` of ``A S``.
 
     ``None`` when a singular value of ``A S`` lies between the two bounds.
     """

@@ -88,7 +88,7 @@ class EigGrouping:
     def __post_init__(self) -> None:
         n = len(self.eigenvalues)
         for lam in self.eigenvalues:
-            if abs(abs(lam) - 1.0) > 1e-8:
+            if not abs(abs(lam) - 1.0) <= 1e-8:
                 raise ValueError(f"eigenvalue {lam} is not unit modulus")
         covered = sorted(i for g in self.groups for i in g)
         if covered != list(range(n)):
@@ -99,7 +99,7 @@ class EigGrouping:
             v.setflags(write=False)
             vecs.append(v)
         V = np.column_stack(vecs)
-        if np.linalg.norm(V.conj().T @ V - np.eye(n)) > 1e-8:
+        if not np.linalg.norm(V.conj().T @ V - np.eye(n)) <= 1e-8:
             raise ValueError("eigenvectors are not orthonormal")
         object.__setattr__(self, "eigenvectors", tuple(vecs))
 

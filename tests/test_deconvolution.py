@@ -656,11 +656,12 @@ def test_dense_path_keeps_no_complex_array_and_one_real_constraint():
     assert traced <= 17 * 2**20 and fam.n_params == 1
 
 
-def test_block_route_keeps_at_most_four_real_constraint_arrays():
-    # d = 16, a pair of unitaries: the identity seed fails and the block
-    # iteration rebuilds the constraint for its solves; one real d^2 x d^2
-    # array is 0.5 MiB, and the Gram matrix, the rebuilt constraint, the
-    # Cholesky factor and the thin columns stay within four of them
+def test_a_failed_seed_keeps_at_most_four_real_constraint_arrays():
+    # d = 16, a pair of unitaries: the identity seed fails, the candidates
+    # are the Gram matrix's eigenvectors, and the constraint is rebuilt for
+    # the products with them; one real d^2 x d^2 array is 0.5 MiB, and the
+    # Gram matrix next to its eigenvectors, the rebuilt constraint or the
+    # correction's deflated copy, with the thin columns, stays within four
     d = 16
     rng = np.random.default_rng(516)
     Us = [q.haar_random_unitary(d, rng) for _ in range(2)]
@@ -1526,9 +1527,10 @@ def _span_gap(W, O):
 def test_null_coordinates_match_the_svd_oracle(d, n_blocks, complex_blocks, rel_tol, holds_identity, seed, data):
     # a planted kernel K of every dimension, from empty (full-rank blocks) to
     # everything (blocks that are rounding and constrain nothing); at the
-    # default cutoff the oracle finds exactly K.  From d = 7 on, kernels
-    # smaller and larger than the start block take the block iteration, and
-    # a K that holds the identity is tried as the seed first
+    # default cutoff the oracle finds exactly K.  From d = 7 on, a K that
+    # holds the identity is tried as the seed first, and otherwise comes
+    # from the Gram matrix's eigenvectors, or from the full SVD when they
+    # hold more than half of the coordinates
     d2 = d * d
     k = data.draw(st.integers(0, d2), label="kernel dimension")
     rng = np.random.default_rng(seed)
@@ -1571,21 +1573,22 @@ def linalg_calls(monkeypatch):
 
 @pytest.mark.parametrize(
     "factor, svd_shapes",
-    [(1.5, [(64, 8), (64, 64)]), (0.5, [(64, 8), (64, 64)]), (500.0, [(64, 8)]), (1e-3, [(64, 8)]), (2000.0, [(64, 8)])],
+    [(1.5, [(64, 3), (64, 64)]), (0.5, [(64, 3), (64, 64)]), (500.0, [(64, 2)]), (1e-3, [(64, 3)]), (2000.0, [(64, 2)])],
 )
 def test_planted_singular_value_decides_as_the_svd_oracle(linalg_calls, factor, svd_shapes):
-    # singular values 1 (61), factor * cutoff and 0 (two), so the 8-column
-    # start block holds the three smallest.  Within a factor 100 of the
-    # cutoff the full SVD decides; farther above or below, the thin SVD of
-    # A S does.  The first solve leaves the block off by about eps over the
-    # planted value until the correction step
+    # singular values 1 (61), factor * cutoff and 0 (two).  The candidates
+    # are the Gram eigenvectors at most 4 max(drop^2, delta), about
+    # (2.65e-6)^2: the two zeros, and the planted value too up to factor 265.
+    # Within a factor 100 of the cutoff the full SVD decides; farther above
+    # or below, the thin SVD of A S does.  The eigenvectors are off by about
+    # eps over the squared planted value until the correction step
     rng = np.random.default_rng(17)
     U, V = (np.linalg.qr(rng.normal(size=(64, 64)))[0] for _ in range(2))
     s = np.array([1.0] * 61 + [factor * q.DEFAULT_KERNEL_RTOL, 0.0, 0.0])
     block = (U * s) @ V.T
     W = _null_coordinates([block], 64, q.DEFAULT_KERNEL_RTOL)
     assert [shape for name, shape in linalg_calls if name == "svd"] == svd_shapes
-    assert [name for name, _ in linalg_calls if name != "svd"] == []
+    assert [call for call in linalg_calls if call[0] != "svd"] == [("eigh", (64, 64))]
     O = null_coordinates_oracle([block], 64, q.DEFAULT_KERNEL_RTOL)
     planted = V[:, 62:] if factor > 1 else V[:, 61:]
     assert W.shape == O.shape == planted.shape
@@ -1596,21 +1599,22 @@ def test_planted_singular_value_decides_as_the_svd_oracle(linalg_calls, factor, 
     assert _span_gap(W, planted) <= tol and _span_gap(O, planted) <= tol
 
 
-def test_candidates_past_half_the_coordinates_take_the_full_svd(linalg_calls):
-    # rank 3 of 64: the blocks of 8 and then 32 columns are all kernel, and a
-    # block of 128 would hold more than half the coordinates, so the full SVD
-    # decides
+def test_candidates_past_half_the_coordinates_take_the_full_svd(linalg_calls, factorizations):
+    # rank 3 of 64: the Gram matrix has 61 candidate eigenvectors, more than
+    # half the coordinates, so the full SVD decides without a correction
     rng = np.random.default_rng(5)
     block = rng.normal(size=(64, 3)) @ rng.normal(size=(3, 64))
     W = _null_coordinates([block], 64, q.DEFAULT_KERNEL_RTOL)
-    assert linalg_calls == [("svd", (64, 64))]
+    assert linalg_calls == [("eigh", (64, 64)), ("svd", (64, 64))] and factorizations == []
     assert W.shape == (64, 61) and np.linalg.norm(block @ W) <= 1e-13
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 6, 8])
 def test_only_kernels_up_to_d_6_take_one_svd(linalg_calls, monkeypatch, d):
-    # up to d^2 = 36 one SVD is cheaper than the block iteration's dozen small
-    # calls; at d = 8 the block route solves, certifies and takes a thin SVD
+    # up to d^2 = 36 one SVD is cheaper than the Gram route; at d = 8 the
+    # full-rank blocks have no candidate, and the route takes one
+    # eigendecomposition, a correction solve, a certificate and the thin SVD
+    # of A S, here of no column
     factorized = []
     for name in ("solve", "cholesky"):
         f = getattr(np.linalg, name)
@@ -1621,13 +1625,13 @@ def test_only_kernels_up_to_d_6_take_one_svd(linalg_calls, monkeypatch, d):
     if d <= 6:
         assert factorized == [] and linalg_calls == [("svd", (2 * d * d, d * d))]
     else:
-        assert factorized == ["solve", "solve", "cholesky"] and linalg_calls == [("svd", (2 * d * d, 8))]
+        assert factorized == ["solve", "cholesky"] and linalg_calls == [("eigh", (d * d, d * d)), ("svd", (2 * d * d, 0))]
 
 
-def test_a_block_made_only_of_kernel_grows_to_twice_d(linalg_calls, monkeypatch):
+def test_a_kernel_of_d_directions_takes_d_candidates(linalg_calls, monkeypatch):
     # d = 16 and a kernel of d directions, as for a pair of unitaries: the
-    # first block is all kernel, fails the certificate, since the kernel does
-    # not fit, and grows once, to 2d columns, without the correction
+    # Gram matrix has exactly d candidate eigenvectors, which one solve
+    # corrects and one thin SVD decides
     rng = np.random.default_rng(4)
     K = np.linalg.qr(rng.normal(size=(256, 16)))[0]
     block = rng.normal(size=(256, 256)) @ (np.eye(256) - K @ K.T)
@@ -1640,16 +1644,15 @@ def test_a_block_made_only_of_kernel_grows_to_twice_d(linalg_calls, monkeypatch)
 
     monkeypatch.setattr(np.linalg, "solve", recorded)
     W = _null_coordinates([block], 256, q.DEFAULT_KERNEL_RTOL)
-    assert widths == [8, 32, 32] and linalg_calls == [("svd", (256, 32))]
+    assert widths == [16] and linalg_calls == [("eigh", (256, 256)), ("svd", (256, 16))]
     assert W.shape == (256, 16) and _span_gap(W, K) <= 1e-12
 
 
-def test_a_kernel_that_fills_the_first_block_is_certified_there(linalg_calls, factorizations, monkeypatch):
-    # d = 8 and a kernel of exactly the 8 columns of the first block: every
-    # direction of the block is a candidate, and the certificate proves that
-    # the kernel fits, so the block does not grow to 32 columns: one solve
-    # makes the block, a Cholesky factorization certifies it, one solve
-    # corrects it and another factorization certifies the corrected block
+def test_a_kernel_without_the_identity_is_certified_by_one_factorization(linalg_calls, factorizations, monkeypatch):
+    # d = 8 and a random kernel of 8 directions, which does not hold the
+    # identity: ||A e|| exceeds the keep bound, so the seed costs no
+    # factorization; one solve corrects the eight candidate eigenvectors and
+    # one Cholesky factorization certifies the corrected block
     rng = np.random.default_rng(8)
     K = np.linalg.qr(rng.normal(size=(64, 8)))[0]
     block = rng.normal(size=(64, 64)) @ (np.eye(64) - K @ K.T)
@@ -1662,26 +1665,24 @@ def test_a_kernel_that_fills_the_first_block_is_certified_there(linalg_calls, fa
 
     monkeypatch.setattr(np.linalg, "solve", recorded)
     W = _null_coordinates([block], 64, q.DEFAULT_KERNEL_RTOL)
-    assert widths == [8, 8] and factorizations == ["solve", "cholesky", "solve", "cholesky"]
-    assert linalg_calls == [("svd", (64, 8))]
+    assert widths == [8] and factorizations == ["solve", "cholesky"]
+    assert linalg_calls == [("eigh", (64, 64)), ("svd", (64, 8))]
     assert W.shape == (64, 8) and _span_gap(W, K) <= 1e-12
 
 
-def test_candidates_outside_the_block_fail_the_certificate_and_double(linalg_calls):
+def test_candidates_under_the_rounding_floor_are_dropped_by_the_decision(linalg_calls):
     # singular values 1 (51), 2e-6 (twelve) and 0: the twelve lie above the
-    # drop bound, at most 100 * 1e-8 * ||A||_2 = 1e-6, but below sqrt(delta),
-    # the rounding floor of an 8-column certificate, so they are candidates
-    # that no certificate can place above the drop bound.  The first block
-    # holds the kernel and seven of them; the five left outside fail the
-    # certificate, and the doubled block holds all thirteen
+    # drop bound, at most 100 * 1e-8 * ||A||_2 = 1e-6, but their squares lie
+    # below 4 delta, so no certificate can place them above the drop bound
+    # and all thirteen are candidates; the thin SVD of A S drops the twelve
     rng = np.random.default_rng(9)
     U, V = (np.linalg.qr(rng.normal(size=(64, 64)))[0] for _ in range(2))
     s = np.array([1.0] * 51 + [2e-6] * 12 + [0.0])
     fro2 = float(np.sum(s**2))
-    assert 2e-6 < np.sqrt(_rounding_floor(fro2, 64, 64, 8, 8 * fro2))
+    assert 2e-6 < np.sqrt(4 * _rounding_floor(fro2, 64, 64))
     block = (U * s) @ V.T
     W = _null_coordinates([block], 64, q.DEFAULT_KERNEL_RTOL)
-    assert linalg_calls == [("svd", (64, 16))]
+    assert linalg_calls == [("eigh", (64, 64)), ("svd", (64, 13))]
     # the kernel is determined to about eps over its gap
     O = null_coordinates_oracle([block], 64, q.DEFAULT_KERNEL_RTOL)
     tol = 10 * np.finfo(float).eps / 2e-6
@@ -1689,7 +1690,7 @@ def test_candidates_outside_the_block_fail_the_certificate_and_double(linalg_cal
 
 
 def test_correctable_family_takes_no_eigendecomposition_and_no_full_svd(linalg_calls):
-    # d = 16: the kernel comes from the block iteration; the only SVDs are
+    # d = 16: the kernel comes from the identity seed; the only SVDs are
     # thin ones, of fewer columns than coordinates
     d2 = 256
     rng = np.random.default_rng(16)
@@ -1751,6 +1752,43 @@ def test_a_second_singular_value_above_the_rounding_floor_leaves_the_seed_alone(
     assert W.shape == (d2, 1) and np.array_equal(np.abs(W[:, 0]), e)
 
 
+def test_a_second_singular_value_under_the_rounding_floor_takes_the_gram_eigenvectors(linalg_calls, monkeypatch):
+    # d = 16, the identity is the kernel, and the next singular value lies
+    # between the drop bound and sqrt(delta), as on the random d = 32 pairs
+    # the seed misses: the seed's certificate fails, and the candidates come
+    # from one eigendecomposition of the Gram matrix, without the full SVD
+    d = 16
+    d2 = d * d
+    rng = np.random.default_rng(d)
+    e = _identity_coordinates(d)
+    V = np.linalg.qr(np.column_stack([e, rng.normal(size=(d2, d2 - 1))]))[0][:, ::-1]
+    U = np.linalg.qr(rng.normal(size=(d2, d2)))[0]
+    s = np.array([1.0] * (d2 - 2) + [3e-6, 0.0])
+    block = (U * s) @ V.T
+    fro2 = float(np.sum(s**2))
+    # drop = 100 c, with c = 1e-8 times the largest column norm of A
+    drop = 100 * q.DEFAULT_KERNEL_RTOL * np.linalg.norm(block, axis=0).max()
+    assert drop < s[-2] < np.sqrt(_rounding_floor(fro2, d2, d2))
+    factored = []
+    cholesky = np.linalg.cholesky
+
+    def recorded(a):
+        try:
+            cholesky(a)
+        except np.linalg.LinAlgError:
+            factored.append(False)
+            raise
+        factored.append(True)
+
+    monkeypatch.setattr(np.linalg, "cholesky", recorded)
+    W = _null_coordinates([block], d2, q.DEFAULT_KERNEL_RTOL)
+    assert factored == [False, True]
+    assert [call for call in linalg_calls if call[0] != "svd"] == [("eigh", (d2, d2))]
+    assert all(shape[-1] < d2 for name, shape in linalg_calls if name == "svd"), linalg_calls
+    # the kernel is determined to about eps over its gap, as in the full SVD
+    assert W.shape == (d2, 1) and np.linalg.norm(np.abs(W[:, 0]) - e) <= 10 * np.finfo(float).eps / s[-2]
+
+
 def _fallback_cases():
     rng = np.random.default_rng(500)
     for d in (7, 12, 16):
@@ -1769,12 +1807,16 @@ def _fallback_cases():
 
 
 @pytest.mark.parametrize("blocks, d, holds_identity", list(_fallback_cases()))
-def test_larger_families_take_the_block_iteration(factorizations, blocks, d, holds_identity):
+def test_larger_families_take_the_gram_eigenvectors(linalg_calls, factorizations, blocks, d, holds_identity):
     # a failed seed costs one Cholesky factorization, and a kernel without the
-    # identity none; then the block iteration solves and decides
+    # identity none; then one eigendecomposition of the Gram matrix gives the
+    # candidates, one solve corrects them, one factorization certifies them
+    # and a thin SVD decides
     W = _null_coordinates(blocks, d * d, q.DEFAULT_KERNEL_RTOL)
+    assert factorizations == ["cholesky"] * holds_identity + ["solve", "cholesky"]
+    assert [call for call in linalg_calls if call[0] != "svd"] == [("eigh", (d * d, d * d))]
+    assert all(shape[-1] < d * d for _, shape in linalg_calls[1:]), linalg_calls
     O = null_coordinates_oracle(blocks, d * d, q.DEFAULT_KERNEL_RTOL)
-    assert factorizations[0] == ("cholesky" if holds_identity else "solve") and "solve" in factorizations
     assert W.shape == O.shape and W.shape[1] > 1
     assert np.linalg.norm(W.T @ W - np.eye(W.shape[1])) <= 1e-12 and _span_gap(W, O) <= 1e-12
     e = _identity_coordinates(d)

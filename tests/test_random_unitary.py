@@ -196,7 +196,7 @@ def test_a_pair_without_halves_leaves_the_block_route_working(route, monkeypatch
     # d = 8: the identity twice and two commuting unitaries.  The second
     # identity's pair (or, copied, every true channel an equal copy, so the
     # guess's own pair too) is exactly zero and has no half; the 8-member
-    # family fails the identity seed, and the block route reads the other two
+    # family fails the identity seed, and the Gram route reads the other two
     import qdeconv.deconvolution as dc
 
     monkeypatch.setattr(dc, "_svd_null_coordinates", lambda *args: pytest.fail("the full SVD decided"))
@@ -442,6 +442,18 @@ def test_eig_grouping_resolves_close_eigenvalues_anywhere_on_the_circle(rng, cen
     for lam, v in zip(grouping.eigenvalues, grouping.eigenvectors):
         k = int(np.argmin(np.abs(np.exp(1j * phases) - lam)))
         assert np.linalg.norm(np.outer(v, v.conj()) - np.outer(Q[:, k], Q[:, k].conj())) <= 1e-7
+
+
+def test_eig_grouping_rejects_a_nan_eigenvalue():
+    # |nan| - 1 compares False against the tolerance either way, so the
+    # check must read "not within", not "beyond"
+    with pytest.raises(ValueError, match="not unit modulus"):
+        q.EigGrouping(eigenvalues=(np.nan, 1.0), groups=((0,), (1,)), eigenvectors=(np.eye(2)[0], np.eye(2)[1]))
+
+
+def test_eig_grouping_rejects_a_nan_eigenvector():
+    with pytest.raises(ValueError, match="not orthonormal"):
+        q.EigGrouping(eigenvalues=(1.0, -1.0), groups=((0,), (1,)), eigenvectors=(np.array([np.nan, 0.0]), np.eye(2)[1]))
 
 
 def test_mixing_with_comparison_unitary_leaves_family_invariant(rng):

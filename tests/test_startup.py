@@ -100,8 +100,8 @@ def test_subcommand_paths_import_neither_scipy_nor_scenarios():
 
 
 def test_deconvolve_and_sweep_do_not_load_numpy_random(tmp_path):
-    # its first use costs about 15 ms per process; the kernel's start block
-    # is a fixed hash, and d = 8 takes the block iteration
+    # its first use costs about 15 ms per process; the kernel draws nothing
+    # at random, and d = 8 takes its route past the one-SVD limit
     rng = np.random.default_rng(11)
     paths = []
     for name, n in (("true", 3), ("guess", 2)):
